@@ -2,10 +2,11 @@
 
 Rejection of the null requires m of the K outcomes to show promise
 simultaneously. The package calibrates stopping boundaries and finds
-minimal sample sizes by seeded Monte Carlo simulation for three design
-families: group-sequential m-of-K designs, composite-outcome designs,
-and a two-stage drop-the-loser design that stops measuring poorly
-performing outcomes at the interim.
+minimal sample sizes by seeded Monte Carlo simulation for two design
+families: group-sequential m-of-K designs, with the composite-outcome
+design (``GSDesignSpec(composite=True)``) as their comparator, and a
+two-stage drop-the-loser design that stops measuring poorly performing
+outcomes at the interim.
 """
 
 from .analysis import (
@@ -23,7 +24,6 @@ from .dtl import (
     calibrate_r,
     conditional_power,
     estimate_dtl_oc,
-    evaluate_dtl_row,
     invert_cp_boundaries,
     search_dtl_design,
 )
@@ -35,23 +35,19 @@ from .errors import (
     TrialDesignError,
 )
 from .gs import (
+    DesignRealisation,
     GSOperatingCharacteristics,
-    TrialPath,
     calibrate_c,
     composite_transform,
     estimate_gs_oc,
-    evaluate_gs_row,
-    search_composite_design,
     search_gs_design,
 )
 from .model import (
     Boundaries,
-    DesignRealisation,
     GSDesignSpec,
     OutcomeModel,
     StageSchedule,
     assemble_covariance,
-    covariance_entry,
     lfc_effects,
     lfc_working_indices,
     wang_tsiatis_boundaries,
@@ -59,7 +55,6 @@ from .model import (
 from .simulate import (
     SimConfig,
     StatisticBlock,
-    apply_mean_shift,
     cholesky_factor,
     dump_block,
     load_block,

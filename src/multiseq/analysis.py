@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dtl import DtLDesignSpec, DtLRealisation, estimate_dtl_oc, search_dtl_design
+from .dtl import DtLDesignSpec, search_dtl_design
 from .errors import TrialDesignError
-from .gs import composite_transform, estimate_gs_oc, search_gs_design
+from .gs import _decide, search_gs_design
 from .model import GSDesignSpec, OutcomeModel, StageSchedule
 from .simulate import SimConfig, StatisticBlock, mean_shift_vector, simulate_null_block
 
@@ -86,56 +86,30 @@ class RatioCurve:
 def search_design(spec, model: OutcomeModel, cfg: SimConfig, threads: int = 1,
                   nmin: int = 1, nmax: int = 400, lfc_mode: str = "first-m",
                   strict: bool = False):
-    """Dispatch a design search by spec type (and composite flag)."""
+    """Dispatch a design search by spec type."""
     if isinstance(spec, DtLDesignSpec):
         return search_dtl_design(spec, model, cfg, nmin=max(nmin, 1), nmax=nmax,
                                  threads=threads, lfc_mode=lfc_mode, strict=strict)
     if isinstance(spec, GSDesignSpec):
         return search_gs_design(spec, model, cfg, nmin=nmin, threads=threads,
-                                lfc_mode=lfc_mode, strict=strict)
+                                nmax=nmax, lfc_mode=lfc_mode, strict=strict)
     raise TypeError(f"unknown design spec type: {type(spec).__name__}")
-
-
-def _realisation_stages(realisation) -> int:
-    if isinstance(realisation, DtLRealisation):
-        return 2
-    return realisation.spec.n_stages
 
 
 def realisation_null_block(realisation, model: OutcomeModel, cfg: SimConfig,
                            threads: int = 1) -> StatisticBlock:
     """Null block shaped for the realisation's stage count (the null
     statistics do not depend on the stage size)."""
-    schedule = StageSchedule.equal(1, _realisation_stages(realisation))
+    schedule = StageSchedule.equal(1, realisation.n_stages)
     return simulate_null_block(schedule, model, cfg, threads=threads)
 
 
 def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel,
                         mu) -> tuple:
     """(p_reject, ess, enm) of a fixed realisation at true effects mu."""
-    schedule = StageSchedule.equal(realisation.n, _realisation_stages(realisation))
-    shift = mean_shift_vector(mu, schedule, model)
-    if isinstance(realisation, DtLRealisation):
-        oc = estimate_dtl_oc(block, realisation.spec, model, realisation.r,
-                             realisation.n, shift=shift)
-        return oc.p_reject, oc.ess, oc.enm
-    if realisation.kind == "composite":
-        cblock = composite_transform(block)
-        cshift = shift.reshape(block.n_stages, -1).sum(axis=1)
-        oc = estimate_gs_oc(cblock, realisation.boundaries,
-                            _composite_eval_spec(realisation.spec), schedule,
-                            shift=cshift)
-        # composite trials still measure every outcome at each stage
-        return oc.p_reject, oc.ess, realisation.spec.n_outcomes * oc.ess
-    oc = estimate_gs_oc(block, realisation.boundaries, realisation.spec,
-                        schedule, shift=shift)
+    schedule = StageSchedule.equal(realisation.n, realisation.n_stages)
+    oc = realisation.evaluate(block, model, mean_shift_vector(mu, schedule, model))
     return oc.p_reject, oc.ess, oc.enm
-
-
-def _composite_eval_spec(spec: GSDesignSpec) -> GSDesignSpec:
-    return GSDesignSpec(n_outcomes=1, n_promising=1, n_stages=spec.n_stages,
-                        alpha=spec.alpha, beta=spec.beta, delta0=0.0, delta1=0.0,
-                        wt_delta=spec.wt_delta)
 
 
 def compare_at_effects(realisation_a, realisation_b, model: OutcomeModel,
@@ -218,20 +192,13 @@ def identified_power(block: StatisticBlock, realisation, model: OutcomeModel,
     """
     spec = realisation.spec
     schedule = StageSchedule.equal(realisation.n, spec.n_stages)
-    shift = mean_shift_vector(delta_beta, schedule, model)
-    z = (block.values + shift[None, :]).reshape(block.nsims, block.n_stages,
-                                                block.n_outcomes)
+    values = block.values + mean_shift_vector(delta_beta, schedule, model)[None, :]
     upper = np.asarray(realisation.boundaries.upper)
-    lower = np.asarray(realisation.boundaries.lower)
-    m = spec.n_promising
-    above = z > upper[None, :, None]
-    go = above.sum(axis=2) >= m
-    nogo = (z < lower[None, :, None]).sum(axis=2) >= (spec.n_outcomes - m + 1)
-    nogo[:, -1] = ~go[:, -1]
-    stop = (go | nogo).argmax(axis=1)
-    rows = np.arange(block.nsims)
-    is_go = go[rows, stop]
+    is_go, stop = _decide(values, spec.n_stages, spec.n_outcomes, spec.n_promising,
+                          np.asarray(realisation.boundaries.lower), upper)
+    at_stop = values.reshape(block.nsims, spec.n_stages, spec.n_outcomes)[
+        np.arange(block.nsims), stop]
     working_mask = np.zeros(spec.n_outcomes, dtype=bool)
     working_mask[list(working)] = True
-    hits = (above[rows, stop] & working_mask[None, :]).sum(axis=1)
-    return float((is_go & (hits >= m)).mean())
+    hits = ((at_stop > upper[stop][:, None]) & working_mask[None, :]).sum(axis=1)
+    return float((is_go & (hits >= spec.n_promising)).mean())

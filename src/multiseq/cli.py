@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -33,7 +34,7 @@ from .errors import (
     InfeasibleDesignError,
     InvalidCorrelationError,
 )
-from .model import GSDesignSpec, OutcomeModel, StageSchedule
+from .model import GSDesignSpec, OutcomeModel, StageSchedule, lfc_effects
 from .simulate import SimConfig
 
 __all__ = ["RunConfig", "parse_config", "load_key_values", "emit_results", "main"]
@@ -44,6 +45,7 @@ THREADS_ENV = "MULTISEQ_THREADS"
 _DEFAULT_MU_VALUES = (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4)
 _DEFAULT_RHO_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 _DEFAULT_CP_GRID = (-4.0, 4.0, 0.1)
+_DEFAULT_NMAX = 400
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,21 @@ class RunConfig:
     out: str = "multiseq-out"
 
 
+_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+
+
 def _fail(field_name: str, message: str):
     raise ConfigError(f"{field_name}: {message}")
 
 
 def _parse_float(raw: str, name: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        _fail(name, f"expected a number, got {raw!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        _fail(name, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, name: str) -> int:
@@ -132,9 +140,8 @@ def load_key_values(path) -> dict:
 
 def parse_config(command: str, entries: dict) -> RunConfig:
     """Build a validated RunConfig from raw key-value strings."""
-    known = {f.name for f in fields(RunConfig)} - {"command"}
     for key in entries:
-        if key not in known:
+        if key not in _KEYS:
             _fail(key, "unknown configuration key")
     get = entries.get
 
@@ -219,6 +226,8 @@ def _parse_cp_grid(raw: str | None) -> tuple:
 
 
 def _validate(cfg: RunConfig) -> None:
+    """Checks of the CLI's own; every other check is made by building the
+    model, the simulation config and the specs the run will search."""
     if cfg.command.startswith("design"):
         if cfg.kind not in DESIGN_KINDS:
             _fail("kind", f"must be one of {', '.join(DESIGN_KINDS)}")
@@ -227,43 +236,47 @@ def _validate(cfg: RunConfig) -> None:
             value = getattr(cfg, name)
             if cfg.command in ("oc grid", "oc sweep") and value not in DESIGN_KINDS:
                 _fail(name, f"must be one of {', '.join(DESIGN_KINDS)}")
-    if not 1 <= cfg.m <= cfg.K:
-        _fail("m", "must satisfy 1 <= m <= K")
-    if cfg.J < 1:
-        _fail("J", "must be >= 1")
-    if not 0 < cfg.alpha < 1:
-        _fail("alpha", "must lie in (0, 1)")
-    if not 0 < cfg.beta < 1:
-        _fail("beta", "must lie in (0, 1)")
-    if any(hi < lo for lo, hi in zip(cfg.delta0, cfg.delta1)):
-        _fail("delta1", "must be >= delta0 elementwise")
-    if any(s <= 0 for s in cfg.sigma):
-        _fail("sigma", "must be strictly positive")
     if not 0 <= cfg.cp_l < cfg.cp_u <= 1:
         _fail("cp_l/cp_u", "thresholds must satisfy 0 <= cp_l < cp_u <= 1")
-    if cfg.nsims < 1:
-        _fail("nsims", "must be >= 1")
     if cfg.threads < 1:
         _fail("threads", "must be >= 1")
     needs_dtl = cfg.kind == "dtl" or "dtl" in (cfg.kind_a, cfg.kind_b) \
         or cfg.command == "oc sensitivity"
-    if needs_dtl:
-        if cfg.k_max is None:
-            _fail("k_max", "required for drop-the-loser designs")
-        if not 1 <= cfg.k_max < cfg.K:
-            _fail("k_max", "must satisfy 1 <= k_max < K")
+    if needs_dtl and cfg.k_max is None:
+        _fail("k_max", "required for drop-the-loser designs")
     if cfg.kind == "single-stage" and cfg.J != 1:
         _fail("J", "single-stage designs require J = 1")
     if cfg.kind == "dtl" and cfg.J not in (1, 2):
         _fail("J", "drop-the-loser designs fix J = 2")
     if cfg.nmin is not None and cfg.nmin < 1:
         _fail("nmin", "must be >= 1")
-    if cfg.nmin is not None and cfg.nmax is not None and cfg.nmin >= cfg.nmax:
-        _fail("nmin/nmax", "require nmin < nmax")
+    nmin, nmax = _size_range(cfg, 2 if needs_dtl and cfg.command != "oc sweep" else 1)
+    if nmin >= nmax:
+        _fail("nmin" if cfg.nmin is not None else "nmax",
+              f"require nmin < nmax, got {nmin} and {nmax}")
+    model = _built("rho", _model, cfg)
+    _built("nsims", _sim_config, cfg)
+    # the gs spec carries every design parameter but k_max and the CP
+    # thresholds, whichever kinds the run searches
+    spec = _built("J", _gs_spec, cfg, cfg.J, composite=False)
+    if needs_dtl:
+        _built("k_max", _dtl_spec, cfg)
+    _built("lfc_mode", lfc_effects, spec, mode=cfg.lfc_mode, sigma=model.sigma)
+
+
+# constructor parameter -> configuration key, to name the field of a ValueError
+_FIELD_OF = {"n_outcomes": "K", "n_promising": "m", "n_stages": "J",
+             "max_retained": "k_max", "thresholds": "cp_l/cp_u", "wt_delta": "delta"}
+
+
+def _built(default_field: str, build, *args, **kwargs):
+    """Call a constructor; its ValueError becomes a ConfigError that names
+    the field (the message's first word, or ``default_field``)."""
     try:
-        OutcomeModel(sigma=cfg.sigma, rho=np.asarray(cfg.rho))
+        return build(*args, **kwargs)
     except ValueError as exc:
-        _fail("rho", str(exc))
+        word = str(exc).split(" ", 1)[0]
+        _fail(_FIELD_OF.get(word, word if word in _KEYS else default_field), str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +314,15 @@ def _spec_for_kind(cfg: RunConfig, kind: str):
     return _gs_spec(cfg, cfg.J, composite=(kind == "composite"))
 
 
+def _size_range(cfg: RunConfig, default_nmin: int) -> tuple:
+    """(nmin, nmax) of a sample-size search; unset keys take their defaults."""
+    return (cfg.nmin if cfg.nmin is not None else default_nmin,
+            cfg.nmax if cfg.nmax is not None else _DEFAULT_NMAX)
+
+
 def _run_search(cfg: RunConfig, kind: str):
     spec = _spec_for_kind(cfg, kind)
-    nmin = cfg.nmin if cfg.nmin is not None else (2 if kind == "dtl" else 1)
-    nmax = cfg.nmax if cfg.nmax is not None else 400
+    nmin, nmax = _size_range(cfg, 2 if kind == "dtl" else 1)
     return analysis.search_design(spec, _model(cfg), _sim_config(cfg),
                                   threads=cfg.threads, nmin=nmin, nmax=nmax,
                                   lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
@@ -351,39 +369,18 @@ def config_echo_lines(cfg: RunConfig) -> list:
 
 
 def _summary_for_realisation(real, label: str = "") -> list:
+    boundaries = getattr(real, "boundaries", None)  # gs designs only
+    rows = [("kind", real.kind), ("r" if boundaries is None else "C", _fmt(real.constant)),
+            ("n", real.n), ("N", real.n_total)]
+    if boundaries is not None:
+        rows += [("f", _fmt_seq(boundaries.lower)), ("e", _fmt_seq(boundaries.upper))]
+    rows += [("alpha_star", _fmt(real.alpha_star)), ("power_star", _fmt(real.power_star))]
+    for name in ("pet", "ess", "enm", "expected_stages"):
+        if hasattr(real.oc_null, name):
+            rows += [(f"{name}_null", _fmt(getattr(real.oc_null, name))),
+                     (f"{name}_lfc", _fmt(getattr(real.oc_lfc, name)))]
     p = f"{label}_" if label else ""
-    lines = [f"{p}kind = {real.kind}"]
-    if isinstance(real, dtl.DtLRealisation):
-        lines += [
-            f"{p}r = {_fmt(real.r)}",
-            f"{p}n = {real.n}",
-            f"{p}N = {real.n_total}",
-            f"{p}alpha_star = {_fmt(real.alpha_star)}",
-            f"{p}power_star = {_fmt(real.power_star)}",
-            f"{p}pet_null = {_fmt(real.oc_null.pet)}",
-            f"{p}pet_lfc = {_fmt(real.oc_lfc.pet)}",
-            f"{p}ess_null = {_fmt(real.oc_null.ess)}",
-            f"{p}ess_lfc = {_fmt(real.oc_lfc.ess)}",
-            f"{p}enm_null = {_fmt(real.oc_null.enm)}",
-            f"{p}enm_lfc = {_fmt(real.oc_lfc.enm)}",
-        ]
-    else:
-        lines += [
-            f"{p}C = {_fmt(real.constant)}",
-            f"{p}n = {real.n}",
-            f"{p}N = {real.n_total}",
-            f"{p}f = {_fmt_seq(real.boundaries.lower)}",
-            f"{p}e = {_fmt_seq(real.boundaries.upper)}",
-            f"{p}alpha_star = {_fmt(real.alpha_star)}",
-            f"{p}power_star = {_fmt(real.power_star)}",
-            f"{p}ess_null = {_fmt(real.oc_null.ess)}",
-            f"{p}ess_lfc = {_fmt(real.oc_lfc.ess)}",
-            f"{p}enm_null = {_fmt(real.oc_null.enm)}",
-            f"{p}enm_lfc = {_fmt(real.oc_lfc.enm)}",
-            f"{p}expected_stages_null = {_fmt(real.oc_null.expected_stages)}",
-            f"{p}expected_stages_lfc = {_fmt(real.oc_lfc.expected_stages)}",
-        ]
-    return lines
+    return [f"{p}{key} = {value}" for key, value in rows]
 
 
 def _write_text(path: Path, lines) -> None:
@@ -428,9 +425,9 @@ def _cmd_design(cfg: RunConfig) -> list:
         rows = dtl.cp_lookup(real.spec, _model(cfg), real.r, real.n, z_values)
         csv_files["cp_lookup.csv"] = (("outcome", "z", "cp"), rows)
     else:
-        cum = StageSchedule.equal(real.n, real.spec.n_stages).cumulative
+        cum = StageSchedule.equal(real.n, real.n_stages).cumulative
         rows = [(j + 1, int(cum[j]), real.boundaries.lower[j], real.boundaries.upper[j])
-                for j in range(real.spec.n_stages)]
+                for j in range(real.n_stages)]
         csv_files["boundaries.csv"] = (("stage", "n_cumulative", "lower", "upper"), rows)
     return emit_results(cfg, Path(cfg.out), summary, csv_files)
 
@@ -456,8 +453,7 @@ def _cmd_oc_grid(cfg: RunConfig) -> list:
 def _cmd_oc_sweep(cfg: RunConfig) -> list:
     spec_a = _spec_for_kind(cfg, cfg.kind_a)
     spec_b = _spec_for_kind(cfg, cfg.kind_b)
-    nmin = cfg.nmin if cfg.nmin is not None else 1
-    nmax = cfg.nmax if cfg.nmax is not None else 400
+    nmin, nmax = _size_range(cfg, 1)
     curve = analysis.correlation_sweep(spec_a, spec_b, cfg.rho_values,
                                        _sim_config(cfg), sigma=cfg.sigma[0],
                                        threads=cfg.threads, nmin=nmin, nmax=nmax,
@@ -479,8 +475,7 @@ def _cmd_oc_sweep(cfg: RunConfig) -> list:
 def _cmd_oc_sensitivity(cfg: RunConfig) -> list:
     lowers = cfg.cp_l_values or (cfg.cp_l,)
     uppers = cfg.cp_u_values or (cfg.cp_u,)
-    nmin = cfg.nmin if cfg.nmin is not None else 2
-    nmax = cfg.nmax if cfg.nmax is not None else 400
+    nmin, nmax = _size_range(cfg, 2)
     header = ("cp_l", "cp_u", "r", "n", "N", "alpha_star", "power_star",
               "pet_null", "pet_lfc", "ess_null", "ess_lfc", "enm_null", "enm_lfc")
     rows = []

@@ -34,7 +34,6 @@ __all__ = [
     "DtLRealisation",
     "conditional_power",
     "invert_cp_boundaries",
-    "evaluate_dtl_row",
     "estimate_dtl_oc",
     "calibrate_r",
     "search_dtl_design",
@@ -107,10 +106,17 @@ class DtLRealisation:
     oc_lfc: DtLOperatingCharacteristics | None = None
 
     kind = "dtl"
+    n_stages = N_STAGES
 
     @property
     def constant(self) -> float:
         return self.r
+
+    def evaluate(self, block: StatisticBlock, model: OutcomeModel,
+                 shift: np.ndarray) -> DtLOperatingCharacteristics:
+        """Operating characteristics on a two-stage null block at a
+        per-column mean shift."""
+        return estimate_dtl_oc(block, self.spec, model, self.r, self.n, shift=shift)
 
 
 def conditional_power(z, r, info_interim, info_final, effect):
@@ -157,40 +163,6 @@ def invert_cp_boundaries(cp_lower: float, cp_upper: float, r: float,
 def _information(n: int, model: OutcomeModel):
     i1 = n / model.sigma ** 2
     return i1, 2.0 * i1
-
-
-def evaluate_dtl_row(stage1, stage2, spec: DtLDesignSpec, r: float,
-                     info_interim, info_final,
-                     max_retained: int | None = None) -> tuple:
-    """Trace one simulated trial through the interim and final rules.
-
-    Returns (decision, retained_count) where decision is one of
-    "nogo-interim", "go-interim", "go-final", "nogo-final" and
-    retained_count is the stage-two outcome count (0 on an early stop).
-    No-go is checked before go at the interim; the two cannot co-occur
-    while cp_lower < cp_upper.
-    """
-    k = spec.n_outcomes
-    m = spec.n_promising
-    k_max = spec.max_retained if max_retained is None else max_retained
-    stage1 = np.asarray(stage1, dtype=float)
-    stage2 = np.asarray(stage2, dtype=float)
-    if stage1.size != k or stage2.size != k:
-        raise ValueError(f"stage statistics must have length {k}")
-    cp = conditional_power(stage1, r, info_interim, info_final,
-                           np.asarray(spec.delta1))
-    if int((cp < spec.cp_lower).sum()) >= k - m + 1:
-        return "nogo-interim", 0
-    if int((cp > spec.cp_upper).sum()) >= m:
-        return "go-interim", 0
-    eligible = cp > spec.cp_lower
-    retained_count = min(k_max, int(eligible.sum()))
-    # stable sort on -cp: largest conditional power first, ties to the
-    # lower outcome index
-    order = np.argsort(-cp, kind="stable")
-    retained = order[:retained_count]
-    hits = int((stage2[retained] > r).sum())
-    return ("go-final" if hits >= m else "nogo-final"), retained_count
 
 
 class _Prepared:

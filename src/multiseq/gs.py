@@ -14,15 +14,14 @@ at the least favourable configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from .errors import InfeasibleDesignError
 from .model import (
     Boundaries,
-    DesignRealisation,
     GSDesignSpec,
     OutcomeModel,
     StageSchedule,
@@ -33,27 +32,17 @@ from .optimize import solve_decreasing
 from .simulate import SimConfig, StatisticBlock, mean_shift_vector, simulate_null_block
 
 __all__ = [
-    "TrialPath",
     "GSOperatingCharacteristics",
-    "evaluate_gs_row",
+    "DesignRealisation",
     "estimate_gs_oc",
     "calibrate_c",
     "composite_transform",
     "search_gs_design",
-    "search_composite_design",
 ]
 
 DEFAULT_BRACKET = (0.3, 12.0)
 DEFAULT_TOL = 1e-4
 MAX_STAGE_SIZE = 10_000
-
-
-@dataclass(frozen=True)
-class TrialPath:
-    """Reduced outcome of one simulated trial."""
-
-    decision: Literal["go", "nogo"]
-    stop_stage: int
 
 
 @dataclass(frozen=True)
@@ -64,30 +53,36 @@ class GSOperatingCharacteristics:
     enm: float
 
 
-def evaluate_gs_row(row, boundaries: Boundaries, n_promising: int) -> TrialPath:
-    """Scan one row of stage-major statistics to its earliest decision.
+@dataclass(frozen=True, eq=False)
+class DesignRealisation:
+    """A calibrated design: boundary constant, sample size and achieved
+    operating characteristics under the global null and under the LFC.
 
-    Comparisons are strict: a statistic equal to a boundary counts as
-    neither above nor below. The final stage forces go when m statistics
-    exceed the shared boundary and no-go otherwise.
+    ``constant`` is reported on the final-stage scale (it equals the
+    final boundary e_J); ``kind`` is "gs" or "composite".
     """
-    row = np.asarray(row, dtype=float)
-    n_stages = boundaries.n_stages
-    if row.size % n_stages:
-        raise ValueError("row length is not a multiple of the stage count")
-    k = row.size // n_stages
-    m = n_promising
-    stages = row.reshape(n_stages, k)
-    for j in range(n_stages):
-        above = int((stages[j] > boundaries.upper[j]).sum())
-        if j == n_stages - 1:
-            return TrialPath("go" if above >= m else "nogo", j + 1)
-        if above >= m:
-            return TrialPath("go", j + 1)
-        below = int((stages[j] < boundaries.lower[j]).sum())
-        if below >= k - m + 1:
-            return TrialPath("nogo", j + 1)
-    raise AssertionError("unreachable: final stage forces a decision")
+
+    kind: str
+    spec: GSDesignSpec
+    n: int
+    n_total: int
+    constant: float
+    boundaries: Boundaries
+    alpha_star: float
+    power_star: float
+    oc_null: Any = field(repr=False, default=None)
+    oc_lfc: Any = field(repr=False, default=None)
+
+    @property
+    def n_stages(self) -> int:
+        return self.spec.n_stages
+
+    def evaluate(self, block: StatisticBlock, model: OutcomeModel,
+                 shift: np.ndarray) -> GSOperatingCharacteristics:
+        """Operating characteristics on a null block at a per-column mean
+        shift; the shift already carries the model's sigma."""
+        schedule = StageSchedule.equal(self.n, self.n_stages)
+        return estimate_gs_oc(block, self.boundaries, self.spec, schedule, shift=shift)
 
 
 def _decide(values: np.ndarray, n_stages: int, n_outcomes: int, m: int,
@@ -103,16 +98,47 @@ def _decide(values: np.ndarray, n_stages: int, n_outcomes: int, m: int,
     return is_go, stop
 
 
-def _aggregate(is_go: np.ndarray, stop: np.ndarray, schedule: StageSchedule,
-               enm_outcomes: int) -> GSOperatingCharacteristics:
-    cum = schedule.cumulative
-    ess = float(cum[stop].mean())
-    return GSOperatingCharacteristics(
-        p_reject=float(is_go.mean()),
-        expected_stages=float((stop + 1.0).mean()),
-        ess=ess,
-        enm=enm_outcomes * ess,
-    )
+class _Rule:
+    """The m-of-K rule of a spec, applied to one null block.
+
+    This is the one place that reads ``spec.composite``: a composite
+    design sums the K statistics at each stage and compares the sum with
+    the boundary (one outcome, m = 1). The block is summed once; a shift
+    is summed on its own and then added to the summed block.
+    """
+
+    def __init__(self, block: StatisticBlock, spec: GSDesignSpec):
+        self.summed = spec.composite
+        if self.summed:
+            block = composite_transform(block)  # an already summed block passes through
+            self.kind, self.k, self.m = "composite", 1, 1
+        else:
+            self.kind, self.k, self.m = "gs", spec.n_outcomes, spec.n_promising
+        if block.n_outcomes != self.k or block.n_stages != spec.n_stages:
+            raise ValueError("block shape does not match the design spec")
+        self.block, self.spec = block, spec
+
+    def decide(self, boundaries: Boundaries, shift=None):
+        values = self.block.values
+        if shift is not None:
+            shift = np.asarray(shift)
+            if self.summed:
+                shift = shift.reshape(self.spec.n_stages, -1).sum(axis=1)
+            values = values + shift[None, :]
+        return _decide(values, self.spec.n_stages, self.k, self.m,
+                       np.asarray(boundaries.lower), np.asarray(boundaries.upper))
+
+    def oc(self, boundaries: Boundaries, schedule: StageSchedule,
+           shift=None) -> GSOperatingCharacteristics:
+        is_go, stop = self.decide(boundaries, shift)
+        ess = float(schedule.cumulative[stop].mean())
+        # ENM counts all K measured outcomes, composite or not
+        return GSOperatingCharacteristics(
+            p_reject=float(is_go.mean()),
+            expected_stages=float((stop + 1.0).mean()),
+            ess=ess,
+            enm=self.spec.n_outcomes * ess,
+        )
 
 
 def estimate_gs_oc(block: StatisticBlock, boundaries: Boundaries,
@@ -125,12 +151,7 @@ def estimate_gs_oc(block: StatisticBlock, boundaries: Boundaries,
     """
     if block.n_stages != boundaries.n_stages or block.n_stages != schedule.n_stages:
         raise ValueError("block, boundaries and schedule stage counts differ")
-    values = block.values if shift is None else block.values + np.asarray(shift)[None, :]
-    is_go, stop = _decide(values, block.n_stages, block.n_outcomes,
-                          spec.n_promising, np.asarray(boundaries.lower),
-                          np.asarray(boundaries.upper))
-    # ENM counts all K measured outcomes even when the block is composite.
-    return _aggregate(is_go, stop, schedule, spec.n_outcomes)
+    return _Rule(block, spec).oc(boundaries, schedule, shift)
 
 
 def composite_transform(block: StatisticBlock) -> StatisticBlock:
@@ -153,17 +174,6 @@ def _final_scale_boundaries(final: float, n_stages: int, wt_delta: float) -> Bou
                                    n_stages, wt_delta)
 
 
-def _calibrate_values(values: np.ndarray, n_stages: int, n_outcomes: int, m: int,
-                      wt_delta: float, alpha: float, bracket, tol, strict):
-    def alpha_at(final: float) -> float:
-        b = _final_scale_boundaries(final, n_stages, wt_delta)
-        is_go, _ = _decide(values, n_stages, n_outcomes, m,
-                           np.asarray(b.lower), np.asarray(b.upper))
-        return float(is_go.mean())
-
-    return solve_decreasing(alpha_at, alpha, bracket=bracket, tol=tol, strict=strict)
-
-
 def calibrate_c(null_block: StatisticBlock, spec: GSDesignSpec,
                 bracket: tuple = DEFAULT_BRACKET, tol: float = DEFAULT_TOL,
                 strict: bool = False) -> tuple:
@@ -175,66 +185,52 @@ def calibrate_c(null_block: StatisticBlock, spec: GSDesignSpec,
     selects the smallest constant with achieved alpha <= target instead
     of the closest match.
     """
-    if spec.composite:
-        block = composite_transform(null_block)
-        k, m = 1, 1
-    else:
-        block, k, m = null_block, spec.n_outcomes, spec.n_promising
-    if block.n_outcomes != k or block.n_stages != spec.n_stages:
-        raise ValueError("block shape does not match the design spec")
-    return _calibrate_values(block.values, spec.n_stages, k, m, spec.wt_delta,
-                             spec.alpha, bracket, tol, strict)
+    rule = _Rule(null_block, spec)
+
+    def alpha_at(final: float) -> float:
+        b = _final_scale_boundaries(final, spec.n_stages, spec.wt_delta)
+        is_go, _ = rule.decide(b)
+        return float(is_go.mean())
+
+    return solve_decreasing(alpha_at, spec.alpha, bracket=bracket, tol=tol, strict=strict)
 
 
-def _power_search(values: np.ndarray, n_stages: int, n_outcomes_eval: int, m: int,
-                  boundaries: Boundaries, effects_per_outcome, model: OutcomeModel,
-                  composite: bool, target_power: float, nmin: int,
-                  max_stage_size: int, enm_outcomes: int):
-    """Increment n until the shifted block reaches the target power."""
-    lower = np.asarray(boundaries.lower)
-    upper = np.asarray(boundaries.upper)
-    for n in range(max(1, nmin), max_stage_size + 1):
-        schedule = StageSchedule.equal(n, n_stages)
-        shift = mean_shift_vector(effects_per_outcome, schedule, model)
-        if composite:
-            shift = shift.reshape(n_stages, -1).sum(axis=1)
-        is_go, stop = _decide(values + shift[None, :], n_stages,
-                              n_outcomes_eval, m, lower, upper)
-        oc = _aggregate(is_go, stop, schedule, enm_outcomes)
-        if oc.p_reject >= target_power:
-            return n, schedule, oc
-    raise InfeasibleDesignError(
-        f"no per-stage size up to {max_stage_size} reaches power {target_power:.4g}"
-    )
+def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,
+                     nmin: int = 1, threads: int = 1, nmax: int = MAX_STAGE_SIZE,
+                     lfc_mode: str = "first-m",
+                     strict: bool = False) -> DesignRealisation:
+    """Smallest design meeting the target error rates.
 
-
-def _search(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig, nmin: int,
-            threads: int, max_stage_size: int, lfc_mode: str,
-            composite: bool, strict: bool) -> DesignRealisation:
+    Calibrates the boundary constant once on a null block, then
+    increments the per-stage size from ``nmin`` to ``nmax`` until power
+    at the least favourable configuration reaches 1 - beta. Specs with
+    ``composite=True`` search on the summed statistic; ``strict`` forces
+    the achieved type-I error rate to stay at or below target.
+    """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
     # the null statistics do not depend on n, so one block serves the
     # whole search (calibration first, then the power scan)
     null_block = simulate_null_block(StageSchedule.equal(1, spec.n_stages),
                                      model, cfg, threads=threads)
-    spec = replace(spec, composite=composite)
-    constant, _ = calibrate_c(null_block, spec, strict=strict)
+    rule = _Rule(null_block, spec)
+    # the rule's block is already summed, so calibrate_c sums nothing again
+    constant, _ = calibrate_c(rule.block, spec, strict=strict)
     boundaries = _final_scale_boundaries(constant, spec.n_stages, spec.wt_delta)
-    eval_block = composite_transform(null_block) if composite else null_block
-    k_eval = 1 if composite else spec.n_outcomes
-    m_eval = 1 if composite else spec.n_promising
     effects = lfc_effects(spec, mode=lfc_mode, sigma=model.sigma)
-
-    n, schedule, oc_lfc = _power_search(
-        eval_block.values, spec.n_stages, k_eval, m_eval, boundaries, effects,
-        model, composite, 1.0 - spec.beta, nmin, max_stage_size,
-        enm_outcomes=spec.n_outcomes)
-
-    is_go, stop = _decide(eval_block.values, spec.n_stages, k_eval, m_eval,
-                          np.asarray(boundaries.lower), np.asarray(boundaries.upper))
-    oc_null = _aggregate(is_go, stop, schedule, spec.n_outcomes)
+    target = 1.0 - spec.beta
+    for n in range(max(1, nmin), nmax + 1):
+        schedule = StageSchedule.equal(n, spec.n_stages)
+        oc_lfc = rule.oc(boundaries, schedule,
+                         mean_shift_vector(effects, schedule, model))
+        if oc_lfc.p_reject >= target:
+            break
+    else:
+        raise InfeasibleDesignError(
+            f"no per-stage size up to {nmax} reaches power {target:.4g}")
+    oc_null = rule.oc(boundaries, schedule)
     return DesignRealisation(
-        kind="composite" if composite else "gs",
+        kind=rule.kind,
         spec=spec,
         n=n,
         n_total=n * spec.n_stages,
@@ -245,30 +241,3 @@ def _search(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig, nmin: int,
         oc_null=oc_null,
         oc_lfc=oc_lfc,
     )
-
-
-def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,
-                     nmin: int = 1, threads: int = 1,
-                     max_stage_size: int = MAX_STAGE_SIZE,
-                     lfc_mode: str = "first-m",
-                     strict: bool = False) -> DesignRealisation:
-    """Smallest design meeting the target error rates.
-
-    Calibrates the boundary constant once on a null block, then
-    increments the per-stage size from ``nmin`` until power at the least
-    favourable configuration reaches 1 - beta. Specs with
-    ``composite=True`` are dispatched to the composite search; ``strict``
-    forces the achieved type-I error rate to stay at or below target.
-    """
-    return _search(spec, model, cfg, nmin, threads, max_stage_size, lfc_mode,
-                   composite=spec.composite, strict=strict)
-
-
-def search_composite_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,
-                            nmin: int = 1, threads: int = 1,
-                            max_stage_size: int = MAX_STAGE_SIZE,
-                            lfc_mode: str = "first-m",
-                            strict: bool = False) -> DesignRealisation:
-    """As ``search_gs_design`` but on the summed composite statistic."""
-    return _search(spec, model, cfg, nmin, threads, max_stage_size, lfc_mode,
-                   composite=True, strict=strict)

@@ -14,7 +14,7 @@ Statistics are laid out stage-major throughout the package: column
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -24,8 +24,6 @@ __all__ = [
     "GSDesignSpec",
     "StageSchedule",
     "Boundaries",
-    "DesignRealisation",
-    "covariance_entry",
     "assemble_covariance",
     "wang_tsiatis_boundaries",
     "lfc_effects",
@@ -45,6 +43,8 @@ def _as_vector(x, k: int, name: str) -> np.ndarray:
         arr = np.repeat(arr, k)
     if arr.size != k:
         raise ValueError(f"{name} must have length {k}, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
@@ -129,6 +129,8 @@ class GSDesignSpec:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
+        if not np.isfinite(self.wt_delta):
+            raise ValueError("wt_delta must be finite")
         d0 = tuple(_as_vector(self.delta0, self.n_outcomes, "delta0"))
         d1 = tuple(_as_vector(self.delta1, self.n_outcomes, "delta1"))
         if any(hi < lo for lo, hi in zip(d0, d1)):
@@ -223,32 +225,6 @@ def wang_tsiatis_boundaries(constant: float, n_stages: int, wt_delta: float = 0.
     return Boundaries(lower=tuple(lower), upper=tuple(upper))
 
 
-def covariance_entry(stage_a: int, stage_b: int, outcome_a: int, outcome_b: int,
-                     schedule: StageSchedule, model: OutcomeModel) -> float:
-    """Covariance of the statistics at (stage_a, outcome_a) and (stage_b, outcome_b).
-
-    Indices are 1-based and stage_a <= stage_b is required; the value is
-    symmetric in its arguments so callers order the pair.
-    """
-    j = schedule.n_stages
-    k = model.n_outcomes
-    if not (1 <= stage_a <= stage_b <= j):
-        raise IndexError("require 1 <= stage_a <= stage_b <= number of stages")
-    if not (1 <= outcome_a <= k and 1 <= outcome_b <= k):
-        raise IndexError("outcome index out of range")
-    cum = schedule.cumulative
-    same_stage = stage_a == stage_b
-    same_outcome = outcome_a == outcome_b
-    if same_stage and same_outcome:
-        return 1.0
-    if same_stage:
-        return float(model.rho[outcome_a - 1, outcome_b - 1])
-    ratio = float(np.sqrt(cum[stage_a - 1] / cum[stage_b - 1]))
-    if same_outcome:
-        return ratio
-    return float(model.rho[outcome_a - 1, outcome_b - 1]) * ratio
-
-
 def assemble_covariance(schedule: StageSchedule, model: OutcomeModel) -> np.ndarray:
     """Full (J*K) x (J*K) covariance of the statistics, stage-major layout."""
     cum = schedule.cumulative
@@ -281,24 +257,3 @@ def lfc_effects(spec: GSDesignSpec, mode: str = "first-m", sigma=None) -> np.nda
     for i in working:
         effects[i] = d1[i]
     return effects
-
-
-@dataclass(frozen=True, eq=False)
-class DesignRealisation:
-    """A calibrated design: boundary constant, sample size and achieved
-    operating characteristics under the global null and under the LFC.
-
-    ``constant`` is reported on the final-stage scale (it equals the
-    final boundary e_J); ``kind`` is "gs" or "composite".
-    """
-
-    kind: str
-    spec: GSDesignSpec
-    n: int
-    n_total: int
-    constant: float
-    boundaries: Boundaries
-    alpha_star: float
-    power_star: float
-    oc_null: Any = field(repr=False, default=None)
-    oc_lfc: Any = field(repr=False, default=None)

@@ -28,7 +28,6 @@ __all__ = [
     "cholesky_factor",
     "simulate_null_block",
     "mean_shift_vector",
-    "apply_mean_shift",
     "dump_block",
     "load_block",
 ]
@@ -143,19 +142,6 @@ def mean_shift_vector(mu, schedule: StageSchedule, model: OutcomeModel) -> np.nd
         raise ValueError(f"mu must have length {model.n_outcomes}, got {mu.size}")
     shift = mu[None, :] * np.sqrt(schedule.cumulative)[:, None] / model.sigma[None, :]
     return shift.ravel()
-
-
-def apply_mean_shift(block: StatisticBlock, mu, schedule: StageSchedule,
-                     model: OutcomeModel) -> StatisticBlock:
-    """Block with mu_k * sqrt(N_j) / sigma_k added to each (j, k) column."""
-    shift = mean_shift_vector(mu, schedule, model)
-    if shift.size != block.values.shape[1]:
-        raise ValueError("schedule/model shape does not match the block")
-    if not shift.any():
-        return block
-    return StatisticBlock(values=block.values + shift[None, :],
-                          n_stages=block.n_stages,
-                          n_outcomes=block.n_outcomes, seed=block.seed)
 
 
 def dump_block(block: StatisticBlock, path) -> None:

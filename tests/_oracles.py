@@ -1,15 +1,22 @@
-"""Independent estimators used as oracles by the test suite.
+"""Independent estimators and scalar reference evaluators used as
+oracles by the test suite.
 
-These deliberately avoid the package's simulation path: a different
+The estimators avoid the package's simulation path: a different
 generator family (PCG64 vs Philox), a different factorization (SVD vs
-Cholesky), and direct counting instead of the row evaluators.
+Cholesky), and direct counting. The row evaluators and
+``covariance_entry`` work one trial or one entry at a time, as checks on
+the package's vectorised code.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Literal
+
 import numpy as np
 
-from multiseq.model import OutcomeModel, StageSchedule, assemble_covariance
+from multiseq.dtl import DtLDesignSpec, conditional_power
+from multiseq.model import Boundaries, OutcomeModel, StageSchedule, assemble_covariance
 from multiseq.simulate import SimConfig, simulate_null_block
 
 
@@ -95,3 +102,97 @@ def participant_level_statistics(model: OutcomeModel, schedule: StageSchedule,
 
 def analytic_covariance(schedule: StageSchedule, model: OutcomeModel):
     return assemble_covariance(schedule, model)
+
+
+@dataclass(frozen=True)
+class TrialPath:
+    """Reduced outcome of one simulated trial."""
+
+    decision: Literal["go", "nogo"]
+    stop_stage: int
+
+
+def evaluate_gs_row(row, boundaries: Boundaries, n_promising: int) -> TrialPath:
+    """Scan one row of stage-major statistics to its earliest decision.
+
+    Comparisons are strict: a statistic equal to a boundary counts as
+    neither above nor below. The final stage forces go when m statistics
+    exceed the shared boundary and no-go otherwise.
+    """
+    row = np.asarray(row, dtype=float)
+    n_stages = boundaries.n_stages
+    if row.size % n_stages:
+        raise ValueError("row length is not a multiple of the stage count")
+    k = row.size // n_stages
+    m = n_promising
+    stages = row.reshape(n_stages, k)
+    for j in range(n_stages):
+        above = int((stages[j] > boundaries.upper[j]).sum())
+        if j == n_stages - 1:
+            return TrialPath("go" if above >= m else "nogo", j + 1)
+        if above >= m:
+            return TrialPath("go", j + 1)
+        below = int((stages[j] < boundaries.lower[j]).sum())
+        if below >= k - m + 1:
+            return TrialPath("nogo", j + 1)
+    raise AssertionError("unreachable: final stage forces a decision")
+
+
+def evaluate_dtl_row(stage1, stage2, spec: DtLDesignSpec, r: float,
+                     info_interim, info_final,
+                     max_retained: int | None = None) -> tuple:
+    """Trace one simulated trial through the interim and final rules.
+
+    Returns (decision, retained_count) where decision is one of
+    "nogo-interim", "go-interim", "go-final", "nogo-final" and
+    retained_count is the stage-two outcome count (0 on an early stop).
+    No-go is checked before go at the interim; the two cannot co-occur
+    while cp_lower < cp_upper.
+    """
+    k = spec.n_outcomes
+    m = spec.n_promising
+    k_max = spec.max_retained if max_retained is None else max_retained
+    stage1 = np.asarray(stage1, dtype=float)
+    stage2 = np.asarray(stage2, dtype=float)
+    if stage1.size != k or stage2.size != k:
+        raise ValueError(f"stage statistics must have length {k}")
+    cp = conditional_power(stage1, r, info_interim, info_final,
+                           np.asarray(spec.delta1))
+    if int((cp < spec.cp_lower).sum()) >= k - m + 1:
+        return "nogo-interim", 0
+    if int((cp > spec.cp_upper).sum()) >= m:
+        return "go-interim", 0
+    eligible = cp > spec.cp_lower
+    retained_count = min(k_max, int(eligible.sum()))
+    # stable sort on -cp: largest conditional power first, ties to the
+    # lower outcome index
+    order = np.argsort(-cp, kind="stable")
+    retained = order[:retained_count]
+    hits = int((stage2[retained] > r).sum())
+    return ("go-final" if hits >= m else "nogo-final"), retained_count
+
+
+def covariance_entry(stage_a: int, stage_b: int, outcome_a: int, outcome_b: int,
+                     schedule: StageSchedule, model: OutcomeModel) -> float:
+    """Covariance of the statistics at (stage_a, outcome_a) and (stage_b, outcome_b).
+
+    Indices are 1-based and stage_a <= stage_b is required; the value is
+    symmetric in its arguments so callers order the pair.
+    """
+    j = schedule.n_stages
+    k = model.n_outcomes
+    if not (1 <= stage_a <= stage_b <= j):
+        raise IndexError("require 1 <= stage_a <= stage_b <= number of stages")
+    if not (1 <= outcome_a <= k and 1 <= outcome_b <= k):
+        raise IndexError("outcome index out of range")
+    cum = schedule.cumulative
+    same_stage = stage_a == stage_b
+    same_outcome = outcome_a == outcome_b
+    if same_stage and same_outcome:
+        return 1.0
+    if same_stage:
+        return float(model.rho[outcome_a - 1, outcome_b - 1])
+    ratio = float(np.sqrt(cum[stage_a - 1] / cum[stage_b - 1]))
+    if same_outcome:
+        return ratio
+    return float(model.rho[outcome_a - 1, outcome_b - 1]) * ratio

@@ -31,10 +31,8 @@ from multiseq import (
     correlation_sweep,
     estimate_dtl_oc,
     estimate_gs_oc,
-    evaluate_gs_row,
     invert_cp_boundaries,
     mean_shift_vector,
-    search_composite_design,
     search_dtl_design,
     search_gs_design,
     simulate_null_block,
@@ -99,7 +97,7 @@ def searched_k2():
     mo = search_gs_design(gs_spec(2, 1, 3), model, cfg)
     times["mo"] = time.perf_counter() - start
     start = time.perf_counter()
-    comp = search_composite_design(gs_spec(2, 1, 3), model, cfg)
+    comp = search_gs_design(gs_spec(2, 1, 3, composite=True), model, cfg)
     times["comp"] = time.perf_counter() - start
     return mo, comp, times
 
@@ -109,9 +107,9 @@ def searched_k3():
     model = OutcomeModel.equicorrelated(3, 0.3)
     cfg = SimConfig(seed=SEED, nsims=NSIMS)
     mo1 = search_gs_design(gs_spec(3, 1, 3), model, cfg)
-    comp1 = search_composite_design(gs_spec(3, 1, 3), model, cfg)
+    comp1 = search_gs_design(gs_spec(3, 1, 3, composite=True), model, cfg)
     mo2 = search_gs_design(gs_spec(3, 2, 3), model, cfg)
-    comp2 = search_composite_design(gs_spec(3, 2, 3), model, cfg)
+    comp2 = search_gs_design(gs_spec(3, 2, 3, composite=True), model, cfg)
     return mo1, comp1, mo2, comp2
 
 
@@ -451,7 +449,7 @@ def test_criterion_8_decision_totality():
         b = wang_tsiatis_boundaries(float(rng.uniform(0.3, 4.0)), j,
                                     float(rng.uniform(-0.2, 0.5)))
         row = rng.normal(scale=float(rng.uniform(0.5, 4.0)), size=j * k)
-        path = evaluate_gs_row(row, b, n_promising=m)
+        path = _oracles.evaluate_gs_row(row, b, n_promising=m)
         check(failures, path.decision in ("go", "nogo") and 1 <= path.stop_stage <= j,
               f"case {case}: no decision for J={j}, K={k}, m={m}")
     report("criterion 8 (totality)", failures, "200 random rows")

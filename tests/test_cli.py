@@ -1,5 +1,6 @@
 import pytest
 
+from multiseq import analysis, dtl, gs, simulate
 from multiseq.cli import (
     config_echo_lines,
     load_key_values,
@@ -267,3 +268,35 @@ rho_values = 0.0, 0.5
     def test_kind_conflict_rejected(self, tmp_path, capsys):
         cfg_path = write(tmp_path, GS_CONFIG)
         assert run_cli(["design", "composite", "--config", str(cfg_path)]) == 2
+
+    def test_gs_search_stops_at_nmax(self, tmp_path, capsys):
+        # a small effect needs n > 1000; the scan must stop at nmax = 50
+        cfg_path = write(tmp_path, GS_CONFIG.replace("nsims = 4000", "nsims = 2000")
+                         + "nmax = 50\ndelta0 = 0.02\ndelta1 = 0.05\n")
+        assert run_cli(["design", "gs", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "z")]) == 3
+        assert "up to 50" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("gs", "delta1", "nan"),
+        ("gs", "delta", "nan"),
+        ("dtl", "cp_grid", "0:nan:0.1"),
+        ("gs", "chunk_size", "0"),
+        ("gs", "lfc_mode", "bogus"),
+        ("gs", "sigma", "nan"),
+        ("gs", "nmin", "500"),
+        ("dtl", "nmin", "500"),
+    ])
+    def test_invalid_input_fails_before_simulation(self, tmp_path, capsys, monkeypatch,
+                                                   kind, key, value):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block was simulated")
+
+        for module in (analysis, dtl, gs, simulate):
+            monkeypatch.setattr(module, "simulate_null_block", no_block)
+        # without nmin/nmax, so nmax takes its default of 400
+        text = GS_CONFIG if kind == "gs" else DTL_CONFIG.replace("nmin = 2\nnmax = 120\n", "")
+        cfg_path = write(tmp_path, text)
+        assert run_cli(["design", kind, "--config", str(cfg_path), "--set",
+                        f"{key}={value}", "--out", str(tmp_path / "v")]) == 2
+        assert f"configuration error: {key}:" in capsys.readouterr().err

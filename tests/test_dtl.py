@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from _oracles import evaluate_dtl_row
 from multiseq import (
     DtLDesignSpec,
     InfeasibleDesignError,
@@ -11,7 +12,6 @@ from multiseq import (
     calibrate_r,
     conditional_power,
     estimate_dtl_oc,
-    evaluate_dtl_row,
     estimate_gs_oc,
     invert_cp_boundaries,
     mean_shift_vector,

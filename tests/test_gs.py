@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from _oracles import evaluate_gs_row
 from multiseq import (
     Boundaries,
     GSDesignSpec,
@@ -8,12 +11,11 @@ from multiseq import (
     OutcomeModel,
     SimConfig,
     StageSchedule,
-    apply_mean_shift,
+    StatisticBlock,
     calibrate_c,
     composite_transform,
     estimate_gs_oc,
-    evaluate_gs_row,
-    search_composite_design,
+    mean_shift_vector,
     search_gs_design,
     simulate_null_block,
     wang_tsiatis_boundaries,
@@ -103,8 +105,8 @@ class TestEstimateOC:
         b = wang_tsiatis_boundaries(2.394350 * np.sqrt(3), 3, 0.0)
         oc_null = estimate_gs_oc(block, b, spec, schedule)
         assert oc_null.p_reject == pytest.approx(0.025, abs=0.01)
-        shifted = apply_mean_shift(block, [0.4, 0.2, 0.2], schedule, model)
-        oc_alt = estimate_gs_oc(shifted, b, spec, schedule)
+        shift = mean_shift_vector([0.4, 0.2, 0.2], schedule, model)
+        oc_alt = estimate_gs_oc(block, b, spec, schedule, shift=shift)
         assert oc_alt.p_reject == pytest.approx(0.81, abs=0.02)
 
     def test_enm_is_outcomes_times_ess(self, two_outcome_model):
@@ -115,16 +117,16 @@ class TestEstimateOC:
         oc = estimate_gs_oc(block, b, spec_for(2, 1, 3), schedule)
         assert oc.enm == 2 * oc.ess
 
-    def test_shift_argument_matches_apply_mean_shift(self, two_outcome_model):
+    def test_shift_argument_matches_shifted_block(self, two_outcome_model):
         schedule = StageSchedule.equal(9, 3)
         block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model,
                                     SimConfig(seed=10, nsims=20_000))
         b = wang_tsiatis_boundaries(2.2, 3, 0.0)
         spec = spec_for(2, 1, 3)
-        from multiseq import mean_shift_vector
         shift = mean_shift_vector([0.4, 0.2], schedule, two_outcome_model)
         direct = estimate_gs_oc(block, b, spec, schedule, shift=shift)
-        shifted = apply_mean_shift(block, [0.4, 0.2], schedule, two_outcome_model)
+        shifted = StatisticBlock(values=block.values + shift[None, :], n_stages=3,
+                                 n_outcomes=2)
         via_block = estimate_gs_oc(shifted, b, spec, schedule)
         assert direct == via_block
 
@@ -198,7 +200,7 @@ class TestComposite:
         spec = spec_for(1, 1, 3)
         cfg = SimConfig(seed=24, nsims=30_000)
         mo = search_gs_design(spec, model, cfg)
-        comp = search_composite_design(spec, model, cfg)
+        comp = search_gs_design(replace(spec, composite=True), model, cfg)
         assert comp.constant == mo.constant
         assert comp.n == mo.n
         assert comp.oc_lfc == mo.oc_lfc
@@ -221,16 +223,6 @@ class TestSearch:
         assert real.n_total == real.n * 3
         assert real.boundaries.final == pytest.approx(real.constant)
 
-    def test_composite_flag_dispatches(self, two_outcome_model, two_outcome_spec):
-        from dataclasses import replace
-        cfg = SimConfig(seed=27, nsims=20_000)
-        via_flag = search_gs_design(replace(two_outcome_spec, composite=True),
-                                    two_outcome_model, cfg)
-        direct = search_composite_design(two_outcome_spec, two_outcome_model, cfg)
-        assert via_flag.constant == direct.constant
-        assert via_flag.n == direct.n
-        assert via_flag.kind == "composite"
-
     def test_power_monotone_in_each_effect(self, two_outcome_model, two_outcome_spec):
         # increasing any single true effect can only help an m-of-K rule
         cfg = SimConfig(seed=28, nsims=30_000)
@@ -240,8 +232,9 @@ class TestSearch:
         spec = two_outcome_spec
         previous = -1.0
         for mu1 in (-0.2, 0.0, 0.2, 0.4):
-            shifted = apply_mean_shift(block, [mu1, 0.1], schedule, two_outcome_model)
-            p = estimate_gs_oc(shifted, real.boundaries, spec, schedule).p_reject
+            shift = mean_shift_vector([mu1, 0.1], schedule, two_outcome_model)
+            p = estimate_gs_oc(block, real.boundaries, spec, schedule,
+                               shift=shift).p_reject
             assert p >= previous
             previous = p
 
@@ -253,7 +246,6 @@ class TestSearch:
         cfg = SimConfig(seed=31, nsims=20_000)
         block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model, cfg)
         b = wang_tsiatis_boundaries(2.3 * np.sqrt(3.0), 3, 0.0)
-        from multiseq import mean_shift_vector
         previous = -1.0
         for n in range(1, 41):
             schedule = StageSchedule.equal(n, 3)
@@ -281,7 +273,7 @@ class TestSearch:
     def test_infeasible_power_raises(self, two_outcome_model, two_outcome_spec):
         with pytest.raises(InfeasibleDesignError):
             search_gs_design(two_outcome_spec, two_outcome_model,
-                             SimConfig(seed=29, nsims=5_000), max_stage_size=2)
+                             SimConfig(seed=29, nsims=5_000), nmax=2)
 
     def test_model_spec_outcome_mismatch_rejected(self, two_outcome_spec):
         model = OutcomeModel.equicorrelated(3, 0.3)

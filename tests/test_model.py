@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import covariance_entry
 from conftest import random_correlation
 from multiseq import (
     Boundaries,
@@ -8,7 +9,6 @@ from multiseq import (
     OutcomeModel,
     StageSchedule,
     assemble_covariance,
-    covariance_entry,
     lfc_effects,
     lfc_working_indices,
     wang_tsiatis_boundaries,
@@ -53,6 +53,21 @@ class TestOutcomeModel:
         model = OutcomeModel.equicorrelated(2, 0.5)
         with pytest.raises(ValueError):
             model.rho[0, 1] = 0.9
+
+    def test_rejects_non_finite_effects_and_shape(self):
+        from multiseq import DtLDesignSpec
+        with pytest.raises(ValueError, match="mu must be finite"):
+            OutcomeModel(sigma=[1.0, 1.0], rho=0.1, mu=[0.0, np.nan])
+        gs = dict(n_outcomes=2, n_promising=1, n_stages=2, alpha=0.025, beta=0.2,
+                  delta0=0.2, delta1=0.4)
+        with pytest.raises(ValueError, match="delta1 must be finite"):
+            GSDesignSpec(**(gs | {"delta1": np.nan}))
+        with pytest.raises(ValueError, match="wt_delta must be finite"):
+            GSDesignSpec(**(gs | {"wt_delta": np.inf}))
+        with pytest.raises(ValueError, match="delta0 must be finite"):
+            DtLDesignSpec(n_outcomes=2, n_promising=1, max_retained=1, cp_lower=0.3,
+                          cp_upper=0.95, alpha=0.025, beta=0.2,
+                          delta0=[0.2, -np.inf], delta1=0.4)
 
 
 class TestStageSchedule:

@@ -8,7 +8,6 @@ from multiseq import (
     OutcomeModel,
     SimConfig,
     StageSchedule,
-    apply_mean_shift,
     assemble_covariance,
     cholesky_factor,
     dump_block,
@@ -126,8 +125,8 @@ class TestMeanShift:
         schedule = StageSchedule.equal(10, 2)
         block = simulate_null_block(schedule, two_outcome_model,
                                     SimConfig(seed=6, nsims=100))
-        shifted = apply_mean_shift(block, [0.0, 0.0], schedule, two_outcome_model)
-        assert shifted is block
+        shift = mean_shift_vector([0.0, 0.0], schedule, two_outcome_model)
+        np.testing.assert_array_equal(block.values + shift[None, :], block.values)
 
     def test_single_column_shift_value(self):
         model = OutcomeModel.equicorrelated(1, 0.0)
@@ -151,17 +150,21 @@ class TestMeanShift:
         schedule = StageSchedule.equal(4, 2)
         block = simulate_null_block(schedule, two_outcome_model,
                                     SimConfig(seed=8, nsims=50))
-        shifted = apply_mean_shift(block, [0.3, -0.1], schedule, two_outcome_model)
-        expected = block.values + mean_shift_vector([0.3, -0.1], schedule,
-                                                    two_outcome_model)[None, :]
-        np.testing.assert_array_equal(shifted.values, expected)
+        shifted = block.values + mean_shift_vector([0.3, -0.1], schedule,
+                                                   two_outcome_model)[None, :]
+        # stage-major columns: (stage j, outcome k) gains mu_k * sqrt(N_j) / sigma_k
+        for j, n_j in enumerate((4, 8)):
+            for k, mu in enumerate((0.3, -0.1)):
+                np.testing.assert_allclose(shifted[:, 2 * j + k] - block.values[:, 2 * j + k],
+                                           mu * np.sqrt(n_j), atol=1e-12)
 
     def test_dimension_mismatch_rejected(self, two_outcome_model):
         schedule = StageSchedule.equal(4, 2)
         block = simulate_null_block(schedule, two_outcome_model,
                                     SimConfig(seed=8, nsims=10))
         with pytest.raises(ValueError):
-            apply_mean_shift(block, [0.1, 0.2, 0.3], schedule, two_outcome_model)
+            block.values + mean_shift_vector([0.1, 0.2, 0.3], schedule,
+                                             two_outcome_model)[None, :]
 
 
 class TestDumpLoad:
