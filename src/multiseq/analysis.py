@@ -146,11 +146,11 @@ def effect_grid(realisation_a, realisation_b, axes, model: OutcomeModel,
 
 
 def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,
-                      sigma: float = 1.0, threads: int = 1, nmin: int = 1,
+                      sigma=1.0, threads: int = 1, nmin: int = 1,
                       nmax: int = 400, lfc_mode: str = "first-m",
                       strict: bool = False) -> RatioCurve:
     """Search both designs at each shared correlation and record the ESS
-    and ENM ratios under the LFC.
+    and ENM ratios under the LFC; ``sigma`` is a scalar or per outcome.
 
     A failed search marks that point invalid (NaN) instead of aborting
     the sweep.

@@ -255,6 +255,11 @@ def _validate(cfg: RunConfig) -> None:
         _fail("nmin" if cfg.nmin is not None else "nmax",
               f"require nmin < nmax, got {nmin} and {nmax}")
     model = _built("rho", _model, cfg)
+    for rho in cfg.rho_values if cfg.command == "oc sweep" else ():
+        try:
+            OutcomeModel.equicorrelated(cfg.K, rho, cfg.sigma)
+        except ValueError as exc:
+            _fail("rho_values", f"rho = {rho!r}: {exc}")
     _built("nsims", _sim_config, cfg)
     # the gs spec carries every design parameter but k_max and the CP
     # thresholds, whichever kinds the run searches
@@ -455,7 +460,7 @@ def _cmd_oc_sweep(cfg: RunConfig) -> list:
     spec_b = _spec_for_kind(cfg, cfg.kind_b)
     nmin, nmax = _size_range(cfg, 1)
     curve = analysis.correlation_sweep(spec_a, spec_b, cfg.rho_values,
-                                       _sim_config(cfg), sigma=cfg.sigma[0],
+                                       _sim_config(cfg), sigma=cfg.sigma,
                                        threads=cfg.threads, nmin=nmin, nmax=nmax,
                                        lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
     header = ("rho", "valid", "n_A", "n_B", "constant_A", "constant_B",

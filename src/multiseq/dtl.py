@@ -16,16 +16,14 @@ the smallest adequate per-stage n is found by bisection.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import InfeasibleDesignError
 from .model import OutcomeModel, StageSchedule, _as_vector, lfc_effects
-from .optimize import solve_decreasing
+from .optimize import smallest_passing, solve_decreasing
 from .simulate import SimConfig, StatisticBlock, mean_shift_vector, simulate_null_block
 
 __all__ = [
@@ -259,10 +257,10 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, cfg: SimConfig,
                       strict: bool = False) -> DtLRealisation:
     """Smallest per-stage n in [nmin, nmax] meeting the target power.
 
-    Bisection over n, recalibrating r at every probe and evaluating
-    power at the least favourable configuration on the shared block.
-    Power is assumed monotone in n; if the recorded probes contradict
-    that (shared-seed jitter), a warning reports both powers.
+    Bisection over n after a probe at nmax, recalibrating r at every
+    probe and evaluating power at the least favourable configuration on
+    the shared block. Power is assumed monotone in n; if the recorded
+    probes contradict that (shared-seed jitter), a warning reports both powers.
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
@@ -271,43 +269,17 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, cfg: SimConfig,
     block = simulate_null_block(StageSchedule.equal(1, N_STAGES), model, cfg,
                                 threads=threads)
     effects = lfc_effects(spec, mode=lfc_mode, sigma=model.sigma)
-    target = 1.0 - spec.beta
-    cache: dict = {}
+    probes: dict = {}  # per-stage size -> (r, OC at the LFC)
 
-    def probe(n: int):
-        if n not in cache:
-            r, alpha_star = calibrate_r(block, spec, model, n, strict=strict)
-            shift = mean_shift_vector(effects, StageSchedule.equal(n, N_STAGES), model)
-            prep = _Prepared(block, spec, model, n, shift, None)
-            cache[n] = (r, alpha_star, prep.evaluate(r).p_reject)
-        return cache[n]
+    def power_at(n: int) -> float:
+        r, _ = calibrate_r(block, spec, model, n, strict=strict)
+        shift = mean_shift_vector(effects, StageSchedule.equal(n, N_STAGES), model)
+        probes[n] = (r, _scaled(_Prepared(block, spec, model, n, shift, None).evaluate(r), n))
+        return probes[n][1].p_reject
 
-    if probe(nmax)[2] < target:
-        raise InfeasibleDesignError(
-            f"power at nmax = {nmax} is {probe(nmax)[2]:.4f}, "
-            f"below the required {target:.4f}"
-        )
-    lo, hi = nmin - 1, nmax  # lo is a virtual failing endpoint, never probed
-    while hi - lo > 1:
-        mid = (lo + hi + 1) // 2
-        if probe(mid)[2] < target:
-            lo = mid
-        else:
-            hi = mid
-
-    probed = sorted(cache)
-    for below, above in zip(probed, probed[1:]):
-        if cache[below][2] >= target > cache[above][2]:
-            warnings.warn(
-                f"power is not monotone across probed sizes: "
-                f"n={below} gives {cache[below][2]:.4f} but n={above} "
-                f"gives {cache[above][2]:.4f}", stacklevel=2)
-
-    n = hi
-    r, _, power = cache[n]
+    n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax)
+    r, oc_lfc = probes[n]
     oc_null = estimate_dtl_oc(block, spec, model, r, n)
-    shift = mean_shift_vector(effects, StageSchedule.equal(n, N_STAGES), model)
-    oc_lfc = estimate_dtl_oc(block, spec, model, r, n, shift=shift)
     return DtLRealisation(spec=spec, n=n, n_total=2 * n, r=r,
                           alpha_star=oc_null.p_reject, power_star=oc_lfc.p_reject,
                           oc_null=oc_null, oc_lfc=oc_lfc)

@@ -19,7 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InfeasibleDesignError
 from .model import (
     Boundaries,
     GSDesignSpec,
@@ -28,7 +27,7 @@ from .model import (
     lfc_effects,
     wang_tsiatis_boundaries,
 )
-from .optimize import solve_decreasing
+from .optimize import smallest_passing, solve_decreasing
 from .simulate import SimConfig, StatisticBlock, mean_shift_vector, simulate_null_block
 
 __all__ = [
@@ -201,16 +200,19 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,
                      strict: bool = False) -> DesignRealisation:
     """Smallest design meeting the target error rates.
 
-    Calibrates the boundary constant once on a null block, then
-    increments the per-stage size from ``nmin`` to ``nmax`` until power
-    at the least favourable configuration reaches 1 - beta. Specs with
-    ``composite=True`` search on the summed statistic; ``strict`` forces
-    the achieved type-I error rate to stay at or below target.
+    Calibrates the boundary constant once on a null block, then gallops
+    up from ``nmin`` and bisects to the smallest per-stage size whose
+    LFC power reaches 1 - beta, in about 2 * log2(n) block passes
+    (InfeasibleDesignError once ``nmax`` fails). With LFC effects >= 0
+    power on the shared block is exactly non-decreasing in n, so this is
+    the first passing size; with a negative effect the search warns if
+    its probes show power falling. Specs with ``composite=True`` search
+    on the summed statistic; ``strict`` keeps achieved alpha <= target.
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
     # the null statistics do not depend on n, so one block serves the
-    # whole search (calibration first, then the power scan)
+    # whole search (calibration first, then the power probes)
     null_block = simulate_null_block(StageSchedule.equal(1, spec.n_stages),
                                      model, cfg, threads=threads)
     rule = _Rule(null_block, spec)
@@ -218,17 +220,16 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,
     constant, _ = calibrate_c(rule.block, spec, strict=strict)
     boundaries = _final_scale_boundaries(constant, spec.n_stages, spec.wt_delta)
     effects = lfc_effects(spec, mode=lfc_mode, sigma=model.sigma)
-    target = 1.0 - spec.beta
-    for n in range(max(1, nmin), nmax + 1):
+    oc_lfc = {}  # per-stage size -> OC at the LFC, one entry per probe
+
+    def power_at(n: int) -> float:
         schedule = StageSchedule.equal(n, spec.n_stages)
-        oc_lfc = rule.oc(boundaries, schedule,
-                         mean_shift_vector(effects, schedule, model))
-        if oc_lfc.p_reject >= target:
-            break
-    else:
-        raise InfeasibleDesignError(
-            f"no per-stage size up to {nmax} reaches power {target:.4g}")
-    oc_null = rule.oc(boundaries, schedule)
+        oc_lfc[n] = rule.oc(boundaries, schedule,
+                            mean_shift_vector(effects, schedule, model))
+        return oc_lfc[n].p_reject
+
+    n = smallest_passing(power_at, 1.0 - spec.beta, max(1, nmin), nmax, gallop=True)
+    oc_null = rule.oc(boundaries, StageSchedule.equal(n, spec.n_stages))
     return DesignRealisation(
         kind=rule.kind,
         spec=spec,
@@ -237,7 +238,7 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,
         constant=constant,
         boundaries=boundaries,
         alpha_star=oc_null.p_reject,
-        power_star=oc_lfc.p_reject,
+        power_star=oc_lfc[n].p_reject,
         oc_null=oc_null,
-        oc_lfc=oc_lfc,
+        oc_lfc=oc_lfc[n],
     )

@@ -92,9 +92,9 @@ class OutcomeModel:
         return self.sigma.size
 
     @classmethod
-    def equicorrelated(cls, n_outcomes: int, rho: float, sigma: float = 1.0,
+    def equicorrelated(cls, n_outcomes: int, rho: float, sigma: Any = 1.0,
                        mu: float | Sequence[float] = 0.0) -> "OutcomeModel":
-        return cls(sigma=np.full(n_outcomes, float(sigma)), rho=float(rho), mu=mu)
+        return cls(sigma=_as_vector(sigma, n_outcomes, "sigma"), rho=float(rho), mu=mu)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Bracketed scalar solving for boundary calibration.
+"""Bracketed searches: boundary calibration and the smallest sample size.
 
 The Monte Carlo rejection probability is a monotone non-increasing step
 function of the boundary constant, so the constant that minimises
@@ -9,11 +9,12 @@ the flat plateaus between simulated order statistics.
 
 from __future__ import annotations
 
+import warnings
 from typing import Callable
 
-from .errors import CalibrationError
+from .errors import CalibrationError, InfeasibleDesignError
 
-__all__ = ["solve_decreasing"]
+__all__ = ["solve_decreasing", "smallest_passing"]
 
 _MAX_EXPANSIONS = 8
 
@@ -74,3 +75,43 @@ def solve_decreasing(fn: Callable[[float], float], target: float,
     if (target - f_lo) ** 2 < (target - f_hi) ** 2:
         return lo, f_lo
     return hi, f_hi
+
+
+def smallest_passing(power: Callable[[int], float], target: float, nmin: int,
+                     nmax: int, gallop: bool = False) -> int:
+    """Smallest n in [nmin, nmax] with power(n) >= target, for power
+    non-decreasing in n; each n is probed once. ``gallop`` probes
+    nmin - 1 + 1, 2, 4, ... (capped at nmax) up to the first pass, about
+    2 * log2(n) probes in all; otherwise nmax goes first. The (failing,
+    passing] bracket is then bisected. Raises InfeasibleDesignError when
+    power at nmax falls short; warns when power falls between probes.
+    """
+    if not 1 <= nmin <= nmax:
+        raise ValueError("require 1 <= nmin <= nmax")
+    record = {}
+    ladder = ([min(nmin - 1 + 2 ** i, nmax) for i in range((nmax - nmin).bit_length() + 1)]
+              if gallop else [nmax])
+    lo = nmin - 1  # a virtual failing size, never probed
+    for hi in ladder:
+        record[hi] = power(hi)
+        if record[hi] >= target:
+            break
+        lo = hi
+    else:
+        raise InfeasibleDesignError(f"no per-stage size up to {nmax} reaches power "
+                                    f"{target:.4g}: power at nmax is {record[nmax]:.4f}")
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+        record[mid] = power(mid)
+        if record[mid] < target:
+            lo = mid
+        else:
+            hi = mid
+
+    probed = sorted(record)
+    for below, above in zip(probed, probed[1:]):
+        if record[below] > record[above]:
+            warnings.warn(f"power is not monotone across probed sizes: n={below} gives "
+                          f"{record[below]:.4f} but n={above} gives {record[above]:.4f}",
+                          stacklevel=3)
+    return hi

@@ -5,7 +5,8 @@ The estimators avoid the package's simulation path: a different
 generator family (PCG64 vs Philox), a different factorization (SVD vs
 Cholesky), and direct counting. The row evaluators and
 ``covariance_entry`` work one trial or one entry at a time, as checks on
-the package's vectorised code.
+the package's vectorised code; ``linear_scan_n`` probes every sample
+size in turn, as a check on the bracketed sample-size search.
 """
 
 from __future__ import annotations
@@ -16,8 +17,15 @@ from typing import Literal
 import numpy as np
 
 from multiseq.dtl import DtLDesignSpec, conditional_power
-from multiseq.model import Boundaries, OutcomeModel, StageSchedule, assemble_covariance
-from multiseq.simulate import SimConfig, simulate_null_block
+from multiseq.gs import estimate_gs_oc
+from multiseq.model import (
+    Boundaries,
+    GSDesignSpec,
+    OutcomeModel,
+    StageSchedule,
+    assemble_covariance,
+)
+from multiseq.simulate import SimConfig, mean_shift_vector, simulate_null_block
 
 
 def direct_rejection_estimate(mean, corr, threshold, m, nsims, seed,
@@ -196,3 +204,20 @@ def covariance_entry(stage_a: int, stage_b: int, outcome_a: int, outcome_b: int,
     if same_outcome:
         return ratio
     return float(model.rho[outcome_a - 1, outcome_b - 1]) * ratio
+
+
+def linear_scan_n(block, boundaries: Boundaries, spec: GSDesignSpec,
+                  model: OutcomeModel, effects, nmin: int, nmax: int):
+    """First per-stage size in [nmin, nmax] whose power at ``effects``
+    reaches 1 - beta, found by evaluating every size in turn.
+
+    Returns (n, power, alpha) at that size, or None when no size up to
+    nmax passes.
+    """
+    for n in range(nmin, nmax + 1):
+        schedule = StageSchedule.equal(n, spec.n_stages)
+        power = estimate_gs_oc(block, boundaries, spec, schedule,
+                               shift=mean_shift_vector(effects, schedule, model)).p_reject
+        if power >= 1.0 - spec.beta:
+            return n, power, estimate_gs_oc(block, boundaries, spec, schedule).p_reject
+    return None

@@ -1,7 +1,9 @@
 import pytest
 
-from multiseq import analysis, dtl, gs, simulate
+from multiseq import OutcomeModel, analysis, dtl, gs, simulate
 from multiseq.cli import (
+    _sim_config,
+    _spec_for_kind,
     config_echo_lines,
     load_key_values,
     main,
@@ -36,6 +38,18 @@ seed = 7
 nsims = 4000
 nmin = 2
 nmax = 120
+"""
+
+SWEEP_CONFIG = """kind_a = gs
+kind_b = composite
+K = 2
+m = 1
+J = 2
+delta0 = 0.2
+delta1 = 0.4
+seed = 5
+nsims = 3000
+rho_values = 0.0, 0.5
 """
 
 
@@ -235,18 +249,7 @@ mu_values = 0.0, 0.4
         assert "A_r =" in summary and "B_C =" in summary
 
     def test_oc_sweep_marks_points(self, tmp_path):
-        text = """kind_a = gs
-kind_b = composite
-K = 2
-m = 1
-J = 2
-delta0 = 0.2
-delta1 = 0.4
-seed = 5
-nsims = 3000
-rho_values = 0.0, 0.5
-"""
-        cfg_path = write(tmp_path, text)
+        cfg_path = write(tmp_path, SWEEP_CONFIG)
         out = tmp_path / "sweep"
         assert run_cli(["oc", "sweep", "--config", str(cfg_path),
                         "--out", str(out)]) == 0
@@ -254,6 +257,25 @@ rho_values = 0.0, 0.5
         assert lines[0].startswith("rho,valid,")
         assert len(lines) == 3
         assert all(line.split(",")[1] == "true" for line in lines[1:])
+
+    def test_oc_sweep_uses_every_outcome_sigma(self, tmp_path):
+        cfg_path = write(tmp_path, SWEEP_CONFIG)
+        rows = {}
+        for sigma in ("1", "1,3"):
+            out = tmp_path / f"sweep-{sigma}"
+            assert run_cli(["oc", "sweep", "--config", str(cfg_path), "--set",
+                            f"sigma={sigma}", "--out", str(out)]) == 0
+            rows[sigma] = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows["1"] != rows["1,3"]
+        cfg = parse_config("oc sweep", load_key_values(cfg_path) | {"sigma": "1,3"})
+        for line, rho in zip(rows["1,3"], (0.0, 0.5)):
+            fields = line.split(",")
+            model = OutcomeModel(sigma=(1.0, 3.0), rho=rho)
+            for kind, n_col, ess_col in (("gs", 2, 6), ("composite", 3, 7)):
+                real = analysis.search_design(_spec_for_kind(cfg, kind), model,
+                                              _sim_config(cfg))
+                assert int(fields[n_col]) == real.n
+                assert float(fields[ess_col]) == pytest.approx(real.oc_lfc.ess, rel=1e-5)
 
     def test_oc_sensitivity_combinations(self, tmp_path):
         text = DTL_CONFIG + "cp_l_values = 0.2, 0.4\ncp_u_values = 0.9\n"
@@ -269,13 +291,22 @@ rho_values = 0.0, 0.5
         cfg_path = write(tmp_path, GS_CONFIG)
         assert run_cli(["design", "composite", "--config", str(cfg_path)]) == 2
 
-    def test_gs_search_stops_at_nmax(self, tmp_path, capsys):
-        # a small effect needs n > 1000; the scan must stop at nmax = 50
+    def test_gs_search_stops_at_nmax(self, tmp_path, capsys, monkeypatch):
+        # a small effect needs n > 1000; the search must stop at nmax = 50,
+        # after the probes 1, 2, 4, ..., 32 and 50
+        probes = []
+
+        def counted(*args, **kwargs):
+            probes.append(args)
+            return simulate.mean_shift_vector(*args, **kwargs)
+
+        monkeypatch.setattr(gs, "mean_shift_vector", counted)
         cfg_path = write(tmp_path, GS_CONFIG.replace("nsims = 4000", "nsims = 2000")
                          + "nmax = 50\ndelta0 = 0.02\ndelta1 = 0.05\n")
         assert run_cli(["design", "gs", "--config", str(cfg_path),
                         "--out", str(tmp_path / "z")]) == 3
         assert "up to 50" in capsys.readouterr().err
+        assert len(probes) <= 7
 
     @pytest.mark.parametrize("kind, key, value", [
         ("gs", "delta1", "nan"),
@@ -286,6 +317,7 @@ rho_values = 0.0, 0.5
         ("gs", "sigma", "nan"),
         ("gs", "nmin", "500"),
         ("dtl", "nmin", "500"),
+        ("sweep", "rho_values", "0.0, -0.9"),
     ])
     def test_invalid_input_fails_before_simulation(self, tmp_path, capsys, monkeypatch,
                                                    kind, key, value):
@@ -295,8 +327,12 @@ rho_values = 0.0, 0.5
         for module in (analysis, dtl, gs, simulate):
             monkeypatch.setattr(module, "simulate_null_block", no_block)
         # without nmin/nmax, so nmax takes its default of 400
-        text = GS_CONFIG if kind == "gs" else DTL_CONFIG.replace("nmin = 2\nnmax = 120\n", "")
+        text = {"gs": GS_CONFIG,
+                "dtl": DTL_CONFIG.replace("nmin = 2\nnmax = 120\n", ""),
+                "sweep": GS_CONFIG.replace("kind = gs", "kind_a = gs\nkind_b = composite")
+                .replace("K = 2", "K = 3")}[kind]
         cfg_path = write(tmp_path, text)
-        assert run_cli(["design", kind, "--config", str(cfg_path), "--set",
-                        f"{key}={value}", "--out", str(tmp_path / "v")]) == 2
+        command = ["oc", "sweep"] if kind == "sweep" else ["design", kind]
+        assert run_cli(command + ["--config", str(cfg_path), "--set",
+                                  f"{key}={value}", "--out", str(tmp_path / "v")]) == 2
         assert f"configuration error: {key}:" in capsys.readouterr().err

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import evaluate_gs_row
+import multiseq.gs as gs_module
+from _oracles import evaluate_gs_row, linear_scan_n
 from multiseq import (
     Boundaries,
     GSDesignSpec,
@@ -15,17 +16,31 @@ from multiseq import (
     calibrate_c,
     composite_transform,
     estimate_gs_oc,
+    lfc_effects,
     mean_shift_vector,
     search_gs_design,
     simulate_null_block,
     wang_tsiatis_boundaries,
 )
-from multiseq.gs import _decide
+from multiseq.gs import _decide, _final_scale_boundaries
 
 
 def spec_for(k, m, j, alpha=0.025, beta=0.2, wt_delta=0.0):
     return GSDesignSpec(n_outcomes=k, n_promising=m, n_stages=j, alpha=alpha,
                         beta=beta, delta0=0.2, delta1=0.4, wt_delta=wt_delta)
+
+
+def count_probes(monkeypatch):
+    """Per-stage sizes of the gs search's power probes, in probe order:
+    each probe builds one LFC mean shift."""
+    sizes = []
+
+    def counted(mu, schedule, model):
+        sizes.append(int(schedule.cumulative[0]))
+        return mean_shift_vector(mu, schedule, model)
+
+    monkeypatch.setattr(gs_module, "mean_shift_vector", counted)
+    return sizes
 
 
 class TestEvaluateRow:
@@ -279,3 +294,66 @@ class TestSearch:
         model = OutcomeModel.equicorrelated(3, 0.3)
         with pytest.raises(ValueError, match="outcomes"):
             search_gs_design(two_outcome_spec, model, SimConfig(seed=1, nsims=100))
+
+    def test_small_effect_search_takes_few_probes(self, monkeypatch, two_outcome_model):
+        probes = count_probes(monkeypatch)
+        spec = GSDesignSpec(n_outcomes=2, n_promising=1, n_stages=3, alpha=0.025,
+                            beta=0.2, delta0=0.05, delta1=0.1)
+        real = search_gs_design(spec, two_outcome_model,
+                                SimConfig(seed=33, nsims=5_000), nmax=2_000)
+        assert 200 <= real.n <= 500
+        assert len(probes) <= 25
+
+    def test_answer_two_takes_two_probes(self, monkeypatch):
+        # n = ((z_{0.975} + z_{0.8}) / 2.2)^2 = 1.6 rounds up to 2
+        probes = count_probes(monkeypatch)
+        spec = GSDesignSpec(n_outcomes=1, n_promising=1, n_stages=1, alpha=0.025,
+                            beta=0.2, delta0=2.2, delta1=2.2)
+        real = search_gs_design(spec, OutcomeModel.equicorrelated(1, 0.0),
+                                SimConfig(seed=34, nsims=20_000))
+        assert real.n == 2
+        assert probes == [1, 2]
+
+    def test_returned_lfc_oc_is_the_probe_result(self, monkeypatch, two_outcome_model,
+                                                 two_outcome_spec):
+        probes = count_probes(monkeypatch)
+        cfg = SimConfig(seed=35, nsims=10_000)
+        real = search_gs_design(two_outcome_spec, two_outcome_model, cfg)
+        assert probes.count(real.n) == 1
+        block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model, cfg)
+        schedule = StageSchedule.equal(real.n, 3)
+        shift = mean_shift_vector(lfc_effects(two_outcome_spec), schedule, two_outcome_model)
+        assert real.oc_lfc == estimate_gs_oc(block, real.boundaries, two_outcome_spec,
+                                             schedule, shift=shift)
+
+    def test_matches_linear_scan_on_random_designs(self):
+        rng = np.random.default_rng(4)
+        outcomes = {"found": 0, "at_nmin": 0, "infeasible": 0}
+        for case in range(36):
+            k = int(rng.integers(1, 6))
+            j = int(rng.integers(1, 5))
+            d1 = float(rng.uniform(0.25, 0.7))
+            spec = GSDesignSpec(n_outcomes=k, n_promising=int(rng.integers(1, k + 1)),
+                                n_stages=j, alpha=0.025, beta=0.2,
+                                delta0=float(rng.uniform(0.0, d1)), delta1=d1,
+                                wt_delta=float(rng.choice([0.0, 0.25, 0.5])),
+                                composite=bool(rng.integers(2)))
+            model = OutcomeModel.equicorrelated(k, float(rng.uniform(0.0, 0.8)))
+            cfg = SimConfig(seed=300 + case, nsims=2_000)
+            nmin = 1 if case % 3 else int(rng.integers(2, 60))
+            nmax = nmin + int(rng.integers(1, 6) if case % 4 == 0 else rng.integers(20, 250))
+            block = simulate_null_block(StageSchedule.equal(1, j), model, cfg)
+            constant, _ = calibrate_c(block, spec)
+            boundaries = _final_scale_boundaries(constant, j, spec.wt_delta)
+            expected = linear_scan_n(block, boundaries, spec, model, lfc_effects(spec),
+                                     nmin, nmax)
+            if expected is None:
+                outcomes["infeasible"] += 1
+                with pytest.raises(InfeasibleDesignError):
+                    search_gs_design(spec, model, cfg, nmin=nmin, nmax=nmax)
+                continue
+            outcomes["at_nmin" if expected[0] == nmin else "found"] += 1
+            real = search_gs_design(spec, model, cfg, nmin=nmin, nmax=nmax)
+            assert (real.n, real.power_star, real.alpha_star) == expected, case
+            assert real.boundaries == boundaries
+        assert min(outcomes.values()) >= 3, outcomes

@@ -1,9 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from multiseq import CalibrationError
-from multiseq.optimize import solve_decreasing
+from multiseq import CalibrationError, InfeasibleDesignError
+from multiseq.optimize import smallest_passing, solve_decreasing
 
 
 def test_solves_smooth_tail_probability():
@@ -52,3 +55,76 @@ def test_unreachable_target_raises_with_diagnostics():
 def test_rejects_bad_bracket():
     with pytest.raises(ValueError):
         solve_decreasing(lambda c: c, 0.5, bracket=(2.0, 1.0))
+
+
+def step_power(answer, probes):
+    """Power that steps from 0.1 to 0.9 at ``answer``; logs each probe."""
+    def power(n):
+        probes.append(n)
+        return 0.9 if n >= answer else 0.1
+    return power
+
+
+class TestSmallestPassing:
+    @pytest.mark.parametrize("gallop", [True, False])
+    def test_returns_smallest_passing_size(self, gallop):
+        for nmin, nmax in ((1, 40), (3, 17), (5, 6)):
+            for answer in range(nmin, nmax + 1):
+                probes = []
+                n = smallest_passing(step_power(answer, probes), 0.8, nmin, nmax,
+                                     gallop=gallop)
+                assert n == answer
+                assert len(probes) == len(set(probes))  # each size probed once
+                assert all(nmin <= p <= nmax for p in probes)
+
+    def test_gallop_ladder_then_bisection(self):
+        probes = []
+        assert smallest_passing(step_power(300, probes), 0.8, 1, 2000, gallop=True) == 300
+        assert probes[:10] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+        assert len(probes) <= 2 * math.ceil(math.log2(300)) + 1
+
+    def test_gallop_starts_at_nmin(self):
+        probes = []
+        smallest_passing(step_power(9, probes), 0.8, 5, 100, gallop=True)
+        assert probes[:3] == [5, 6, 8]
+
+    def test_nmax_first_without_gallop(self):
+        probes = []
+        assert smallest_passing(step_power(7, probes), 0.8, 2, 120) == 7
+        assert probes[:2] == [120, 61]
+
+    @pytest.mark.parametrize("gallop", [True, False])
+    def test_adjacent_range_and_answer_at_nmin(self, gallop):
+        for answer in (9, 10):
+            probes = []
+            assert smallest_passing(step_power(answer, probes), 0.8, 9, 10,
+                                    gallop=gallop) == answer
+        probes = []
+        assert smallest_passing(step_power(1, probes), 0.8, 4, 400,
+                                gallop=gallop) == 4
+
+    @pytest.mark.parametrize("gallop", [True, False])
+    def test_raises_when_nmax_fails(self, gallop):
+        probes = []
+        with pytest.raises(InfeasibleDesignError, match="up to 50"):
+            smallest_passing(step_power(51, probes), 0.8, 1, 50, gallop=gallop)
+        assert probes[-1] == 50
+        assert len(probes) <= math.ceil(math.log2(50)) + 1
+
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            smallest_passing(lambda n: 1.0, 0.8, 5, 4)
+        with pytest.raises(ValueError):
+            smallest_passing(lambda n: 1.0, 0.8, 0, 4)
+
+    @pytest.mark.parametrize("gallop", [True, False])
+    def test_warns_when_power_falls_with_size(self, gallop):
+        # failing probes whose power dips between two sizes
+        powers = {n: 0.9 if n >= 20 else (0.5 if n % 2 else 0.3) for n in range(1, 41)}
+        with pytest.warns(UserWarning, match="not monotone"):
+            assert smallest_passing(powers.__getitem__, 0.8, 1, 40, gallop=gallop) == 20
+
+    def test_monotone_probes_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert smallest_passing(lambda n: n / 100, 0.8, 1, 100, gallop=True) == 80
