@@ -17,7 +17,7 @@ import numpy as np
 
 from .dtl import DtLDesignSpec, search_dtl_design
 from .errors import TrialDesignError
-from .gs import _decide, search_gs_design
+from .gs import _Rule, search_gs_design
 from .model import GSDesignSpec, OutcomeModel, StageSchedule
 from .simulate import SimConfig, StatisticBlock, mean_shift_vector, simulate_null_block
 
@@ -192,12 +192,12 @@ def identified_power(block: StatisticBlock, realisation, model: OutcomeModel,
     """
     spec = realisation.spec
     schedule = StageSchedule.equal(realisation.n, spec.n_stages)
-    values = block.values + mean_shift_vector(delta_beta, schedule, model)[None, :]
+    shift = mean_shift_vector(delta_beta, schedule, model)
+    is_go, stop = _Rule(block, spec).decide(realisation.boundaries, shift)
+    # the shift is added only to each row's stop-stage statistics
+    rows = np.arange(block.nsims)
+    at_stop = block.by_stage()[rows, stop] + shift.reshape(spec.n_stages, -1)[stop]
     upper = np.asarray(realisation.boundaries.upper)
-    is_go, stop = _decide(values, spec.n_stages, spec.n_outcomes, spec.n_promising,
-                          np.asarray(realisation.boundaries.lower), upper)
-    at_stop = values.reshape(block.nsims, spec.n_stages, spec.n_outcomes)[
-        np.arange(block.nsims), stop]
     working_mask = np.zeros(spec.n_outcomes, dtype=bool)
     working_mask[list(working)] = True
     hits = ((at_stop > upper[stop][:, None]) & working_mask[None, :]).sum(axis=1)

@@ -103,6 +103,23 @@ def _chunk_ranges(nsims: int, chunk_size: int):
     return [(s, min(s + chunk_size, nsims)) for s in starts]
 
 
+def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> None:
+    """Call fn(chunk_index, start, stop) for each chunk of rows [0, nrows).
+
+    With threads > 1 the chunks run on a per-call pool of at most
+    min(threads, chunks) workers; every call's result is read, so a
+    worker's exception reaches the caller.
+    """
+    ranges = _chunk_ranges(nrows, chunk_rows)
+    if threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
+            for fut in [pool.submit(fn, i, a, b) for i, (a, b) in enumerate(ranges)]:
+                fut.result()
+    else:
+        for i, (a, b) in enumerate(ranges):
+            fn(i, a, b)
+
+
 def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
                         cfg: SimConfig, threads: int = 1) -> StatisticBlock:
     """Draw cfg.nsims independent rows from MVN(0, assemble_covariance(...)).
@@ -114,7 +131,6 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     factor_t = cholesky_factor(cov).T
     dim = cov.shape[0]
     out = np.empty((cfg.nsims, dim))
-    ranges = _chunk_ranges(cfg.nsims, cfg.chunk_size)
 
     def fill(chunk_index: int, start: int, stop: int) -> None:
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_index,))
@@ -122,15 +138,7 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
         np.matmul(rng.standard_normal((stop - start, dim)), factor_t,
                   out=out[start:stop])
 
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fill, i, a, b) for i, (a, b) in enumerate(ranges)]
-            for fut in futures:
-                fut.result()
-    else:
-        for i, (a, b) in enumerate(ranges):
-            fill(i, a, b)
-
+    run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)
     return StatisticBlock(values=out, n_stages=schedule.n_stages,
                           n_outcomes=model.n_outcomes, seed=cfg.seed)
 

@@ -6,7 +6,9 @@ generator family (PCG64 vs Philox), a different factorization (SVD vs
 Cholesky), and direct counting. The row evaluators and
 ``covariance_entry`` work one trial or one entry at a time, as checks on
 the package's vectorised code; ``linear_scan_n`` probes every sample
-size in turn, as a check on the bracketed sample-size search.
+size in turn, as a check on the bracketed sample-size search;
+``identified_power_full_block`` shifts a copy of the whole block, as a
+check on the chunked identified-power pass.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Literal
 import numpy as np
 
 from multiseq.dtl import DtLDesignSpec, conditional_power
-from multiseq.gs import estimate_gs_oc
+from multiseq.gs import _decide, estimate_gs_oc
 from multiseq.model import (
     Boundaries,
     GSDesignSpec,
@@ -221,3 +223,21 @@ def linear_scan_n(block, boundaries: Boundaries, spec: GSDesignSpec,
         if power >= 1.0 - spec.beta:
             return n, power, estimate_gs_oc(block, boundaries, spec, schedule).p_reject
     return None
+
+
+def identified_power_full_block(block, realisation, model: OutcomeModel,
+                                delta_beta, working) -> float:
+    """``analysis.identified_power`` on a shifted copy of the whole block,
+    with its own ``_decide`` call."""
+    spec = realisation.spec
+    schedule = StageSchedule.equal(realisation.n, spec.n_stages)
+    values = block.values + mean_shift_vector(delta_beta, schedule, model)[None, :]
+    upper = np.asarray(realisation.boundaries.upper)
+    is_go, stop = _decide(values, spec.n_stages, spec.n_outcomes, spec.n_promising,
+                          np.asarray(realisation.boundaries.lower), upper)
+    at_stop = values.reshape(block.nsims, spec.n_stages, spec.n_outcomes)[
+        np.arange(block.nsims), stop]
+    working_mask = np.zeros(spec.n_outcomes, dtype=bool)
+    working_mask[list(working)] = True
+    hits = ((at_stop > upper[stop][:, None]) & working_mask[None, :]).sum(axis=1)
+    return float((is_go & (hits >= spec.n_promising)).mean())

@@ -87,6 +87,19 @@ class TestIdentifiedPower:
         se = np.sqrt(engine * (1 - engine) * (1 / 1e6 + 1 / 1e7))
         assert abs(engine - oracle) < 3 * se
 
+    def test_equals_full_block_oracle_on_random_cases(self):
+        rng = np.random.default_rng(58)
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        cfg = SimConfig(seed=59, nsims=8_000)
+        for m, j in ((1, 3), (2, 2)):
+            real = search_gs_design(gs_spec(k=3, m=m, j=j), model, cfg)
+            block = realisation_null_block(real, model, cfg)
+            for _ in range(12):
+                mu = rng.uniform(-0.3, 0.7, size=3)
+                working = tuple(np.flatnonzero(rng.uniform(size=3) < 0.5)) or (2,)
+                assert identified_power(block, real, model, mu, working) == \
+                    _oracles.identified_power_full_block(block, real, model, mu, working)
+
 
 class TestEffectGrid:
     def test_self_comparison_gives_unit_ratios(self):

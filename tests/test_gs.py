@@ -1,9 +1,13 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import multiseq.gs as gs_module
+import multiseq.simulate as simulate_module
 from _oracles import evaluate_gs_row, linear_scan_n
 from multiseq import (
     Boundaries,
@@ -146,6 +150,62 @@ class TestEstimateOC:
         assert direct == via_block
 
 
+def row_budget(monkeypatch, rule, rows):
+    """Make a block pass of ``rule`` run over chunks of ``rows`` rows."""
+    monkeypatch.setattr(gs_module, "CHUNK_BYTES", rows * rule.block.values[:1].nbytes)
+
+
+class TestChunkedPass:
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("nsims", [1, 7, 50, 1001])
+    def test_chunks_match_one_pass_over_shifted_block(self, monkeypatch, nsims,
+                                                      composite):
+        spec = replace(spec_for(3, 2, 3), composite=composite)
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 3), model,
+                                    SimConfig(seed=nsims, nsims=nsims))
+        b = wang_tsiatis_boundaries(3.0 if composite else 1.5, 3, 0.0)
+        shift = mean_shift_vector([0.3, 0.1, -0.2], StageSchedule.equal(20, 3), model)
+        lower, upper = np.asarray(b.lower), np.asarray(b.upper)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+        try:
+            for threads in (1, 2, 3):
+                rule = gs_module._Rule(block, spec, threads)
+                row_budget(monkeypatch, rule, 3)
+                for s in (None, shift):
+                    is_go, stop = rule.decide(b, s)
+                    values = rule.block.values
+                    if s is not None:
+                        # a composite rule sums the shift per stage, then adds it
+                        values = values + (s.reshape(3, 3).sum(axis=1) if composite else s)
+                    expected_go, expected_stop = _decide(values, 3, rule.k, rule.m,
+                                                         lower, upper)
+                    np.testing.assert_array_equal(is_go, expected_go)
+                    np.testing.assert_array_equal(stop, expected_stop)
+        finally:
+            sys.setswitchinterval(interval)
+        if nsims == 1001:  # the shifted pass decides at every stage, both ways
+            assert set(stop) == {0, 1, 2} and 0 < is_go.sum() < nsims
+
+    def test_shifted_pass_peaks_below_half_the_block(self):
+        # 40,000 rows of K = 10, J = 5 statistics: a 16 MB block
+        spec = GSDesignSpec(n_outcomes=10, n_promising=5, n_stages=5, alpha=0.025,
+                            beta=0.2, delta0=0.2, delta1=0.4)
+        model = OutcomeModel.equicorrelated(10, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 5), model,
+                                    SimConfig(seed=62, nsims=40_000))
+        rule = gs_module._Rule(block, spec)
+        shift = mean_shift_vector(np.full(10, 0.3), StageSchedule.equal(10, 5), model)
+        tracemalloc.start()
+        try:
+            rule.decide(wang_tsiatis_boundaries(2.0, 5, 0.0), shift)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * block.values.nbytes
+
+
 class TestCalibration:
     def test_single_outcome_single_stage_quantile(self):
         model = OutcomeModel.equicorrelated(1, 0.0)
@@ -270,14 +330,28 @@ class TestSearch:
             assert p >= previous
             previous = p
 
-    def test_search_independent_of_thread_count(self, two_outcome_model,
+    def test_search_independent_of_thread_count(self, monkeypatch, two_outcome_model,
                                                 two_outcome_spec):
         cfg = SimConfig(seed=32, nsims=20_000, chunk_size=3_000)
+        # 1,500 rows of 6 statistics per chunk: every pass spans 14 chunks
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 1_500 * 6 * 8)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
         first = search_gs_design(two_outcome_spec, two_outcome_model, cfg, threads=1)
+        assert pools == []
         second = search_gs_design(two_outcome_spec, two_outcome_model, cfg, threads=3)
+        # simulation starts one pool; every further pool is a threaded block pass
+        assert len(pools) > 1 and set(pools) == {3}
         assert first.constant == second.constant
         assert first.n == second.n
         assert first.oc_lfc == second.oc_lfc
+        assert first.oc_null == second.oc_null
 
     def test_strict_search_keeps_alpha_at_or_below_target(self, two_outcome_model,
                                                           two_outcome_spec):

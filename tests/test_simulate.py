@@ -1,7 +1,11 @@
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 import _oracles
+import multiseq.simulate as simulate_module
 from conftest import random_correlation
 from multiseq import (
     InvalidCorrelationError,
@@ -72,6 +76,41 @@ class TestSimulateNullBlock:
             other = simulate_null_block(schedule, two_outcome_model, cfg,
                                         threads=threads)
             assert np.array_equal(base.values, other.values)
+
+    def test_pool_asks_for_no_more_workers_than_chunks(self, monkeypatch,
+                                                       two_outcome_model):
+        asked = []
+
+        class InlineExecutor:
+            """Records max_workers and runs each call at submit time."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", InlineExecutor)
+        before = threading.active_count()
+        cfg = SimConfig(seed=4, nsims=30, chunk_size=10)
+        block = simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg,
+                                    threads=10_000)
+        calls = []
+        simulate_module.run_chunks(lambda *c: calls.append(c), 7, 3, threads=10_000)
+        assert asked == [3, 3]
+        assert calls == [(0, 0, 3), (1, 3, 6), (2, 6, 7)]
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        unthreaded = simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg)
+        assert np.array_equal(block.values, unthreaded.values)
 
     def test_chunking_affects_stream_but_not_shape(self, two_outcome_model):
         schedule = StageSchedule.equal(1, 2)
