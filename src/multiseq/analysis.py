@@ -105,10 +105,12 @@ def realisation_null_block(realisation, model: OutcomeModel, cfg: SimConfig,
 
 
 def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel,
-                        mu) -> tuple:
-    """(p_reject, ess, enm) of a fixed realisation at true effects mu."""
+                        mu, threads: int = 1) -> tuple:
+    """(p_reject, ess, enm) of a fixed realisation at true effects mu, in
+    one block pass shared by ``threads`` workers."""
     schedule = StageSchedule.equal(realisation.n, realisation.n_stages)
-    oc = realisation.evaluate(block, model, mean_shift_vector(mu, schedule, model))
+    oc = realisation.evaluate(block, model, mean_shift_vector(mu, schedule, model),
+                              threads=threads)
     return oc.p_reject, oc.ess, oc.enm
 
 
@@ -121,7 +123,7 @@ def compare_at_effects(realisation_a, realisation_b, model: OutcomeModel,
     for mu in mus:
         for tag, realisation, block in (("a", realisation_a, block_a),
                                         ("b", realisation_b, block_b)):
-            p, ess, enm = evaluate_at_effects(realisation, block, model, mu)
+            p, ess, enm = evaluate_at_effects(realisation, block, model, mu, threads)
             cols[f"p_{tag}"].append(p)
             cols[f"ess_{tag}"].append(ess)
             cols[f"enm_{tag}"].append(enm)

@@ -11,7 +11,9 @@ promising outcomes into the second stage.
 
 The final boundary r is calibrated per candidate sample size (unlike the
 group-sequential constant, it depends on n through the information), and
-the smallest adequate per-stage n is found by bisection.
+the smallest adequate per-stage n is found by bisection. Calibration is
+exact: a trial goes exactly when r is below its go limit U, so r is an
+order statistic of U, found in one threaded block pass with no bracket.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .model import OutcomeModel, StageSchedule, _as_vector, lfc_effects
-from .optimize import smallest_passing, solve_decreasing
-from .simulate import SimConfig, StatisticBlock, mean_shift_vector, simulate_null_block
+from .optimize import exceedance_boundary, smallest_passing
+from .simulate import (SimConfig, StatisticBlock, mean_shift_vector, run_chunks,
+                       simulate_null_block)
 
 __all__ = [
     "DtLDesignSpec",
@@ -39,8 +42,10 @@ __all__ = [
 ]
 
 N_STAGES = 2
-DEFAULT_BRACKET = (0.3, 12.0)
-DEFAULT_TOL = 1e-4
+# bytes of statistics per row chunk of a block pass; a shifted chunk's
+# working arrays take about 3.7 times its size, so a single-threaded pass
+# peaks near 3.9 MB whatever the block size.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,10 +116,11 @@ class DtLRealisation:
         return self.r
 
     def evaluate(self, block: StatisticBlock, model: OutcomeModel,
-                 shift: np.ndarray) -> DtLOperatingCharacteristics:
+                 shift: np.ndarray, threads: int = 1) -> DtLOperatingCharacteristics:
         """Operating characteristics on a two-stage null block at a
-        per-column mean shift."""
-        return estimate_dtl_oc(block, self.spec, model, self.r, self.n, shift=shift)
+        per-column mean shift, the pass shared by ``threads`` workers."""
+        return estimate_dtl_oc(block, self.spec, model, self.r, self.n, shift=shift,
+                               threads=threads)
 
 
 def conditional_power(z, r, info_interim, info_final, effect):
@@ -163,92 +169,134 @@ def _information(n: int, model: OutcomeModel):
     return i1, 2.0 * i1
 
 
-class _Prepared:
-    """Shift-applied block split for repeated evaluation at many r."""
+class _Rule:
+    """The drop-the-loser rule of a spec at one per-stage n, applied to a
+    two-stage null block in row chunks.
 
-    __slots__ = ("cp_core_sorted", "z2_sorted", "cp_scale", "k", "m",
-                 "k_max", "cp_lower", "cp_upper", "nsims")
+    CP is ndtr(core - s * r) with one s for every outcome, so the CP
+    ranking does not depend on r. With a row's outcomes sorted by
+    descending core c(1) >= ... >= c(K) and q = ndtri(threshold), outcome
+    j is eligible exactly when r < e_j = (c(j) - q_l) / s; the interim
+    no-go holds exactly when r > e_m, the interim go exactly when
+    r < t_go = (c(m) - q_u) / s < e_m, and with j outcomes retained the
+    final go exactly when r < M_j, the m-th largest stage-two statistic
+    of the first j. So a row goes exactly when r < U = max(t_go, max over
+    m <= j <= K_max of min(M_j, e_j)), and alpha(r) is the fraction of
+    rows with U > r. ``invert_cp_boundaries`` gives e_j and t_go for one
+    outcome on the interim-statistic scale.
 
-    def __init__(self, block: StatisticBlock, spec: DtLDesignSpec,
-                 model: OutcomeModel, n: int, shift, max_retained):
+    A pass runs over row chunks of CHUNK_BYTES on up to ``threads``
+    workers; each chunk adds the shift to its own rows and writes only
+    its own rows or counts, so no block-sized copy is made and the
+    result does not depend on the thread count.
+    """
+
+    def __init__(self, block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
+                 n: int, max_retained: int | None = None, threads: int = 1):
         if block.n_stages != N_STAGES:
             raise ValueError("drop-the-loser blocks must have exactly two stages")
         if block.n_outcomes != spec.n_outcomes:
             raise ValueError("block and spec disagree on the number of outcomes")
-        k = spec.n_outcomes
-        values = block.values if shift is None else block.values + np.asarray(shift)[None, :]
-        z1, z2 = values[:, :k], values[:, k:]
         i1, i2 = _information(n, model)
         gap = i2 - i1
-        # conditional power is ndtr(core - scale * r); with equal stage
-        # sizes the scale sqrt(I2)/sqrt(I2-I1) is the same for every
-        # outcome, so the CP ranking does not depend on r
-        core = (z1 * np.sqrt(i1) + gap * np.asarray(spec.delta1)) / np.sqrt(gap)
-        scale = np.sqrt(i2 / gap)
-        assert np.allclose(scale, scale[0])
-        order = np.argsort(-core, axis=1, kind="stable")
-        self.cp_core_sorted = np.take_along_axis(core, order, axis=1)
-        self.z2_sorted = np.take_along_axis(z2, order, axis=1)
-        self.cp_scale = float(scale[0])
-        self.k = k
-        self.m = spec.n_promising
+        self.sqrt_i1, self.sqrt_gap = np.sqrt(i1), np.sqrt(gap)
+        self.drift = gap * np.asarray(spec.delta1)
+        self.scale = float(np.sqrt(i2[0] / gap[0]))
+        # ndtri maps a disabled threshold (0 or 1) to -inf / +inf
+        self.q_lower, self.q_upper = float(ndtri(spec.cp_lower)), float(ndtri(spec.cp_upper))
+        self.k, self.m = spec.n_outcomes, spec.n_promising
         self.k_max = spec.max_retained if max_retained is None else int(max_retained)
-        self.cp_lower = spec.cp_lower
-        self.cp_upper = spec.cp_upper
-        self.nsims = values.shape[0]
+        self.block, self.n, self.threads = block, n, threads
+        row_bytes = block.values.shape[1] * block.values.itemsize
+        self.chunk_rows = max(1, CHUNK_BYTES // row_bytes)
 
-    def evaluate(self, r: float) -> DtLOperatingCharacteristics:
-        cp = ndtr(self.cp_core_sorted - self.cp_scale * r)
-        dropped = (cp < self.cp_lower).sum(axis=1)
-        nogo1 = dropped >= (self.k - self.m + 1)
-        go1 = ~nogo1 & ((cp > self.cp_upper).sum(axis=1) >= self.m)
-        cont = ~(nogo1 | go1)
-        eligible = (cp > self.cp_lower).sum(axis=1)
-        retained = np.minimum(self.k_max, eligible)
-        # columns are sorted by descending CP, so the retained outcomes
-        # occupy the leading positions
-        in_front = np.arange(self.k)[None, :] < retained[:, None]
-        go2 = cont & (((self.z2_sorted > r) & in_front).sum(axis=1) >= self.m)
-        pet = float((go1 | nogo1).mean())
+    def _limits(self, rows: np.ndarray) -> tuple:
+        """(t_go, e, U) of each row, e sorted by descending core."""
+        k, m = self.k, self.m
+        core = (rows[:, :k] * self.sqrt_i1 + self.drift) / self.sqrt_gap
+        order = np.argsort(-core, axis=1, kind="stable")
+        e = np.take_along_axis(core, order, axis=1)
+        z2 = np.take_along_axis(rows[:, k:], order, axis=1)
+        t_go = (e[:, m - 1] - self.q_upper) / self.scale
+        e -= self.q_lower
+        e /= self.scale
+        limit = t_go
+        for j in range(m, self.k_max + 1):
+            m_j = np.partition(z2[:, :j], j - m, axis=1)[:, j - m]
+            limit = np.maximum(limit, np.minimum(m_j, e[:, j - 1]))
+        return t_go, e, limit
+
+    def _run(self, shift, write) -> None:
+        values = self.block.values
+        shift = None if shift is None else np.asarray(shift, dtype=float)
+
+        def run(i: int, a: int, b: int) -> None:
+            write(i, a, b, *self._limits(values[a:b] if shift is None
+                                         else values[a:b] + shift))
+
+        run_chunks(run, len(values), self.chunk_rows, self.threads)
+
+    def go_limits(self, shift=None) -> np.ndarray:
+        """Each row's U: the row goes exactly when r < U."""
+        limits = np.empty(self.block.nsims)
+
+        def write(i, a, b, t_go, e, limit) -> None:
+            limits[a:b] = limit
+
+        self._run(shift, write)
+        return limits
+
+    def oc(self, r: float, shift=None) -> DtLOperatingCharacteristics:
+        """Operating characteristics at boundary r (ESS and ENM in subjects)."""
+        nsims = self.block.nsims
+        counts = np.zeros((-(-nsims // self.chunk_rows), 3), dtype=np.int64)
+
+        def write(i, a, b, t_go, e, limit) -> None:
+            stop = (t_go > r) | (e[:, self.m - 1] < r)
+            # e is sorted, so the eligible outcomes lead and at most
+            # K_max of them are retained
+            counts[i] = ((limit > r).sum(), stop.sum(),
+                         (e[~stop, :self.k_max] > r).sum())
+
+        self._run(shift, write)
+        go, stops, retained = (int(c) for c in counts.sum(axis=0))
+        pet = stops / nsims
         return DtLOperatingCharacteristics(
-            p_reject=float((go1 | go2).mean()),
+            p_reject=go / nsims,
             pet=pet,
-            ess=pet + 2.0 * (1.0 - pet),  # in units of n; rescaled by caller
-            enm=self.k + float((retained * cont).sum()) / self.nsims,
+            ess=self.n * (pet + 2.0 * (1.0 - pet)),
+            enm=self.n * (self.k + retained / nsims),
         )
 
 
-def _scaled(oc: DtLOperatingCharacteristics, n: int) -> DtLOperatingCharacteristics:
-    return DtLOperatingCharacteristics(p_reject=oc.p_reject, pet=oc.pet,
-                                       ess=n * oc.ess, enm=n * oc.enm)
-
-
 def estimate_dtl_oc(block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
-                    r: float, n: int, shift=None,
-                    max_retained: int | None = None) -> DtLOperatingCharacteristics:
+                    r: float, n: int, shift=None, max_retained: int | None = None,
+                    threads: int = 1) -> DtLOperatingCharacteristics:
     """Operating characteristics of the design on a two-stage block.
 
     ``shift`` is an optional per-column mean shift (length 2K), as
     produced by ``mean_shift_vector`` for the two-stage schedule.
     ``max_retained`` overrides the design's cap; passing K disables dropping,
     which is useful for reduction checks against single-stage designs.
+    ``threads`` workers share the block pass.
     """
-    prep = _Prepared(block, spec, model, n, shift, max_retained)
-    return _scaled(prep.evaluate(r), n)
+    return _Rule(block, spec, model, n, max_retained, threads).oc(r, shift)
 
 
 def calibrate_r(null_block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
-                n: int, bracket: tuple = DEFAULT_BRACKET, tol: float = DEFAULT_TOL,
-                strict: bool = False) -> tuple:
+                n: int, strict: bool = False, threads: int = 1) -> tuple:
     """Final rejection boundary hitting the target type-I error rate.
 
-    Unlike the group-sequential constant, r depends on the per-stage n
-    through the interim information, so it is recalibrated for every
-    candidate n during the sample-size search.
+    Returns (r, achieved alpha). Unlike the group-sequential constant, r
+    depends on the per-stage n through the interim information, so it is
+    recalibrated for every candidate n during the sample-size search.
+    It is exact, with no bracket: one block pass gives each row's go
+    limit U, and r is read off the order statistics of U
+    (``optimize.exceedance_boundary``; ``strict`` keeps achieved alpha
+    <= target, and CalibrationError means no r > 0 reaches it).
     """
-    prep = _Prepared(null_block, spec, model, n, None, None)
-    return solve_decreasing(lambda r: prep.evaluate(r).p_reject, spec.alpha,
-                            bracket=bracket, tol=tol, strict=strict)
+    limits = _Rule(null_block, spec, model, n, threads=threads).go_limits()
+    return exceedance_boundary(limits, spec.alpha, strict=strict)
 
 
 def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, cfg: SimConfig,
@@ -272,14 +320,14 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, cfg: SimConfig,
     probes: dict = {}  # per-stage size -> (r, OC at the LFC)
 
     def power_at(n: int) -> float:
-        r, _ = calibrate_r(block, spec, model, n, strict=strict)
+        r, _ = calibrate_r(block, spec, model, n, strict=strict, threads=threads)
         shift = mean_shift_vector(effects, StageSchedule.equal(n, N_STAGES), model)
-        probes[n] = (r, _scaled(_Prepared(block, spec, model, n, shift, None).evaluate(r), n))
+        probes[n] = (r, _Rule(block, spec, model, n, threads=threads).oc(r, shift))
         return probes[n][1].p_reject
 
     n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax)
     r, oc_lfc = probes[n]
-    oc_null = estimate_dtl_oc(block, spec, model, r, n)
+    oc_null = estimate_dtl_oc(block, spec, model, r, n, threads=threads)
     return DtLRealisation(spec=spec, n=n, n_total=2 * n, r=r,
                           alpha_star=oc_null.p_reject, power_star=oc_lfc.p_reject,
                           oc_null=oc_null, oc_lfc=oc_lfc)

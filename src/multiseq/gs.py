@@ -82,11 +82,13 @@ class DesignRealisation:
         return self.spec.n_stages
 
     def evaluate(self, block: StatisticBlock, model: OutcomeModel,
-                 shift: np.ndarray) -> GSOperatingCharacteristics:
+                 shift: np.ndarray, threads: int = 1) -> GSOperatingCharacteristics:
         """Operating characteristics on a null block at a per-column mean
-        shift; the shift already carries the model's sigma."""
+        shift, the pass shared by ``threads`` workers; the shift already
+        carries the model's sigma."""
         schedule = StageSchedule.equal(self.n, self.n_stages)
-        return estimate_gs_oc(block, self.boundaries, self.spec, schedule, shift=shift)
+        return estimate_gs_oc(block, self.boundaries, self.spec, schedule, shift=shift,
+                              threads=threads)
 
 
 def _decide(values: np.ndarray, n_stages: int, n_outcomes: int, m: int,
@@ -158,15 +160,17 @@ class _Rule:
 
 def estimate_gs_oc(block: StatisticBlock, boundaries: Boundaries,
                    spec: GSDesignSpec, schedule: StageSchedule,
-                   shift: np.ndarray | None = None) -> GSOperatingCharacteristics:
+                   shift: np.ndarray | None = None,
+                   threads: int = 1) -> GSOperatingCharacteristics:
     """Aggregate rejection probability, expected stages, ESS and ENM.
 
     ``shift`` is an optional per-column mean shift applied on the fly,
     so power at any effect vector reuses the shared null block.
+    ``threads`` workers share the block pass.
     """
     if block.n_stages != boundaries.n_stages or block.n_stages != schedule.n_stages:
         raise ValueError("block, boundaries and schedule stage counts differ")
-    return _Rule(block, spec).oc(boundaries, schedule, shift)
+    return _Rule(block, spec, threads).oc(boundaries, schedule, shift)
 
 
 def composite_transform(block: StatisticBlock) -> StatisticBlock:

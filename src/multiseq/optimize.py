@@ -1,10 +1,11 @@
-"""Bracketed searches: boundary calibration and the smallest sample size.
+"""Searches: boundary calibration and the smallest sample size.
 
-The Monte Carlo rejection probability is a monotone non-increasing step
-function of the boundary constant, so the constant that minimises
-(target - achieved)**2 is found by bisecting the crossing. Bisection is
-robust on step functions, where a golden-section minimiser can stall on
-the flat plateaus between simulated order statistics.
+The Monte Carlo rejection probability is a non-increasing step function
+of the boundary. When each row goes exactly below a limit of its own,
+``exceedance_boundary`` reads the boundary off the limits' order
+statistics; otherwise ``solve_decreasing`` bisects the crossing, which
+is robust on step functions where a golden-section minimiser can stall
+on the flat plateaus between simulated order statistics.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import warnings
 from typing import Callable
 
+import numpy as np
+
 from .errors import CalibrationError, InfeasibleDesignError
 
-__all__ = ["solve_decreasing", "smallest_passing"]
+__all__ = ["exceedance_boundary", "solve_decreasing", "smallest_passing"]
 
 _MAX_EXPANSIONS = 8
 
@@ -75,6 +78,45 @@ def solve_decreasing(fn: Callable[[float], float], target: float,
     if (target - f_lo) ** 2 < (target - f_hi) ** 2:
         return lo, f_lo
     return hi, f_hi
+
+
+def exceedance_boundary(limits, target: float, strict: bool = False) -> tuple:
+    """Boundary r > 0 at which alpha(r) = #{limits > r} / N meets the target.
+
+    alpha(r) is a non-increasing step function that steps down at each
+    distinct limit. ``strict`` picks the step with the largest alpha at
+    or below the target; by default the nearer of it and the next step
+    up, ties to the lower alpha. r lies midway between the step's ends,
+    so it equals no limit: its lower end is clipped to 0, and above the
+    largest limit r is one past it. Returns (r, achieved alpha). Raises
+    CalibrationError when alpha(0+) <= target, since then no r > 0
+    crosses it.
+    """
+    v = np.sort(np.asarray(limits, dtype=float))
+    n = v.size
+    if n == 0 or not 0.0 < target < 1.0:
+        raise ValueError("need at least one limit and a target in (0, 1)")
+    # k: the largest row count with k / n <= target
+    k = int(np.floor(target * n))
+    if (k + 1) / n <= target:
+        k += 1
+    elif k / n > target:
+        k -= 1
+    cross = v[n - 1 - k]  # the (k + 1)-th largest limit
+    if not cross > 0:
+        raise CalibrationError(
+            f"target alpha {target:.6g} is out of reach for a boundary r > 0: "
+            f"alpha at r -> 0+ is {np.count_nonzero(v > 0) / n:.6g}")
+    above = int(np.searchsorted(v, cross, side="right"))
+    below = int(np.searchsorted(v, cross, side="left"))
+    low_alpha, high_alpha = (n - above) / n, (n - below) / n
+    if strict or (target - high_alpha) ** 2 >= (target - low_alpha) ** 2:
+        # r in [cross, next limit up): alpha = low_alpha <= target
+        top = v[above] if above < n else cross + 2.0
+        return float(0.5 * (cross + top)), low_alpha
+    # r in [next limit down, cross): alpha = high_alpha > target
+    bottom = v[below - 1] if below > 0 else 0.0
+    return float(0.5 * (max(bottom, 0.0) + cross)), high_alpha
 
 
 def smallest_passing(power: Callable[[int], float], target: float, nmin: int,

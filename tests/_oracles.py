@@ -8,7 +8,10 @@ Cholesky), and direct counting. The row evaluators and
 the package's vectorised code; ``linear_scan_n`` probes every sample
 size in turn, as a check on the bracketed sample-size search;
 ``identified_power_full_block`` shifts a copy of the whole block, as a
-check on the chunked identified-power pass.
+check on the chunked identified-power pass. ``DtLBlockRule`` applies the
+drop-the-loser rule through conditional power at one r over a shifted
+copy of the whole block, as a check on the exact go-limit calibration
+and the chunked drop-the-loser pass.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from typing import Literal
 
 import numpy as np
 
-from multiseq.dtl import DtLDesignSpec, conditional_power
+from scipy.special import ndtr
+
+from multiseq.dtl import DtLDesignSpec, DtLOperatingCharacteristics, conditional_power
 from multiseq.gs import _decide, estimate_gs_oc
 from multiseq.model import (
     Boundaries,
@@ -241,3 +246,64 @@ def identified_power_full_block(block, realisation, model: OutcomeModel,
     working_mask[list(working)] = True
     hits = ((at_stop > upper[stop][:, None]) & working_mask[None, :]).sum(axis=1)
     return float((is_go & (hits >= spec.n_promising)).mean())
+
+
+class DtLBlockRule:
+    """The drop-the-loser rule evaluated at one boundary r at a time.
+
+    The block is shifted and split once; ``decisions`` applies the
+    interim and final rules at r through conditional power, row by row
+    in vectorised form. ``evaluate`` aggregates them; its ESS and ENM
+    are in units of the per-stage n.
+    """
+
+    def __init__(self, block, spec: DtLDesignSpec, model: OutcomeModel, n: int,
+                 shift=None, max_retained=None):
+        k = spec.n_outcomes
+        values = block.values if shift is None else block.values + np.asarray(shift)[None, :]
+        z1, z2 = values[:, :k], values[:, k:]
+        i1 = n / model.sigma ** 2
+        i2 = 2.0 * i1
+        gap = i2 - i1
+        # conditional power is ndtr(core - scale * r); with equal stage
+        # sizes the scale sqrt(I2)/sqrt(I2-I1) is the same for every
+        # outcome, so the CP ranking does not depend on r
+        core = (z1 * np.sqrt(i1) + gap * np.asarray(spec.delta1)) / np.sqrt(gap)
+        scale = np.sqrt(i2 / gap)
+        assert np.allclose(scale, scale[0])
+        order = np.argsort(-core, axis=1, kind="stable")
+        self.cp_core_sorted = np.take_along_axis(core, order, axis=1)
+        self.z2_sorted = np.take_along_axis(z2, order, axis=1)
+        self.cp_scale = float(scale[0])
+        self.k = k
+        self.m = spec.n_promising
+        self.k_max = spec.max_retained if max_retained is None else int(max_retained)
+        self.cp_lower = spec.cp_lower
+        self.cp_upper = spec.cp_upper
+        self.nsims = values.shape[0]
+
+    def decisions(self, r: float) -> tuple:
+        """Per-row (interim go, interim no-go, final go, retained count)."""
+        cp = ndtr(self.cp_core_sorted - self.cp_scale * r)
+        dropped = (cp < self.cp_lower).sum(axis=1)
+        nogo1 = dropped >= (self.k - self.m + 1)
+        go1 = ~nogo1 & ((cp > self.cp_upper).sum(axis=1) >= self.m)
+        cont = ~(nogo1 | go1)
+        eligible = (cp > self.cp_lower).sum(axis=1)
+        retained = np.minimum(self.k_max, eligible)
+        # columns are sorted by descending CP, so the retained outcomes
+        # occupy the leading positions
+        in_front = np.arange(self.k)[None, :] < retained[:, None]
+        go2 = cont & (((self.z2_sorted > r) & in_front).sum(axis=1) >= self.m)
+        return go1, nogo1, go2, retained
+
+    def evaluate(self, r: float) -> DtLOperatingCharacteristics:
+        go1, nogo1, go2, retained = self.decisions(r)
+        cont = ~(nogo1 | go1)
+        pet = float((go1 | nogo1).mean())
+        return DtLOperatingCharacteristics(
+            p_reject=float((go1 | go2).mean()),
+            pet=pet,
+            ess=pet + 2.0 * (1.0 - pet),
+            enm=self.k + float((retained * cont).sum()) / self.nsims,
+        )

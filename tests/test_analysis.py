@@ -1,7 +1,12 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import _oracles
+import multiseq.dtl as dtl_module
+import multiseq.gs as gs_module
+import multiseq.simulate as simulate_module
 from multiseq import (
     DtLDesignSpec,
     GSDesignSpec,
@@ -136,6 +141,34 @@ class TestEffectGrid:
         block_b = realisation_null_block(real_b, model, cfg)
         p, ess, enm = evaluate_at_effects(real_b, block_b, model, [0.1, 0.3])
         assert grid.p_b[0] == p and grid.ess_b[0] == ess and grid.enm_b[0] == enm
+
+    def test_threads_reach_every_evaluation_pass(self, monkeypatch):
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        cfg = SimConfig(seed=63, nsims=600)
+        real_gs = search_gs_design(gs_spec(), model, cfg)
+        real_dtl = search_design(DtLDesignSpec(n_outcomes=2, n_promising=1, max_retained=1,
+                                               cp_lower=0.3, cp_upper=0.95, alpha=0.025,
+                                               beta=0.2, delta0=0.2, delta1=0.4),
+                                 model, SimConfig(seed=63, nsims=5_000), nmax=200)
+        axes = [(-0.1, 0.2, 0.4), (0.0, 0.3)]
+        expected = effect_grid(real_gs, real_dtl, axes, model, cfg)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
+        # 600 rows in 100-row chunks: every pass spans 6 chunks, while
+        # each 600-row block is simulated in one chunk, without a pool
+        for module in (gs_module, dtl_module):
+            monkeypatch.setattr(module, "CHUNK_BYTES", 100 * 4 * 8)
+        grid = effect_grid(real_gs, real_dtl, axes, model, cfg, threads=2)
+        # one pool per evaluation pass: 6 points, each for both designs
+        assert pools == [2] * 12
+        for name in ("p_a", "p_b", "ess_a", "ess_b", "enm_a", "enm_b"):
+            np.testing.assert_array_equal(getattr(grid, name), getattr(expected, name))
 
     def test_axes_must_match_outcomes(self):
         model = OutcomeModel.equicorrelated(2, 0.3)

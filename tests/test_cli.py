@@ -214,6 +214,25 @@ seed = 3
                         "--out", str(tmp_path / "y")]) == 4
         assert "bracket" in capsys.readouterr().err
 
+    def test_unreachable_dtl_alpha_fails_fast(self, tmp_path, capsys, monkeypatch):
+        # two promising outcomes but one retained, and no interim go
+        # (cp_u = 1): no trial can go, so no boundary r > 0 spends alpha
+        probes = []
+        real_calibrate = dtl.calibrate_r
+
+        def counted(*args, **kwargs):
+            probes.append(args)
+            return real_calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(dtl, "calibrate_r", counted)
+        text = DTL_CONFIG.replace("m = 1", "m = 2") + "cp_u = 1\n"
+        cfg_path = write(tmp_path, text)
+        assert run_cli(["design", "dtl", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "w")]) == 4
+        err = capsys.readouterr().err
+        assert "target alpha 0.025" in err and "alpha at r -> 0+ is 0" in err
+        assert len(probes) == 1  # the first calibration stops the search
+
     def test_oc_grid_schema(self, tmp_path):
         text = """kind_a = gs
 kind_b = composite

@@ -1,9 +1,16 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from _oracles import evaluate_dtl_row
+import multiseq.dtl as dtl_mod
+import multiseq.simulate as simulate_module
+from _oracles import DtLBlockRule, evaluate_dtl_row
 from multiseq import (
+    CalibrationError,
     DtLDesignSpec,
     InfeasibleDesignError,
     OutcomeModel,
@@ -20,6 +27,7 @@ from multiseq import (
 )
 from multiseq.dtl import cp_lookup
 from multiseq.model import Boundaries, GSDesignSpec
+from multiseq.optimize import exceedance_boundary
 from multiseq.simulate import StatisticBlock
 
 
@@ -268,15 +276,13 @@ class TestCalibrateR:
         model = OutcomeModel.equicorrelated(2, 0.0)
         block = simulate_null_block(StageSchedule.equal(1, 2), model,
                                     SimConfig(seed=41, nsims=400_000))
-        import multiseq.dtl as dtl_mod
         spec = dtl_spec(k=2, m=1, cpl=0.0, cpu=1.0)
-        prep = dtl_mod._Prepared(block, spec, model, 16, None, 2)
-        from multiseq.optimize import solve_decreasing
-        r, _ = solve_decreasing(lambda x: prep.evaluate(x).p_reject, 0.025)
+        limits = dtl_mod._Rule(block, spec, model, 16, max_retained=2).go_limits()
+        r, _ = exceedance_boundary(limits, 0.025)
         assert r == pytest.approx(2.2389644, abs=0.03)
         spec2 = dtl_spec(k=2, m=2, cpl=0.0, cpu=1.0)
-        prep2 = dtl_mod._Prepared(block, spec2, model, 16, None, 2)
-        r2, _ = solve_decreasing(lambda x: prep2.evaluate(x).p_reject, 0.025)
+        limits2 = dtl_mod._Rule(block, spec2, model, 16, max_retained=2).go_limits()
+        r2, _ = exceedance_boundary(limits2, 0.025)
         assert r2 == pytest.approx(1.0022398, abs=0.03)
 
     def test_achieved_alpha_close_to_target(self):
@@ -285,6 +291,211 @@ class TestCalibrateR:
                                     SimConfig(seed=42, nsims=100_000))
         _, achieved = calibrate_r(block, dtl_spec(), model, 32)
         assert abs(achieved - 0.025) <= 2 * np.sqrt(0.025 * 0.975 / 100_000)
+
+    def test_unreachable_target_fails_fast(self):
+        # two promising outcomes but one retained, and no interim go:
+        # no row can go at any r
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 2), model,
+                                    SimConfig(seed=43, nsims=1_000))
+        spec = dtl_spec(k=2, m=2, kmax=1, cpu=1.0)
+        with pytest.raises(CalibrationError,
+                           match=r"target alpha 0\.025 .*alpha at r -> 0\+ is 0$"):
+            calibrate_r(block, spec, model, 20)
+
+
+def random_dtl_case(rng, seed, nsims=1_000):
+    """A random spec, model, block, per-stage n and optional shift,
+    with the disabled thresholds cp_lower = 0 and cp_upper = 1 among them."""
+    k = int(rng.integers(2, 7))
+    cpl = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.01, 0.5))
+    cpu = 1.0 if rng.random() < 0.25 else float(rng.uniform(max(cpl, 0.5) + 0.01, 0.999))
+    spec = DtLDesignSpec(n_outcomes=k, n_promising=int(rng.integers(1, k + 1)),
+                         max_retained=int(rng.integers(1, k)), cp_lower=cpl,
+                         cp_upper=cpu, alpha=float(rng.uniform(0.01, 0.3)), beta=0.2,
+                         delta0=0.0, delta1=tuple(rng.uniform(0.1, 0.6, size=k)))
+    model = OutcomeModel.equicorrelated(k, float(rng.uniform(0.0, 0.8)),
+                                        sigma=tuple(rng.uniform(0.5, 2.0, size=k)))
+    block = simulate_null_block(StageSchedule.equal(1, 2), model,
+                                SimConfig(seed=seed, nsims=nsims))
+    n = int(rng.integers(3, 80))
+    shift = None
+    if rng.random() < 0.5:
+        shift = mean_shift_vector(rng.uniform(-0.3, 0.5, size=k),
+                                  StageSchedule.equal(n, 2), model)
+    return spec, model, block, n, shift
+
+
+def off_limit_boundaries(rng, limits, count):
+    """``count`` values of r, none equal to a go limit: midpoints between
+    neighbouring distinct limits, plus uniform draws."""
+    finite = np.unique(limits[np.isfinite(limits)])
+    mids = 0.5 * (finite[1:] + finite[:-1])
+    picks = rng.choice(mids, size=min(count // 2, mids.size), replace=False)
+    rs = np.concatenate([picks, rng.uniform(-2.0, 8.0, size=count - picks.size)])
+    return rs[~np.isin(rs, limits)]
+
+
+CASES = 48
+
+
+class TestGoLimits:
+    """The exact go limits against the conditional-power rule."""
+
+    def test_exceedance_count_equals_oracle(self):
+        rng = np.random.default_rng(70)
+        seen = set()
+        for case in range(CASES):
+            spec, model, block, n, shift = random_dtl_case(rng, 700 + case)
+            seen.update({("cp_lower = 0", spec.cp_lower == 0.0),
+                         ("cp_upper = 1", spec.cp_upper == 1.0),
+                         ("shifted", shift is not None)})
+            rule = dtl_mod._Rule(block, spec, model, n)
+            limits = rule.go_limits(shift)
+            oracle = DtLBlockRule(block, spec, model, n, shift)
+            rs = off_limit_boundaries(rng, limits, 110)
+            assert rs.size >= 100
+            for i, r in enumerate(rs):
+                ref = oracle.evaluate(r)
+                assert np.count_nonzero(limits > r) / block.nsims == ref.p_reject
+                if i % 10 == 0:  # the OC pass at r gives every aggregate
+                    oc = rule.oc(r, shift)
+                    assert (oc.p_reject, oc.pet) == (ref.p_reject, ref.pet)
+                    assert (oc.ess, oc.enm) == (n * ref.ess, n * ref.enm)
+        assert len(seen) == 6  # each kind of case occurs, and its opposite
+
+    def test_every_go_set_is_a_down_set(self):
+        rng = np.random.default_rng(71)
+        for case in range(CASES):
+            spec, model, block, n, shift = random_dtl_case(rng, 800 + case)
+            limits = dtl_mod._Rule(block, spec, model, n).go_limits(shift)
+            oracle = DtLBlockRule(block, spec, model, n, shift)
+            rs = np.sort(off_limit_boundaries(rng, limits, 60))
+            goes = np.empty((block.nsims, rs.size), dtype=bool)
+            for i, r in enumerate(rs):
+                go1, _, go2, _ = oracle.decisions(r)
+                goes[:, i] = go1 | go2
+            # along increasing r a row never goes again once it stopped going
+            assert not np.any(goes[:, 1:] & ~goes[:, :-1])
+            np.testing.assert_array_equal(goes, limits[:, None] > rs[None, :])
+
+    def test_calibrated_alpha_is_the_oracle_alpha(self):
+        rng = np.random.default_rng(72)
+        raised = 0
+        for case in range(CASES):
+            spec, model, block, n, _ = random_dtl_case(rng, 900 + case)
+            oracle = DtLBlockRule(block, spec, model, n)
+            for strict in (False, True):
+                if oracle.evaluate(1e-12).p_reject <= spec.alpha:
+                    with pytest.raises(CalibrationError, match="alpha at r -> 0"):
+                        calibrate_r(block, spec, model, n, strict=strict)
+                    raised += 1
+                    continue
+                r, achieved = calibrate_r(block, spec, model, n, strict=strict)
+                assert r > 0
+                assert achieved == oracle.evaluate(r).p_reject
+                if strict:
+                    assert achieved <= spec.alpha
+        assert raised < CASES
+
+    def test_thresholds_agree_with_invert_cp_boundaries(self):
+        rng = np.random.default_rng(73)
+        for case in range(CASES):
+            spec, model, block, n, shift = random_dtl_case(rng, 1000 + case, nsims=20)
+            rows = block.values if shift is None else block.values + shift
+            t_go, e, _ = dtl_mod._Rule(block, spec, model, n)._limits(rows)
+            k, m = spec.n_outcomes, spec.n_promising
+            i1, i2 = n / model.sigma ** 2, 2 * n / model.sigma ** 2
+            d1 = np.asarray(spec.delta1)
+            for row, t_row, e_row in zip(rows, t_go, e):
+                z1 = row[:k]
+                # the CP ranking does not depend on r
+                order = np.argsort(-conditional_power(z1, 2.0, i1, i2, d1), kind="stable")
+                for j, o in enumerate(order):
+                    # at r = e_j the j-th outcome sits on the lower CP boundary
+                    if np.isfinite(e_row[j]):
+                        lo, _ = invert_cp_boundaries(spec.cp_lower, spec.cp_upper, e_row[j],
+                                                     i1[o], i2[o], d1[o])
+                        assert lo == pytest.approx(z1[o], rel=1e-9, abs=1e-9)
+                    else:
+                        assert spec.cp_lower == 0.0 and e_row[j] == np.inf
+                o = order[m - 1]
+                if np.isfinite(t_row):
+                    _, hi = invert_cp_boundaries(spec.cp_lower, spec.cp_upper, t_row,
+                                                 i1[o], i2[o], d1[o])
+                    assert hi == pytest.approx(z1[o], rel=1e-9, abs=1e-9)
+                else:
+                    assert spec.cp_upper == 1.0 and t_row == -np.inf
+
+
+def outcome_of(fn):
+    """fn()'s result, or the type and message of the error it raised."""
+    try:
+        return fn()
+    except (CalibrationError, InfeasibleDesignError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def search_summary(real):
+    return real.n, real.r, real.alpha_star, real.power_star, real.oc_null, real.oc_lfc
+
+
+class TestChunkedPass:
+    @pytest.mark.parametrize("nsims", [1, 7, 50, 1001])
+    def test_chunks_and_threads_give_identical_results(self, monkeypatch, nsims):
+        spec = dtl_spec(k=3, m=2, kmax=2, cpl=0.2, cpu=0.9, alpha=0.1)
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        cfg = SimConfig(seed=nsims, nsims=nsims)
+        block = simulate_null_block(StageSchedule.equal(1, 2), model, cfg)
+        shift = mean_shift_vector([0.3, 0.1, -0.2], StageSchedule.equal(20, 2), model)
+
+        def run(threads):
+            rule = dtl_mod._Rule(block, spec, model, 20, threads=threads)
+            cal = outcome_of(lambda: calibrate_r(block, spec, model, 20, threads=threads))
+            search = outcome_of(lambda: search_summary(search_dtl_design(
+                spec, model, cfg, nmin=2, nmax=60, threads=threads)))
+            return (rule.go_limits(), rule.go_limits(shift), cal, rule.oc(2.0),
+                    estimate_dtl_oc(block, spec, model, 2.0, 20, shift=shift,
+                                    threads=threads), search)
+
+        expected = run(1)  # one chunk, one thread
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(dtl_mod, "CHUNK_BYTES", 3 * block.values[:1].nbytes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+        try:
+            for threads in (1, 2, 3):
+                got = run(threads)
+                for want, have in zip(expected[:2], got[:2]):
+                    np.testing.assert_array_equal(have, want)
+                assert got[2:] == expected[2:]
+        finally:
+            sys.setswitchinterval(interval)
+        if nsims > 3:  # every pass spans several chunks, so threads share it
+            assert len(pools) > 2 and set(pools) <= {2, 3}
+        if nsims == 1001:
+            assert expected[5][0] > 2 and 0 < expected[3].pet < 1
+
+    def test_shifted_pass_peaks_below_the_block(self):
+        # 100,000 rows of K = 3, two-stage statistics: a 4.8 MB block
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 2), model,
+                                    SimConfig(seed=74, nsims=100_000))
+        shift = mean_shift_vector([0.4, 0.2, 0.0], StageSchedule.equal(30, 2), model)
+        tracemalloc.start()
+        try:
+            estimate_dtl_oc(block, dtl_spec(k=3), model, 2.3, 30, shift=shift)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block.values.nbytes
 
 
 class TestSearch:

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 from multiseq import CalibrationError, InfeasibleDesignError
-from multiseq.optimize import smallest_passing, solve_decreasing
+from multiseq.optimize import exceedance_boundary, smallest_passing, solve_decreasing
 
 
 def test_solves_smooth_tail_probability():
@@ -55,6 +55,89 @@ def test_unreachable_target_raises_with_diagnostics():
 def test_rejects_bad_bracket():
     with pytest.raises(ValueError):
         solve_decreasing(lambda c: c, 0.5, bracket=(2.0, 1.0))
+
+
+class TestExceedanceBoundary:
+    # ten hand-built go limits: alpha(r) = #{limits > r} / 10 steps down
+    # by 0.1 at each of them
+    LIMITS = np.array([0.5, 4.0, 1.0, 3.0, 2.0, 5.0, 1.5, 2.5, 3.5, 4.5])
+
+    def alpha(self, r):
+        return float((self.LIMITS > r).mean())
+
+    def test_target_on_a_step_is_hit_exactly(self):
+        # alpha = 0.3 on [3.5, 4.0), for both modes
+        for strict in (False, True):
+            r, achieved = exceedance_boundary(self.LIMITS, 0.3, strict=strict)
+            assert (r, achieved) == (3.75, 0.3)
+
+    def test_strict_takes_the_step_at_or_below_the_target(self):
+        # 0.38 lies between the steps 0.3 on [3.5, 4.0) and 0.4 on [3.0, 3.5)
+        r, achieved = exceedance_boundary(self.LIMITS, 0.38, strict=True)
+        assert (r, achieved) == (3.75, 0.3)
+        assert achieved == self.alpha(r) <= 0.38
+
+    def test_default_takes_the_nearer_step(self):
+        r, achieved = exceedance_boundary(self.LIMITS, 0.38)
+        assert (r, achieved) == (3.25, 0.4)
+        r, achieved = exceedance_boundary(self.LIMITS, 0.32)
+        assert (r, achieved) == (3.75, 0.3)
+
+    def test_default_tie_goes_to_the_lower_alpha(self):
+        # 0.375 is exactly as far from 0.25 on [3, 4) as from 0.5 on [2, 3)
+        r, achieved = exceedance_boundary(np.array([1.0, 2.0, 3.0, 4.0]), 0.375)
+        assert (r, achieved) == (3.5, 0.25)
+
+    def test_step_above_the_largest_limit(self):
+        # alpha = 0 only above 5.0: r is one past the largest limit
+        r, achieved = exceedance_boundary(self.LIMITS, 0.05, strict=True)
+        assert (r, achieved) == (6.0, 0.0)
+
+    def test_lowest_step_is_clipped_to_positive_r(self):
+        limits = np.array([-1.0, 1.0, 2.0, 3.0])
+        # alpha = 0.75 on [-1, 1): r is midway between 0 and 1
+        r, achieved = exceedance_boundary(limits, 0.7)
+        assert (r, achieved) == (0.5, 0.75)
+
+    def test_ties_between_limits_step_together(self):
+        limits = np.array([1.0, 2.0, 2.0, 2.0, 3.0])
+        r, achieved = exceedance_boundary(limits, 0.4, strict=True)
+        assert (r, achieved) == (2.5, 0.2)
+        # 0.6 is nearer 0.8 on [1, 2) than 0.2 on [2, 3)
+        r, achieved = exceedance_boundary(limits, 0.6)
+        assert (r, achieved) == (1.5, 0.8)
+
+    def test_agrees_with_step_function_on_random_limits(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            limits = rng.normal(loc=2.0, size=int(rng.integers(1, 300)))
+            target = float(rng.uniform(0.01, 0.5))
+            if (limits > 0).mean() <= target:
+                continue
+            for strict in (False, True):
+                r, achieved = exceedance_boundary(limits, target, strict=strict)
+                assert r > 0 and not np.any(limits == r)
+                assert achieved == float((limits > r).mean())
+                low = np.floor(target * limits.size) / limits.size
+                if strict:
+                    assert achieved == low
+                else:
+                    high = low + 1 / limits.size
+                    best = min(abs(target - low), abs(target - high))
+                    assert abs(target - achieved) == pytest.approx(best, abs=1e-12)
+
+    def test_target_out_of_reach_for_positive_r_raises(self):
+        # alpha(0+) = 0.2: no r > 0 gives alpha near 0.5
+        limits = np.array([-3.0, -2.0, -1.0, 1.0, 2.0])
+        with pytest.raises(CalibrationError, match=r"target alpha 0\.5 .*alpha at r -> 0\+ is 0\.4"):
+            exceedance_boundary(limits, 0.5)
+        with pytest.raises(CalibrationError, match="alpha at r -> 0\\+ is 0"):
+            exceedance_boundary(np.full(4, -np.inf), 0.1)
+
+    def test_rejects_empty_limits_and_bad_targets(self):
+        for limits, target in (([], 0.1), ([1.0], 0.0), ([1.0], 1.0)):
+            with pytest.raises(ValueError):
+                exceedance_boundary(np.asarray(limits), target)
 
 
 def step_power(answer, probes):
