@@ -56,8 +56,6 @@ from .simulate import (
     SimConfig,
     StatisticBlock,
     cholesky_factor,
-    dump_block,
-    load_block,
     mean_shift_vector,
     simulate_null_block,
 )

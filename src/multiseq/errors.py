@@ -10,7 +10,8 @@ class InvalidCorrelationError(TrialDesignError):
 
 
 class CalibrationError(TrialDesignError):
-    """Boundary calibration could not bracket the target error rate."""
+    """No boundary > 0 reaches the target error rate: the rejection rate
+    as the boundary tends to 0+ is already at or below the target."""
 
 
 class InfeasibleDesignError(TrialDesignError):

@@ -6,10 +6,12 @@ stops for a no-go decision as soon as at least K - m + 1 statistics fall
 strictly below the lower boundary, and is forced to a decision at the
 final stage where the boundaries coincide.
 
-The boundary constant is calibrated on a null block so the rejection
-probability hits the target type-I error rate; the per-stage sample size
-is then the smallest n whose mean-shifted block reaches the target power
-at the least favourable configuration.
+The boundary constant is calibrated exactly on a null block: one block
+pass gives the constants at which each simulated trial goes, and the
+constant is read off them so the rejection probability hits the target
+type-I error rate. The per-stage sample size is then the smallest n
+whose mean-shifted block reaches the target power at the least
+favourable configuration.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import (
     lfc_effects,
     wang_tsiatis_boundaries,
 )
-from .optimize import smallest_passing, solve_decreasing
+from .optimize import exceedance_boundary, smallest_passing
 from .simulate import (SimConfig, StatisticBlock, mean_shift_vector, run_chunks,
                        simulate_null_block)
 
@@ -40,8 +42,6 @@ __all__ = [
     "search_gs_design",
 ]
 
-DEFAULT_BRACKET = (0.3, 12.0)
-DEFAULT_TOL = 1e-4
 MAX_STAGE_SIZE = 10_000
 # bytes of statistics per row chunk of a block pass; a shifted pass copies
 # one chunk per worker. On a K = 10, J = 5 block with 2 threads, 1-8 MB
@@ -126,6 +126,11 @@ class _Rule:
             raise ValueError("block shape does not match the design spec")
         self.block, self.spec, self.threads = block, spec, threads
 
+    def _run(self, fn) -> None:
+        """fn(chunk index, first row, stop row) over every row chunk."""
+        row_bytes = self.block.values[:1].nbytes
+        run_chunks(fn, self.block.nsims, max(1, CHUNK_BYTES // row_bytes), self.threads)
+
     def decide(self, boundaries: Boundaries, shift=None):
         values = self.block.values
         if shift is not None:
@@ -141,9 +146,41 @@ class _Rule:
             is_go[a:b], stop[a:b] = _decide(rows, self.spec.n_stages, self.k, self.m,
                                             lower, upper)
 
-        row_bytes = values.shape[1] * values.itemsize
-        run_chunks(run, len(values), max(1, CHUNK_BYTES // row_bytes), self.threads)
+        self._run(run)
         return is_go, stop
+
+    def go_intervals(self) -> tuple:
+        """(starts, ends): each row goes exactly when the final-stage
+        constant C lies in one of its intervals [start, end).
+
+        Let W_j be the m-th largest statistic at stage j, which is also
+        the (K - m + 1)-th smallest, so it decides both go and no-go, and
+        let +-C * a_j be the stage-j boundaries. A row stops at the first
+        stage with |W_j| > C * a_j and goes there when W_j > C * a_j, so
+        it goes exactly when C is in some [T_j, W_j / a_j), where T_j is
+        the largest |W_i| / a_i over i < j and T_1 = 0. The intervals are
+        disjoint; only non-empty ones are kept, in row order and stage
+        order within a row, so the result depends on neither the chunk
+        size nor the thread count.
+        """
+        n_stages, k, m = self.spec.n_stages, self.k, self.m
+        a = np.asarray(_final_scale_boundaries(1.0, n_stages, self.spec.wt_delta).upper)
+        values = self.block.values
+        parts = {}
+
+        def run(i: int, lo: int, hi: int) -> None:
+            # W_j / a_j of every stage of every row in one partition call
+            w = np.partition(values[lo:hi].reshape(-1, k), k - m, axis=1)[:, k - m]
+            w = w.reshape(hi - lo, n_stages) / a
+            t = np.zeros_like(w)
+            np.maximum.accumulate(np.abs(w[:, :-1]), axis=1, out=t[:, 1:])
+            keep = w > t
+            parts[i] = t[keep], w[keep]
+
+        self._run(run)
+        order = sorted(parts)
+        return (np.concatenate([parts[i][0] for i in order]),
+                np.concatenate([parts[i][1] for i in order]))
 
     def oc(self, boundaries: Boundaries, schedule: StageSchedule,
            shift=None) -> GSOperatingCharacteristics:
@@ -194,24 +231,23 @@ def _final_scale_boundaries(final: float, n_stages: int, wt_delta: float) -> Bou
 
 
 def calibrate_c(null_block: StatisticBlock, spec: GSDesignSpec,
-                bracket: tuple = DEFAULT_BRACKET, tol: float = DEFAULT_TOL,
                 strict: bool = False, threads: int = 1) -> tuple:
     """Boundary constant hitting the target type-I error rate on a null block.
 
     Returns (constant, achieved alpha). The constant is on the
     final-stage scale (equal to e_J); for composite specs the block is
-    reduced with ``composite_transform`` before calibration. ``strict``
-    selects the smallest constant with achieved alpha <= target instead
-    of the closest match. ``threads`` workers share each block pass.
+    reduced with ``composite_transform`` before calibration. It is
+    exact, with no bracket: one block pass, shared by ``threads``
+    workers, gives each row's go intervals in C, and the constant is
+    read off their sorted starts and ends
+    (``optimize.exceedance_boundary``). By default it sits on the step of
+    alpha(C) nearest the target; ``strict`` takes the first step from
+    which alpha stays at or below the target. CalibrationError means
+    alpha at C -> 0+ is already at or below the target.
     """
-    rule = _Rule(null_block, spec, threads)
-
-    def alpha_at(final: float) -> float:
-        b = _final_scale_boundaries(final, spec.n_stages, spec.wt_delta)
-        is_go, _ = rule.decide(b)
-        return float(is_go.mean())
-
-    return solve_decreasing(alpha_at, spec.alpha, bracket=bracket, tol=tol, strict=strict)
+    starts, ends = _Rule(null_block, spec, threads).go_intervals()
+    return exceedance_boundary(ends, spec.alpha, strict=strict, starts=starts,
+                               nrows=null_block.nsims, symbol="C")
 
 
 def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,

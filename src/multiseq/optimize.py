@@ -1,11 +1,10 @@
-"""Searches: boundary calibration and the smallest sample size.
+"""Searches: exact boundary calibration and the smallest sample size.
 
-The Monte Carlo rejection probability is a non-increasing step function
-of the boundary. When each row goes exactly below a limit of its own,
-``exceedance_boundary`` reads the boundary off the limits' order
-statistics; otherwise ``solve_decreasing`` bisects the crossing, which
-is robust on step functions where a golden-section minimiser can stall
-on the flat plateaus between simulated order statistics.
+One block pass gives the boundaries at which each simulated trial goes,
+a union of disjoint intervals [start, end). The rejection rate is then a
+step function of the boundary, and ``exceedance_boundary`` reads the
+calibrated boundary off the sorted starts and ends, with no bisection.
+``smallest_passing`` searches the per-stage sample size.
 """
 
 from __future__ import annotations
@@ -17,106 +16,96 @@ import numpy as np
 
 from .errors import CalibrationError, InfeasibleDesignError
 
-__all__ = ["exceedance_boundary", "solve_decreasing", "smallest_passing"]
+__all__ = ["exceedance_boundary", "smallest_passing"]
 
-_MAX_EXPANSIONS = 8
+# event values per vectorised step: the scans below allocate about 64 kB
+# at a time, never one temporary per event
+_SLICE = 1 << 13
 
 
-def solve_decreasing(fn: Callable[[float], float], target: float,
-                     bracket: tuple = (0.3, 12.0), tol: float = 1e-4,
-                     strict: bool = False) -> tuple:
-    """Solve fn(x) = target for monotone non-increasing fn.
+def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
+                        nrows: int | None = None, symbol: str = "r") -> tuple:
+    """Boundary c > 0 at which alpha(c), the fraction of rows that go,
+    meets the target.
 
-    Parameters
-    ----------
-    fn : callable
-        Monotone non-increasing function of a positive scalar (a Monte
-        Carlo estimate; step-valued is fine).
-    target : float
-        Level to hit.
-    bracket : (lo, hi)
-        Initial bracket; expanded geometrically while fn is on the same
-        side of the target at both ends.
-    tol : float
-        Bracket width at which bisection stops.
-    strict : bool
-        If True return the smallest x found with fn(x) <= target; by
-        default return whichever end of the final bracket minimises
-        (target - fn(x))**2.
+    A row goes at c exactly when c lies in one of its disjoint intervals
+    [start, end), so alpha(c) = (#{starts <= c} - #{ends <= c}) / nrows.
+    Empty intervals are left out unless they start at 0. ``starts=None``
+    starts every interval at 0, making each end a go limit U (the row
+    goes when c < U); ``nrows`` defaults to one row per interval.
 
-    Returns
-    -------
-    (x, achieved) : the solved constant and fn(x) there.
+    alpha need not be monotone. ``strict`` takes the step from the
+    smallest c* with alpha <= target at every c >= c*; the default takes
+    the nearer of it and the step just below c*, ties to the lower alpha.
+    The boundary lies midway between the step's neighbouring event values
+    (clipped to 0 below, one past the largest value above). A warning
+    names two boundaries when alpha falls to the target below c* and
+    climbs back above it. Sorts float64 ``ends`` and ``starts`` in place.
+    Returns (boundary, achieved alpha); raises CalibrationError when
+    alpha(0+) <= target. ``symbol`` names the boundary in messages.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    f_lo, f_hi = fn(lo), fn(hi)
-    expansions = 0
-    while f_lo <= target and lo > 1e-6 and expansions < _MAX_EXPANSIONS:
-        lo /= 2.0
-        f_lo = fn(lo)
-        expansions += 1
-    while f_hi > target and expansions < _MAX_EXPANSIONS:
-        hi *= 2.0
-        f_hi = fn(hi)
-        expansions += 1
-    if f_lo <= target or f_hi > target:
-        raise CalibrationError(
-            f"could not bracket target {target:.6g}: "
-            f"fn({lo:.6g}) = {f_lo:.6g}, fn({hi:.6g}) = {f_hi:.6g}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid > target:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    if strict:
-        return hi, f_hi
-    if (target - f_lo) ** 2 < (target - f_hi) ** 2:
-        return lo, f_lo
-    return hi, f_hi
+    ends = np.asarray(ends, dtype=float)
+    starts = np.zeros(ends.size) if starts is None else np.asarray(starts, dtype=float)
+    nrows = ends.size if nrows is None else int(nrows)
+    if ends.ndim != 1 or starts.shape != ends.shape or nrows < 1 or not 0.0 < target < 1.0:
+        raise ValueError("need matching starts and ends for at least one row "
+                         "and a target in (0, 1)")
+    ends.sort()
+    starts.sort()
 
+    def count(c, side="right"):
+        # rows going at c ("right"), or just below c ("left")
+        return int(np.searchsorted(starts, c, side) - np.searchsorted(ends, c, side))
 
-def exceedance_boundary(limits, target: float, strict: bool = False) -> tuple:
-    """Boundary r > 0 at which alpha(r) = #{limits > r} / N meets the target.
-
-    alpha(r) is a non-increasing step function that steps down at each
-    distinct limit. ``strict`` picks the step with the largest alpha at
-    or below the target; by default the nearer of it and the next step
-    up, ties to the lower alpha. r lies midway between the step's ends,
-    so it equals no limit: its lower end is clipped to 0, and above the
-    largest limit r is one past it. Returns (r, achieved alpha). Raises
-    CalibrationError when alpha(0+) <= target, since then no r > 0
-    crosses it.
-    """
-    v = np.sort(np.asarray(limits, dtype=float))
-    n = v.size
-    if n == 0 or not 0.0 < target < 1.0:
-        raise ValueError("need at least one limit and a target in (0, 1)")
-    # k: the largest row count with k / n <= target
-    k = int(np.floor(target * n))
-    if (k + 1) / n <= target:
+    # k: the largest row count with k / nrows <= target
+    k = int(np.floor(target * nrows))
+    if (k + 1) / nrows <= target:
         k += 1
-    elif k / n > target:
+    elif k / nrows > target:
         k -= 1
-    cross = v[n - 1 - k]  # the (k + 1)-th largest limit
-    if not cross > 0:
+    if count(0.0) <= k:
         raise CalibrationError(
-            f"target alpha {target:.6g} is out of reach for a boundary r > 0: "
-            f"alpha at r -> 0+ is {np.count_nonzero(v > 0) / n:.6g}")
-    above = int(np.searchsorted(v, cross, side="right"))
-    below = int(np.searchsorted(v, cross, side="left"))
-    low_alpha, high_alpha = (n - above) / n, (n - below) / n
+            f"target alpha {target:.6g} is out of reach for a boundary {symbol} > 0: "
+            f"alpha at {symbol} -> 0+ is {count(0.0) / nrows:.6g}")
+
+    # A row count taken at the i-th sorted start (i + 1 - #{ends <= it})
+    # or end is exact at the last of its ties. Find the last start after
+    # which more than k rows go (a start at 0 does); from there only ends
+    # pass, and c* is where rise + 1 - k of them have.
+    for top in range(starts.size, 0, -_SLICE):
+        low = max(top - _SLICE, 0)
+        over = np.flatnonzero(np.arange(low + 1, top + 1)
+                              - np.searchsorted(ends, starts[low:top], "right") > k)
+        if over.size:
+            break
+    rise = low + int(over[-1])
+    cross = ends[rise - k]
+
+    # alpha first falls to the target at an end; one below starts[rise]
+    # means it climbs back. A slice's counts are at least its first end's
+    # count less the slice length, so only slices near k are scanned.
+    first, last = np.searchsorted(ends, 0.0, "right"), np.searchsorted(ends, starts[rise])
+    heads = np.arange(first, last, _SLICE)
+    near = np.searchsorted(starts, ends[heads], "right") - np.minimum(heads + _SLICE, last) <= k
+    for low in heads[near]:
+        top = min(low + _SLICE, last)
+        dip = np.flatnonzero(np.searchsorted(starts, ends[low:top], "right")
+                             - np.arange(low + 1, top + 1) <= k)
+        if dip.size:
+            fall, climb = ends[low + dip[0]], starts[rise]
+            warnings.warn(f"alpha is not monotone in the boundary: {symbol}={fall:.6g} gives "
+                          f"{count(fall) / nrows:.6g} but {symbol}={climb:.6g} gives "
+                          f"{count(climb) / nrows:.6g}", stacklevel=3)
+            break
+
+    low_alpha, high_alpha = count(cross) / nrows, count(cross, "left") / nrows
     if strict or (target - high_alpha) ** 2 >= (target - low_alpha) ** 2:
-        # r in [cross, next limit up): alpha = low_alpha <= target
-        top = v[above] if above < n else cross + 2.0
-        return float(0.5 * (cross + top)), low_alpha
-    # r in [next limit down, cross): alpha = high_alpha > target
-    bottom = v[below - 1] if below > 0 else 0.0
-    return float(0.5 * (max(bottom, 0.0) + cross)), high_alpha
+        # c in [cross, next value up): alpha = low_alpha <= target
+        up = [v[i] for v in (starts, ends) if (i := np.searchsorted(v, cross, "right")) < v.size]
+        return float(0.5 * (cross + min(up, default=cross + 2.0))), low_alpha
+    # c in [next value down, cross): alpha = high_alpha > target
+    down = [v[i - 1] for v in (starts, ends) if (i := np.searchsorted(v, cross, "left")) > 0]
+    return float(0.5 * (max(down + [0.0]) + cross)), high_alpha
 
 
 def smallest_passing(power: Callable[[int], float], target: float, nmin: int,

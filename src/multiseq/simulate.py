@@ -12,10 +12,8 @@ common random numbers.
 
 from __future__ import annotations
 
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,11 +26,8 @@ __all__ = [
     "cholesky_factor",
     "simulate_null_block",
     "mean_shift_vector",
-    "dump_block",
-    "load_block",
 ]
 
-_MAGIC = b"MSQB"
 _CHOLESKY_JITTER = 1e-10
 
 
@@ -151,26 +146,3 @@ def mean_shift_vector(mu, schedule: StageSchedule, model: OutcomeModel) -> np.nd
     shift = mu[None, :] * np.sqrt(schedule.cumulative)[:, None] / model.sigma[None, :]
     return shift.ravel()
 
-
-def dump_block(block: StatisticBlock, path) -> None:
-    """Binary dump: magic, (seed, nsims, stages, outcomes) as little-endian
-    uint64, then row-major float64 values."""
-    header = _MAGIC + struct.pack("<4Q", block.seed, block.nsims,
-                                  block.n_stages, block.n_outcomes)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(block.values, dtype="<f8").tobytes())
-
-
-def load_block(path) -> StatisticBlock:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError("not a statistic block file")
-    seed, nsims, n_stages, n_outcomes = struct.unpack("<4Q", raw[4:36])
-    expected = nsims * n_stages * n_outcomes * 8
-    body = raw[36:]
-    if len(body) != expected:
-        raise ValueError(f"block payload has {len(body)} bytes, expected {expected}")
-    values = np.frombuffer(body, dtype="<f8").reshape(nsims, n_stages * n_outcomes)
-    return StatisticBlock(values=values.astype(float), n_stages=int(n_stages),
-                          n_outcomes=int(n_outcomes), seed=int(seed))

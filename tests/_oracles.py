@@ -11,7 +11,9 @@ size in turn, as a check on the bracketed sample-size search;
 check on the chunked identified-power pass. ``DtLBlockRule`` applies the
 drop-the-loser rule through conditional power at one r over a shifted
 copy of the whole block, as a check on the exact go-limit calibration
-and the chunked drop-the-loser pass.
+and the chunked drop-the-loser pass. ``step_boundary`` evaluates the
+rejection rate on every step between event values by direct counting,
+as a check on the exact interval calibration.
 """
 
 from __future__ import annotations
@@ -307,3 +309,32 @@ class DtLBlockRule:
             ess=pet + 2.0 * (1.0 - pet),
             enm=self.k + float((retained * cont).sum()) / self.nsims,
         )
+
+
+@dataclass(frozen=True)
+class StepAnswer:
+    boundary: float
+    alpha: float
+    warns: bool
+
+
+def step_boundary(starts, ends, nrows: int, target: float, strict: bool = False):
+    """The calibrated boundary found by brute force: alpha on each step
+    between neighbouring event values is counted at the step's midpoint
+    as the number of intervals [start, end) holding it. Returns None
+    when alpha(0+) <= target."""
+    starts, ends = np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)
+    values = np.unique(np.concatenate([starts, ends]))
+    values = values[values > 0]
+    edges = np.concatenate([[0.0], values, [values[-1] + 2.0 if values.size else 2.0]])
+    mids = [0.5 * (lo + hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    alphas = [int(np.count_nonzero((starts <= c) & (c < ends))) / nrows for c in mids]
+    if alphas[0] <= target:
+        return None
+    last_over = max(i for i, a in enumerate(alphas) if a > target)
+    low, high = last_over + 1, last_over
+    pick = low
+    if not strict and (target - alphas[high]) ** 2 < (target - alphas[low]) ** 2:
+        pick = high
+    warns = any(a <= target for a in alphas[:last_over])
+    return StepAnswer(float(mids[pick]), alphas[pick], warns)

@@ -196,9 +196,18 @@ class TestMain:
         assert run_cli(["design", "dtl", "--config", str(cfg_path),
                         "--out", str(tmp_path / "x")]) == 3
 
-    def test_numeric_failure_exit_code(self, tmp_path, capsys):
+    def test_numeric_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # all four independent outcomes must clear the boundary: even a
-        # boundary near zero cannot spend an alpha of 0.1
+        # boundary near zero cannot spend an alpha of 0.1 (alpha(0+) is
+        # 1/16 in expectation)
+        passes = []
+        real_run_chunks = gs.run_chunks
+
+        def counted(fn, nrows, chunk_rows, threads=1):
+            passes.append(nrows)
+            return real_run_chunks(fn, nrows, chunk_rows, threads)
+
+        monkeypatch.setattr(gs, "run_chunks", counted)
         text = """kind = gs
 K = 4
 m = 4
@@ -212,7 +221,10 @@ seed = 3
         cfg_path = write(tmp_path, text)
         assert run_cli(["design", "gs", "--config", str(cfg_path),
                         "--out", str(tmp_path / "y")]) == 4
-        assert "bracket" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("target alpha 0.1 is out of reach for a boundary C > 0: "
+                "alpha at C -> 0+ is 0.066") in err
+        assert passes == [2000]  # the one calibration pass stops the search
 
     def test_unreachable_dtl_alpha_fails_fast(self, tmp_path, capsys, monkeypatch):
         # two promising outcomes but one retained, and no interim go

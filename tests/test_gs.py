@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -8,9 +9,10 @@ import pytest
 
 import multiseq.gs as gs_module
 import multiseq.simulate as simulate_module
-from _oracles import evaluate_gs_row, linear_scan_n
+from _oracles import evaluate_gs_row, linear_scan_n, step_boundary
 from multiseq import (
     Boundaries,
+    CalibrationError,
     GSDesignSpec,
     InfeasibleDesignError,
     OutcomeModel,
@@ -248,6 +250,118 @@ class TestCalibration:
             # allow step-level noise of a few rows
             assert p <= previous + 5.0 / block.nsims
             previous = p
+
+
+def interval_alpha(starts, ends, constant, nsims):
+    return int(np.count_nonzero((starts <= constant) & (constant < ends))) / nsims
+
+
+def calibration_outcome(block, spec, strict=False, threads=1):
+    try:
+        return calibrate_c(block, spec, strict=strict, threads=threads)
+    except CalibrationError as exc:
+        return str(exc)
+
+
+class TestGoIntervals:
+    def test_intervals_match_decide_on_random_specs(self):
+        rng = np.random.default_rng(40)
+        outcomes = {"calibrated": 0, "unreachable": 0, "composite": 0}
+        for case in range(48):
+            k = int(rng.integers(1, 7))
+            j = int(rng.integers(1, 6))
+            spec = GSDesignSpec(n_outcomes=k, n_promising=int(rng.integers(1, k + 1)),
+                                n_stages=j, alpha=float(rng.choice([0.025, 0.1, 0.4])),
+                                beta=0.2, delta0=0.2, delta1=0.4,
+                                wt_delta=float(rng.choice([0.0, 0.25, 0.5])),
+                                composite=bool(rng.integers(2)))
+            model = OutcomeModel.equicorrelated(k, float(rng.uniform(0.0, 0.8)))
+            block = simulate_null_block(StageSchedule.equal(1, j), model,
+                                        SimConfig(seed=400 + case, nsims=1_000))
+            rule = gs_module._Rule(block, spec)
+            starts, ends = rule.go_intervals()
+            assert np.all((starts >= 0) & (starts < ends))
+            for constant in rng.uniform(0.01, 6.0, size=100):
+                is_go, _ = rule.decide(_final_scale_boundaries(constant, j, spec.wt_delta))
+                assert interval_alpha(starts, ends, constant, 1_000) == is_go.mean(), case
+            outcomes["composite"] += spec.composite
+            for strict in (False, True):
+                expected = step_boundary(starts, ends, 1_000, spec.alpha, strict)
+                if expected is None:
+                    outcomes["unreachable"] += 1
+                    with pytest.raises(CalibrationError, match="alpha at C -> 0"):
+                        calibrate_c(block, spec, strict=strict)
+                    continue
+                outcomes["calibrated"] += 1
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    constant, achieved = calibrate_c(block, spec, strict=strict)
+                assert (constant, achieved) == (expected.boundary, expected.alpha), case
+                assert len(caught) == expected.warns
+                is_go, _ = rule.decide(_final_scale_boundaries(constant, j, spec.wt_delta))
+                assert is_go.mean() == achieved
+                if strict:
+                    assert achieved <= spec.alpha
+        assert outcomes["calibrated"] >= 60 and outcomes["composite"] >= 6, outcomes
+        assert outcomes["unreachable"] >= 2, outcomes
+
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("nsims", [1, 7, 50, 1001])
+    def test_chunks_and_threads_give_identical_intervals(self, monkeypatch, nsims,
+                                                         composite):
+        spec = replace(spec_for(3, 2, 3, alpha=0.1), composite=composite)
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 3), model,
+                                    SimConfig(seed=nsims, nsims=nsims))
+        one = gs_module._Rule(block, spec).go_intervals()
+        expected = calibration_outcome(block, spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+        try:
+            for threads in (1, 2, 3):
+                rule = gs_module._Rule(block, spec, threads)
+                row_budget(monkeypatch, rule, 3)
+                for got, want in zip(rule.go_intervals(), one):
+                    np.testing.assert_array_equal(got, want)
+                assert calibration_outcome(block, spec, threads=threads) == expected
+                monkeypatch.undo()
+        finally:
+            sys.setswitchinterval(interval)
+        if nsims == 1001:
+            assert isinstance(expected, tuple)
+
+    def test_calibration_makes_one_block_pass(self, monkeypatch, two_outcome_model):
+        block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model,
+                                    SimConfig(seed=41, nsims=20_000))
+        passes = []
+
+        def counted(fn, nrows, chunk_rows, threads=1):
+            passes.append(nrows)
+            return simulate_module.run_chunks(fn, nrows, chunk_rows, threads)
+
+        monkeypatch.setattr(gs_module, "run_chunks", counted)
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 1_000 * 6 * 8)
+        calibrate_c(block, spec_for(2, 1, 3), threads=2)
+        assert passes == [20_000]
+
+    def test_calibration_memory_is_bounded_by_the_intervals(self, monkeypatch):
+        # 40,000 rows of K = 10, J = 5 statistics: a 16 MB block. With
+        # 64 kB chunks the peak is the intervals, kept in pieces and then
+        # joined: no block-sized or all-events temporary.
+        spec = GSDesignSpec(n_outcomes=10, n_promising=5, n_stages=5, alpha=0.025,
+                            beta=0.2, delta0=0.2, delta1=0.4)
+        model = OutcomeModel.equicorrelated(10, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 5), model,
+                                    SimConfig(seed=62, nsims=40_000))
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 64 << 10)
+        starts, ends = gs_module._Rule(block, spec).go_intervals()
+        tracemalloc.start()
+        try:
+            calibrate_c(block, spec, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (starts.nbytes + ends.nbytes) < 0.2 * block.values.nbytes
 
 
 class TestComposite:

@@ -3,16 +3,23 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtri
 
+from _oracles import step_boundary
 from multiseq import CalibrationError, InfeasibleDesignError
-from multiseq.optimize import exceedance_boundary, smallest_passing, solve_decreasing
+from multiseq.optimize import exceedance_boundary, smallest_passing
 
 
 def test_solves_smooth_tail_probability():
-    x, achieved = solve_decreasing(lambda c: 1.0 - ndtr(c), 0.025)
-    assert x == pytest.approx(1.959964, abs=1e-3)
-    assert achieved == pytest.approx(0.025, abs=1e-4)
+    # limits on a fine normal quantile grid: alpha(r) is the normal tail
+    # to within 1 / 200,000. No bracket is involved, so a boundary far
+    # above or far below 1 is found the same way.
+    limits = ndtri((np.arange(200_000) + 0.5) / 200_000)
+    for scale, shift, expected in ((1.0, 0.0, 1.959964), (1.0, 20.0, 21.959964),
+                                   (1 / 40, 0.0, 1.959964 / 40)):
+        x, achieved = exceedance_boundary(limits * scale + shift, 0.025)
+        assert x == pytest.approx(expected, abs=1e-3 * scale)
+        assert achieved == 0.025
 
 
 def test_handles_step_functions():
@@ -20,11 +27,8 @@ def test_handles_step_functions():
     # Carlo rejection probability
     rng = np.random.default_rng(12)
     sample = rng.normal(size=50_000)
-
-    def tail(c):
-        return float((sample > c).mean())
-
-    x, achieved = solve_decreasing(tail, 0.05)
+    x, achieved = exceedance_boundary(sample.copy(), 0.05)
+    assert achieved == float((sample > x).mean())
     assert abs(achieved - 0.05) < 5e-4
     assert abs(x - 1.645) < 0.05
 
@@ -32,29 +36,103 @@ def test_handles_step_functions():
 def test_strict_mode_never_exceeds_target():
     rng = np.random.default_rng(13)
     sample = rng.normal(size=20_000)
-    _, achieved = solve_decreasing(lambda c: float((sample > c).mean()),
-                                   0.025, strict=True)
-    assert achieved <= 0.025
-
-
-def test_expands_bracket_upwards():
-    x, _ = solve_decreasing(lambda c: 1.0 - ndtr(c - 20.0), 0.025)
-    assert x == pytest.approx(21.959964, abs=1e-3)
-
-
-def test_expands_bracket_downwards():
-    x, _ = solve_decreasing(lambda c: 1.0 - ndtr(c * 40.0), 0.025, tol=1e-6)
-    assert x == pytest.approx(1.959964 / 40.0, abs=1e-4)
+    x, achieved = exceedance_boundary(sample.copy(), 0.025, strict=True)
+    assert achieved == float((sample > x).mean()) <= 0.025
+    starts = np.where(rng.random(20_000) < 0.5, 0.0, rng.uniform(0.0, 1.0, size=20_000))
+    ends = starts + rng.exponential(size=20_000)
+    c, achieved = exceedance_boundary(ends.copy(), 0.1, strict=True, starts=starts.copy())
+    assert achieved == float(((starts <= c) & (c < ends)).mean()) <= 0.1
 
 
 def test_unreachable_target_raises_with_diagnostics():
-    with pytest.raises(CalibrationError, match="bracket"):
-        solve_decreasing(lambda c: 0.5, 0.7)
+    # half the rows go at every r > 0 and the rest at none
+    with pytest.raises(CalibrationError,
+                       match=r"target alpha 0\.7 is out of reach for a boundary r > 0: "
+                             r"alpha at r -> 0\+ is 0\.5$"):
+        exceedance_boundary(np.array([1.0, 2.0, -1.0, -2.0]), 0.7)
+    # intervals that start above 0 leave alpha(0+) at 1 / 4
+    with pytest.raises(CalibrationError, match=r"alpha at C -> 0\+ is 0\.25$"):
+        exceedance_boundary(np.array([1.0, 3.0, 4.0]), 0.5, starts=np.array([0.0, 2.0, 2.0]),
+                            nrows=4, symbol="C")
 
 
-def test_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        solve_decreasing(lambda c: c, 0.5, bracket=(2.0, 1.0))
+def test_rejects_mismatched_intervals():
+    for ends, starts, nrows in (([1.0, 2.0], [0.0], None), ([[1.0]], None, None),
+                                ([1.0], [0.0], 0)):
+        with pytest.raises(ValueError):
+            exceedance_boundary(np.asarray(ends), 0.1, starts=starts, nrows=nrows)
+
+
+def random_intervals(rng, nrows):
+    """Up to three disjoint intervals per row on a coarse grid, so events
+    tie; a third of the rows start at 0 and some rows have none."""
+    starts, ends = [], []
+    for _ in range(nrows):
+        points = np.sort(rng.choice(np.arange(0.25, 5.0, 0.25), size=6, replace=False))
+        if rng.random() < 0.35:
+            points[0] = 0.0
+        for lo, hi in points.reshape(3, 2)[:int(rng.integers(0, 4))]:
+            starts.append(lo)
+            ends.append(hi)
+    return np.array(starts), np.array(ends)
+
+
+class TestStepIntervals:
+    def test_agrees_with_brute_force_on_random_intervals(self):
+        rng = np.random.default_rng(15)
+        outcomes = {"monotone": 0, "warns": 0, "unreachable": 0}
+        for _ in range(200):
+            nrows = int(rng.integers(1, 40))
+            starts, ends = random_intervals(rng, nrows)
+            target = float(rng.uniform(0.02, 0.5))
+            for strict in (False, True):
+                expected = step_boundary(starts, ends, nrows, target, strict)
+                if expected is None:
+                    outcomes["unreachable"] += 1
+                    with pytest.raises(CalibrationError, match="out of reach"):
+                        exceedance_boundary(ends.copy(), target, strict, starts.copy(), nrows)
+                    continue
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    c, achieved = exceedance_boundary(ends.copy(), target, strict,
+                                                      starts.copy(), nrows)
+                assert (c, achieved) == (expected.boundary, expected.alpha)
+                assert len(caught) == expected.warns
+                outcomes["warns" if expected.warns else "monotone"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_alpha_climbing_back_warns_and_keeps_the_last_crossing(self):
+        # alpha(C): 0.5 on (0, 1), 0 on [1, 2), 0.3 on [2, 3), 0 from 3 on
+        starts = np.array([0.0] * 5 + [2.0] * 3)
+        ends = np.array([1.0] * 5 + [3.0] * 3)
+        with pytest.warns(UserWarning, match=r"not monotone in the boundary: C=1 gives 0 "
+                                             r"but C=2 gives 0\.3"):
+            c, achieved = exceedance_boundary(ends.copy(), 0.25, True, starts.copy(), 10, "C")
+        assert (c, achieved) == (4.0, 0.0)
+        # 0.3 on [2, 3) is nearer 0.25 than 0 on [3, inf)
+        with pytest.warns(UserWarning, match="not monotone"):
+            assert exceedance_boundary(ends.copy(), 0.25, False, starts.copy(), 10) == (2.5, 0.3)
+
+    def test_climb_back_below_the_target_does_not_warn(self):
+        # alpha: 0.5 on (0, 1), 0.2 on [1, 2), 0.4 on [2, 3), 0.1 on [3, 4)
+        starts = np.array([0.0, 0.0] + [0.0] * 3 + [2.0] * 3)
+        ends = np.array([4.0, 2.0] + [1.0] * 3 + [3.0] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exceedance_boundary(ends.copy(), 0.45, True, starts.copy(), 10) == (1.5, 0.2)
+            assert exceedance_boundary(ends.copy(), 0.45, False, starts.copy(), 10) == (0.5, 0.5)
+
+    def test_starts_at_zero_are_the_go_limit_case(self):
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            limits = rng.normal(loc=1.0, size=int(rng.integers(2, 200)))
+            target = float(rng.uniform(0.01, 0.4))
+            if (limits > 0).mean() <= target:
+                continue
+            for strict in (False, True):
+                assert (exceedance_boundary(limits.copy(), target, strict)
+                        == exceedance_boundary(limits.copy(), target, strict,
+                                               np.zeros(limits.size)))
 
 
 class TestExceedanceBoundary:

@@ -14,8 +14,6 @@ from multiseq import (
     StageSchedule,
     assemble_covariance,
     cholesky_factor,
-    dump_block,
-    load_block,
     mean_shift_vector,
     simulate_null_block,
 )
@@ -204,40 +202,6 @@ class TestMeanShift:
         with pytest.raises(ValueError):
             block.values + mean_shift_vector([0.1, 0.2, 0.3], schedule,
                                              two_outcome_model)[None, :]
-
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path, two_outcome_model):
-        block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model,
-                                    SimConfig(seed=123, nsims=250))
-        path = tmp_path / "block.bin"
-        dump_block(block, path)
-        loaded = load_block(path)
-        assert loaded.seed == block.seed == 123
-        assert loaded.n_stages == 3 and loaded.n_outcomes == 2
-        np.testing.assert_array_equal(loaded.values, block.values)
-
-    def test_header_layout(self, tmp_path):
-        model = OutcomeModel.equicorrelated(1, 0.0)
-        block = simulate_null_block(StageSchedule.equal(1, 1), model,
-                                    SimConfig(seed=7, nsims=3))
-        path = tmp_path / "block.bin"
-        dump_block(block, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"MSQB"
-        assert int.from_bytes(raw[4:12], "little") == 7
-        assert int.from_bytes(raw[12:20], "little") == 3
-        assert len(raw) == 36 + 3 * 8
-
-    def test_truncated_file_rejected(self, tmp_path):
-        model = OutcomeModel.equicorrelated(1, 0.0)
-        block = simulate_null_block(StageSchedule.equal(1, 1), model,
-                                    SimConfig(seed=7, nsims=3))
-        path = tmp_path / "block.bin"
-        dump_block(block, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            load_block(path)
 
 
 class TestParticipantLevelAgreement:
