@@ -10,16 +10,29 @@ from multiseq import CalibrationError, InfeasibleDesignError
 from multiseq.optimize import exceedance_boundary, smallest_passing
 
 
+# limits on a fine normal quantile grid: alpha(r) is the normal tail to
+# within 1 / 200,000
+NORMAL_LIMITS = ndtri((np.arange(200_000) + 0.5) / 200_000)
+
+
 def test_solves_smooth_tail_probability():
-    # limits on a fine normal quantile grid: alpha(r) is the normal tail
-    # to within 1 / 200,000. No bracket is involved, so a boundary far
-    # above or far below 1 is found the same way.
-    limits = ndtri((np.arange(200_000) + 0.5) / 200_000)
-    for scale, shift, expected in ((1.0, 0.0, 1.959964), (1.0, 20.0, 21.959964),
-                                   (1 / 40, 0.0, 1.959964 / 40)):
-        x, achieved = exceedance_boundary(limits * scale + shift, 0.025)
-        assert x == pytest.approx(expected, abs=1e-3 * scale)
-        assert achieved == 0.025
+    x, achieved = exceedance_boundary(NORMAL_LIMITS.copy(), 0.025)
+    assert x == pytest.approx(1.959964, abs=1e-3)
+    assert achieved == 0.025
+
+
+def test_expands_bracket_upwards():
+    # no bracket is involved: a boundary far above 1 is found directly
+    x, achieved = exceedance_boundary(NORMAL_LIMITS + 20.0, 0.025)
+    assert x == pytest.approx(21.959964, abs=1e-3)
+    assert achieved == 0.025
+
+
+def test_expands_bracket_downwards():
+    # ... and so is one far below 1
+    x, achieved = exceedance_boundary(NORMAL_LIMITS / 40.0, 0.025)
+    assert x == pytest.approx(1.959964 / 40.0, abs=1e-4)
+    assert achieved == 0.025
 
 
 def test_handles_step_functions():
