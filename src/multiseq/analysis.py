@@ -116,9 +116,11 @@ def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel,
 
 def compare_at_effects(realisation_a, realisation_b, model: OutcomeModel,
                        mus: Sequence, cfg: SimConfig, threads: int = 1) -> dict:
-    """Evaluate both realisations at each effect vector on shared blocks."""
+    """Evaluate both realisations at each effect vector on shared blocks;
+    realisations with equal stage counts share one block."""
     block_a = realisation_null_block(realisation_a, model, cfg, threads)
-    block_b = realisation_null_block(realisation_b, model, cfg, threads)
+    block_b = (block_a if realisation_b.n_stages == realisation_a.n_stages
+               else realisation_null_block(realisation_b, model, cfg, threads))
     cols = {name: [] for name in ("p_a", "p_b", "ess_a", "ess_b", "enm_a", "enm_b")}
     for mu in mus:
         for tag, realisation, block in (("a", realisation_a, block_a),

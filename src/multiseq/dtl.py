@@ -26,8 +26,8 @@ from scipy.special import ndtr, ndtri
 
 from .model import OutcomeModel, StageSchedule, _as_vector, lfc_effects
 from .optimize import exceedance_boundary, smallest_passing
-from .simulate import (SimConfig, StatisticBlock, mean_shift_vector, run_chunks,
-                       simulate_null_block)
+from .simulate import (SimConfig, StatisticBlock, count_true, mean_shift_vector,
+                       run_chunks, simulate_null_block)
 
 __all__ = [
     "DtLDesignSpec",
@@ -42,9 +42,9 @@ __all__ = [
 ]
 
 N_STAGES = 2
-# bytes of statistics per row chunk of a block pass; a shifted chunk's
-# working arrays take about 3.7 times its size, so a single-threaded pass
-# peaks near 3.9 MB whatever the block size.
+# bytes of statistics per row chunk of a block pass; a chunk's working arrays
+# take 3.4-3.8 times its size in a go-limit pass and 2.4-2.8 in a count pass
+# (K = 3-10), so a single-threaded pass peaks below 4 MB whatever the block size.
 CHUNK_BYTES = 1 << 20
 
 
@@ -185,10 +185,19 @@ class _Rule:
     rows with U > r. ``invert_cp_boundaries`` gives e_j and t_go for one
     outcome on the interim-statistic scale.
 
+    At a fixed r (``oc``) a row needs counts, not U. With
+    e_i = (core_i - q_l) / s and t_i = (core_i - q_u) / s per outcome
+    (rounding is monotone, so the m-th largest t_i is t_go): the interim
+    go holds when #{t_i > r} >= m, the no-go when #{e_i >= r} < m, the
+    trial retains j* = min(#{e_i > r}, K_max) outcomes, and the final go
+    holds when at least m of the j* top-ranked have a stage-two statistic
+    above r, ranked by descending core with ties to the lower index.
+
     A pass runs over row chunks of CHUNK_BYTES on up to ``threads``
-    workers; each chunk adds the shift to its own rows and writes only
-    its own rows or counts, so no block-sized copy is made and the
-    result does not depend on the thread count.
+    workers; each chunk adds the shift to its own rows (``oc`` to one
+    transposed copy of them) and writes only its own rows or counts, so
+    no block-sized copy is made and the result does not depend on the
+    thread count.
     """
 
     def __init__(self, block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
@@ -226,39 +235,50 @@ class _Rule:
             limit = np.maximum(limit, np.minimum(m_j, e[:, j - 1]))
         return t_go, e, limit
 
-    def _run(self, shift, write) -> None:
-        values = self.block.values
-        shift = None if shift is None else np.asarray(shift, dtype=float)
-
-        def run(i: int, a: int, b: int) -> None:
-            write(i, a, b, *self._limits(values[a:b] if shift is None
-                                         else values[a:b] + shift))
-
-        run_chunks(run, len(values), self.chunk_rows, self.threads)
-
     def go_limits(self, shift=None) -> np.ndarray:
         """Each row's U: the row goes exactly when r < U."""
+        values = self.block.values
+        shift = None if shift is None else np.asarray(shift, dtype=float)
         limits = np.empty(self.block.nsims)
 
-        def write(i, a, b, t_go, e, limit) -> None:
-            limits[a:b] = limit
+        def run(_, a: int, b: int) -> None:
+            limits[a:b] = self._limits(values[a:b] if shift is None
+                                       else values[a:b] + shift)[2]
 
-        self._run(shift, write)
+        run_chunks(run, len(values), self.chunk_rows, self.threads)
         return limits
 
     def oc(self, r: float, shift=None) -> DtLOperatingCharacteristics:
-        """Operating characteristics at boundary r (ESS and ENM in subjects)."""
-        nsims = self.block.nsims
+        """Operating characteristics at boundary r (ESS and ENM in subjects),
+        from each row's counts at r."""
+        k, m, k_max, nsims = self.k, self.m, self.k_max, self.block.nsims
+        values = self.block.values
+        shift = None if shift is None else np.asarray(shift, dtype=float)
+        later = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]  # K - 1 - i
         counts = np.zeros((-(-nsims // self.chunk_rows), 3), dtype=np.int64)
 
-        def write(i, a, b, t_go, e, limit) -> None:
-            stop = (t_go > r) | (e[:, self.m - 1] < r)
-            # e is sorted, so the eligible outcomes lead and at most
-            # K_max of them are retained
-            counts[i] = ((limit > r).sum(), stop.sum(),
-                         (e[~stop, :self.k_max] > r).sum())
+        def run(i: int, a: int, b: int) -> None:
+            cols = values[a:b].T.copy()
+            if shift is not None:
+                cols += shift[:, None]
+            core = (cols[:k] * self.sqrt_i1[:, None] + self.drift[:, None]) \
+                / self.sqrt_gap[:, None]
+            go = count_true((core - self.q_upper) / self.scale > r) >= m
+            e = (core - self.q_lower) / self.scale
+            stop = go | (count_true(e >= r) < m)
+            eligible = e > r
+            hits = eligible & (cols[k:] > r)
+            if k_max < k:  # retain the K_max top-ranked eligible outcomes
+                # rank_i = #{l < i: core_l >= core_i} + #{l > i: core_l > core_i}
+                ge = core[:, None] >= core[None, :]
+                ge[np.tril_indices(k)] = False  # keep l < i
+                hits &= count_true(ge) + later - count_true(ge, axis=1) < k_max
+            go |= count_true(hits) >= m
+            retained = np.minimum(count_true(eligible), k_max)
+            counts[i] = (np.count_nonzero(go), np.count_nonzero(stop),
+                         retained[~stop].sum())
 
-        self._run(shift, write)
+        run_chunks(run, nsims, self.chunk_rows, self.threads)
         go, stops, retained = (int(c) for c in counts.sum(axis=0))
         pet = stops / nsims
         return DtLOperatingCharacteristics(

@@ -115,6 +115,12 @@ def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> None:
             fn(i, a, b)
 
 
+def count_true(flags: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Number of True flags along ``axis``, in the smallest unsigned
+    integer type that holds that axis's length."""
+    return np.add.reduce(flags, axis=axis, dtype=np.min_scalar_type(flags.shape[axis]))
+
+
 def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
                         cfg: SimConfig, threads: int = 1) -> StatisticBlock:
     """Draw cfg.nsims independent rows from MVN(0, assemble_covariance(...)).

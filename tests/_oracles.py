@@ -7,8 +7,11 @@ Cholesky), and direct counting. The row evaluators and
 ``covariance_entry`` work one trial or one entry at a time, as checks on
 the package's vectorised code; ``linear_scan_n`` probes every sample
 size in turn, as a check on the bracketed sample-size search;
-``identified_power_full_block`` shifts a copy of the whole block, as a
-check on the chunked identified-power pass. ``DtLBlockRule`` applies the
+``decide_rows`` applies the group-sequential rule row-wise with axis
+sums over a (rows, J, K) view, as a check on the column-wise count
+kernel; ``identified_power_full_block`` shifts a copy of the whole block
+and decides it with ``decide_rows``, as a check on the chunked
+identified-power pass. ``DtLBlockRule`` applies the
 drop-the-loser rule through conditional power at one r over a shifted
 copy of the whole block, as a check on the exact go-limit calibration
 and the chunked drop-the-loser pass. ``step_boundary`` evaluates the
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from multiseq.dtl import DtLDesignSpec, DtLOperatingCharacteristics, conditional_power
-from multiseq.gs import _decide, estimate_gs_oc
+from multiseq.gs import estimate_gs_oc
 from multiseq.model import (
     Boundaries,
     GSDesignSpec,
@@ -232,16 +235,27 @@ def linear_scan_n(block, boundaries: Boundaries, spec: GSDesignSpec,
     return None
 
 
+def decide_rows(values, n_stages: int, n_outcomes: int, m: int, lower, upper):
+    """Group-sequential decisions of each row: (go?, stop stage index
+    0-based), from per-stage counts summed over the outcome axis."""
+    z = np.asarray(values).reshape(-1, n_stages, n_outcomes)
+    go = (z > np.asarray(upper)[None, :, None]).sum(axis=2) >= m
+    nogo = (z < np.asarray(lower)[None, :, None]).sum(axis=2) >= (n_outcomes - m + 1)
+    nogo[:, -1] = ~go[:, -1]
+    stop = (go | nogo).argmax(axis=1)
+    return go[np.arange(z.shape[0]), stop], stop
+
+
 def identified_power_full_block(block, realisation, model: OutcomeModel,
                                 delta_beta, working) -> float:
     """``analysis.identified_power`` on a shifted copy of the whole block,
-    with its own ``_decide`` call."""
+    decided by ``decide_rows``."""
     spec = realisation.spec
     schedule = StageSchedule.equal(realisation.n, spec.n_stages)
     values = block.values + mean_shift_vector(delta_beta, schedule, model)[None, :]
     upper = np.asarray(realisation.boundaries.upper)
-    is_go, stop = _decide(values, spec.n_stages, spec.n_outcomes, spec.n_promising,
-                          np.asarray(realisation.boundaries.lower), upper)
+    is_go, stop = decide_rows(values, spec.n_stages, spec.n_outcomes, spec.n_promising,
+                              realisation.boundaries.lower, upper)
     at_stop = values.reshape(block.nsims, spec.n_stages, spec.n_outcomes)[
         np.arange(block.nsims), stop]
     working_mask = np.zeros(spec.n_outcomes, dtype=bool)

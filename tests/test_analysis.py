@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles
+import multiseq.analysis as analysis_module
 import multiseq.dtl as dtl_module
 import multiseq.gs as gs_module
 import multiseq.simulate as simulate_module
@@ -224,3 +225,34 @@ class TestCompareAtEffects:
                                   [(0.0, 0.0), (0.4, 0.2)], cfg)
         assert rows["p_a"].shape == (2,)
         assert rows["p_a"][1] > rows["p_a"][0]
+
+    @pytest.mark.parametrize("design_b", ["composite", "dtl", "three-stage"])
+    def test_equal_stage_counts_share_one_simulated_block(self, monkeypatch, design_b):
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        cfg = SimConfig(seed=66, nsims=4_000)
+        real_a = search_gs_design(gs_spec(), model, cfg)  # two stages
+        if design_b == "dtl":  # two stages too
+            real_b = search_design(DtLDesignSpec(n_outcomes=2, n_promising=1,
+                                                 max_retained=1, cp_lower=0.3,
+                                                 cp_upper=0.95, alpha=0.025, beta=0.2,
+                                                 delta0=0.2, delta1=0.4),
+                                   model, cfg, nmax=200)
+        else:
+            j = 3 if design_b == "three-stage" else 2
+            real_b = search_design(gs_spec(j=j, composite=True), model, cfg)
+        mus = [(0.0, 0.0), (0.4, 0.2)]
+        expected = {tag: [evaluate_at_effects(real, realisation_null_block(real, model, cfg),
+                                              model, mu) for mu in mus]
+                    for tag, real in (("a", real_a), ("b", real_b))}
+        calls = []
+
+        def counted(schedule, *args, **kwargs):
+            calls.append(schedule.n_stages)
+            return simulate_module.simulate_null_block(schedule, *args, **kwargs)
+
+        monkeypatch.setattr(analysis_module, "simulate_null_block", counted)
+        rows = compare_at_effects(real_a, real_b, model, mus, cfg)
+        assert calls == ([2, 3] if design_b == "three-stage" else [2])
+        for tag in ("a", "b"):
+            got = list(zip(rows[f"p_{tag}"], rows[f"ess_{tag}"], rows[f"enm_{tag}"]))
+            assert got == expected[tag]

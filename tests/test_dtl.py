@@ -12,6 +12,7 @@ from _oracles import DtLBlockRule, evaluate_dtl_row
 from multiseq import (
     CalibrationError,
     DtLDesignSpec,
+    DtLOperatingCharacteristics,
     InfeasibleDesignError,
     OutcomeModel,
     SimConfig,
@@ -426,6 +427,55 @@ class TestGoLimits:
                     assert hi == pytest.approx(z1[o], rel=1e-9, abs=1e-9)
                 else:
                     assert spec.cp_upper == 1.0 and t_row == -np.inf
+
+
+def oc_from_limits(rule, r, t_go, e, limit):
+    """The OC at r derived from each row's (t_go, e, U), as ``_limits``
+    gives them: p_reject is #{U > r} / N."""
+    stop = (t_go > r) | (e[:, rule.m - 1] < r)
+    retained = int((e[~stop, :rule.k_max] > r).sum())
+    nsims = rule.block.nsims
+    pet = int(stop.sum()) / nsims
+    return DtLOperatingCharacteristics(
+        p_reject=int((limit > r).sum()) / nsims, pet=pet,
+        ess=rule.n * (pet + 2.0 * (1.0 - pet)), enm=rule.n * (rule.k + retained / nsims))
+
+
+class TestCountPass:
+    """``oc(r)`` counts at r without sorting a row; it must give what the
+    go limits give, on r equal to a limit and on tied cores."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_counts_equal_go_limits_on_ties_and_boundaries(self, monkeypatch, k):
+        rng = np.random.default_rng(76 + k)
+        model = OutcomeModel.equicorrelated(k, 0.4)
+        values = simulate_null_block(StageSchedule.equal(1, 2), model,
+                                     SimConfig(seed=76 + k, nsims=40)).values.copy()
+        # outcomes 0 and 1 share their stage-one statistic, so their cores
+        # tie and the lower index ranks first; stage two tells them apart
+        values[:, 1] = values[:, 0]
+        block = StatisticBlock(values=values, n_stages=2, n_outcomes=k)
+        mu = np.linspace(0.5, -0.1, k)
+        mu[1] = mu[0]
+        shift = mean_shift_vector(mu, StageSchedule.equal(12, 2), model)
+        monkeypatch.setattr(dtl_mod, "CHUNK_BYTES", 3 * block.values[:1].nbytes)
+        for cpl, cpu in ((0.0, 0.9), (0.2, 1.0), (0.0, 1.0), (0.2, 0.9)):
+            for k_max in range(1, k):
+                spec = DtLDesignSpec(n_outcomes=k, n_promising=int(rng.integers(1, k + 1)),
+                                     max_retained=k_max, cp_lower=cpl, cp_upper=cpu,
+                                     alpha=0.1, beta=0.2, delta0=0.0, delta1=0.4)
+                rule = dtl_mod._Rule(block, spec, model, 12)
+                for s in (None, shift):
+                    t_go, e, limit = rule._limits(values if s is None else values + s)
+                    np.testing.assert_array_equal(rule.go_limits(s), limit)
+                    # r on go limits, on eligibility limits e_j and on t_go
+                    rs = np.concatenate([rng.choice(limit, 6), rng.choice(e.ravel(), 6),
+                                         rng.choice(t_go, 2), rng.uniform(-1.0, 4.0, 2)])
+                    for r in rs[np.isfinite(rs)]:
+                        want = oc_from_limits(rule, r, t_go, e, limit)
+                        for threads in (1, 2, 3):
+                            assert dtl_mod._Rule(block, spec, model, 12,
+                                                 threads=threads).oc(r, s) == want
 
 
 def outcome_of(fn):

@@ -9,7 +9,7 @@ import pytest
 
 import multiseq.gs as gs_module
 import multiseq.simulate as simulate_module
-from _oracles import evaluate_gs_row, linear_scan_n, step_boundary
+from _oracles import decide_rows, evaluate_gs_row, linear_scan_n, step_boundary
 from multiseq import (
     Boundaries,
     CalibrationError,
@@ -105,6 +105,52 @@ class TestEvaluateRow:
                 assert path.stop_stage == stop[i] + 1
 
 
+class TestCountKernel:
+    """``_decide`` counts with whole-column compares; ``decide_rows`` sums
+    over the outcome axis of each row."""
+
+    def test_statistics_on_a_boundary_count_on_neither_side(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            j = int(rng.integers(1, 5))
+            k = int(rng.integers(1, 6))
+            m = int(rng.integers(1, k + 1))
+            b = wang_tsiatis_boundaries(float(rng.uniform(0.5, 3.0)), j,
+                                        float(rng.uniform(0.0, 0.5)))
+            lower, upper = np.asarray(b.lower), np.asarray(b.upper)
+            # a third of the statistics sit on the upper boundary, a third
+            # on the lower one
+            z = rng.normal(size=(300, j, k)) * 2.0
+            side = rng.integers(0, 3, size=z.shape)
+            z = np.where(side == 1, upper[None, :, None], z)
+            z = np.where(side == 2, lower[None, :, None], z)
+            values = z.reshape(300, j * k)
+            # a zero shift keeps a column on its boundary
+            shift = np.where(rng.random(j * k) < 0.5, 0.0, rng.normal(size=j * k))
+            for s in (None, shift):
+                got = _decide(values, j, k, m, lower, upper, s)
+                want = decide_rows(values if s is None else values + s, j, k, m,
+                                   lower, upper)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+
+    def test_counter_holds_three_hundred_outcomes(self):
+        rng = np.random.default_rng(24)
+        k, m = 300, 150
+        # a per-row level spreads the exceedance counts on both sides of m
+        values = rng.normal(size=(400, k)) + rng.normal(size=(400, 1))
+        for c in (-0.2, 0.0, 0.4):
+            bound = np.array([c])
+            go, stop = _decide(values, 1, k, m, bound, bound)
+            want_go, want_stop = decide_rows(values, 1, k, m, bound, bound)
+            np.testing.assert_array_equal(go, want_go)
+            np.testing.assert_array_equal(stop, want_stop)
+            assert 0 < go.sum() < 400
+        # 300 of 300 above: a counter that wrapped at 256 would say 44
+        go, _ = _decide(np.ones((2, k)), 1, k, k, np.zeros(1), np.zeros(1))
+        assert go.all()
+
+
 class TestEstimateOC:
     def test_degenerate_boundaries_always_go_at_stage_one(self, two_outcome_model):
         schedule = StageSchedule.equal(5, 2)
@@ -181,8 +227,8 @@ class TestChunkedPass:
                     if s is not None:
                         # a composite rule sums the shift per stage, then adds it
                         values = values + (s.reshape(3, 3).sum(axis=1) if composite else s)
-                    expected_go, expected_stop = _decide(values, 3, rule.k, rule.m,
-                                                         lower, upper)
+                    expected_go, expected_stop = decide_rows(values, 3, rule.k, rule.m,
+                                                             lower, upper)
                     np.testing.assert_array_equal(is_go, expected_go)
                     np.testing.assert_array_equal(stop, expected_stop)
         finally:
