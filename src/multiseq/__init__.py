@@ -57,6 +57,7 @@ from .simulate import (
     StatisticBlock,
     cholesky_factor,
     mean_shift_vector,
+    null_blocks,
     simulate_null_block,
 )
 

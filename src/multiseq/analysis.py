@@ -2,30 +2,28 @@
 identified-power variant.
 
 Grids and tables evaluate fixed design realisations at many true effect
-vectors. Each realisation gets one null block; effects enter as mean
-shifts, so a 49-point grid costs a single simulation per design and all
-points share common random numbers.
+vectors on the caller's null blocks, one per stage count of one model
+(``simulate.null_blocks``); effects enter as mean shifts, so a 49-point
+grid costs no simulation and all points share common random numbers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dtl import DtLDesignSpec, search_dtl_design
+from . import dtl, gs
 from .errors import TrialDesignError
-from .gs import _Rule, search_gs_design
 from .model import GSDesignSpec, OutcomeModel, StageSchedule
-from .simulate import SimConfig, StatisticBlock, mean_shift_vector, simulate_null_block
+from .simulate import SimConfig, StatisticBlock, mean_shift_vector, null_blocks
 
 __all__ = [
     "EffectGrid",
     "RatioCurve",
     "search_design",
-    "realisation_null_block",
     "evaluate_at_effects",
     "compare_at_effects",
     "effect_grid",
@@ -83,25 +81,20 @@ class RatioCurve:
         return self.enm_a / self.enm_b
 
 
-def search_design(spec, model: OutcomeModel, cfg: SimConfig, threads: int = 1,
-                  nmin: int = 1, nmax: int = 400, lfc_mode: str = "first-m",
+def search_design(spec, model: OutcomeModel, block: StatisticBlock, threads: int = 1,
+                  nmin: int | None = None, nmax: int = 400, lfc_mode: str = "first-m",
                   strict: bool = False):
-    """Dispatch a design search by spec type."""
-    if isinstance(spec, DtLDesignSpec):
-        return search_dtl_design(spec, model, cfg, nmin=max(nmin, 1), nmax=nmax,
-                                 threads=threads, lfc_mode=lfc_mode, strict=strict)
-    if isinstance(spec, GSDesignSpec):
-        return search_gs_design(spec, model, cfg, nmin=nmin, threads=threads,
-                                nmax=nmax, lfc_mode=lfc_mode, strict=strict)
-    raise TypeError(f"unknown design spec type: {type(spec).__name__}")
-
-
-def realisation_null_block(realisation, model: OutcomeModel, cfg: SimConfig,
-                           threads: int = 1) -> StatisticBlock:
-    """Null block shaped for the realisation's stage count (the null
-    statistics do not depend on the stage size)."""
-    schedule = StageSchedule.equal(1, realisation.n_stages)
-    return simulate_null_block(schedule, model, cfg, threads=threads)
+    """Search the design family of ``spec`` on ``block``, the model's null
+    block with ``spec.n_stages`` stages; ``nmin`` defaults to
+    ``spec.default_nmin``."""
+    if isinstance(spec, dtl.DtLDesignSpec):
+        search = dtl.search_dtl_design
+    elif isinstance(spec, GSDesignSpec):
+        search = gs.search_gs_design
+    else:
+        raise TypeError(f"unknown design spec type: {type(spec).__name__}")
+    return search(spec, model, block, nmin=spec.default_nmin if nmin is None else nmin,
+                  nmax=nmax, threads=threads, lfc_mode=lfc_mode, strict=strict)
 
 
 def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel,
@@ -115,17 +108,15 @@ def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel,
 
 
 def compare_at_effects(realisation_a, realisation_b, model: OutcomeModel,
-                       mus: Sequence, cfg: SimConfig, threads: int = 1) -> dict:
-    """Evaluate both realisations at each effect vector on shared blocks;
-    realisations with equal stage counts share one block."""
-    block_a = realisation_null_block(realisation_a, model, cfg, threads)
-    block_b = (block_a if realisation_b.n_stages == realisation_a.n_stages
-               else realisation_null_block(realisation_b, model, cfg, threads))
+                       mus: Sequence, blocks: Mapping[int, StatisticBlock],
+                       threads: int = 1) -> dict:
+    """Evaluate both realisations at each effect vector; ``blocks`` maps a
+    stage count to the model's null block, so equal stage counts share one."""
     cols = {name: [] for name in ("p_a", "p_b", "ess_a", "ess_b", "enm_a", "enm_b")}
     for mu in mus:
-        for tag, realisation, block in (("a", realisation_a, block_a),
-                                        ("b", realisation_b, block_b)):
-            p, ess, enm = evaluate_at_effects(realisation, block, model, mu, threads)
+        for tag, realisation in (("a", realisation_a), ("b", realisation_b)):
+            p, ess, enm = evaluate_at_effects(realisation, blocks[realisation.n_stages],
+                                              model, mu, threads)
             cols[f"p_{tag}"].append(p)
             cols[f"ess_{tag}"].append(ess)
             cols[f"enm_{tag}"].append(enm)
@@ -133,8 +124,9 @@ def compare_at_effects(realisation_a, realisation_b, model: OutcomeModel,
 
 
 def effect_grid(realisation_a, realisation_b, axes, model: OutcomeModel,
-                cfg: SimConfig, threads: int = 1) -> EffectGrid:
-    """Cartesian grid of true effects evaluated for two fixed realisations.
+                blocks: Mapping[int, StatisticBlock], threads: int = 1) -> EffectGrid:
+    """Cartesian grid of true effects evaluated for two fixed realisations
+    on ``blocks`` (stage count -> the model's null block).
 
     ``axes`` holds one sequence of candidate effect values per outcome;
     rows of the result enumerate the product in row-major order.
@@ -143,21 +135,22 @@ def effect_grid(realisation_a, realisation_b, axes, model: OutcomeModel,
     if len(axes) != model.n_outcomes:
         raise ValueError("need one grid axis per outcome")
     points = np.array(list(itertools.product(*axes)), dtype=float)
-    cols = compare_at_effects(realisation_a, realisation_b, model, points, cfg,
+    cols = compare_at_effects(realisation_a, realisation_b, model, points, blocks,
                               threads=threads)
     assert np.all(cols["ess_b"] > 0) and np.all(cols["enm_b"] > 0)
     return EffectGrid(axes=axes, points=points, **cols)
 
 
 def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,
-                      sigma=1.0, threads: int = 1, nmin: int = 1,
+                      sigma=1.0, threads: int = 1, nmin: int | None = None,
                       nmax: int = 400, lfc_mode: str = "first-m",
                       strict: bool = False) -> RatioCurve:
     """Search both designs at each shared correlation and record the ESS
     and ENM ratios under the LFC; ``sigma`` is a scalar or per outcome.
 
-    A failed search marks that point invalid (NaN) instead of aborting
-    the sweep.
+    Each correlation's null blocks are drawn once, shared by both
+    searches and dropped before the next correlation. A failed search
+    marks that point invalid (NaN) instead of aborting the sweep.
     """
     rho_values = tuple(float(r) for r in rho_values)
     shape = (len(rho_values),)
@@ -166,13 +159,16 @@ def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,
             "constant_a", "constant_b")}
     valid = np.zeros(shape, dtype=bool)
     errors = []
+
+    def search_both(rho: float) -> list:
+        model = OutcomeModel.equicorrelated(spec_a.n_outcomes, rho, sigma)
+        blocks = null_blocks((spec_a.n_stages, spec_b.n_stages), model, cfg, threads)
+        return [search_design(spec, model, blocks[spec.n_stages], threads, nmin, nmax,
+                              lfc_mode, strict) for spec in (spec_a, spec_b)]
+
     for i, rho in enumerate(rho_values):
         try:
-            model = OutcomeModel.equicorrelated(spec_a.n_outcomes, rho, sigma)
-            real_a = search_design(spec_a, model, cfg, threads, nmin, nmax,
-                                   lfc_mode, strict)
-            real_b = search_design(spec_b, model, cfg, threads, nmin, nmax,
-                                   lfc_mode, strict)
+            real_a, real_b = search_both(rho)
         except TrialDesignError as exc:
             errors.append((rho, str(exc)))
             continue
@@ -197,7 +193,7 @@ def identified_power(block: StatisticBlock, realisation, model: OutcomeModel,
     spec = realisation.spec
     schedule = StageSchedule.equal(realisation.n, spec.n_stages)
     shift = mean_shift_vector(delta_beta, schedule, model)
-    is_go, stop = _Rule(block, spec).decide(realisation.boundaries, shift)
+    is_go, stop = gs._Rule(block, spec).decide(realisation.boundaries, shift)
     # the shift is added only to each row's stop-stage statistics
     rows = np.arange(block.nsims)
     at_stop = block.by_stage()[rows, stop] + shift.reshape(spec.n_stages, -1)[stop]

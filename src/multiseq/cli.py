@@ -35,16 +35,13 @@ from .errors import (
     InvalidCorrelationError,
 )
 from .model import GSDesignSpec, OutcomeModel, StageSchedule, lfc_effects
-from .simulate import SimConfig
+from .simulate import SimConfig, null_blocks
 
 __all__ = ["RunConfig", "parse_config", "load_key_values", "emit_results", "main"]
 
 DESIGN_KINDS = ("gs", "composite", "single-stage", "dtl")
 THREADS_ENV = "MULTISEQ_THREADS"
 
-_DEFAULT_MU_VALUES = (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4)
-_DEFAULT_RHO_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-_DEFAULT_CP_GRID = (-4.0, 4.0, 0.1)
 _DEFAULT_NMAX = 400
 
 
@@ -78,11 +75,11 @@ class RunConfig:
     nmax: int | None = None
     lfc_mode: str = "first-m"
     strict_alpha: bool = False
-    mu_values: tuple = ()
-    rho_values: tuple = ()
+    mu_values: tuple = (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4)
+    rho_values: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
     cp_l_values: tuple = ()
     cp_u_values: tuple = ()
-    cp_grid: tuple = _DEFAULT_CP_GRID
+    cp_grid: tuple = (-4.0, 4.0, 0.1)
     out: str = "multiseq-out"
 
 
@@ -123,6 +120,25 @@ def _parse_bool(raw: str, name: str) -> bool:
     _fail(name, f"expected true or false, got {raw!r}")
 
 
+def _parse_cp_grid(raw: str, name: str) -> tuple:
+    parts = raw.split(":")
+    if len(parts) != 3:
+        _fail(name, "expected 'low:high:step'")
+    lo, hi, step = (_parse_float(p, name) for p in parts)
+    if step <= 0 or hi <= lo:
+        _fail(name, "need low < high and step > 0")
+    return lo, hi, step
+
+
+# parser of each RunConfig field, by annotation; delta0, delta1, sigma and
+# rho take K values each and are parsed by parse_config once K is known
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool,
+            "str": lambda raw, name: raw, "tuple": _parse_floats}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type.removesuffix(" | None")]
+                  for f in fields(RunConfig)} | {"cp_grid": _parse_cp_grid}
+_PER_OUTCOME_KEYS = ("delta0", "delta1", "sigma", "rho")
+
+
 def load_key_values(path) -> dict:
     """Read a flat ``key = value`` file, '#' starts a comment."""
     entries = {}
@@ -139,18 +155,21 @@ def load_key_values(path) -> dict:
 
 
 def parse_config(command: str, entries: dict) -> RunConfig:
-    """Build a validated RunConfig from raw key-value strings."""
+    """Build a validated RunConfig from raw key-value strings; a key left
+    out takes its RunConfig default (``threads`` first tries MULTISEQ_THREADS)."""
     for key in entries:
         if key not in _KEYS:
             _fail(key, "unknown configuration key")
-    get = entries.get
-
-    k = _parse_int(get("K", "0"), "K")
+    if THREADS_ENV in os.environ:
+        entries = {"threads": os.environ[THREADS_ENV]} | entries
+    parsed = {name: parse(entries[name], name) for name, parse in _FIELD_PARSERS.items()
+              if name in entries and name not in _PER_OUTCOME_KEYS}
+    k = parsed.get("K", 0)
     if k < 1:
         _fail("K", "the number of outcomes is required and must be >= 1")
 
     def vector(name: str, default: float | None = None) -> tuple:
-        raw = get(name)
+        raw = entries.get(name)
         if raw is None:
             if default is None:
                 _fail(name, "required")
@@ -163,7 +182,7 @@ def parse_config(command: str, entries: dict) -> RunConfig:
                 _fail(name, f"expected 1 or {k} values, got {len(values)}")
         return values
 
-    raw_rho = get("rho", "0")
+    raw_rho = entries.get("rho", "0")
     if ";" in raw_rho:
         rows = tuple(_parse_floats(row, "rho") for row in raw_rho.split(";"))
         if len(rows) != k or any(len(row) != k for row in rows):
@@ -174,75 +193,30 @@ def parse_config(command: str, entries: dict) -> RunConfig:
         rho = tuple(tuple(1.0 if i == j else shared for j in range(k))
                     for i in range(k))
 
-    cfg = RunConfig(
-        command=command,
-        kind=get("kind"),
-        kind_a=get("kind_a"),
-        kind_b=get("kind_b"),
-        K=k,
-        m=_parse_int(get("m", "1"), "m"),
-        J=_parse_int(get("J", "1"), "J"),
-        delta=_parse_float(get("delta", "0"), "delta"),
-        alpha=_parse_float(get("alpha", "0.025"), "alpha"),
-        beta=_parse_float(get("beta", "0.2"), "beta"),
-        delta0=vector("delta0"),
-        delta1=vector("delta1"),
-        sigma=vector("sigma", default=1.0),
-        rho=rho,
-        k_max=_parse_int(get("k_max"), "k_max") if get("k_max") is not None else None,
-        cp_l=_parse_float(get("cp_l", "0.3"), "cp_l"),
-        cp_u=_parse_float(get("cp_u", "0.95"), "cp_u"),
-        seed=_parse_int(get("seed", "1"), "seed"),
-        nsims=_parse_int(get("nsims", "100000"), "nsims"),
-        chunk_size=_parse_int(get("chunk_size", "65536"), "chunk_size"),
-        threads=_parse_int(get("threads", os.environ.get(THREADS_ENV, "1")), "threads"),
-        nmin=_parse_int(get("nmin"), "nmin") if get("nmin") is not None else None,
-        nmax=_parse_int(get("nmax"), "nmax") if get("nmax") is not None else None,
-        lfc_mode=get("lfc_mode", "first-m"),
-        strict_alpha=_parse_bool(get("strict_alpha", "false"), "strict_alpha"),
-        mu_values=_parse_floats(get("mu_values"), "mu_values")
-        if get("mu_values") is not None else _DEFAULT_MU_VALUES,
-        rho_values=_parse_floats(get("rho_values"), "rho_values")
-        if get("rho_values") is not None else _DEFAULT_RHO_VALUES,
-        cp_l_values=_parse_floats(get("cp_l_values", ""), "cp_l_values"),
-        cp_u_values=_parse_floats(get("cp_u_values", ""), "cp_u_values"),
-        cp_grid=_parse_cp_grid(get("cp_grid")),
-        out=get("out", "multiseq-out"),
-    )
+    cfg = RunConfig(command=command, delta0=vector("delta0"), delta1=vector("delta1"),
+                    sigma=vector("sigma", default=1.0), rho=rho, **parsed)
     _validate(cfg)
     return cfg
-
-
-def _parse_cp_grid(raw: str | None) -> tuple:
-    if raw is None:
-        return _DEFAULT_CP_GRID
-    parts = raw.split(":")
-    if len(parts) != 3:
-        _fail("cp_grid", "expected 'low:high:step'")
-    lo, hi, step = (_parse_float(p, "cp_grid") for p in parts)
-    if step <= 0 or hi <= lo:
-        _fail("cp_grid", "need low < high and step > 0")
-    return lo, hi, step
 
 
 def _validate(cfg: RunConfig) -> None:
     """Checks of the CLI's own; every other check is made by building the
     model, the simulation config and the specs the run will search."""
-    if cfg.command.startswith("design"):
-        if cfg.kind not in DESIGN_KINDS:
-            _fail("kind", f"must be one of {', '.join(DESIGN_KINDS)}")
-    else:
-        for name in ("kind_a", "kind_b"):
-            value = getattr(cfg, name)
-            if cfg.command in ("oc grid", "oc sweep") and value not in DESIGN_KINDS:
-                _fail(name, f"must be one of {', '.join(DESIGN_KINDS)}")
+    for name in _KIND_KEYS[cfg.command]:
+        if getattr(cfg, name) not in DESIGN_KINDS:
+            _fail(name, f"must be one of {', '.join(DESIGN_KINDS)}")
     if not 0 <= cfg.cp_l < cfg.cp_u <= 1:
         _fail("cp_l/cp_u", "thresholds must satisfy 0 <= cp_l < cp_u <= 1")
+    for name in ("cp_l_values", "cp_u_values"):
+        outside = [v for v in getattr(cfg, name) if not 0 <= v <= 1]
+        if outside:
+            _fail(name, f"every threshold must lie in [0, 1], got {outside[0]!r}")
+    if cfg.command == "oc sensitivity" and not _cp_pairs(cfg):
+        _fail("cp_l_values/cp_u_values", "no threshold pair has cp_l < cp_u")
     if cfg.threads < 1:
         _fail("threads", "must be >= 1")
-    needs_dtl = cfg.kind == "dtl" or "dtl" in (cfg.kind_a, cfg.kind_b) \
-        or cfg.command == "oc sensitivity"
-    if needs_dtl and cfg.k_max is None:
+    kinds = _searched_kinds(cfg)
+    if "dtl" in kinds and cfg.k_max is None:
         _fail("k_max", "required for drop-the-loser designs")
     if cfg.kind == "single-stage" and cfg.J != 1:
         _fail("J", "single-stage designs require J = 1")
@@ -250,10 +224,6 @@ def _validate(cfg: RunConfig) -> None:
         _fail("J", "drop-the-loser designs fix J = 2")
     if cfg.nmin is not None and cfg.nmin < 1:
         _fail("nmin", "must be >= 1")
-    nmin, nmax = _size_range(cfg, 2 if needs_dtl and cfg.command != "oc sweep" else 1)
-    if nmin >= nmax:
-        _fail("nmin" if cfg.nmin is not None else "nmax",
-              f"require nmin < nmax, got {nmin} and {nmax}")
     model = _built("rho", _model, cfg)
     for rho in cfg.rho_values if cfg.command == "oc sweep" else ():
         try:
@@ -264,9 +234,14 @@ def _validate(cfg: RunConfig) -> None:
     # the gs spec carries every design parameter but k_max and the CP
     # thresholds, whichever kinds the run searches
     spec = _built("J", _gs_spec, cfg, cfg.J, composite=False)
-    if needs_dtl:
+    if "dtl" in kinds:
         _built("k_max", _dtl_spec, cfg)
     _built("lfc_mode", lfc_effects, spec, mode=cfg.lfc_mode, sigma=model.sigma)
+    for kind in kinds:
+        nmin = cfg.nmin if cfg.nmin is not None else _spec_for_kind(cfg, kind).default_nmin
+        if nmin >= _nmax(cfg):
+            _fail("nmin" if cfg.nmin is not None else "nmax",
+                  f"require nmin < nmax, got {nmin} and {_nmax(cfg)}")
 
 
 # constructor parameter -> configuration key, to name the field of a ValueError
@@ -319,18 +294,36 @@ def _spec_for_kind(cfg: RunConfig, kind: str):
     return _gs_spec(cfg, cfg.J, composite=(kind == "composite"))
 
 
-def _size_range(cfg: RunConfig, default_nmin: int) -> tuple:
-    """(nmin, nmax) of a sample-size search; unset keys take their defaults."""
-    return (cfg.nmin if cfg.nmin is not None else default_nmin,
-            cfg.nmax if cfg.nmax is not None else _DEFAULT_NMAX)
+# configuration keys naming the design kinds each command searches; oc
+# sensitivity searches drop-the-loser designs only
+_KIND_KEYS = {"design": ("kind",), "oc grid": ("kind_a", "kind_b"),
+              "oc sweep": ("kind_a", "kind_b"), "oc sensitivity": ()}
 
 
-def _run_search(cfg: RunConfig, kind: str):
-    spec = _spec_for_kind(cfg, kind)
-    nmin, nmax = _size_range(cfg, 2 if kind == "dtl" else 1)
-    return analysis.search_design(spec, _model(cfg), _sim_config(cfg),
-                                  threads=cfg.threads, nmin=nmin, nmax=nmax,
-                                  lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
+def _searched_kinds(cfg: RunConfig) -> tuple:
+    return tuple(getattr(cfg, name) for name in _KIND_KEYS[cfg.command]) or ("dtl",)
+
+
+def _cp_pairs(cfg: RunConfig) -> list:
+    """(cp_l, cp_u) pairs of the oc sensitivity grid with cp_l < cp_u."""
+    return [(lo, hi) for lo in cfg.cp_l_values or (cfg.cp_l,)
+            for hi in cfg.cp_u_values or (cfg.cp_u,) if lo < hi]
+
+
+def _nmax(cfg: RunConfig) -> int:
+    return cfg.nmax if cfg.nmax is not None else _DEFAULT_NMAX
+
+
+def _null_blocks(cfg: RunConfig, model: OutcomeModel, specs) -> dict:
+    """The model's null block for each stage count the specs need, drawn once."""
+    return null_blocks([spec.n_stages for spec in specs], model, _sim_config(cfg),
+                       threads=cfg.threads)
+
+
+def _search(cfg: RunConfig, spec, model: OutcomeModel, blocks: dict):
+    return analysis.search_design(spec, model, blocks[spec.n_stages], threads=cfg.threads,
+                                  nmin=cfg.nmin, nmax=_nmax(cfg), lfc_mode=cfg.lfc_mode,
+                                  strict=cfg.strict_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +414,14 @@ def emit_results(cfg: RunConfig, out_dir: Path, summary_lines, csv_files) -> lis
 # commands
 
 def _cmd_design(cfg: RunConfig) -> list:
-    real = _run_search(cfg, cfg.kind)
+    spec, model = _spec_for_kind(cfg, cfg.kind), _model(cfg)
+    real = _search(cfg, spec, model, _null_blocks(cfg, model, [spec]))
     summary = _summary_for_realisation(real)
     csv_files = {}
     if isinstance(real, dtl.DtLRealisation):
         lo, hi, step = cfg.cp_grid
         z_values = np.arange(lo, hi + step / 2, step)
-        rows = dtl.cp_lookup(real.spec, _model(cfg), real.r, real.n, z_values)
+        rows = dtl.cp_lookup(real.spec, model, real.r, real.n, z_values)
         csv_files["cp_lookup.csv"] = (("outcome", "z", "cp"), rows)
     else:
         cum = StageSchedule.equal(real.n, real.n_stages).cumulative
@@ -438,11 +432,12 @@ def _cmd_design(cfg: RunConfig) -> list:
 
 
 def _cmd_oc_grid(cfg: RunConfig) -> list:
-    real_a = _run_search(cfg, cfg.kind_a)
-    real_b = _run_search(cfg, cfg.kind_b)
+    specs = [_spec_for_kind(cfg, kind) for kind in (cfg.kind_a, cfg.kind_b)]
+    model = _model(cfg)
+    blocks = _null_blocks(cfg, model, specs)  # shared by both searches and the grid
+    real_a, real_b = (_search(cfg, spec, model, blocks) for spec in specs)
     axes = (cfg.mu_values,) * cfg.K
-    grid = analysis.effect_grid(real_a, real_b, axes, _model(cfg),
-                                _sim_config(cfg), threads=cfg.threads)
+    grid = analysis.effect_grid(real_a, real_b, axes, model, blocks, threads=cfg.threads)
     header = tuple(f"mu_{k + 1}" for k in range(cfg.K)) + (
         "p_reject_A", "p_reject_B", "ess_A", "ess_B", "enm_A", "enm_B",
         "ess_ratio", "enm_ratio")
@@ -458,10 +453,9 @@ def _cmd_oc_grid(cfg: RunConfig) -> list:
 def _cmd_oc_sweep(cfg: RunConfig) -> list:
     spec_a = _spec_for_kind(cfg, cfg.kind_a)
     spec_b = _spec_for_kind(cfg, cfg.kind_b)
-    nmin, nmax = _size_range(cfg, 1)
     curve = analysis.correlation_sweep(spec_a, spec_b, cfg.rho_values,
                                        _sim_config(cfg), sigma=cfg.sigma,
-                                       threads=cfg.threads, nmin=nmin, nmax=nmax,
+                                       threads=cfg.threads, nmin=cfg.nmin, nmax=_nmax(cfg),
                                        lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
     header = ("rho", "valid", "n_A", "n_B", "constant_A", "constant_B",
               "ess_A", "ess_B", "enm_A", "enm_B", "ess_ratio", "enm_ratio")
@@ -478,25 +472,16 @@ def _cmd_oc_sweep(cfg: RunConfig) -> list:
 
 
 def _cmd_oc_sensitivity(cfg: RunConfig) -> list:
-    lowers = cfg.cp_l_values or (cfg.cp_l,)
-    uppers = cfg.cp_u_values or (cfg.cp_u,)
-    nmin, nmax = _size_range(cfg, 2)
     header = ("cp_l", "cp_u", "r", "n", "N", "alpha_star", "power_star",
               "pet_null", "pet_lfc", "ess_null", "ess_lfc", "enm_null", "enm_lfc")
+    model = _model(cfg)
+    blocks = _null_blocks(cfg, model, [_dtl_spec(cfg)])  # one block for every pair
     rows = []
-    for lo in lowers:
-        for hi in uppers:
-            if not 0 <= lo < hi <= 1:
-                continue
-            spec = _dtl_spec(cfg, cp_l=lo, cp_u=hi)
-            real = dtl.search_dtl_design(spec, _model(cfg), _sim_config(cfg),
-                                         nmin=nmin, nmax=nmax, threads=cfg.threads,
-                                         lfc_mode=cfg.lfc_mode,
-                                         strict=cfg.strict_alpha)
-            rows.append((lo, hi, real.r, real.n, real.n_total, real.alpha_star,
-                         real.power_star, real.oc_null.pet, real.oc_lfc.pet,
-                         real.oc_null.ess, real.oc_lfc.ess,
-                         real.oc_null.enm, real.oc_lfc.enm))
+    for lo, hi in _cp_pairs(cfg):
+        real = _search(cfg, _dtl_spec(cfg, cp_l=lo, cp_u=hi), model, blocks)
+        rows.append((lo, hi, real.r, real.n, real.n_total, real.alpha_star,
+                     real.power_star, real.oc_null.pet, real.oc_lfc.pet,
+                     real.oc_null.ess, real.oc_lfc.ess, real.oc_null.enm, real.oc_lfc.enm))
     summary = [f"combinations = {len(rows)}"]
     return emit_results(cfg, Path(cfg.out), summary, {"sensitivity.csv": (header, rows)})
 

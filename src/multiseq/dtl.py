@@ -26,8 +26,7 @@ from scipy.special import ndtr, ndtri
 
 from .model import OutcomeModel, StageSchedule, _as_vector, lfc_effects
 from .optimize import exceedance_boundary, smallest_passing
-from .simulate import (SimConfig, StatisticBlock, count_true, mean_shift_vector,
-                       run_chunks, simulate_null_block)
+from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
 
 __all__ = [
     "DtLDesignSpec",
@@ -61,6 +60,9 @@ class DtLDesignSpec:
     beta: float
     delta0: Any
     delta1: Any
+
+    n_stages = N_STAGES
+    default_nmin = 2  # per-stage size a search starts from unless told otherwise
 
     def __post_init__(self):
         if self.n_outcomes < 2:
@@ -319,7 +321,7 @@ def calibrate_r(null_block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeM
     return exceedance_boundary(limits, spec.alpha, strict=strict)
 
 
-def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, cfg: SimConfig,
+def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: StatisticBlock,
                       nmin: int, nmax: int, threads: int = 1,
                       lfc_mode: str = "first-m",
                       strict: bool = False) -> DtLRealisation:
@@ -327,15 +329,14 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, cfg: SimConfig,
 
     Bisection over n after a probe at nmax, recalibrating r at every
     probe and evaluating power at the least favourable configuration on
-    the shared block. Power is assumed monotone in n; if the recorded
-    probes contradict that (shared-seed jitter), a warning reports both powers.
+    ``block``, the model's two-stage null block. Power is assumed
+    monotone in n; if the recorded probes contradict that (shared-seed
+    jitter), a warning reports both powers.
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
     if not 1 <= nmin < nmax:
         raise ValueError("require 1 <= nmin < nmax")
-    block = simulate_null_block(StageSchedule.equal(1, N_STAGES), model, cfg,
-                                threads=threads)
     effects = lfc_effects(spec, mode=lfc_mode, sigma=model.sigma)
     probes: dict = {}  # per-stage size -> (r, OC at the LFC)
 

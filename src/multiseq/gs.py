@@ -30,8 +30,7 @@ from .model import (
     wang_tsiatis_boundaries,
 )
 from .optimize import exceedance_boundary, smallest_passing
-from .simulate import (SimConfig, StatisticBlock, count_true, mean_shift_vector,
-                       run_chunks, simulate_null_block)
+from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
 
 __all__ = [
     "GSOperatingCharacteristics",
@@ -260,13 +259,15 @@ def calibrate_c(null_block: StatisticBlock, spec: GSDesignSpec,
                                nrows=null_block.nsims, symbol="C")
 
 
-def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,
+def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBlock,
                      nmin: int = 1, threads: int = 1, nmax: int = MAX_STAGE_SIZE,
                      lfc_mode: str = "first-m",
                      strict: bool = False) -> DesignRealisation:
     """Smallest design meeting the target error rates.
 
-    Calibrates the boundary constant once on a null block, then gallops
+    ``block`` is the model's null block with the spec's stage count (the
+    null statistics do not depend on n, so it serves the whole search).
+    Calibrates the boundary constant once on it, then gallops
     up from ``nmin`` and bisects to the smallest per-stage size whose
     LFC power reaches 1 - beta, in about 2 * log2(n) block passes
     (InfeasibleDesignError once ``nmax`` fails). With LFC effects >= 0
@@ -277,11 +278,7 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, cfg: SimConfig,
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
-    # the null statistics do not depend on n, so one block serves the
-    # whole search (calibration first, then the power probes)
-    null_block = simulate_null_block(StageSchedule.equal(1, spec.n_stages),
-                                     model, cfg, threads=threads)
-    rule = _Rule(null_block, spec, threads)
+    rule = _Rule(block, spec, threads)
     # the rule's block is already summed, so calibrate_c sums nothing again
     constant, _ = calibrate_c(rule.block, spec, strict=strict, threads=threads)
     boundaries = _final_scale_boundaries(constant, spec.n_stages, spec.wt_delta)

@@ -118,6 +118,8 @@ class GSDesignSpec:
     wt_delta: float = 0.0
     composite: bool = False
 
+    default_nmin = 1  # per-stage size a search starts from unless told otherwise
+
     def __post_init__(self):
         if self.n_outcomes < 1:
             raise ValueError("n_outcomes must be >= 1")

@@ -25,6 +25,7 @@ __all__ = [
     "StatisticBlock",
     "cholesky_factor",
     "simulate_null_block",
+    "null_blocks",
     "mean_shift_vector",
 ]
 
@@ -142,6 +143,15 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)
     return StatisticBlock(values=out, n_stages=schedule.n_stages,
                           n_outcomes=model.n_outcomes, seed=cfg.seed)
+
+
+def null_blocks(stage_counts, model: OutcomeModel, cfg: SimConfig,
+                threads: int = 1) -> dict:
+    """Null block of one model for each distinct stage count, each drawn
+    once; stage count -> block (the null statistics do not depend on the
+    stage size, so every search and grid on that model can share them)."""
+    return {j: simulate_null_block(StageSchedule.equal(1, j), model, cfg, threads=threads)
+            for j in sorted(set(stage_counts))}
 
 
 def mean_shift_vector(mu, schedule: StageSchedule, model: OutcomeModel) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multiseq import GSDesignSpec, OutcomeModel, SimConfig
+from multiseq.simulate import null_blocks
 
 
 @pytest.fixture
@@ -17,6 +18,11 @@ def two_outcome_spec():
 
 def quick_cfg(seed=1, nsims=20_000):
     return SimConfig(seed=seed, nsims=nsims)
+
+
+def null_block(n_stages, model, cfg, threads=1):
+    """The model's null block with ``n_stages`` stages, drawn as a command draws it."""
+    return null_blocks([n_stages], model, cfg, threads=threads)[n_stages]
 
 
 def random_correlation(rng, k):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from conftest import random_correlation
+from conftest import null_block, random_correlation
 from multiseq import (
     Boundaries,
     DesignRealisation,
@@ -41,6 +41,7 @@ from multiseq import (
 from multiseq.analysis import compare_at_effects
 from multiseq.dtl import DtLRealisation
 from multiseq.gs import _decide
+from multiseq.simulate import null_blocks
 
 SEED = 20260810
 NSIMS = 100_000
@@ -94,10 +95,11 @@ def searched_k2():
     cfg = SimConfig(seed=SEED, nsims=NSIMS)
     times = {}
     start = time.perf_counter()
-    mo = search_gs_design(gs_spec(2, 1, 3), model, cfg)
+    mo = search_gs_design(gs_spec(2, 1, 3), model, null_block(3, model, cfg))
     times["mo"] = time.perf_counter() - start
     start = time.perf_counter()
-    comp = search_gs_design(gs_spec(2, 1, 3, composite=True), model, cfg)
+    comp = search_gs_design(gs_spec(2, 1, 3, composite=True), model,
+                            null_block(3, model, cfg))
     times["comp"] = time.perf_counter() - start
     return mo, comp, times
 
@@ -105,11 +107,11 @@ def searched_k2():
 @pytest.fixture(scope="module")
 def searched_k3():
     model = OutcomeModel.equicorrelated(3, 0.3)
-    cfg = SimConfig(seed=SEED, nsims=NSIMS)
-    mo1 = search_gs_design(gs_spec(3, 1, 3), model, cfg)
-    comp1 = search_gs_design(gs_spec(3, 1, 3, composite=True), model, cfg)
-    mo2 = search_gs_design(gs_spec(3, 2, 3), model, cfg)
-    comp2 = search_gs_design(gs_spec(3, 2, 3, composite=True), model, cfg)
+    block = null_block(3, model, SimConfig(seed=SEED, nsims=NSIMS))
+    mo1 = search_gs_design(gs_spec(3, 1, 3), model, block)
+    comp1 = search_gs_design(gs_spec(3, 1, 3, composite=True), model, block)
+    mo2 = search_gs_design(gs_spec(3, 2, 3), model, block)
+    comp2 = search_gs_design(gs_spec(3, 2, 3, composite=True), model, block)
     return mo1, comp1, mo2, comp2
 
 
@@ -175,7 +177,7 @@ def test_criterion_3_effect_table_three_outcomes():
     real_mo = fixed_gs_realisation(gs_spec(3, 1, 3), 20, 2.394350)
     real_comp = fixed_gs_realisation(gs_spec(3, 1, 3, composite=True), 21, 4.387731)
     mus = [row[0] for row in TABLE_K3_EFFECTS]
-    cols = compare_at_effects(real_mo, real_comp, model, mus, cfg)
+    cols = compare_at_effects(real_mo, real_comp, model, mus, null_blocks([3], model, cfg))
     failures = []
     for i, (mu, p_mo, p_comp, ess_ratio) in enumerate(TABLE_K3_EFFECTS):
         check(failures, abs(cols["p_a"][i] - p_mo) <= 0.02,
@@ -198,9 +200,10 @@ def searched_dtl():
     results = {}
     for k in (2, 3):
         model = OutcomeModel.equicorrelated(k, 0.3)
+        blocks = null_blocks([1, 2], model, cfg)
         results[k] = (
-            search_dtl_design(dtl_spec(k, 1, 1), model, cfg, nmin=2, nmax=200),
-            search_gs_design(gs_spec(k, 1, 1), model, cfg),
+            search_dtl_design(dtl_spec(k, 1, 1), model, blocks[2], nmin=2, nmax=200),
+            search_gs_design(gs_spec(k, 1, 1), model, blocks[1]),
         )
     return results
 
@@ -249,7 +252,7 @@ def dtl_table_columns():
                               power_star=float("nan"))
     ss_real = fixed_gs_realisation(gs_spec(3, 1, 1), 59, 2.380403)
     mus = [row[0] for row in TABLE_DTL_EFFECTS]
-    return compare_at_effects(dtl_real, ss_real, model, mus, cfg)
+    return compare_at_effects(dtl_real, ss_real, model, mus, null_blocks([1, 2], model, cfg))
 
 
 def test_criterion_5_dtl_table_rejection_and_ess(dtl_table_columns):

@@ -1,10 +1,11 @@
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import _oracles
-import multiseq.analysis as analysis_module
+from conftest import null_block
 import multiseq.dtl as dtl_module
 import multiseq.gs as gs_module
 import multiseq.simulate as simulate_module
@@ -20,8 +21,9 @@ from multiseq import (
     search_design,
     search_gs_design,
 )
-from multiseq.analysis import compare_at_effects, evaluate_at_effects, realisation_null_block
+from multiseq.analysis import compare_at_effects, evaluate_at_effects
 from multiseq.dtl import DtLRealisation
+from multiseq.simulate import null_blocks
 
 
 def gs_spec(k=2, m=1, j=2, composite=False, delta0=0.2, delta1=0.4):
@@ -29,30 +31,48 @@ def gs_spec(k=2, m=1, j=2, composite=False, delta0=0.2, delta1=0.4):
                         beta=0.2, delta0=delta0, delta1=delta1, composite=composite)
 
 
+def dtl_spec():
+    return DtLDesignSpec(n_outcomes=2, n_promising=1, max_retained=1, cp_lower=0.3,
+                         cp_upper=0.95, alpha=0.025, beta=0.2, delta0=0.2, delta1=0.4)
+
+
 class TestSearchDesignDispatch:
     def test_dispatches_by_spec_type(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=50, nsims=5_000)
-        assert search_design(gs_spec(), model, cfg).kind == "gs"
-        assert search_design(gs_spec(composite=True), model, cfg).kind == "composite"
-        dtl = DtLDesignSpec(n_outcomes=2, n_promising=1, max_retained=1,
-                            cp_lower=0.3, cp_upper=0.95, alpha=0.025, beta=0.2,
-                            delta0=0.2, delta1=0.4)
-        assert isinstance(search_design(dtl, model, cfg, nmax=200), DtLRealisation)
+        block = null_block(2, model, SimConfig(seed=50, nsims=5_000))
+        assert search_design(gs_spec(), model, block).kind == "gs"
+        assert search_design(gs_spec(composite=True), model, block).kind == "composite"
+        assert isinstance(search_design(dtl_spec(), model, block, nmax=200), DtLRealisation)
 
     def test_unknown_spec_rejected(self):
+        model = OutcomeModel.equicorrelated(2, 0.3)
         with pytest.raises(TypeError):
-            search_design(object(), OutcomeModel.equicorrelated(2, 0.3),
-                          SimConfig(seed=1, nsims=10))
+            search_design(object(), model, null_block(1, model, SimConfig(seed=1, nsims=10)))
+
+    def test_nmin_defaults_to_the_spec_family(self, monkeypatch):
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        block = null_block(2, model, SimConfig(seed=50, nsims=500))
+        starts = []
+
+        def first_probe(power, target, nmin, nmax, gallop=False):
+            starts.append(nmin)
+            power(nmin)
+            return nmin
+
+        for module in (gs_module, dtl_module):
+            monkeypatch.setattr(module, "smallest_passing", first_probe)
+        for spec in (gs_spec(), dtl_spec()):
+            search_design(spec, model, block, nmax=50)
+            search_design(spec, model, block, nmin=5, nmax=50)
+        assert starts == [1, 5, 2, 5]
 
 
 class TestIdentifiedPower:
     def test_equals_power_when_all_outcomes_working(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=51, nsims=30_000)
         spec = gs_spec(k=2, m=2, j=2)
-        real = search_gs_design(spec, model, cfg)
-        block = realisation_null_block(real, model, cfg)
+        block = null_block(2, model, SimConfig(seed=51, nsims=30_000))
+        real = search_gs_design(spec, model, block)
         delta_beta = np.array([0.4, 0.4])
         p = identified_power(block, real, model, delta_beta, working=(0, 1))
         schedule = StageSchedule.equal(real.n, 2)
@@ -64,9 +84,8 @@ class TestIdentifiedPower:
     def test_never_exceeds_rejection_probability(self):
         rng = np.random.default_rng(52)
         model = OutcomeModel.equicorrelated(3, 0.2)
-        cfg = SimConfig(seed=53, nsims=10_000)
-        real = search_gs_design(gs_spec(k=3, m=2, j=2), model, cfg)
-        block = realisation_null_block(real, model, cfg)
+        block = null_block(2, model, SimConfig(seed=53, nsims=10_000))
+        real = search_gs_design(gs_spec(k=3, m=2, j=2), model, block)
         schedule = StageSchedule.equal(real.n, 2)
         from multiseq import estimate_gs_oc, mean_shift_vector
         for _ in range(20):
@@ -81,9 +100,9 @@ class TestIdentifiedPower:
         # uncorrelated pair, one working outcome with effect 0.4
         model = OutcomeModel.equicorrelated(2, 0.0)
         spec = gs_spec(k=2, m=1, j=1, delta0=0.0, delta1=0.4)
-        real = search_gs_design(spec, model, SimConfig(seed=54, nsims=400_000))
-        cfg = SimConfig(seed=55, nsims=1_000_000)
-        block = realisation_null_block(real, model, cfg)
+        real = search_gs_design(spec, model,
+                                null_block(1, model, SimConfig(seed=54, nsims=400_000)))
+        block = null_block(1, model, SimConfig(seed=55, nsims=1_000_000))
         delta_beta = np.array([0.4, 0.0])
         engine = identified_power(block, real, model, delta_beta, working=(0,))
         mean = delta_beta * np.sqrt(real.n)
@@ -98,8 +117,8 @@ class TestIdentifiedPower:
         model = OutcomeModel.equicorrelated(3, 0.3)
         cfg = SimConfig(seed=59, nsims=8_000)
         for m, j in ((1, 3), (2, 2)):
-            real = search_gs_design(gs_spec(k=3, m=m, j=j), model, cfg)
-            block = realisation_null_block(real, model, cfg)
+            block = null_block(j, model, cfg)
+            real = search_gs_design(gs_spec(k=3, m=m, j=j), model, block)
             for _ in range(12):
                 mu = rng.uniform(-0.3, 0.7, size=3)
                 working = tuple(np.flatnonzero(rng.uniform(size=3) < 0.5)) or (2,)
@@ -110,22 +129,22 @@ class TestIdentifiedPower:
 class TestEffectGrid:
     def test_self_comparison_gives_unit_ratios(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=57, nsims=10_000)
-        real_a = search_gs_design(gs_spec(), model, cfg)
-        real_b = search_gs_design(gs_spec(), model, cfg)
-        grid = effect_grid(real_a, real_b, [(-0.1, 0.2), (-0.1, 0.2)], model, cfg)
+        blocks = null_blocks([2], model, SimConfig(seed=57, nsims=10_000))
+        real_a = search_gs_design(gs_spec(), model, blocks[2])
+        real_b = search_gs_design(gs_spec(), model, blocks[2])
+        grid = effect_grid(real_a, real_b, [(-0.1, 0.2), (-0.1, 0.2)], model, blocks)
         np.testing.assert_array_equal(grid.ess_ratio, 1.0)
         np.testing.assert_array_equal(grid.enm_ratio, 1.0)
         np.testing.assert_array_equal(grid.p_a, grid.p_b)
 
     def test_grid_is_deterministic_and_complete(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=58, nsims=10_000)
-        real_a = search_gs_design(gs_spec(), model, cfg)
-        real_b = search_design(gs_spec(composite=True), model, cfg)
+        blocks = null_blocks([2], model, SimConfig(seed=58, nsims=10_000))
+        real_a = search_gs_design(gs_spec(), model, blocks[2])
+        real_b = search_design(gs_spec(composite=True), model, blocks[2])
         axes = [(-0.2, 0.0, 0.4), (0.0, 0.2)]
-        first = effect_grid(real_a, real_b, axes, model, cfg)
-        second = effect_grid(real_a, real_b, axes, model, cfg)
+        first = effect_grid(real_a, real_b, axes, model, blocks)
+        second = effect_grid(real_a, real_b, axes, model, blocks)
         assert first.points.shape == (6, 2)
         np.testing.assert_array_equal(first.p_a, second.p_a)
         np.testing.assert_array_equal(first.enm_b, second.enm_b)
@@ -135,24 +154,21 @@ class TestEffectGrid:
 
     def test_grid_matches_pointwise_evaluation(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=59, nsims=10_000)
-        real_a = search_gs_design(gs_spec(), model, cfg)
-        real_b = search_design(gs_spec(composite=True), model, cfg)
-        grid = effect_grid(real_a, real_b, [(0.1,), (0.3,)], model, cfg)
-        block_b = realisation_null_block(real_b, model, cfg)
-        p, ess, enm = evaluate_at_effects(real_b, block_b, model, [0.1, 0.3])
+        blocks = null_blocks([2], model, SimConfig(seed=59, nsims=10_000))
+        real_a = search_gs_design(gs_spec(), model, blocks[2])
+        real_b = search_design(gs_spec(composite=True), model, blocks[2])
+        grid = effect_grid(real_a, real_b, [(0.1,), (0.3,)], model, blocks)
+        p, ess, enm = evaluate_at_effects(real_b, blocks[2], model, [0.1, 0.3])
         assert grid.p_b[0] == p and grid.ess_b[0] == ess and grid.enm_b[0] == enm
 
     def test_threads_reach_every_evaluation_pass(self, monkeypatch):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=63, nsims=600)
-        real_gs = search_gs_design(gs_spec(), model, cfg)
-        real_dtl = search_design(DtLDesignSpec(n_outcomes=2, n_promising=1, max_retained=1,
-                                               cp_lower=0.3, cp_upper=0.95, alpha=0.025,
-                                               beta=0.2, delta0=0.2, delta1=0.4),
-                                 model, SimConfig(seed=63, nsims=5_000), nmax=200)
+        blocks = null_blocks([2], model, SimConfig(seed=63, nsims=600))
+        real_gs = search_gs_design(gs_spec(), model, blocks[2])
+        real_dtl = search_design(dtl_spec(), model,
+                                 null_block(2, model, SimConfig(seed=63, nsims=5_000)), nmax=200)
         axes = [(-0.1, 0.2, 0.4), (0.0, 0.3)]
-        expected = effect_grid(real_gs, real_dtl, axes, model, cfg)
+        expected = effect_grid(real_gs, real_dtl, axes, model, blocks)
         pools = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -161,11 +177,10 @@ class TestEffectGrid:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
-        # 600 rows in 100-row chunks: every pass spans 6 chunks, while
-        # each 600-row block is simulated in one chunk, without a pool
+        # 600 rows in 100-row chunks: every pass spans 6 chunks
         for module in (gs_module, dtl_module):
             monkeypatch.setattr(module, "CHUNK_BYTES", 100 * 4 * 8)
-        grid = effect_grid(real_gs, real_dtl, axes, model, cfg, threads=2)
+        grid = effect_grid(real_gs, real_dtl, axes, model, blocks, threads=2)
         # one pool per evaluation pass: 6 points, each for both designs
         assert pools == [2] * 12
         for name in ("p_a", "p_b", "ess_a", "ess_b", "enm_a", "enm_b"):
@@ -173,16 +188,15 @@ class TestEffectGrid:
 
     def test_axes_must_match_outcomes(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=60, nsims=5_000)
-        real = search_gs_design(gs_spec(), model, cfg)
+        blocks = null_blocks([2], model, SimConfig(seed=60, nsims=5_000))
+        real = search_gs_design(gs_spec(), model, blocks[2])
         with pytest.raises(ValueError):
-            effect_grid(real, real, [(0.0,)], model, cfg)
+            effect_grid(real, real, [(0.0,)], model, blocks)
 
     def test_rejection_monotone_along_increasing_effects(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=61, nsims=20_000)
-        real = search_gs_design(gs_spec(), model, cfg)
-        block = realisation_null_block(real, model, cfg)
+        block = null_block(2, model, SimConfig(seed=61, nsims=20_000))
+        real = search_gs_design(gs_spec(), model, block)
         path = [(-0.2, -0.1), (0.0, 0.0), (0.1, 0.05), (0.3, 0.2), (0.4, 0.4)]
         probs = [evaluate_at_effects(real, block, model, mu)[0] for mu in path]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
@@ -198,10 +212,7 @@ class TestCorrelationSweep:
 
     def test_failed_points_are_marked_not_fatal(self):
         cfg = SimConfig(seed=63, nsims=2_000)
-        dtl = DtLDesignSpec(n_outcomes=2, n_promising=1, max_retained=1,
-                            cp_lower=0.3, cp_upper=0.95, alpha=0.025, beta=0.2,
-                            delta0=0.2, delta1=0.4)
-        curve = correlation_sweep(dtl, gs_spec(j=1), (0.0, 0.3), cfg,
+        curve = correlation_sweep(dtl_spec(), gs_spec(j=1), (0.0, 0.3), cfg,
                                   nmin=2, nmax=4)
         assert not curve.valid.any()
         assert len(curve.errors) == 2
@@ -214,15 +225,41 @@ class TestCorrelationSweep:
         assert curve.n_a[0] >= 1 and curve.n_b[0] >= 1
         assert curve.constant_a[0] > 0 and curve.constant_b[0] > 0
 
+    def test_draws_each_block_once_and_drops_it_before_the_next_rho(self, monkeypatch):
+        drawn = []  # (model, stage count, weak reference to the block)
+        simulate = simulate_module.simulate_null_block
+
+        def tracked(schedule, model, cfg, threads=1):
+            assert all(ref() is None for other, _, ref in drawn if other is not model)
+            block = simulate(schedule, model, cfg, threads=threads)
+            drawn.append((model, schedule.n_stages, weakref.ref(block)))
+            return block
+
+        monkeypatch.setattr(simulate_module, "simulate_null_block", tracked)
+        cfg = SimConfig(seed=65, nsims=2_000)
+        curve = correlation_sweep(dtl_spec(), gs_spec(j=1), (0.0, 0.3, 0.6), cfg, nmax=200)
+        assert curve.valid.all()
+        assert [(model.rho[0, 1], j) for model, j, _ in drawn] == \
+            [(0.0, 1), (0.0, 2), (0.3, 1), (0.3, 2), (0.6, 1), (0.6, 2)]
+        monkeypatch.undo()
+        # each point equals both searches on the blocks that null_blocks draws
+        for i, rho in enumerate((0.0, 0.3, 0.6)):
+            model = OutcomeModel.equicorrelated(2, rho)
+            blocks = null_blocks([1, 2], model, cfg)
+            real_a = search_design(dtl_spec(), model, blocks[2], nmax=200)
+            real_b = search_design(gs_spec(j=1), model, blocks[1], nmax=200)
+            assert (curve.n_a[i], curve.n_b[i]) == (real_a.n, real_b.n)
+            assert (curve.ess_a[i], curve.ess_b[i]) == (real_a.oc_lfc.ess, real_b.oc_lfc.ess)
+
 
 class TestCompareAtEffects:
     def test_table_rows_share_blocks_across_points(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
-        cfg = SimConfig(seed=65, nsims=10_000)
-        real_a = search_gs_design(gs_spec(), model, cfg)
-        real_b = search_design(gs_spec(composite=True), model, cfg)
+        blocks = null_blocks([2], model, SimConfig(seed=65, nsims=10_000))
+        real_a = search_gs_design(gs_spec(), model, blocks[2])
+        real_b = search_design(gs_spec(composite=True), model, blocks[2])
         rows = compare_at_effects(real_a, real_b, model,
-                                  [(0.0, 0.0), (0.4, 0.2)], cfg)
+                                  [(0.0, 0.0), (0.4, 0.2)], blocks)
         assert rows["p_a"].shape == (2,)
         assert rows["p_a"][1] > rows["p_a"][0]
 
@@ -230,29 +267,27 @@ class TestCompareAtEffects:
     def test_equal_stage_counts_share_one_simulated_block(self, monkeypatch, design_b):
         model = OutcomeModel.equicorrelated(2, 0.3)
         cfg = SimConfig(seed=66, nsims=4_000)
-        real_a = search_gs_design(gs_spec(), model, cfg)  # two stages
-        if design_b == "dtl":  # two stages too
-            real_b = search_design(DtLDesignSpec(n_outcomes=2, n_promising=1,
-                                                 max_retained=1, cp_lower=0.3,
-                                                 cp_upper=0.95, alpha=0.025, beta=0.2,
-                                                 delta0=0.2, delta1=0.4),
-                                   model, cfg, nmax=200)
-        else:
-            j = 3 if design_b == "three-stage" else 2
-            real_b = search_design(gs_spec(j=j, composite=True), model, cfg)
-        mus = [(0.0, 0.0), (0.4, 0.2)]
-        expected = {tag: [evaluate_at_effects(real, realisation_null_block(real, model, cfg),
-                                              model, mu) for mu in mus]
-                    for tag, real in (("a", real_a), ("b", real_b))}
+        spec_b = {"composite": gs_spec(composite=True), "dtl": dtl_spec(),  # two stages
+                  "three-stage": gs_spec(j=3, composite=True)}[design_b]
         calls = []
 
         def counted(schedule, *args, **kwargs):
             calls.append(schedule.n_stages)
-            return simulate_module.simulate_null_block(schedule, *args, **kwargs)
+            return simulate(schedule, *args, **kwargs)
 
-        monkeypatch.setattr(analysis_module, "simulate_null_block", counted)
-        rows = compare_at_effects(real_a, real_b, model, mus, cfg)
+        simulate = simulate_module.simulate_null_block
+        monkeypatch.setattr(simulate_module, "simulate_null_block", counted)
+        blocks = null_blocks([2, spec_b.n_stages], model, cfg)
         assert calls == ([2, 3] if design_b == "three-stage" else [2])
+        real_a = search_gs_design(gs_spec(), model, blocks[2])  # two stages
+        real_b = search_design(spec_b, model, blocks[spec_b.n_stages], nmax=200)
+        mus = [(0.0, 0.0), (0.4, 0.2)]
+        expected = {tag: [evaluate_at_effects(real, null_block(real.n_stages, model, cfg),
+                                              model, mu) for mu in mus]
+                    for tag, real in (("a", real_a), ("b", real_b))}
+        del calls[:]
+        rows = compare_at_effects(real_a, real_b, model, mus, blocks)
+        assert calls == []  # the grid evaluates the caller's blocks only
         for tag in ("a", "b"):
             got = list(zip(rows[f"p_{tag}"], rows[f"ess_{tag}"], rows[f"enm_{tag}"]))
             assert got == expected[tag]

@@ -1,6 +1,7 @@
 import pytest
 
-from multiseq import OutcomeModel, analysis, dtl, gs, simulate
+from conftest import null_block
+from multiseq import OutcomeModel, analysis, cli, dtl, gs, simulate
 from multiseq.cli import (
     _sim_config,
     _spec_for_kind,
@@ -53,10 +54,41 @@ rho_values = 0.0, 0.5
 """
 
 
+# one configuration per command shape, with the stage count of every null
+# block the command should draw
+COMMANDS = {
+    "design-gs": (["design", "gs"], GS_CONFIG, [3]),
+    "design-dtl": (["design", "dtl"], DTL_CONFIG, [2]),
+    "grid-gs-composite": (["oc", "grid"],
+                          GS_CONFIG.replace("kind = gs", "kind_a = gs\nkind_b = composite")
+                          + "mu_values = 0.0, 0.4\n", [3]),
+    "grid-dtl-single-stage": (["oc", "grid"],
+                              DTL_CONFIG.replace("kind = dtl",
+                                                 "kind_a = dtl\nkind_b = single-stage")
+                              + "mu_values = 0.0, 0.4\n", [1, 2]),
+    "sweep-three-rho": (["oc", "sweep"],
+                        SWEEP_CONFIG.replace("rho_values = 0.0, 0.5",
+                                             "rho_values = 0.0, 0.3, 0.6"), [2, 2, 2]),
+    "sensitivity-2x2": (["oc", "sensitivity"],
+                        DTL_CONFIG + "cp_l_values = 0.2, 0.4\ncp_u_values = 0.8, 0.9\n", [2]),
+}
+
+
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def patch_simulation(monkeypatch, replacement):
+    """Replace simulate_null_block in every module that looks it up."""
+    for module in (analysis, cli, dtl, gs, simulate):
+        if hasattr(module, "simulate_null_block"):
+            monkeypatch.setattr(module, "simulate_null_block", replacement)
+
+
+def no_block(*args, **kwargs):
+    raise AssertionError("a block was simulated")
 
 
 class TestKeyValueParsing:
@@ -303,8 +335,9 @@ mu_values = 0.0, 0.4
             fields = line.split(",")
             model = OutcomeModel(sigma=(1.0, 3.0), rho=rho)
             for kind, n_col, ess_col in (("gs", 2, 6), ("composite", 3, 7)):
-                real = analysis.search_design(_spec_for_kind(cfg, kind), model,
-                                              _sim_config(cfg))
+                spec = _spec_for_kind(cfg, kind)
+                real = analysis.search_design(spec, model,
+                                              null_block(spec.n_stages, model, _sim_config(cfg)))
                 assert int(fields[n_col]) == real.n
                 assert float(fields[ess_col]) == pytest.approx(real.oc_lfc.ess, rel=1e-5)
 
@@ -317,6 +350,74 @@ mu_values = 0.0, 0.4
         lines = (out / "sensitivity.csv").read_text().splitlines()
         assert lines[0].startswith("cp_l,cp_u,r,n,N,")
         assert len(lines) == 3
+
+    def test_oc_sensitivity_skips_pairs_out_of_order(self, tmp_path):
+        text = DTL_CONFIG + "cp_l_values = 0.2, 0.95\ncp_u_values = 0.9\n"
+        out = tmp_path / "sens"
+        assert run_cli(["oc", "sensitivity", "--config", str(write(tmp_path, text)),
+                        "--out", str(out)]) == 0
+        rows = (out / "sensitivity.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["0.2", "0.9"]]
+        assert "combinations = 1" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("lowers, uppers, key", [
+        ("1.5, -0.2", "0.9, 7", "cp_l_values"),
+        ("0.2, -0.2", "0.9", "cp_l_values"),
+        ("0.2", "0.9, 7", "cp_u_values"),
+        ("0.6, 0.9", "0.5, 0.6", "cp_l_values/cp_u_values"),
+        ("0.96", "", "cp_l_values/cp_u_values"),  # cp_u = 0.95 fills the upper grid
+    ])
+    def test_oc_sensitivity_rejects_invalid_threshold_grids(self, tmp_path, capsys,
+                                                            monkeypatch, lowers, uppers,
+                                                            key):
+        patch_simulation(monkeypatch, no_block)
+        text = DTL_CONFIG + f"cp_l_values = {lowers}\ncp_u_values = {uppers}\n"
+        assert run_cli(["oc", "sensitivity", "--config", str(write(tmp_path, text)),
+                        "--out", str(tmp_path / "sens")]) == 2
+        assert f"configuration error: {key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["grid", "sweep"])
+    def test_dtl_kind_takes_its_default_nmin(self, tmp_path, capsys, command):
+        # the dtl search starts from n = 2, so nmax = 2 leaves it nothing
+        text = DTL_CONFIG.replace("kind = dtl", "kind_a = dtl\nkind_b = gs") \
+            .replace("nmin = 2\nnmax = 120\n", "nmax = 2\n")
+        assert run_cli(["oc", command, "--config", str(write(tmp_path, text)),
+                        "--out", str(tmp_path / command)]) == 2
+        assert "configuration error: nmax: require nmin < nmax, got 2 and 2" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_each_null_block_is_drawn_once(self, tmp_path, monkeypatch, name):
+        command, text, stage_counts = COMMANDS[name]
+        drawn = []
+        simulate_null_block = simulate.simulate_null_block
+
+        def counted(schedule, model, cfg, threads=1):
+            drawn.append(schedule.n_stages)
+            return simulate_null_block(schedule, model, cfg, threads=threads)
+
+        patch_simulation(monkeypatch, counted)
+        assert run_cli(command + ["--config", str(write(tmp_path, text)),
+                                  "--out", str(tmp_path / "out")]) == 0
+        assert drawn == stage_counts
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, monkeypatch, name):
+        command, text, _ = COMMANDS[name]
+        # 1,000-row simulation chunks and 8 kB pass chunks: every block is
+        # drawn, and every pass made, over several chunks
+        for module in (gs, dtl):
+            monkeypatch.setattr(module, "CHUNK_BYTES", 8 << 10)
+        cfg_path = write(tmp_path, text + "chunk_size = 1000\n")
+        outputs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads-{threads}"
+            assert run_cli(command + ["--config", str(cfg_path), "--threads", str(threads),
+                                      "--out", str(out)]) == 0
+            outputs[threads] = {path.name: path.read_bytes() for path in out.iterdir()
+                                if path.name != "config_echo.txt"}
+        assert len(outputs[1]) >= 2
+        assert outputs[1] == outputs[2]
 
     def test_kind_conflict_rejected(self, tmp_path, capsys):
         cfg_path = write(tmp_path, GS_CONFIG)
@@ -352,11 +453,7 @@ mu_values = 0.0, 0.4
     ])
     def test_invalid_input_fails_before_simulation(self, tmp_path, capsys, monkeypatch,
                                                    kind, key, value):
-        def no_block(*args, **kwargs):
-            raise AssertionError("a block was simulated")
-
-        for module in (analysis, dtl, gs, simulate):
-            monkeypatch.setattr(module, "simulate_null_block", no_block)
+        patch_simulation(monkeypatch, no_block)
         # without nmin/nmax, so nmax takes its default of 400
         text = {"gs": GS_CONFIG,
                 "dtl": DTL_CONFIG.replace("nmin = 2\nnmax = 120\n", ""),

@@ -9,6 +9,7 @@ from scipy.special import ndtr
 import multiseq.dtl as dtl_mod
 import multiseq.simulate as simulate_module
 from _oracles import DtLBlockRule, evaluate_dtl_row
+from conftest import null_block
 from multiseq import (
     CalibrationError,
     DtLDesignSpec,
@@ -503,7 +504,7 @@ class TestChunkedPass:
             rule = dtl_mod._Rule(block, spec, model, 20, threads=threads)
             cal = outcome_of(lambda: calibrate_r(block, spec, model, 20, threads=threads))
             search = outcome_of(lambda: search_summary(search_dtl_design(
-                spec, model, cfg, nmin=2, nmax=60, threads=threads)))
+                spec, model, block, nmin=2, nmax=60, threads=threads)))
             return (rule.go_limits(), rule.go_limits(shift), cal, rule.oc(2.0),
                     estimate_dtl_oc(block, spec, model, 2.0, 20, shift=shift,
                                     threads=threads), search)
@@ -552,7 +553,8 @@ class TestSearch:
     def test_reproduces_two_outcome_design(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         real = search_dtl_design(dtl_spec(), model,
-                                 SimConfig(seed=43, nsims=50_000), nmin=2, nmax=200)
+                                 null_block(2, model, SimConfig(seed=43, nsims=50_000)),
+                                 nmin=2, nmax=200)
         assert abs(real.n_total - 64) <= 6
         assert real.r == pytest.approx(2.273714, abs=0.08)
         assert real.power_star >= 0.8
@@ -561,11 +563,20 @@ class TestSearch:
     def test_requires_feasible_range(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         with pytest.raises(InfeasibleDesignError):
-            search_dtl_design(dtl_spec(), model, SimConfig(seed=44, nsims=5_000),
+            search_dtl_design(dtl_spec(), model,
+                              null_block(2, model, SimConfig(seed=44, nsims=5_000)),
                               nmin=2, nmax=4)
         with pytest.raises(ValueError):
-            search_dtl_design(dtl_spec(), model, SimConfig(seed=44, nsims=100),
+            search_dtl_design(dtl_spec(), model,
+                              null_block(2, model, SimConfig(seed=44, nsims=100)),
                               nmin=10, nmax=10)
+
+    def test_block_must_have_two_stages(self):
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        with pytest.raises(ValueError, match="two stages"):
+            search_dtl_design(dtl_spec(), model,
+                              null_block(1, model, SimConfig(seed=44, nsims=100)),
+                              nmin=2, nmax=40)
 
 
 class TestLookup:

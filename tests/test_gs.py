@@ -10,6 +10,7 @@ import pytest
 import multiseq.gs as gs_module
 import multiseq.simulate as simulate_module
 from _oracles import decide_rows, evaluate_gs_row, linear_scan_n, step_boundary
+from conftest import null_block
 from multiseq import (
     Boundaries,
     CalibrationError,
@@ -433,9 +434,9 @@ class TestComposite:
     def test_composite_search_equals_multi_outcome_for_one_outcome(self):
         model = OutcomeModel.equicorrelated(1, 0.0)
         spec = spec_for(1, 1, 3)
-        cfg = SimConfig(seed=24, nsims=30_000)
-        mo = search_gs_design(spec, model, cfg)
-        comp = search_gs_design(replace(spec, composite=True), model, cfg)
+        block = null_block(3, model, SimConfig(seed=24, nsims=30_000))
+        mo = search_gs_design(spec, model, block)
+        comp = search_gs_design(replace(spec, composite=True), model, block)
         assert comp.constant == mo.constant
         assert comp.n == mo.n
         assert comp.oc_lfc == mo.oc_lfc
@@ -447,22 +448,21 @@ class TestSearch:
         # n = ceil(((z_{0.975} + z_{0.8}) / 0.4)^2) = 50
         model = OutcomeModel.equicorrelated(1, 0.0)
         real = search_gs_design(spec_for(1, 1, 1), model,
-                                SimConfig(seed=25, nsims=400_000))
+                                null_block(1, model, SimConfig(seed=25, nsims=400_000)))
         assert abs(real.n - 50) <= 1
         assert real.power_star >= 0.8
 
     def test_alpha_star_matches_null_oc(self, two_outcome_model, two_outcome_spec):
         real = search_gs_design(two_outcome_spec, two_outcome_model,
-                                SimConfig(seed=26, nsims=20_000))
+                                null_block(3, two_outcome_model, SimConfig(seed=26, nsims=20_000)))
         assert real.alpha_star == real.oc_null.p_reject
         assert real.n_total == real.n * 3
         assert real.boundaries.final == pytest.approx(real.constant)
 
     def test_power_monotone_in_each_effect(self, two_outcome_model, two_outcome_spec):
         # increasing any single true effect can only help an m-of-K rule
-        cfg = SimConfig(seed=28, nsims=30_000)
-        real = search_gs_design(two_outcome_spec, two_outcome_model, cfg)
-        block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model, cfg)
+        block = null_block(3, two_outcome_model, SimConfig(seed=28, nsims=30_000))
+        real = search_gs_design(two_outcome_spec, two_outcome_model, block)
         schedule = StageSchedule.equal(real.n, 3)
         spec = two_outcome_spec
         previous = -1.0
@@ -503,9 +503,11 @@ class TestSearch:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
-        first = search_gs_design(two_outcome_spec, two_outcome_model, cfg, threads=1)
+        block = null_block(3, two_outcome_model, cfg, threads=1)
+        first = search_gs_design(two_outcome_spec, two_outcome_model, block, threads=1)
         assert pools == []
-        second = search_gs_design(two_outcome_spec, two_outcome_model, cfg, threads=3)
+        block = null_block(3, two_outcome_model, cfg, threads=3)
+        second = search_gs_design(two_outcome_spec, two_outcome_model, block, threads=3)
         # simulation starts one pool; every further pool is a threaded block pass
         assert len(pools) > 1 and set(pools) == {3}
         assert first.constant == second.constant
@@ -516,25 +518,34 @@ class TestSearch:
     def test_strict_search_keeps_alpha_at_or_below_target(self, two_outcome_model,
                                                           two_outcome_spec):
         real = search_gs_design(two_outcome_spec, two_outcome_model,
-                                SimConfig(seed=30, nsims=20_000), strict=True)
+                                null_block(3, two_outcome_model, SimConfig(seed=30, nsims=20_000)),
+                                strict=True)
         assert real.alpha_star <= 0.025
 
     def test_infeasible_power_raises(self, two_outcome_model, two_outcome_spec):
         with pytest.raises(InfeasibleDesignError):
             search_gs_design(two_outcome_spec, two_outcome_model,
-                             SimConfig(seed=29, nsims=5_000), nmax=2)
+                             null_block(3, two_outcome_model, SimConfig(seed=29, nsims=5_000)),
+                             nmax=2)
 
     def test_model_spec_outcome_mismatch_rejected(self, two_outcome_spec):
         model = OutcomeModel.equicorrelated(3, 0.3)
         with pytest.raises(ValueError, match="outcomes"):
-            search_gs_design(two_outcome_spec, model, SimConfig(seed=1, nsims=100))
+            search_gs_design(two_outcome_spec, model,
+                             null_block(3, model, SimConfig(seed=1, nsims=100)))
+
+    def test_block_shape_must_match_spec(self, two_outcome_model, two_outcome_spec):
+        block = null_block(2, two_outcome_model, SimConfig(seed=1, nsims=100))
+        with pytest.raises(ValueError, match="block shape"):
+            search_gs_design(two_outcome_spec, two_outcome_model, block)
 
     def test_small_effect_search_takes_few_probes(self, monkeypatch, two_outcome_model):
         probes = count_probes(monkeypatch)
         spec = GSDesignSpec(n_outcomes=2, n_promising=1, n_stages=3, alpha=0.025,
                             beta=0.2, delta0=0.05, delta1=0.1)
         real = search_gs_design(spec, two_outcome_model,
-                                SimConfig(seed=33, nsims=5_000), nmax=2_000)
+                                null_block(3, two_outcome_model, SimConfig(seed=33, nsims=5_000)),
+                                nmax=2_000)
         assert 200 <= real.n <= 500
         assert len(probes) <= 25
 
@@ -543,18 +554,17 @@ class TestSearch:
         probes = count_probes(monkeypatch)
         spec = GSDesignSpec(n_outcomes=1, n_promising=1, n_stages=1, alpha=0.025,
                             beta=0.2, delta0=2.2, delta1=2.2)
-        real = search_gs_design(spec, OutcomeModel.equicorrelated(1, 0.0),
-                                SimConfig(seed=34, nsims=20_000))
+        model = OutcomeModel.equicorrelated(1, 0.0)
+        real = search_gs_design(spec, model, null_block(1, model, SimConfig(seed=34, nsims=20_000)))
         assert real.n == 2
         assert probes == [1, 2]
 
     def test_returned_lfc_oc_is_the_probe_result(self, monkeypatch, two_outcome_model,
                                                  two_outcome_spec):
         probes = count_probes(monkeypatch)
-        cfg = SimConfig(seed=35, nsims=10_000)
-        real = search_gs_design(two_outcome_spec, two_outcome_model, cfg)
+        block = null_block(3, two_outcome_model, SimConfig(seed=35, nsims=10_000))
+        real = search_gs_design(two_outcome_spec, two_outcome_model, block)
         assert probes.count(real.n) == 1
-        block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model, cfg)
         schedule = StageSchedule.equal(real.n, 3)
         shift = mean_shift_vector(lfc_effects(two_outcome_spec), schedule, two_outcome_model)
         assert real.oc_lfc == estimate_gs_oc(block, real.boundaries, two_outcome_spec,
@@ -584,10 +594,10 @@ class TestSearch:
             if expected is None:
                 outcomes["infeasible"] += 1
                 with pytest.raises(InfeasibleDesignError):
-                    search_gs_design(spec, model, cfg, nmin=nmin, nmax=nmax)
+                    search_gs_design(spec, model, block, nmin=nmin, nmax=nmax)
                 continue
             outcomes["at_nmin" if expected[0] == nmin else "found"] += 1
-            real = search_gs_design(spec, model, cfg, nmin=nmin, nmax=nmax)
+            real = search_gs_design(spec, model, block, nmin=nmin, nmax=nmax)
             assert (real.n, real.power_star, real.alpha_star) == expected, case
             assert real.boundaries == boundaries
         assert min(outcomes.values()) >= 3, outcomes

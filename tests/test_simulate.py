@@ -58,6 +58,27 @@ class TestCholesky:
             cholesky_factor(bad)
 
 
+class TestNullBlocks:
+    def test_one_block_per_distinct_stage_count(self, monkeypatch, two_outcome_model):
+        cfg = SimConfig(seed=98, nsims=3_000, chunk_size=1_000)
+        drawn = []
+        simulate = simulate_module.simulate_null_block
+
+        def counted(schedule, model, cfg, threads=1):
+            drawn.append((schedule.n_stages, threads))
+            return simulate(schedule, model, cfg, threads=threads)
+
+        monkeypatch.setattr(simulate_module, "simulate_null_block", counted)
+        blocks = simulate_module.null_blocks([2, 1, 2, 3], two_outcome_model, cfg,
+                                             threads=2)
+        assert drawn == [(1, 2), (2, 2), (3, 2)]
+        assert list(blocks) == [1, 2, 3]
+        for j, block in blocks.items():
+            expected = simulate(StageSchedule.equal(1, j), two_outcome_model, cfg)
+            assert block.n_stages == j
+            assert np.array_equal(block.values, expected.values)
+
+
 class TestSimulateNullBlock:
     def test_same_config_is_bit_identical(self, two_outcome_model):
         schedule = StageSchedule.equal(1, 3)
