@@ -207,6 +207,9 @@ def _validate(cfg: RunConfig) -> None:
             _fail(name, f"must be one of {', '.join(DESIGN_KINDS)}")
     if not 0 <= cfg.cp_l < cfg.cp_u <= 1:
         _fail("cp_l/cp_u", "thresholds must satisfy 0 <= cp_l < cp_u <= 1")
+    for name in ("mu_values", "rho_values"):
+        if not getattr(cfg, name):  # an empty grid would echo back as the default
+            _fail(name, "needs at least one value")
     for name in ("cp_l_values", "cp_u_values"):
         outside = [v for v in getattr(cfg, name) if not 0 <= v <= 1]
         if outside:

@@ -22,11 +22,14 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .model import OutcomeModel, StageSchedule, _as_vector, lfc_effects
 from .optimize import exceedance_boundary, smallest_passing
 from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
+
+# scipy.special's ndtr/ndtri are imported inside the three functions that use
+# them, not here: scipy.special takes about 0.35 s to import and only
+# drop-the-loser runs need it, so the other design families never load it.
 
 __all__ = [
     "DtLDesignSpec",
@@ -131,6 +134,8 @@ def conditional_power(z, r, info_interim, info_final, effect):
 
     Broadcasts over array inputs.
     """
+    from scipy.special import ndtr
+
     i1 = np.asarray(info_interim, dtype=float)
     i2 = np.asarray(info_final, dtype=float)
     if np.any(i2 <= i1) or np.any(i1 <= 0):
@@ -151,6 +156,8 @@ def invert_cp_boundaries(cp_lower: float, cp_upper: float, r: float,
     A threshold of 0 or 1 maps to -inf / +inf, signalling that the
     corresponding early exit is disabled.
     """
+    from scipy.special import ndtri
+
     if not 0.0 <= cp_lower < cp_upper <= 1.0:
         raise ValueError("thresholds must satisfy 0 <= cp_lower < cp_upper <= 1")
     i1, i2 = float(info_interim), float(info_final)
@@ -204,6 +211,8 @@ class _Rule:
 
     def __init__(self, block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
                  n: int, max_retained: int | None = None, threads: int = 1):
+        from scipy.special import ndtri
+
         if block.n_stages != N_STAGES:
             raise ValueError("drop-the-loser blocks must have exactly two stages")
         if block.n_outcomes != spec.n_outcomes:
@@ -362,9 +371,9 @@ def cp_lookup(spec: DtLDesignSpec, model: OutcomeModel, r: float, n: int,
     which outcomes fall below or above the thresholds.
     """
     i1, i2 = _information(n, model)
+    z = np.asarray(z_values, dtype=float)
     rows = []
     for k in range(spec.n_outcomes):
-        for z in np.asarray(z_values, dtype=float):
-            cp = conditional_power(float(z), r, i1[k], i2[k], spec.delta1[k])
-            rows.append((k + 1, float(z), cp))
+        cp = conditional_power(z, r, i1[k], i2[k], spec.delta1[k])
+        rows.extend(zip([k + 1] * len(z), z.tolist(), cp.tolist()))
     return rows

@@ -12,7 +12,6 @@ common random numbers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +107,9 @@ def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> None:
     """
     ranges = _chunk_ranges(nrows, chunk_rows)
     if threads > 1 and len(ranges) > 1:
+        # imported here so that a single-threaded run never loads it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
             for fut in [pool.submit(fn, i, a, b) for i, (a, b) in enumerate(ranges)]:
                 fut.result()

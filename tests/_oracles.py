@@ -14,9 +14,11 @@ and decides it with ``decide_rows``, as a check on the chunked
 identified-power pass. ``DtLBlockRule`` applies the
 drop-the-loser rule through conditional power at one r over a shifted
 copy of the whole block, as a check on the exact go-limit calibration
-and the chunked drop-the-loser pass. ``step_boundary`` evaluates the
-rejection rate on every step between event values by direct counting,
-as a check on the exact interval calibration.
+and the chunked drop-the-loser pass. ``cp_lookup_rows`` computes the
+conditional-power lookup one (outcome, z) at a time, as a check on the
+per-outcome array call in ``dtl.cp_lookup``. ``step_boundary``
+evaluates the rejection rate on every step between event values by
+direct counting, as a check on the exact interval calibration.
 """
 
 from __future__ import annotations
@@ -190,6 +192,19 @@ def evaluate_dtl_row(stage1, stage2, spec: DtLDesignSpec, r: float,
     retained = order[:retained_count]
     hits = int((stage2[retained] > r).sum())
     return ("go-final" if hits >= m else "nogo-final"), retained_count
+
+
+def cp_lookup_rows(spec: DtLDesignSpec, model: OutcomeModel, r: float, n: int,
+                   z_values) -> list:
+    """(outcome, z, conditional power) rows, one scalar call per row."""
+    i1 = n / np.asarray(model.sigma) ** 2
+    i2 = 2.0 * i1
+    rows = []
+    for k in range(spec.n_outcomes):
+        for z in np.asarray(z_values, dtype=float):
+            cp = conditional_power(float(z), r, i1[k], i2[k], spec.delta1[k])
+            rows.append((k + 1, float(z), cp))
+    return rows
 
 
 def covariance_entry(stage_a: int, stage_b: int, outcome_a: int, outcome_b: int,

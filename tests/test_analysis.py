@@ -176,7 +176,7 @@ class TestEffectGrid:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         # 600 rows in 100-row chunks: every pass spans 6 chunks
         for module in (gs_module, dtl_module):
             monkeypatch.setattr(module, "CHUNK_BYTES", 100 * 4 * 8)

@@ -450,17 +450,20 @@ mu_values = 0.0, 0.4
         ("gs", "nmin", "500"),
         ("dtl", "nmin", "500"),
         ("sweep", "rho_values", "0.0, -0.9"),
+        ("grid", "mu_values", ""),
+        ("sweep", "rho_values", ""),
     ])
     def test_invalid_input_fails_before_simulation(self, tmp_path, capsys, monkeypatch,
                                                    kind, key, value):
         patch_simulation(monkeypatch, no_block)
         # without nmin/nmax, so nmax takes its default of 400
+        pair = GS_CONFIG.replace("kind = gs", "kind_a = gs\nkind_b = composite")
         text = {"gs": GS_CONFIG,
                 "dtl": DTL_CONFIG.replace("nmin = 2\nnmax = 120\n", ""),
-                "sweep": GS_CONFIG.replace("kind = gs", "kind_a = gs\nkind_b = composite")
-                .replace("K = 2", "K = 3")}[kind]
+                "grid": pair,
+                "sweep": pair.replace("K = 2", "K = 3")}[kind]
         cfg_path = write(tmp_path, text)
-        command = ["oc", "sweep"] if kind == "sweep" else ["design", kind]
+        command = ["oc", kind] if kind in ("grid", "sweep") else ["design", kind]
         assert run_cli(command + ["--config", str(cfg_path), "--set",
                                   f"{key}={value}", "--out", str(tmp_path / "v")]) == 2
         assert f"configuration error: {key}:" in capsys.readouterr().err

@@ -7,8 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 import multiseq.dtl as dtl_mod
-import multiseq.simulate as simulate_module
-from _oracles import DtLBlockRule, evaluate_dtl_row
+from _oracles import DtLBlockRule, cp_lookup_rows, evaluate_dtl_row
 from conftest import null_block
 from multiseq import (
     CalibrationError,
@@ -517,7 +516,7 @@ class TestChunkedPass:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(dtl_mod, "CHUNK_BYTES", 3 * block.values[:1].nbytes)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers interleave as often as they can
@@ -590,3 +589,19 @@ class TestLookup:
         assert outcome == 1 and z == -2.0
         ref = conditional_power(-2.0, 2.273714, 32.0, 64.0, 0.4)
         assert cp == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_equals_scalar_oracle_exactly(self, k):
+        # unequal sigma and delta1, on the CLI's default 81-point grid
+        sigma = np.linspace(0.7, 2.1, k)
+        delta1 = tuple(np.linspace(0.25, 0.6, k))
+        spec = DtLDesignSpec(n_outcomes=k, n_promising=1, max_retained=1, cp_lower=0.3,
+                             cp_upper=0.95, alpha=0.025, beta=0.2, delta0=0.2,
+                             delta1=delta1)
+        model = OutcomeModel.equicorrelated(k, 0.3, sigma=sigma)
+        z_values = np.arange(-4.0, 4.0 + 0.1 / 2, 0.1)
+        rows = cp_lookup(spec, model, 2.1734, 37, z_values)
+        want = cp_lookup_rows(spec, model, 2.1734, 37, z_values)
+        assert len(rows) == 81 * k
+        assert [tuple(map(type, row)) for row in rows] == [(int, float, float)] * len(rows)
+        assert rows == want

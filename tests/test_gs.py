@@ -502,7 +502,7 @@ class TestSearch:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         block = null_block(3, two_outcome_model, cfg, threads=1)
         first = search_gs_design(two_outcome_spec, two_outcome_model, block, threads=1)
         assert pools == []

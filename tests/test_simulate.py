@@ -117,7 +117,7 @@ class TestSimulateNullBlock:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlineExecutor)
         before = threading.active_count()
         cfg = SimConfig(seed=4, nsims=30, chunk_size=10)
         block = simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg,
