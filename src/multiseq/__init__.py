@@ -9,24 +9,6 @@ two-stage drop-the-loser design that stops measuring poorly performing
 outcomes at the interim.
 """
 
-from .analysis import (
-    EffectGrid,
-    RatioCurve,
-    correlation_sweep,
-    effect_grid,
-    identified_power,
-    search_design,
-)
-from .dtl import (
-    DtLDesignSpec,
-    DtLOperatingCharacteristics,
-    DtLRealisation,
-    calibrate_r,
-    conditional_power,
-    estimate_dtl_oc,
-    invert_cp_boundaries,
-    search_dtl_design,
-)
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -34,31 +16,8 @@ from .errors import (
     InvalidCorrelationError,
     TrialDesignError,
 )
-from .gs import (
-    DesignRealisation,
-    GSOperatingCharacteristics,
-    calibrate_c,
-    composite_transform,
-    estimate_gs_oc,
-    search_gs_design,
-)
-from .model import (
-    Boundaries,
-    GSDesignSpec,
-    OutcomeModel,
-    StageSchedule,
-    assemble_covariance,
-    lfc_effects,
-    lfc_working_indices,
-    wang_tsiatis_boundaries,
-)
-from .simulate import (
-    SimConfig,
-    StatisticBlock,
-    cholesky_factor,
-    mean_shift_vector,
-    null_blocks,
-    simulate_null_block,
-)
+from .gs import GSDesignSpec, search_gs_design
+from .model import OutcomeModel
+from .simulate import SimConfig, null_blocks
 
 __version__ = "0.1.0"

@@ -1,5 +1,4 @@
-"""Comparison drivers: correlation sweeps, true-effect grids and the
-identified-power variant.
+"""Comparisons of two designs: correlation sweeps and true-effect grids.
 
 Grids and tables evaluate fixed design realisations at many true effect
 vectors on the caller's null blocks, one per stage count of one model
@@ -15,20 +14,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import dtl, gs
 from .errors import TrialDesignError
-from .model import GSDesignSpec, OutcomeModel, StageSchedule
+from .model import OutcomeModel, StageSchedule
 from .simulate import SimConfig, StatisticBlock, mean_shift_vector, null_blocks
 
 __all__ = [
     "EffectGrid",
     "RatioCurve",
-    "search_design",
     "evaluate_at_effects",
     "compare_at_effects",
     "effect_grid",
     "correlation_sweep",
-    "identified_power",
 ]
 
 
@@ -37,7 +33,6 @@ class EffectGrid:
     """Rejection probability, ESS and ENM of two designs over a grid of
     true effect vectors, plus the A/B ratios."""
 
-    axes: tuple
     points: np.ndarray
     p_a: np.ndarray
     p_b: np.ndarray
@@ -81,22 +76,6 @@ class RatioCurve:
         return self.enm_a / self.enm_b
 
 
-def search_design(spec, model: OutcomeModel, block: StatisticBlock, threads: int = 1,
-                  nmin: int | None = None, nmax: int = 400, lfc_mode: str = "first-m",
-                  strict: bool = False):
-    """Search the design family of ``spec`` on ``block``, the model's null
-    block with ``spec.n_stages`` stages; ``nmin`` defaults to
-    ``spec.default_nmin``."""
-    if isinstance(spec, dtl.DtLDesignSpec):
-        search = dtl.search_dtl_design
-    elif isinstance(spec, GSDesignSpec):
-        search = gs.search_gs_design
-    else:
-        raise TypeError(f"unknown design spec type: {type(spec).__name__}")
-    return search(spec, model, block, nmin=spec.default_nmin if nmin is None else nmin,
-                  nmax=nmax, threads=threads, lfc_mode=lfc_mode, strict=strict)
-
-
 def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel,
                         mu, threads: int = 1) -> tuple:
     """(p_reject, ess, enm) of a fixed realisation at true effects mu, in
@@ -138,7 +117,7 @@ def effect_grid(realisation_a, realisation_b, axes, model: OutcomeModel,
     cols = compare_at_effects(realisation_a, realisation_b, model, points, blocks,
                               threads=threads)
     assert np.all(cols["ess_b"] > 0) and np.all(cols["enm_b"] > 0)
-    return EffectGrid(axes=axes, points=points, **cols)
+    return EffectGrid(points=points, **cols)
 
 
 def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,
@@ -163,8 +142,8 @@ def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,
     def search_both(rho: float) -> list:
         model = OutcomeModel.equicorrelated(spec_a.n_outcomes, rho, sigma)
         blocks = null_blocks((spec_a.n_stages, spec_b.n_stages), model, cfg, threads)
-        return [search_design(spec, model, blocks[spec.n_stages], threads, nmin, nmax,
-                              lfc_mode, strict) for spec in (spec_a, spec_b)]
+        return [spec.search(model, blocks[spec.n_stages], nmin, nmax, threads=threads,
+                            lfc_mode=lfc_mode, strict=strict) for spec in (spec_a, spec_b)]
 
     for i, rho in enumerate(rho_values):
         try:
@@ -179,26 +158,3 @@ def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,
             out[f"constant_{tag}"][i] = real.constant
         valid[i] = True
     return RatioCurve(rho_values=rho_values, valid=valid, errors=tuple(errors), **out)
-
-
-def identified_power(block: StatisticBlock, realisation, model: OutcomeModel,
-                     delta_beta, working: Sequence[int]) -> float:
-    """Probability of a go decision that also names the right outcomes.
-
-    Counts the rows where the trial goes and, at the deciding stage, at
-    least m of the statistics strictly above the upper boundary belong
-    to the working set (0-based indices where delta_beta takes the
-    greater effect).
-    """
-    spec = realisation.spec
-    schedule = StageSchedule.equal(realisation.n, spec.n_stages)
-    shift = mean_shift_vector(delta_beta, schedule, model)
-    is_go, stop = gs._Rule(block, spec).decide(realisation.boundaries, shift)
-    # the shift is added only to each row's stop-stage statistics
-    rows = np.arange(block.nsims)
-    at_stop = block.by_stage()[rows, stop] + shift.reshape(spec.n_stages, -1)[stop]
-    upper = np.asarray(realisation.boundaries.upper)
-    working_mask = np.zeros(spec.n_outcomes, dtype=bool)
-    working_mask[list(working)] = True
-    hits = ((at_stop > upper[stop][:, None]) & working_mask[None, :]).sum(axis=1)
-    return float((is_go & (hits >= spec.n_promising)).mean())

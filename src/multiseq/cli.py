@@ -22,19 +22,19 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, dtl
+from . import analysis, dtl, gs
 from .errors import (
     CalibrationError,
     ConfigError,
     InfeasibleDesignError,
     InvalidCorrelationError,
 )
-from .model import GSDesignSpec, OutcomeModel, StageSchedule, lfc_effects
+from .model import OutcomeModel, lfc_effects
 from .simulate import SimConfig, null_blocks
 
 __all__ = ["RunConfig", "parse_config", "load_key_values", "emit_results", "main"]
@@ -43,6 +43,7 @@ DESIGN_KINDS = ("gs", "composite", "single-stage", "dtl")
 THREADS_ENV = "MULTISEQ_THREADS"
 
 _DEFAULT_NMAX = 400
+_MAX_CP_GRID_POINTS = 10_001  # interim statistics of a cp_lookup.csv, K rows each
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,8 @@ def _parse_int(raw: str, name: str) -> int:
 
 
 def _parse_floats(raw: str, name: str) -> tuple:
-    return tuple(_parse_float(part.strip(), name) for part in raw.split(",") if part.strip())
+    # a blank value has no entries; an empty entry ("0.4,") fails as a non-number
+    return tuple(_parse_float(p.strip(), name) for p in raw.split(",")) if raw.strip() else ()
 
 
 def _parse_bool(raw: str, name: str) -> bool:
@@ -127,6 +129,8 @@ def _parse_cp_grid(raw: str, name: str) -> tuple:
     lo, hi, step = (_parse_float(p, name) for p in parts)
     if step <= 0 or hi <= lo:
         _fail(name, "need low < high and step > 0")
+    if (hi - lo) / step > _MAX_CP_GRID_POINTS - 1:
+        _fail(name, f"the grid may hold at most {_MAX_CP_GRID_POINTS:,} points")
     return lo, hi, step
 
 
@@ -274,10 +278,10 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
     return SimConfig(seed=cfg.seed, nsims=cfg.nsims, chunk_size=cfg.chunk_size)
 
 
-def _gs_spec(cfg: RunConfig, n_stages: int, composite: bool) -> GSDesignSpec:
-    return GSDesignSpec(n_outcomes=cfg.K, n_promising=cfg.m, n_stages=n_stages,
-                        alpha=cfg.alpha, beta=cfg.beta, delta0=cfg.delta0,
-                        delta1=cfg.delta1, wt_delta=cfg.delta, composite=composite)
+def _gs_spec(cfg: RunConfig, n_stages: int, composite: bool) -> gs.GSDesignSpec:
+    return gs.GSDesignSpec(n_outcomes=cfg.K, n_promising=cfg.m, n_stages=n_stages,
+                           alpha=cfg.alpha, beta=cfg.beta, delta0=cfg.delta0,
+                           delta1=cfg.delta1, wt_delta=cfg.delta, composite=composite)
 
 
 def _dtl_spec(cfg: RunConfig, cp_l: float | None = None,
@@ -324,9 +328,8 @@ def _null_blocks(cfg: RunConfig, model: OutcomeModel, specs) -> dict:
 
 
 def _search(cfg: RunConfig, spec, model: OutcomeModel, blocks: dict):
-    return analysis.search_design(spec, model, blocks[spec.n_stages], threads=cfg.threads,
-                                  nmin=cfg.nmin, nmax=_nmax(cfg), lfc_mode=cfg.lfc_mode,
-                                  strict=cfg.strict_alpha)
+    return spec.search(model, blocks[spec.n_stages], nmin=cfg.nmin, nmax=_nmax(cfg),
+                       threads=cfg.threads, lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +373,14 @@ def config_echo_lines(cfg: RunConfig) -> list:
 
 
 def _summary_for_realisation(real, label: str = "") -> list:
-    boundaries = getattr(real, "boundaries", None)  # gs designs only
-    rows = [("kind", real.kind), ("r" if boundaries is None else "C", _fmt(real.constant)),
+    rows = [("kind", real.kind), (real.symbol, _fmt(real.constant)),
             ("n", real.n), ("N", real.n_total)]
-    if boundaries is not None:
-        rows += [("f", _fmt_seq(boundaries.lower)), ("e", _fmt_seq(boundaries.upper))]
+    rows += [(name, _fmt_seq(values)) for name, values in real.boundary_rows]
     rows += [("alpha_star", _fmt(real.alpha_star)), ("power_star", _fmt(real.power_star))]
-    for name in ("pet", "ess", "enm", "expected_stages"):
-        if hasattr(real.oc_null, name):
-            rows += [(f"{name}_null", _fmt(getattr(real.oc_null, name))),
-                     (f"{name}_lfc", _fmt(getattr(real.oc_lfc, name)))]
+    ocs = {"null": asdict(real.oc_null), "lfc": asdict(real.oc_lfc)}
+    # every OC field but p_reject, which alpha_star and power_star report
+    rows += [(f"{name}_{at}", _fmt(oc[name])) for name in ocs["null"] if name != "p_reject"
+             for at, oc in ocs.items()]
     p = f"{label}_" if label else ""
     return [f"{p}{key} = {value}" for key, value in rows]
 
@@ -419,19 +420,9 @@ def emit_results(cfg: RunConfig, out_dir: Path, summary_lines, csv_files) -> lis
 def _cmd_design(cfg: RunConfig) -> list:
     spec, model = _spec_for_kind(cfg, cfg.kind), _model(cfg)
     real = _search(cfg, spec, model, _null_blocks(cfg, model, [spec]))
-    summary = _summary_for_realisation(real)
-    csv_files = {}
-    if isinstance(real, dtl.DtLRealisation):
-        lo, hi, step = cfg.cp_grid
-        z_values = np.arange(lo, hi + step / 2, step)
-        rows = dtl.cp_lookup(real.spec, model, real.r, real.n, z_values)
-        csv_files["cp_lookup.csv"] = (("outcome", "z", "cp"), rows)
-    else:
-        cum = StageSchedule.equal(real.n, real.n_stages).cumulative
-        rows = [(j + 1, int(cum[j]), real.boundaries.lower[j], real.boundaries.upper[j])
-                for j in range(real.n_stages)]
-        csv_files["boundaries.csv"] = (("stage", "n_cumulative", "lower", "upper"), rows)
-    return emit_results(cfg, Path(cfg.out), summary, csv_files)
+    name, header, rows = real.table(model, cfg.cp_grid)
+    return emit_results(cfg, Path(cfg.out), _summary_for_realisation(real),
+                        {name: (header, rows)})
 
 
 def _cmd_oc_grid(cfg: RunConfig) -> list:

@@ -27,7 +27,7 @@ from .model import OutcomeModel, StageSchedule, _as_vector, lfc_effects
 from .optimize import exceedance_boundary, smallest_passing
 from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
 
-# scipy.special's ndtr/ndtri are imported inside the three functions that use
+# scipy.special's ndtr/ndtri are imported inside the two functions that use
 # them, not here: scipy.special takes about 0.35 s to import and only
 # drop-the-loser runs need it, so the other design families never load it.
 
@@ -36,7 +36,6 @@ __all__ = [
     "DtLOperatingCharacteristics",
     "DtLRealisation",
     "conditional_power",
-    "invert_cp_boundaries",
     "estimate_dtl_oc",
     "calibrate_r",
     "search_dtl_design",
@@ -87,6 +86,12 @@ class DtLDesignSpec:
         object.__setattr__(self, "delta0", d0)
         object.__setattr__(self, "delta1", d1)
 
+    def search(self, model: OutcomeModel, block: StatisticBlock, nmin: int | None = None,
+               nmax: int = 400, **options) -> DtLRealisation:
+        """``search_dtl_design`` on the model's null block; nmin defaults to default_nmin."""
+        nmin = self.default_nmin if nmin is None else nmin
+        return search_dtl_design(self, model, block, nmin=nmin, nmax=nmax, **options)
+
 
 @dataclass(frozen=True)
 class DtLOperatingCharacteristics:
@@ -114,6 +119,8 @@ class DtLRealisation:
     oc_lfc: DtLOperatingCharacteristics | None = None
 
     kind = "dtl"
+    symbol = "r"  # the constant's name in a report
+    boundary_rows = ()  # r is the design's only boundary
     n_stages = N_STAGES
 
     @property
@@ -126,6 +133,12 @@ class DtLRealisation:
         per-column mean shift, the pass shared by ``threads`` workers."""
         return estimate_dtl_oc(block, self.spec, model, self.r, self.n, shift=shift,
                                threads=threads)
+
+    def table(self, model: OutcomeModel, cp_grid) -> tuple:
+        """(file name, header, rows) of the report table: CP on the cp_grid (lo, hi, step)."""
+        lo, hi, step = cp_grid
+        rows = cp_lookup(self.spec, model, self.r, self.n, np.arange(lo, hi + step / 2, step))
+        return "cp_lookup.csv", ("outcome", "z", "cp"), rows
 
 
 def conditional_power(z, r, info_interim, info_final, effect):
@@ -147,32 +160,6 @@ def conditional_power(z, r, info_interim, info_final, effect):
     return float(out) if out.ndim == 0 else out
 
 
-def invert_cp_boundaries(cp_lower: float, cp_upper: float, r: float,
-                         info_interim: float, info_final: float,
-                         effect: float) -> tuple:
-    """Interim boundaries on the statistic scale whose conditional power
-    equals the thresholds.
-
-    A threshold of 0 or 1 maps to -inf / +inf, signalling that the
-    corresponding early exit is disabled.
-    """
-    from scipy.special import ndtri
-
-    if not 0.0 <= cp_lower < cp_upper <= 1.0:
-        raise ValueError("thresholds must satisfy 0 <= cp_lower < cp_upper <= 1")
-    i1, i2 = float(info_interim), float(info_final)
-    if not 0 < i1 < i2:
-        raise ValueError("information must satisfy 0 < info_interim < info_final")
-    gap = i2 - i1
-
-    def bound(threshold: float) -> float:
-        # ndtri maps 0 -> -inf and 1 -> +inf, which propagates cleanly
-        return float((np.sqrt(gap) * ndtri(threshold) + r * np.sqrt(i2)
-                      - gap * effect) / np.sqrt(i1))
-
-    return bound(cp_lower), bound(cp_upper)
-
-
 def _information(n: int, model: OutcomeModel):
     i1 = n / model.sigma ** 2
     return i1, 2.0 * i1
@@ -191,8 +178,8 @@ class _Rule:
     final go exactly when r < M_j, the m-th largest stage-two statistic
     of the first j. So a row goes exactly when r < U = max(t_go, max over
     m <= j <= K_max of min(M_j, e_j)), and alpha(r) is the fraction of
-    rows with U > r. ``invert_cp_boundaries`` gives e_j and t_go for one
-    outcome on the interim-statistic scale.
+    rows with U > r. The test oracle ``invert_cp_boundaries`` gives e_j and
+    t_go for one outcome on the interim-statistic scale.
 
     At a fixed r (``oc``) a row needs counts, not U. With
     e_i = (core_i - q_l) / s and t_i = (core_i - q_u) / s per outcome

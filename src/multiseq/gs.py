@@ -23,9 +23,9 @@ import numpy as np
 
 from .model import (
     Boundaries,
-    GSDesignSpec,
     OutcomeModel,
     StageSchedule,
+    _as_vector,
     lfc_effects,
     wang_tsiatis_boundaries,
 )
@@ -33,6 +33,7 @@ from .optimize import exceedance_boundary, smallest_passing
 from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
 
 __all__ = [
+    "GSDesignSpec",
     "GSOperatingCharacteristics",
     "DesignRealisation",
     "estimate_gs_oc",
@@ -49,11 +50,61 @@ CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
+class GSDesignSpec:
+    """Parameters of a group-sequential (or composite) m-of-K design.
+
+    ``n_promising`` is the number of outcomes that must simultaneously
+    clear the upper boundary for the null to be rejected. ``delta0`` and
+    ``delta1`` are the lower and greater anticipated effect sizes per
+    outcome; ``wt_delta`` is the Wang-Tsiatis boundary shape (0 gives
+    O'Brien-Fleming style boundaries, 0.5 gives Pocock).
+    """
+
+    n_outcomes: int
+    n_promising: int
+    n_stages: int
+    alpha: float
+    beta: float
+    delta0: Any
+    delta1: Any
+    wt_delta: float = 0.0
+    composite: bool = False
+
+    default_nmin = 1  # per-stage size a search starts from unless told otherwise
+
+    def __post_init__(self):
+        if self.n_outcomes < 1:
+            raise ValueError("n_outcomes must be >= 1")
+        if not 1 <= self.n_promising <= self.n_outcomes:
+            raise ValueError("n_promising must satisfy 1 <= m <= K")
+        if self.n_stages < 1:
+            raise ValueError("n_stages must be >= 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("beta must lie in (0, 1)")
+        if not np.isfinite(self.wt_delta):
+            raise ValueError("wt_delta must be finite")
+        d0 = tuple(_as_vector(self.delta0, self.n_outcomes, "delta0"))
+        d1 = tuple(_as_vector(self.delta1, self.n_outcomes, "delta1"))
+        if any(hi < lo for lo, hi in zip(d0, d1)):
+            raise ValueError("delta1 must be >= delta0 elementwise")
+        object.__setattr__(self, "delta0", d0)
+        object.__setattr__(self, "delta1", d1)
+
+    def search(self, model: OutcomeModel, block: StatisticBlock, nmin: int | None = None,
+               nmax: int = 400, **options) -> DesignRealisation:
+        """``search_gs_design`` on the model's null block; nmin defaults to default_nmin."""
+        nmin = self.default_nmin if nmin is None else nmin
+        return search_gs_design(self, model, block, nmin=nmin, nmax=nmax, **options)
+
+
+@dataclass(frozen=True)
 class GSOperatingCharacteristics:
     p_reject: float
-    expected_stages: float
     ess: float
     enm: float
+    expected_stages: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +127,15 @@ class DesignRealisation:
     oc_null: Any = field(repr=False, default=None)
     oc_lfc: Any = field(repr=False, default=None)
 
+    symbol = "C"  # the constant's name in a report
+
     @property
     def n_stages(self) -> int:
         return self.spec.n_stages
+
+    @property
+    def boundary_rows(self) -> tuple:
+        return ("f", self.boundaries.lower), ("e", self.boundaries.upper)
 
     def evaluate(self, block: StatisticBlock, model: OutcomeModel,
                  shift: np.ndarray, threads: int = 1) -> GSOperatingCharacteristics:
@@ -88,6 +145,13 @@ class DesignRealisation:
         schedule = StageSchedule.equal(self.n, self.n_stages)
         return estimate_gs_oc(block, self.boundaries, self.spec, schedule, shift=shift,
                               threads=threads)
+
+    def table(self, model: OutcomeModel, cp_grid) -> tuple:
+        """(file name, header, rows) of the report table: the boundaries per stage."""
+        cum = StageSchedule.equal(self.n, self.n_stages).cumulative
+        rows = [(j + 1, int(cum[j]), self.boundaries.lower[j], self.boundaries.upper[j])
+                for j in range(self.n_stages)]
+        return "boundaries.csv", ("stage", "n_cumulative", "lower", "upper"), rows
 
 
 def _decide(values: np.ndarray, n_stages: int, n_outcomes: int, m: int,
@@ -198,9 +262,9 @@ class _Rule:
         # ENM counts all K measured outcomes, composite or not
         return GSOperatingCharacteristics(
             p_reject=float(is_go.mean()),
-            expected_stages=float((stop + 1.0).mean()),
             ess=ess,
             enm=self.spec.n_outcomes * ess,
+            expected_stages=float((stop + 1.0).mean()),
         )
 
 
@@ -228,8 +292,7 @@ def composite_transform(block: StatisticBlock) -> StatisticBlock:
     if block.n_outcomes == 1:
         return block
     summed = block.by_stage().sum(axis=2)
-    return StatisticBlock(values=summed, n_stages=block.n_stages,
-                          n_outcomes=1, seed=block.seed)
+    return StatisticBlock(values=summed, n_stages=block.n_stages, n_outcomes=1)
 
 
 def _final_scale_boundaries(final: float, n_stages: int, wt_delta: float) -> Boundaries:

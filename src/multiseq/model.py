@@ -1,5 +1,5 @@
-"""Domain types: outcome model, design specifications, stage schedules,
-stopping boundaries, and the covariance of standardized test statistics.
+"""Domain types: outcome model, stage schedules, stopping boundaries, and
+the covariance of standardized test statistics.
 
 A trial measures K correlated normal outcomes on every participant. At
 analysis j the standardized statistic for outcome k is the running mean
@@ -15,13 +15,12 @@ Statistics are laid out stage-major throughout the package: column
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 __all__ = [
     "OutcomeModel",
-    "GSDesignSpec",
     "StageSchedule",
     "Boundaries",
     "assemble_covariance",
@@ -59,7 +58,6 @@ class OutcomeModel:
 
     sigma: Any
     rho: Any
-    mu: Any = None
 
     def __post_init__(self):
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
@@ -82,8 +80,7 @@ class OutcomeModel:
             raise ValueError("off-diagonal correlations must lie in [-1, 1]")
         if k > 1 and np.linalg.eigvalsh(rho).min() < -_PSD_TOL:
             raise ValueError("rho must be positive semidefinite")
-        mu = np.zeros(k) if self.mu is None else _as_vector(self.mu, k, "mu")
-        for name, arr in (("sigma", sigma), ("rho", rho), ("mu", mu)):
+        for name, arr in (("sigma", sigma), ("rho", rho)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -92,53 +89,8 @@ class OutcomeModel:
         return self.sigma.size
 
     @classmethod
-    def equicorrelated(cls, n_outcomes: int, rho: float, sigma: Any = 1.0,
-                       mu: float | Sequence[float] = 0.0) -> "OutcomeModel":
-        return cls(sigma=_as_vector(sigma, n_outcomes, "sigma"), rho=float(rho), mu=mu)
-
-
-@dataclass(frozen=True)
-class GSDesignSpec:
-    """Parameters of a group-sequential (or composite) m-of-K design.
-
-    ``n_promising`` is the number of outcomes that must simultaneously
-    clear the upper boundary for the null to be rejected. ``delta0`` and
-    ``delta1`` are the lower and greater anticipated effect sizes per
-    outcome; ``wt_delta`` is the Wang-Tsiatis boundary shape (0 gives
-    O'Brien-Fleming style boundaries, 0.5 gives Pocock).
-    """
-
-    n_outcomes: int
-    n_promising: int
-    n_stages: int
-    alpha: float
-    beta: float
-    delta0: Any
-    delta1: Any
-    wt_delta: float = 0.0
-    composite: bool = False
-
-    default_nmin = 1  # per-stage size a search starts from unless told otherwise
-
-    def __post_init__(self):
-        if self.n_outcomes < 1:
-            raise ValueError("n_outcomes must be >= 1")
-        if not 1 <= self.n_promising <= self.n_outcomes:
-            raise ValueError("n_promising must satisfy 1 <= m <= K")
-        if self.n_stages < 1:
-            raise ValueError("n_stages must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not np.isfinite(self.wt_delta):
-            raise ValueError("wt_delta must be finite")
-        d0 = tuple(_as_vector(self.delta0, self.n_outcomes, "delta0"))
-        d1 = tuple(_as_vector(self.delta1, self.n_outcomes, "delta1"))
-        if any(hi < lo for lo, hi in zip(d0, d1)):
-            raise ValueError("delta1 must be >= delta0 elementwise")
-        object.__setattr__(self, "delta0", d0)
-        object.__setattr__(self, "delta1", d1)
+    def equicorrelated(cls, n_outcomes: int, rho: float, sigma: Any = 1.0) -> "OutcomeModel":
+        return cls(sigma=_as_vector(sigma, n_outcomes, "sigma"), rho=float(rho))
 
 
 @dataclass(frozen=True)
@@ -166,21 +118,9 @@ class StageSchedule:
         return len(self.stage_sizes)
 
     @property
-    def n(self) -> int:
-        """Per-stage size; only defined for equal-stage schedules."""
-        if len(set(self.stage_sizes)) != 1:
-            raise ValueError("schedule has unequal stage sizes")
-        return self.stage_sizes[0]
-
-    @property
     def cumulative(self) -> np.ndarray:
         """Cumulative sample sizes N_j, strictly increasing."""
         return np.cumsum(np.asarray(self.stage_sizes, dtype=float))
-
-    def information(self, sigma) -> np.ndarray:
-        """Information N_j / sigma_k**2 as a (stages, outcomes) array."""
-        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-        return self.cumulative[:, None] / sigma[None, :] ** 2
 
 
 @dataclass(frozen=True)
@@ -210,11 +150,6 @@ class Boundaries:
     def n_stages(self) -> int:
         return len(self.upper)
 
-    @property
-    def final(self) -> float:
-        """The shared final-stage boundary; the constant a design reports."""
-        return self.upper[-1]
-
 
 def wang_tsiatis_boundaries(constant: float, n_stages: int, wt_delta: float = 0.0) -> Boundaries:
     """Boundaries e_j = C * j**(delta - 0.5), f_j = -e_j, with f_J = e_J."""
@@ -234,9 +169,9 @@ def assemble_covariance(schedule: StageSchedule, model: OutcomeModel) -> np.ndar
     return np.kron(stage_part, model.rho)
 
 
-def lfc_working_indices(spec: GSDesignSpec, mode: str = "first-m",
-                        sigma=None) -> tuple:
-    """Indices (0-based) of the m outcomes placed at their greater effect."""
+def lfc_working_indices(spec, mode: str = "first-m", sigma=None) -> tuple:
+    """Indices (0-based) of the m outcomes of a spec of either design family
+    placed at their greater effect."""
     m = spec.n_promising
     if mode == "first-m":
         return tuple(range(m))
@@ -250,7 +185,7 @@ def lfc_working_indices(spec: GSDesignSpec, mode: str = "first-m",
     raise ValueError(f"unknown LFC mode: {mode!r}")
 
 
-def lfc_effects(spec: GSDesignSpec, mode: str = "first-m", sigma=None) -> np.ndarray:
+def lfc_effects(spec, mode: str = "first-m", sigma=None) -> np.ndarray:
     """Least favourable configuration: exactly m outcomes at their greater
     anticipated effect, the rest at their lower anticipated effect."""
     working = lfc_working_indices(spec, mode, sigma)

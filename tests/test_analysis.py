@@ -4,25 +4,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import _oracles
 from conftest import null_block
 import multiseq.dtl as dtl_module
 import multiseq.gs as gs_module
 import multiseq.simulate as simulate_module
-from multiseq import (
-    DtLDesignSpec,
-    GSDesignSpec,
-    OutcomeModel,
-    SimConfig,
-    StageSchedule,
+from multiseq import GSDesignSpec, OutcomeModel, SimConfig, search_gs_design
+from multiseq.analysis import (
+    compare_at_effects,
     correlation_sweep,
     effect_grid,
-    identified_power,
-    search_design,
-    search_gs_design,
+    evaluate_at_effects,
 )
-from multiseq.analysis import compare_at_effects, evaluate_at_effects
-from multiseq.dtl import DtLRealisation
+from multiseq.dtl import DtLDesignSpec, DtLRealisation
 from multiseq.simulate import null_blocks
 
 
@@ -40,14 +33,9 @@ class TestSearchDesignDispatch:
     def test_dispatches_by_spec_type(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         block = null_block(2, model, SimConfig(seed=50, nsims=5_000))
-        assert search_design(gs_spec(), model, block).kind == "gs"
-        assert search_design(gs_spec(composite=True), model, block).kind == "composite"
-        assert isinstance(search_design(dtl_spec(), model, block, nmax=200), DtLRealisation)
-
-    def test_unknown_spec_rejected(self):
-        model = OutcomeModel.equicorrelated(2, 0.3)
-        with pytest.raises(TypeError):
-            search_design(object(), model, null_block(1, model, SimConfig(seed=1, nsims=10)))
+        assert gs_spec().search(model, block).kind == "gs"
+        assert gs_spec(composite=True).search(model, block).kind == "composite"
+        assert isinstance(dtl_spec().search(model, block, nmax=200), DtLRealisation)
 
     def test_nmin_defaults_to_the_spec_family(self, monkeypatch):
         model = OutcomeModel.equicorrelated(2, 0.3)
@@ -61,69 +49,10 @@ class TestSearchDesignDispatch:
 
         for module in (gs_module, dtl_module):
             monkeypatch.setattr(module, "smallest_passing", first_probe)
-        for spec in (gs_spec(), dtl_spec()):
-            search_design(spec, model, block, nmax=50)
-            search_design(spec, model, block, nmin=5, nmax=50)
-        assert starts == [1, 5, 2, 5]
-
-
-class TestIdentifiedPower:
-    def test_equals_power_when_all_outcomes_working(self):
-        model = OutcomeModel.equicorrelated(2, 0.3)
-        spec = gs_spec(k=2, m=2, j=2)
-        block = null_block(2, model, SimConfig(seed=51, nsims=30_000))
-        real = search_gs_design(spec, model, block)
-        delta_beta = np.array([0.4, 0.4])
-        p = identified_power(block, real, model, delta_beta, working=(0, 1))
-        schedule = StageSchedule.equal(real.n, 2)
-        from multiseq import estimate_gs_oc, mean_shift_vector
-        oc = estimate_gs_oc(block, real.boundaries, spec, schedule,
-                            shift=mean_shift_vector(delta_beta, schedule, model))
-        assert p == oc.p_reject
-
-    def test_never_exceeds_rejection_probability(self):
-        rng = np.random.default_rng(52)
-        model = OutcomeModel.equicorrelated(3, 0.2)
-        block = null_block(2, model, SimConfig(seed=53, nsims=10_000))
-        real = search_gs_design(gs_spec(k=3, m=2, j=2), model, block)
-        schedule = StageSchedule.equal(real.n, 2)
-        from multiseq import estimate_gs_oc, mean_shift_vector
-        for _ in range(20):
-            mu = rng.uniform(-0.2, 0.6, size=3)
-            working = tuple(np.flatnonzero(rng.uniform(size=3) < 0.6)) or (0,)
-            p_named = identified_power(block, real, model, mu, working)
-            oc = estimate_gs_oc(block, real.boundaries, real.spec, schedule,
-                                shift=mean_shift_vector(mu, schedule, model))
-            assert p_named <= oc.p_reject + 1e-12
-
-    def test_single_stage_brute_force_oracle(self):
-        # uncorrelated pair, one working outcome with effect 0.4
-        model = OutcomeModel.equicorrelated(2, 0.0)
-        spec = gs_spec(k=2, m=1, j=1, delta0=0.0, delta1=0.4)
-        real = search_gs_design(spec, model,
-                                null_block(1, model, SimConfig(seed=54, nsims=400_000)))
-        block = null_block(1, model, SimConfig(seed=55, nsims=1_000_000))
-        delta_beta = np.array([0.4, 0.0])
-        engine = identified_power(block, real, model, delta_beta, working=(0,))
-        mean = delta_beta * np.sqrt(real.n)
-        oracle = _oracles.direct_identified_estimate(
-            mean, np.eye(2), real.constant, m=1, working=(0,),
-            nsims=10_000_000, seed=56)
-        se = np.sqrt(engine * (1 - engine) * (1 / 1e6 + 1 / 1e7))
-        assert abs(engine - oracle) < 3 * se
-
-    def test_equals_full_block_oracle_on_random_cases(self):
-        rng = np.random.default_rng(58)
-        model = OutcomeModel.equicorrelated(3, 0.3)
-        cfg = SimConfig(seed=59, nsims=8_000)
-        for m, j in ((1, 3), (2, 2)):
-            block = null_block(j, model, cfg)
-            real = search_gs_design(gs_spec(k=3, m=m, j=j), model, block)
-            for _ in range(12):
-                mu = rng.uniform(-0.3, 0.7, size=3)
-                working = tuple(np.flatnonzero(rng.uniform(size=3) < 0.5)) or (2,)
-                assert identified_power(block, real, model, mu, working) == \
-                    _oracles.identified_power_full_block(block, real, model, mu, working)
+        for spec in (gs_spec(), gs_spec(composite=True), dtl_spec()):
+            spec.search(model, block, nmax=50)
+            spec.search(model, block, nmin=5, nmax=50)
+        assert starts == [1, 5, 1, 5, 2, 5]
 
 
 class TestEffectGrid:
@@ -141,7 +70,7 @@ class TestEffectGrid:
         model = OutcomeModel.equicorrelated(2, 0.3)
         blocks = null_blocks([2], model, SimConfig(seed=58, nsims=10_000))
         real_a = search_gs_design(gs_spec(), model, blocks[2])
-        real_b = search_design(gs_spec(composite=True), model, blocks[2])
+        real_b = gs_spec(composite=True).search(model, blocks[2])
         axes = [(-0.2, 0.0, 0.4), (0.0, 0.2)]
         first = effect_grid(real_a, real_b, axes, model, blocks)
         second = effect_grid(real_a, real_b, axes, model, blocks)
@@ -156,7 +85,7 @@ class TestEffectGrid:
         model = OutcomeModel.equicorrelated(2, 0.3)
         blocks = null_blocks([2], model, SimConfig(seed=59, nsims=10_000))
         real_a = search_gs_design(gs_spec(), model, blocks[2])
-        real_b = search_design(gs_spec(composite=True), model, blocks[2])
+        real_b = gs_spec(composite=True).search(model, blocks[2])
         grid = effect_grid(real_a, real_b, [(0.1,), (0.3,)], model, blocks)
         p, ess, enm = evaluate_at_effects(real_b, blocks[2], model, [0.1, 0.3])
         assert grid.p_b[0] == p and grid.ess_b[0] == ess and grid.enm_b[0] == enm
@@ -165,8 +94,8 @@ class TestEffectGrid:
         model = OutcomeModel.equicorrelated(2, 0.3)
         blocks = null_blocks([2], model, SimConfig(seed=63, nsims=600))
         real_gs = search_gs_design(gs_spec(), model, blocks[2])
-        real_dtl = search_design(dtl_spec(), model,
-                                 null_block(2, model, SimConfig(seed=63, nsims=5_000)), nmax=200)
+        real_dtl = dtl_spec().search(model, null_block(2, model, SimConfig(seed=63, nsims=5_000)),
+                                     nmax=200)
         axes = [(-0.1, 0.2, 0.4), (0.0, 0.3)]
         expected = effect_grid(real_gs, real_dtl, axes, model, blocks)
         pools = []
@@ -246,8 +175,8 @@ class TestCorrelationSweep:
         for i, rho in enumerate((0.0, 0.3, 0.6)):
             model = OutcomeModel.equicorrelated(2, rho)
             blocks = null_blocks([1, 2], model, cfg)
-            real_a = search_design(dtl_spec(), model, blocks[2], nmax=200)
-            real_b = search_design(gs_spec(j=1), model, blocks[1], nmax=200)
+            real_a = dtl_spec().search(model, blocks[2], nmax=200)
+            real_b = gs_spec(j=1).search(model, blocks[1], nmax=200)
             assert (curve.n_a[i], curve.n_b[i]) == (real_a.n, real_b.n)
             assert (curve.ess_a[i], curve.ess_b[i]) == (real_a.oc_lfc.ess, real_b.oc_lfc.ess)
 
@@ -257,7 +186,7 @@ class TestCompareAtEffects:
         model = OutcomeModel.equicorrelated(2, 0.3)
         blocks = null_blocks([2], model, SimConfig(seed=65, nsims=10_000))
         real_a = search_gs_design(gs_spec(), model, blocks[2])
-        real_b = search_design(gs_spec(composite=True), model, blocks[2])
+        real_b = gs_spec(composite=True).search(model, blocks[2])
         rows = compare_at_effects(real_a, real_b, model,
                                   [(0.0, 0.0), (0.4, 0.2)], blocks)
         assert rows["p_a"].shape == (2,)
@@ -280,7 +209,7 @@ class TestCompareAtEffects:
         blocks = null_blocks([2, spec_b.n_stages], model, cfg)
         assert calls == ([2, 3] if design_b == "three-stage" else [2])
         real_a = search_gs_design(gs_spec(), model, blocks[2])  # two stages
-        real_b = search_design(spec_b, model, blocks[spec_b.n_stages], nmax=200)
+        real_b = spec_b.search(model, blocks[spec_b.n_stages], nmax=200)
         mus = [(0.0, 0.0), (0.4, 0.2)]
         expected = {tag: [evaluate_at_effects(real, null_block(real.n_stages, model, cfg),
                                               model, mu) for mu in mus]

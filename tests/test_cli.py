@@ -336,8 +336,7 @@ mu_values = 0.0, 0.4
             model = OutcomeModel(sigma=(1.0, 3.0), rho=rho)
             for kind, n_col, ess_col in (("gs", 2, 6), ("composite", 3, 7)):
                 spec = _spec_for_kind(cfg, kind)
-                real = analysis.search_design(spec, model,
-                                              null_block(spec.n_stages, model, _sim_config(cfg)))
+                real = spec.search(model, null_block(spec.n_stages, model, _sim_config(cfg)))
                 assert int(fields[n_col]) == real.n
                 assert float(fields[ess_col]) == pytest.approx(real.oc_lfc.ess, rel=1e-5)
 
@@ -419,6 +418,22 @@ mu_values = 0.0, 0.4
         assert len(outputs[1]) >= 2
         assert outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("kind", ["gs", "composite", "single-stage", "dtl"])
+    def test_design_searches_once_through_the_module_function(self, tmp_path, monkeypatch,
+                                                               kind):
+        # patched as perfbench's tracer patches them: the module attribute, looked up by name
+        calls = []
+        for module, name in ((gs, "search_gs_design"), (dtl, "search_dtl_design")):
+            def counted(*args, _search=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _search(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        config = {"dtl": DTL_CONFIG, "single-stage": GS_CONFIG.replace("J = 3", "J = 1")}
+        text = config.get(kind, GS_CONFIG).replace("kind = gs\n", "")
+        assert run_cli(["design", kind, "--config", str(write(tmp_path, text)),
+                        "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["search_dtl_design" if kind == "dtl" else "search_gs_design"]
+
     def test_kind_conflict_rejected(self, tmp_path, capsys):
         cfg_path = write(tmp_path, GS_CONFIG)
         assert run_cli(["design", "composite", "--config", str(cfg_path)]) == 2
@@ -452,6 +467,9 @@ mu_values = 0.0, 0.4
         ("sweep", "rho_values", "0.0, -0.9"),
         ("grid", "mu_values", ""),
         ("sweep", "rho_values", ""),
+        ("sweep", "delta1", "0.4,"),  # K = 3: not 0.4 for every outcome
+        ("gs", "delta0", "0.1,,0.1"),  # K = 2: not two values
+        ("dtl", "cp_grid", "-4:4:0.0007"),  # 11,430 points
     ])
     def test_invalid_input_fails_before_simulation(self, tmp_path, capsys, monkeypatch,
                                                    kind, key, value):

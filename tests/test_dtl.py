@@ -7,29 +7,22 @@ import pytest
 from scipy.special import ndtr
 
 import multiseq.dtl as dtl_mod
-from _oracles import DtLBlockRule, cp_lookup_rows, evaluate_dtl_row
+from _oracles import DtLBlockRule, cp_lookup_rows, evaluate_dtl_row, invert_cp_boundaries
 from conftest import null_block
-from multiseq import (
-    CalibrationError,
+from multiseq import CalibrationError, InfeasibleDesignError, OutcomeModel, SimConfig
+from multiseq.dtl import (
     DtLDesignSpec,
     DtLOperatingCharacteristics,
-    InfeasibleDesignError,
-    OutcomeModel,
-    SimConfig,
-    StageSchedule,
     calibrate_r,
     conditional_power,
+    cp_lookup,
     estimate_dtl_oc,
-    estimate_gs_oc,
-    invert_cp_boundaries,
-    mean_shift_vector,
     search_dtl_design,
-    simulate_null_block,
 )
-from multiseq.dtl import cp_lookup
-from multiseq.model import Boundaries, GSDesignSpec
+from multiseq.gs import GSDesignSpec, estimate_gs_oc
+from multiseq.model import Boundaries, StageSchedule
 from multiseq.optimize import exceedance_boundary
-from multiseq.simulate import StatisticBlock
+from multiseq.simulate import StatisticBlock, mean_shift_vector, simulate_null_block
 
 
 def dtl_spec(k=2, m=1, kmax=1, cpl=0.3, cpu=0.95, alpha=0.025, beta=0.2):

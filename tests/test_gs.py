@@ -12,24 +12,22 @@ import multiseq.simulate as simulate_module
 from _oracles import decide_rows, evaluate_gs_row, linear_scan_n, step_boundary
 from conftest import null_block
 from multiseq import (
-    Boundaries,
     CalibrationError,
     GSDesignSpec,
     InfeasibleDesignError,
     OutcomeModel,
     SimConfig,
-    StageSchedule,
-    StatisticBlock,
+    search_gs_design,
+)
+from multiseq.gs import (
+    _decide,
+    _final_scale_boundaries,
     calibrate_c,
     composite_transform,
     estimate_gs_oc,
-    lfc_effects,
-    mean_shift_vector,
-    search_gs_design,
-    simulate_null_block,
-    wang_tsiatis_boundaries,
 )
-from multiseq.gs import _decide, _final_scale_boundaries
+from multiseq.model import Boundaries, StageSchedule, lfc_effects, wang_tsiatis_boundaries
+from multiseq.simulate import StatisticBlock, mean_shift_vector, simulate_null_block
 
 
 def spec_for(k, m, j, alpha=0.025, beta=0.2, wt_delta=0.0):
@@ -419,7 +417,6 @@ class TestComposite:
         assert composite_transform(block) is block
 
     def test_opposite_statistics_cancel(self):
-        from multiseq import StatisticBlock
         block = StatisticBlock(values=np.array([[1.0, -1.0]]), n_stages=1,
                                n_outcomes=2)
         assert composite_transform(block).values[0, 0] == 0.0
@@ -457,7 +454,7 @@ class TestSearch:
                                 null_block(3, two_outcome_model, SimConfig(seed=26, nsims=20_000)))
         assert real.alpha_star == real.oc_null.p_reject
         assert real.n_total == real.n * 3
-        assert real.boundaries.final == pytest.approx(real.constant)
+        assert real.boundaries.upper[-1] == pytest.approx(real.constant)
 
     def test_power_monotone_in_each_effect(self, two_outcome_model, two_outcome_spec):
         # increasing any single true effect can only help an m-of-K rule

@@ -3,16 +3,16 @@ import pytest
 
 from _oracles import covariance_entry
 from conftest import random_correlation
-from multiseq import (
+from multiseq import GSDesignSpec, OutcomeModel
+from multiseq.model import (
     Boundaries,
-    GSDesignSpec,
-    OutcomeModel,
     StageSchedule,
     assemble_covariance,
     lfc_effects,
     lfc_working_indices,
     wang_tsiatis_boundaries,
 )
+from multiseq.simulate import mean_shift_vector
 
 
 class TestOutcomeModel:
@@ -45,19 +45,13 @@ class TestOutcomeModel:
         with pytest.raises(ValueError, match="semidefinite"):
             OutcomeModel(sigma=[1.0, 1.0, 1.0], rho=rho)
 
-    def test_mu_defaults_to_zero(self):
-        model = OutcomeModel(sigma=[1.0, 2.0], rho=0.1)
-        np.testing.assert_array_equal(model.mu, [0.0, 0.0])
-
     def test_fields_are_immutable(self):
         model = OutcomeModel.equicorrelated(2, 0.5)
         with pytest.raises(ValueError):
             model.rho[0, 1] = 0.9
 
     def test_rejects_non_finite_effects_and_shape(self):
-        from multiseq import DtLDesignSpec
-        with pytest.raises(ValueError, match="mu must be finite"):
-            OutcomeModel(sigma=[1.0, 1.0], rho=0.1, mu=[0.0, np.nan])
+        from multiseq.dtl import DtLDesignSpec
         gs = dict(n_outcomes=2, n_promising=1, n_stages=2, alpha=0.025, beta=0.2,
                   delta0=0.2, delta1=0.4)
         with pytest.raises(ValueError, match="delta1 must be finite"):
@@ -74,17 +68,13 @@ class TestStageSchedule:
     def test_equal_stages_cumulative(self):
         schedule = StageSchedule.equal(19, 3)
         np.testing.assert_array_equal(schedule.cumulative, [19, 38, 57])
-        assert schedule.n == 19
+        assert schedule.stage_sizes == (19, 19, 19)
 
     def test_information_uses_cumulative_over_variance(self):
+        # a unit effect shifts each statistic by the root of its information N_j / sigma_k**2
         schedule = StageSchedule.equal(10, 2)
-        info = schedule.information([1.0, 2.0])
-        np.testing.assert_allclose(info, [[10.0, 2.5], [20.0, 5.0]])
-
-    def test_unequal_sizes_have_no_single_n(self):
-        schedule = StageSchedule(stage_sizes=(5, 7))
-        with pytest.raises(ValueError, match="unequal"):
-            schedule.n
+        shift = mean_shift_vector([1.0, 1.0], schedule, OutcomeModel(sigma=[1.0, 2.0], rho=0.0))
+        np.testing.assert_allclose(shift ** 2, [10.0, 2.5, 20.0, 5.0])
 
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ValueError):
@@ -120,7 +110,6 @@ class TestWangTsiatis:
     def test_final_closure_even_for_single_stage(self):
         b = wang_tsiatis_boundaries(1.96, 1)
         assert b.lower == b.upper == (1.96,)
-        assert b.final == 1.96
 
 
 class TestBoundaries:

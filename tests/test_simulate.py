@@ -7,16 +7,9 @@ import pytest
 import _oracles
 import multiseq.simulate as simulate_module
 from conftest import random_correlation
-from multiseq import (
-    InvalidCorrelationError,
-    OutcomeModel,
-    SimConfig,
-    StageSchedule,
-    assemble_covariance,
-    cholesky_factor,
-    mean_shift_vector,
-    simulate_null_block,
-)
+from multiseq import InvalidCorrelationError, OutcomeModel, SimConfig
+from multiseq.model import StageSchedule, assemble_covariance
+from multiseq.simulate import cholesky_factor, mean_shift_vector, simulate_null_block
 
 
 class TestSimConfig:
