@@ -35,6 +35,7 @@ from .errors import (
     InvalidCorrelationError,
 )
 from .model import OutcomeModel, lfc_effects
+from .optimize import DEFAULT_NMAX
 from .simulate import SimConfig, null_blocks
 
 __all__ = ["RunConfig", "parse_config", "load_key_values", "emit_results", "main"]
@@ -42,7 +43,6 @@ __all__ = ["RunConfig", "parse_config", "load_key_values", "emit_results", "main
 DESIGN_KINDS = ("gs", "composite", "single-stage", "dtl")
 THREADS_ENV = "MULTISEQ_THREADS"
 
-_DEFAULT_NMAX = 400
 _MAX_CP_GRID_POINTS = 10_001  # interim statistics of a cp_lookup.csv, K rows each
 
 
@@ -318,7 +318,7 @@ def _cp_pairs(cfg: RunConfig) -> list:
 
 
 def _nmax(cfg: RunConfig) -> int:
-    return cfg.nmax if cfg.nmax is not None else _DEFAULT_NMAX
+    return cfg.nmax if cfg.nmax is not None else DEFAULT_NMAX
 
 
 def _null_blocks(cfg: RunConfig, model: OutcomeModel, specs) -> dict:
@@ -425,6 +425,14 @@ def _cmd_design(cfg: RunConfig) -> list:
                         {name: (header, rows)})
 
 
+# the cells grid.csv and sweep.csv share, from the OC records of designs A and B
+_COMPARED = ("ess_A", "ess_B", "enm_A", "enm_B", "ess_ratio", "enm_ratio")
+
+
+def _compared(oc_a, oc_b) -> tuple:
+    return oc_a.ess, oc_b.ess, oc_a.enm, oc_b.enm, oc_a.ess / oc_b.ess, oc_a.enm / oc_b.enm
+
+
 def _cmd_oc_grid(cfg: RunConfig) -> list:
     specs = [_spec_for_kind(cfg, kind) for kind in (cfg.kind_a, cfg.kind_b)]
     model = _model(cfg)
@@ -432,13 +440,10 @@ def _cmd_oc_grid(cfg: RunConfig) -> list:
     real_a, real_b = (_search(cfg, spec, model, blocks) for spec in specs)
     axes = (cfg.mu_values,) * cfg.K
     grid = analysis.effect_grid(real_a, real_b, axes, model, blocks, threads=cfg.threads)
-    header = tuple(f"mu_{k + 1}" for k in range(cfg.K)) + (
-        "p_reject_A", "p_reject_B", "ess_A", "ess_B", "enm_A", "enm_B",
-        "ess_ratio", "enm_ratio")
-    rows = [tuple(point) + (grid.p_a[i], grid.p_b[i], grid.ess_a[i], grid.ess_b[i],
-                            grid.enm_a[i], grid.enm_b[i], grid.ess_ratio[i],
-                            grid.enm_ratio[i])
-            for i, point in enumerate(grid.points)]
+    header = tuple(f"mu_{k + 1}" for k in range(cfg.K)) + ("p_reject_A", "p_reject_B") \
+        + _COMPARED
+    rows = [point + (oc_a.p_reject, oc_b.p_reject) + _compared(oc_a, oc_b)
+            for point, oc_a, oc_b in grid]
     summary = (_summary_for_realisation(real_a, "A") +
                _summary_for_realisation(real_b, "B"))
     return emit_results(cfg, Path(cfg.out), summary, {"grid.csv": (header, rows)})
@@ -447,21 +452,24 @@ def _cmd_oc_grid(cfg: RunConfig) -> list:
 def _cmd_oc_sweep(cfg: RunConfig) -> list:
     spec_a = _spec_for_kind(cfg, cfg.kind_a)
     spec_b = _spec_for_kind(cfg, cfg.kind_b)
-    curve = analysis.correlation_sweep(spec_a, spec_b, cfg.rho_values,
+    sweep = analysis.correlation_sweep(spec_a, spec_b, cfg.rho_values,
                                        _sim_config(cfg), sigma=cfg.sigma,
                                        threads=cfg.threads, nmin=cfg.nmin, nmax=_nmax(cfg),
                                        lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
-    header = ("rho", "valid", "n_A", "n_B", "constant_A", "constant_B",
-              "ess_A", "ess_B", "enm_A", "enm_B", "ess_ratio", "enm_ratio")
-    rows = [(rho, curve.valid[i], curve.n_a[i], curve.n_b[i],
-             curve.constant_a[i], curve.constant_b[i], curve.ess_a[i],
-             curve.ess_b[i], curve.enm_a[i], curve.enm_b[i],
-             curve.ess_ratio[i], curve.enm_ratio[i])
-            for i, rho in enumerate(curve.rho_values)]
+    header = ("rho", "valid", "n_A", "n_B", "constant_A", "constant_B") + _COMPARED
+    rows = []
+    for rho, point in zip(sweep.rho_values, sweep.points):
+        if point is None:  # a failed search: every cell after valid is nan
+            rows.append((rho, False) + (math.nan,) * (len(header) - 2))
+            continue
+        a, b = point
+        # n as a float, the column type of a sweep with failed points (1e+06, not 1000000)
+        rows.append((rho, True, float(a.n), float(b.n), a.constant, b.constant)
+                    + _compared(a.oc_lfc, b.oc_lfc))
     summary = [f"kind_a = {cfg.kind_a}", f"kind_b = {cfg.kind_b}",
-               f"points = {len(rows)}", f"failed = {len(curve.errors)}"]
+               f"points = {len(rows)}", f"failed = {len(sweep.errors)}"]
     summary += [f"error_{i} = rho {rho}: {msg}"
-                for i, (rho, msg) in enumerate(curve.errors)]
+                for i, (rho, msg) in enumerate(sweep.errors)]
     return emit_results(cfg, Path(cfg.out), summary, {"sweep.csv": (header, rows)})
 
 

@@ -23,8 +23,8 @@ from typing import Any
 
 import numpy as np
 
-from .model import OutcomeModel, StageSchedule, _as_vector, lfc_effects
-from .optimize import exceedance_boundary, smallest_passing
+from .model import OutcomeModel, StageSchedule, _check_spec, lfc_effects
+from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
 from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
 
 # scipy.special's ndtr/ndtri are imported inside the two functions that use
@@ -69,28 +69,17 @@ class DtLDesignSpec:
     def __post_init__(self):
         if self.n_outcomes < 2:
             raise ValueError("n_outcomes must be >= 2 (one outcome leaves nothing to drop)")
-        if not 1 <= self.n_promising <= self.n_outcomes:
-            raise ValueError("n_promising must satisfy 1 <= m <= K")
         if not 1 <= self.max_retained < self.n_outcomes:
             raise ValueError("max_retained must satisfy 1 <= K_max < K")
         if not 0.0 <= self.cp_lower < self.cp_upper <= 1.0:
             raise ValueError("thresholds must satisfy 0 <= cp_lower < cp_upper <= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        d0 = tuple(_as_vector(self.delta0, self.n_outcomes, "delta0"))
-        d1 = tuple(_as_vector(self.delta1, self.n_outcomes, "delta1"))
-        if any(hi < lo for lo, hi in zip(d0, d1)):
-            raise ValueError("delta1 must be >= delta0 elementwise")
-        object.__setattr__(self, "delta0", d0)
-        object.__setattr__(self, "delta1", d1)
+        _check_spec(self)
 
     def search(self, model: OutcomeModel, block: StatisticBlock, nmin: int | None = None,
-               nmax: int = 400, **options) -> DtLRealisation:
+               **options) -> DtLRealisation:
         """``search_dtl_design`` on the model's null block; nmin defaults to default_nmin."""
         nmin = self.default_nmin if nmin is None else nmin
-        return search_dtl_design(self, model, block, nmin=nmin, nmax=nmax, **options)
+        return search_dtl_design(self, model, block, nmin=nmin, **options)
 
 
 @dataclass(frozen=True)
@@ -318,7 +307,7 @@ def calibrate_r(null_block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeM
 
 
 def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: StatisticBlock,
-                      nmin: int, nmax: int, threads: int = 1,
+                      nmin: int, nmax: int = DEFAULT_NMAX, threads: int = 1,
                       lfc_mode: str = "first-m",
                       strict: bool = False) -> DtLRealisation:
     """Smallest per-stage n in [nmin, nmax] meeting the target power.
@@ -331,8 +320,6 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: Statistic
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
-    if not 1 <= nmin < nmax:
-        raise ValueError("require 1 <= nmin < nmax")
     effects = lfc_effects(spec, mode=lfc_mode, sigma=model.sigma)
     probes: dict = {}  # per-stage size -> (r, OC at the LFC)
 

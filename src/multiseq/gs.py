@@ -25,11 +25,11 @@ from .model import (
     Boundaries,
     OutcomeModel,
     StageSchedule,
-    _as_vector,
+    _check_spec,
     lfc_effects,
     wang_tsiatis_boundaries,
 )
-from .optimize import exceedance_boundary, smallest_passing
+from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
 from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "search_gs_design",
 ]
 
-MAX_STAGE_SIZE = 10_000
 # bytes of statistics per row chunk of a block pass; a fixed-boundary pass
 # holds one transposed chunk copy per worker. A shifted 500k-row K = 10, J = 5
 # pass on 2 threads: 67 ms at 2 MB, 83 at 1 MB, 51 at 4-8 MB, 244 at 256 kB.
@@ -75,28 +74,17 @@ class GSDesignSpec:
     def __post_init__(self):
         if self.n_outcomes < 1:
             raise ValueError("n_outcomes must be >= 1")
-        if not 1 <= self.n_promising <= self.n_outcomes:
-            raise ValueError("n_promising must satisfy 1 <= m <= K")
         if self.n_stages < 1:
             raise ValueError("n_stages must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
         if not np.isfinite(self.wt_delta):
             raise ValueError("wt_delta must be finite")
-        d0 = tuple(_as_vector(self.delta0, self.n_outcomes, "delta0"))
-        d1 = tuple(_as_vector(self.delta1, self.n_outcomes, "delta1"))
-        if any(hi < lo for lo, hi in zip(d0, d1)):
-            raise ValueError("delta1 must be >= delta0 elementwise")
-        object.__setattr__(self, "delta0", d0)
-        object.__setattr__(self, "delta1", d1)
+        _check_spec(self)
 
     def search(self, model: OutcomeModel, block: StatisticBlock, nmin: int | None = None,
-               nmax: int = 400, **options) -> DesignRealisation:
+               **options) -> DesignRealisation:
         """``search_gs_design`` on the model's null block; nmin defaults to default_nmin."""
         nmin = self.default_nmin if nmin is None else nmin
-        return search_gs_design(self, model, block, nmin=nmin, nmax=nmax, **options)
+        return search_gs_design(self, model, block, nmin=nmin, **options)
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,7 @@ def calibrate_c(null_block: StatisticBlock, spec: GSDesignSpec,
 
 
 def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBlock,
-                     nmin: int = 1, threads: int = 1, nmax: int = MAX_STAGE_SIZE,
+                     nmin: int = 1, threads: int = 1, nmax: int = DEFAULT_NMAX,
                      lfc_mode: str = "first-m",
                      strict: bool = False) -> DesignRealisation:
     """Smallest design meeting the target error rates.
@@ -354,7 +342,7 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBl
                             mean_shift_vector(effects, schedule, model))
         return oc_lfc[n].p_reject
 
-    n = smallest_passing(power_at, 1.0 - spec.beta, max(1, nmin), nmax, gallop=True)
+    n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax, gallop=True)
     oc_null = rule.oc(boundaries, StageSchedule.equal(n, spec.n_stages))
     return DesignRealisation(
         kind=rule.kind,

@@ -47,6 +47,23 @@ def _as_vector(x, k: int, name: str) -> np.ndarray:
     return arr
 
 
+def _check_spec(spec) -> None:
+    """The m, error-rate and effect checks of a spec of either design
+    family; stores delta0 and delta1 as tuples of K floats."""
+    if not 1 <= spec.n_promising <= spec.n_outcomes:
+        raise ValueError("n_promising must satisfy 1 <= m <= K")
+    if not 0.0 < spec.alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not 0.0 < spec.beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+    d0 = tuple(_as_vector(spec.delta0, spec.n_outcomes, "delta0"))
+    d1 = tuple(_as_vector(spec.delta1, spec.n_outcomes, "delta1"))
+    if any(hi < lo for lo, hi in zip(d0, d1)):
+        raise ValueError("delta1 must be >= delta0 elementwise")
+    object.__setattr__(spec, "delta0", d0)
+    object.__setattr__(spec, "delta1", d1)
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeModel:
     """True means, standard deviations and correlation of the K outcomes.

@@ -16,7 +16,10 @@ import numpy as np
 
 from .errors import CalibrationError, InfeasibleDesignError
 
-__all__ = ["exceedance_boundary", "smallest_passing"]
+__all__ = ["DEFAULT_NMAX", "exceedance_boundary", "smallest_passing"]
+
+# largest per-stage size a sample-size search probes unless told otherwise
+DEFAULT_NMAX = 400
 
 # event values per vectorised step: the scans below allocate about 64 kB
 # at a time, never one temporary per event
@@ -117,8 +120,8 @@ def smallest_passing(power: Callable[[int], float], target: float, nmin: int,
     passing] bracket is then bisected. Raises InfeasibleDesignError when
     power at nmax falls short; warns when power falls between probes.
     """
-    if not 1 <= nmin <= nmax:
-        raise ValueError("require 1 <= nmin <= nmax")
+    if not 1 <= nmin < nmax:
+        raise ValueError("require 1 <= nmin < nmax")
     record = {}
     ladder = ([min(nmin - 1 + 2 ** i, nmax) for i in range((nmax - nmin).bit_length() + 1)]
               if gallop else [nmax])

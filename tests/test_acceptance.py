@@ -170,14 +170,15 @@ def test_criterion_3_effect_table_three_outcomes():
     real_mo = fixed_gs_realisation(gs_spec(3, 1, 3), 20, 2.394350)
     real_comp = fixed_gs_realisation(gs_spec(3, 1, 3, composite=True), 21, 4.387731)
     mus = [row[0] for row in TABLE_K3_EFFECTS]
-    cols = compare_at_effects(real_mo, real_comp, model, mus, null_blocks([3], model, cfg))
+    pairs = compare_at_effects(real_mo, real_comp, model, mus, null_blocks([3], model, cfg))
     failures = []
-    for i, (mu, p_mo, p_comp, ess_ratio) in enumerate(TABLE_K3_EFFECTS):
-        check(failures, abs(cols["p_a"][i] - p_mo) <= 0.02,
-              f"mu={mu}: R_MO={cols['p_a'][i]:.3f}, want {p_mo}+-0.02")
-        check(failures, abs(cols["p_b"][i] - p_comp) <= 0.02,
-              f"mu={mu}: R_comp={cols['p_b'][i]:.3f}, want {p_comp}+-0.02")
-        ratio = cols["ess_a"][i] / cols["ess_b"][i]
+    for (mu, p_mo, p_comp, ess_ratio), (oc_mo, oc_comp) in zip(TABLE_K3_EFFECTS, pairs,
+                                                                 strict=True):
+        check(failures, abs(oc_mo.p_reject - p_mo) <= 0.02,
+              f"mu={mu}: R_MO={oc_mo.p_reject:.3f}, want {p_mo}+-0.02")
+        check(failures, abs(oc_comp.p_reject - p_comp) <= 0.02,
+              f"mu={mu}: R_comp={oc_comp.p_reject:.3f}, want {p_comp}+-0.02")
+        ratio = oc_mo.ess / oc_comp.ess
         check(failures, abs(ratio - ess_ratio) <= 0.04,
               f"mu={mu}: ESS ratio={ratio:.3f}, want {ess_ratio}+-0.04")
     report("criterion 3", failures, f"{len(TABLE_K3_EFFECTS)} effect rows")
@@ -235,7 +236,7 @@ TABLE_DTL_EFFECTS = [
 
 
 @pytest.fixture(scope="module")
-def dtl_table_columns():
+def dtl_table_pairs():
     # reference realisations behind the three-outcome comparison table:
     # drop-the-loser {r=2.435647, N=72}, single-stage {r=2.380403, N=59}
     model = OutcomeModel.equicorrelated(3, 0.3)
@@ -248,21 +249,21 @@ def dtl_table_columns():
     return compare_at_effects(dtl_real, ss_real, model, mus, null_blocks([1, 2], model, cfg))
 
 
-def test_criterion_5_dtl_table_rejection_and_ess(dtl_table_columns):
-    cols = dtl_table_columns
+def test_criterion_5_dtl_table_rejection_and_ess(dtl_table_pairs):
     failures = []
-    for i, (mu, p_dtl, p_ss, ess_ratio, _) in enumerate(TABLE_DTL_EFFECTS):
-        check(failures, abs(cols["p_a"][i] - p_dtl) <= 0.02,
-              f"mu={mu}: p_DtL={cols['p_a'][i]:.3f}, want {p_dtl}+-0.02")
-        check(failures, abs(cols["p_b"][i] - p_ss) <= 0.02,
-              f"mu={mu}: p_SS={cols['p_b'][i]:.3f}, want {p_ss}+-0.02")
-        ratio = cols["ess_a"][i] / cols["ess_b"][i]
+    for (mu, p_dtl, p_ss, ess_ratio, _), (oc_dtl, oc_ss) in zip(TABLE_DTL_EFFECTS,
+                                                                 dtl_table_pairs, strict=True):
+        check(failures, abs(oc_dtl.p_reject - p_dtl) <= 0.02,
+              f"mu={mu}: p_DtL={oc_dtl.p_reject:.3f}, want {p_dtl}+-0.02")
+        check(failures, abs(oc_ss.p_reject - p_ss) <= 0.02,
+              f"mu={mu}: p_SS={oc_ss.p_reject:.3f}, want {p_ss}+-0.02")
+        ratio = oc_dtl.ess / oc_ss.ess
         check(failures, abs(ratio - ess_ratio) <= 0.04,
               f"mu={mu}: ESS ratio={ratio:.3f}, want {ess_ratio}+-0.04")
     report("criterion 5 (p, ESS)", failures, f"{len(TABLE_DTL_EFFECTS)} effect rows")
 
 
-def test_criterion_5_dtl_table_enm_ratio(dtl_table_columns):
+def test_criterion_5_dtl_table_enm_ratio(dtl_table_pairs):
     # ENM counts n measurements per outcome per stage: all K outcomes in
     # stage one, the retained outcomes in stage two. A continuing trial
     # has at most K - m outcomes below cp_l, so with k_max <= m it
@@ -277,10 +278,10 @@ def test_criterion_5_dtl_table_enm_ratio(dtl_table_columns):
     k, n, k_max, n_ss = 3, 36, 1, 59
     floor = k * n / (k * n_ss)
     tol = 0.04 * k_max / k
-    cols = dtl_table_columns
     failures = []
-    for i, (mu, _, _, ess_ratio, _) in enumerate(TABLE_DTL_EFFECTS):
-        enm_a, enm_b, ess_a = cols["enm_a"][i], cols["enm_b"][i], cols["ess_a"][i]
+    for (mu, _, _, ess_ratio, _), (oc_dtl, oc_ss) in zip(TABLE_DTL_EFFECTS, dtl_table_pairs,
+                                                            strict=True):
+        enm_a, enm_b, ess_a = oc_dtl.enm, oc_ss.enm, oc_dtl.ess
         want = (k * n + k_max * (ess_ratio * n_ss - n)) / (k * n_ss)
         ratio = enm_a / enm_b
         check(failures, abs(ratio - want) <= tol and ratio >= floor,
@@ -302,6 +303,16 @@ GS_TREND_CONFIGS = [(2, 1), (4, 2), (6, 1), (6, 3), (10, 5)]
 DTL_TREND_CONFIGS = [(2, 1, 1), (6, 1, 3), (6, 1, 5), (6, 3, 3), (6, 3, 5)]
 
 
+def sweep_column(sweep, value) -> np.ndarray:
+    """value(real_a, real_b) at each correlation of a sweep, NaN where a search failed."""
+    return np.array([np.nan if point is None else value(*point) for point in sweep.points])
+
+
+def lfc_ratios(sweep, name: str) -> np.ndarray:
+    """A/B ratio of an OC field ("ess" or "enm") under the LFC per correlation."""
+    return sweep_column(sweep, lambda a, b: getattr(a.oc_lfc, name) / getattr(b.oc_lfc, name))
+
+
 @pytest.fixture(scope="module")
 def gs_trend_curves():
     rhos = (0.0, 0.5, 0.6, 0.7, 0.8)
@@ -316,9 +327,9 @@ def gs_trend_curves():
 def test_criterion_6_gs_composite_ess_ratio_decreases(gs_trend_curves):
     rhos, curves = gs_trend_curves
     failures = []
-    for (k, m), curve in curves.items():
-        check(failures, curve.valid.all(), f"K={k},m={m}: sweep point failed")
-        ratios = curve.ess_ratio
+    for (k, m), sweep in curves.items():
+        check(failures, None not in sweep.points, f"K={k},m={m}: sweep point failed")
+        ratios = lfc_ratios(sweep, "ess")
         check(failures, ratios[-1] < ratios[0],
               f"K={k},m={m}: ESS ratio {ratios[0]:.3f}->{ratios[-1]:.3f} not decreasing")
     report("criterion 6 (sequential-vs-composite trend)", failures,
@@ -352,13 +363,16 @@ def test_criterion_6_gs_composite_superiority_at_high_correlation(gs_trend_curve
     high = np.asarray(rhos) >= 0.5
     higher = np.asarray(rhos) >= 0.7
     failures = []
-    for (k, m), curve in curves.items():
-        check(failures, bool((curve.n_a[high] <= curve.n_b[high]).all()),
-              f"K={k},m={m}: sequential n {curve.n_a[high]} above composite n "
-              f"{curve.n_b[high]} at rho>=0.5")
-        check(failures, bool((curve.ess_ratio[higher] < 1.0).all()),
+    for (k, m), sweep in curves.items():
+        n_a = sweep_column(sweep, lambda a, b: a.n)
+        n_b = sweep_column(sweep, lambda a, b: b.n)
+        ess_ratio = lfc_ratios(sweep, "ess")
+        check(failures, bool((n_a[high] <= n_b[high]).all()),
+              f"K={k},m={m}: sequential n {n_a[high]} above composite n "
+              f"{n_b[high]} at rho>=0.5")
+        check(failures, bool((ess_ratio[higher] < 1.0).all()),
               f"K={k},m={m}: ESS ratio not below 1 at rho>=0.7: "
-              f"{curve.ess_ratio[higher].round(3)}")
+              f"{ess_ratio[higher].round(3)}")
     report("criterion 6 (sequential-vs-composite superiority)", failures,
            f"{len(GS_TREND_CONFIGS)} configurations, n at rho >= 0.5, "
            f"ESS at rho >= 0.7")
@@ -369,15 +383,16 @@ def test_criterion_6_dtl_versus_single_stage_trends():
     cfg = SimConfig(seed=SEED + 7, nsims=TREND_NSIMS)
     failures = []
     for k, m, k_max in DTL_TREND_CONFIGS:
-        curve = correlation_sweep(dtl_spec(k, m, k_max), gs_spec(k, m, 1), rhos,
+        sweep = correlation_sweep(dtl_spec(k, m, k_max), gs_spec(k, m, 1), rhos,
                                   cfg, nmin=2, nmax=300)
-        check(failures, curve.valid.all(), f"K={k},m={m}: sweep point failed")
-        check(failures, curve.ess_ratio[-1] < curve.ess_ratio[0],
+        ess_ratio, enm_ratio = lfc_ratios(sweep, "ess"), lfc_ratios(sweep, "enm")
+        check(failures, None not in sweep.points, f"K={k},m={m}: sweep point failed")
+        check(failures, ess_ratio[-1] < ess_ratio[0],
               f"K={k},m={m},K_max={k_max}: ESS ratio "
-              f"{curve.ess_ratio[0]:.3f}->{curve.ess_ratio[-1]:.3f} not decreasing")
-        check(failures, bool((curve.enm_ratio < 1.0).all()),
+              f"{ess_ratio[0]:.3f}->{ess_ratio[-1]:.3f} not decreasing")
+        check(failures, bool((enm_ratio < 1.0).all()),
               f"K={k},m={m},K_max={k_max}: ENM ratio reaches "
-              f"{curve.enm_ratio.max():.3f}")
+              f"{enm_ratio.max():.3f}")
     report("criterion 6 (drop-the-loser vs single-stage)", failures,
            f"{len(DTL_TREND_CONFIGS)} configurations x {len(rhos)} correlations")
 

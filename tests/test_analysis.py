@@ -1,7 +1,6 @@
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from conftest import null_block
@@ -62,9 +61,10 @@ class TestEffectGrid:
         real_a = search_gs_design(gs_spec(), model, blocks[2])
         real_b = search_gs_design(gs_spec(), model, blocks[2])
         grid = effect_grid(real_a, real_b, [(-0.1, 0.2), (-0.1, 0.2)], model, blocks)
-        np.testing.assert_array_equal(grid.ess_ratio, 1.0)
-        np.testing.assert_array_equal(grid.enm_ratio, 1.0)
-        np.testing.assert_array_equal(grid.p_a, grid.p_b)
+        assert len(grid) == 4
+        for _, oc_a, oc_b in grid:
+            assert oc_a.ess / oc_b.ess == 1.0 and oc_a.enm / oc_b.enm == 1.0
+            assert oc_a.p_reject == oc_b.p_reject
 
     def test_grid_is_deterministic_and_complete(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
@@ -74,21 +74,24 @@ class TestEffectGrid:
         axes = [(-0.2, 0.0, 0.4), (0.0, 0.2)]
         first = effect_grid(real_a, real_b, axes, model, blocks)
         second = effect_grid(real_a, real_b, axes, model, blocks)
-        assert first.points.shape == (6, 2)
-        np.testing.assert_array_equal(first.p_a, second.p_a)
-        np.testing.assert_array_equal(first.enm_b, second.enm_b)
+        assert [point for point, _, _ in first] == [
+            (-0.2, 0.0), (-0.2, 0.2), (0.0, 0.0), (0.0, 0.2), (0.4, 0.0), (0.4, 0.2)]
+        assert [oc_a.p_reject for _, oc_a, _ in first] == \
+            [oc_a.p_reject for _, oc_a, _ in second]
+        assert [oc_b.enm for _, _, oc_b in first] == [oc_b.enm for _, _, oc_b in second]
         # composite trials still measure both outcomes at every stage
-        np.testing.assert_allclose(first.enm_b, 2 * first.ess_b)
-        np.testing.assert_allclose(first.enm_a, 2 * first.ess_a)
+        for _, oc_a, oc_b in first:
+            assert oc_b.enm == pytest.approx(2 * oc_b.ess, rel=1e-7)
+            assert oc_a.enm == pytest.approx(2 * oc_a.ess, rel=1e-7)
 
     def test_grid_matches_pointwise_evaluation(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         blocks = null_blocks([2], model, SimConfig(seed=59, nsims=10_000))
         real_a = search_gs_design(gs_spec(), model, blocks[2])
         real_b = gs_spec(composite=True).search(model, blocks[2])
-        grid = effect_grid(real_a, real_b, [(0.1,), (0.3,)], model, blocks)
-        p, ess, enm = evaluate_at_effects(real_b, blocks[2], model, [0.1, 0.3])
-        assert grid.p_b[0] == p and grid.ess_b[0] == ess and grid.enm_b[0] == enm
+        (point, _, oc_b), = effect_grid(real_a, real_b, [(0.1,), (0.3,)], model, blocks)
+        assert point == (0.1, 0.3)
+        assert oc_b == evaluate_at_effects(real_b, blocks[2], model, [0.1, 0.3])
 
     def test_threads_reach_every_evaluation_pass(self, monkeypatch):
         model = OutcomeModel.equicorrelated(2, 0.3)
@@ -112,8 +115,7 @@ class TestEffectGrid:
         grid = effect_grid(real_gs, real_dtl, axes, model, blocks, threads=2)
         # one pool per evaluation pass: 6 points, each for both designs
         assert pools == [2] * 12
-        for name in ("p_a", "p_b", "ess_a", "ess_b", "enm_a", "enm_b"):
-            np.testing.assert_array_equal(getattr(grid, name), getattr(expected, name))
+        assert grid == expected
 
     def test_axes_must_match_outcomes(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
@@ -127,32 +129,33 @@ class TestEffectGrid:
         block = null_block(2, model, SimConfig(seed=61, nsims=20_000))
         real = search_gs_design(gs_spec(), model, block)
         path = [(-0.2, -0.1), (0.0, 0.0), (0.1, 0.05), (0.3, 0.2), (0.4, 0.4)]
-        probs = [evaluate_at_effects(real, block, model, mu)[0] for mu in path]
+        probs = [evaluate_at_effects(real, block, model, mu).p_reject for mu in path]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
 
 
 class TestCorrelationSweep:
     def test_self_comparison_is_flat_at_one(self):
         cfg = SimConfig(seed=62, nsims=5_000)
-        curve = correlation_sweep(gs_spec(), gs_spec(), (0.0, 0.4), cfg)
-        assert curve.valid.all()
-        np.testing.assert_array_equal(curve.ess_ratio, 1.0)
-        np.testing.assert_array_equal(curve.enm_ratio, 1.0)
+        sweep = correlation_sweep(gs_spec(), gs_spec(), (0.0, 0.4), cfg)
+        assert sweep.rho_values == (0.0, 0.4) and sweep.errors == []
+        for real_a, real_b in sweep.points:
+            assert real_a.oc_lfc.ess / real_b.oc_lfc.ess == 1.0
+            assert real_a.oc_lfc.enm / real_b.oc_lfc.enm == 1.0
 
     def test_failed_points_are_marked_not_fatal(self):
         cfg = SimConfig(seed=63, nsims=2_000)
-        curve = correlation_sweep(dtl_spec(), gs_spec(j=1), (0.0, 0.3), cfg,
+        sweep = correlation_sweep(dtl_spec(), gs_spec(j=1), (0.0, 0.3), cfg,
                                   nmin=2, nmax=4)
-        assert not curve.valid.any()
-        assert len(curve.errors) == 2
-        assert np.isnan(curve.ess_ratio).all()
+        assert sweep.points == [None, None]
+        assert [rho for rho, _ in sweep.errors] == [0.0, 0.3]
 
     def test_records_design_constants(self):
         cfg = SimConfig(seed=64, nsims=5_000)
-        curve = correlation_sweep(gs_spec(), gs_spec(composite=True), (0.3,), cfg)
-        assert curve.valid.all()
-        assert curve.n_a[0] >= 1 and curve.n_b[0] >= 1
-        assert curve.constant_a[0] > 0 and curve.constant_b[0] > 0
+        sweep = correlation_sweep(gs_spec(), gs_spec(composite=True), (0.3,), cfg)
+        (real_a, real_b), = sweep.points
+        assert (real_a.kind, real_b.kind) == ("gs", "composite")
+        assert real_a.n >= 1 and real_b.n >= 1
+        assert real_a.constant > 0 and real_b.constant > 0
 
     def test_draws_each_block_once_and_drops_it_before_the_next_rho(self, monkeypatch):
         drawn = []  # (model, stage count, weak reference to the block)
@@ -166,8 +169,8 @@ class TestCorrelationSweep:
 
         monkeypatch.setattr(simulate_module, "simulate_null_block", tracked)
         cfg = SimConfig(seed=65, nsims=2_000)
-        curve = correlation_sweep(dtl_spec(), gs_spec(j=1), (0.0, 0.3, 0.6), cfg, nmax=200)
-        assert curve.valid.all()
+        sweep = correlation_sweep(dtl_spec(), gs_spec(j=1), (0.0, 0.3, 0.6), cfg, nmax=200)
+        assert None not in sweep.points
         assert [(model.rho[0, 1], j) for model, j, _ in drawn] == \
             [(0.0, 1), (0.0, 2), (0.3, 1), (0.3, 2), (0.6, 1), (0.6, 2)]
         monkeypatch.undo()
@@ -177,8 +180,9 @@ class TestCorrelationSweep:
             blocks = null_blocks([1, 2], model, cfg)
             real_a = dtl_spec().search(model, blocks[2], nmax=200)
             real_b = gs_spec(j=1).search(model, blocks[1], nmax=200)
-            assert (curve.n_a[i], curve.n_b[i]) == (real_a.n, real_b.n)
-            assert (curve.ess_a[i], curve.ess_b[i]) == (real_a.oc_lfc.ess, real_b.oc_lfc.ess)
+            got_a, got_b = sweep.points[i]
+            assert (got_a.n, got_b.n) == (real_a.n, real_b.n)
+            assert (got_a.oc_lfc, got_b.oc_lfc) == (real_a.oc_lfc, real_b.oc_lfc)
 
 
 class TestCompareAtEffects:
@@ -187,10 +191,10 @@ class TestCompareAtEffects:
         blocks = null_blocks([2], model, SimConfig(seed=65, nsims=10_000))
         real_a = search_gs_design(gs_spec(), model, blocks[2])
         real_b = gs_spec(composite=True).search(model, blocks[2])
-        rows = compare_at_effects(real_a, real_b, model,
-                                  [(0.0, 0.0), (0.4, 0.2)], blocks)
-        assert rows["p_a"].shape == (2,)
-        assert rows["p_a"][1] > rows["p_a"][0]
+        pairs = compare_at_effects(real_a, real_b, model,
+                                   [(0.0, 0.0), (0.4, 0.2)], blocks)
+        assert len(pairs) == 2
+        assert pairs[1][0].p_reject > pairs[0][0].p_reject
 
     @pytest.mark.parametrize("design_b", ["composite", "dtl", "three-stage"])
     def test_equal_stage_counts_share_one_simulated_block(self, monkeypatch, design_b):
@@ -211,12 +215,10 @@ class TestCompareAtEffects:
         real_a = search_gs_design(gs_spec(), model, blocks[2])  # two stages
         real_b = spec_b.search(model, blocks[spec_b.n_stages], nmax=200)
         mus = [(0.0, 0.0), (0.4, 0.2)]
-        expected = {tag: [evaluate_at_effects(real, null_block(real.n_stages, model, cfg),
-                                              model, mu) for mu in mus]
-                    for tag, real in (("a", real_a), ("b", real_b))}
+        expected = [tuple(evaluate_at_effects(real, null_block(real.n_stages, model, cfg),
+                                              model, mu) for real in (real_a, real_b))
+                    for mu in mus]
         del calls[:]
-        rows = compare_at_effects(real_a, real_b, model, mus, blocks)
+        pairs = compare_at_effects(real_a, real_b, model, mus, blocks)
         assert calls == []  # the grid evaluates the caller's blocks only
-        for tag in ("a", "b"):
-            got = list(zip(rows[f"p_{tag}"], rows[f"ess_{tag}"], rows[f"enm_{tag}"]))
-            assert got == expected[tag]
+        assert pairs == expected

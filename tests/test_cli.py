@@ -321,6 +321,23 @@ mu_values = 0.0, 0.4
         assert len(lines) == 3
         assert all(line.split(",")[1] == "true" for line in lines[1:])
 
+    def test_oc_sweep_writes_a_failed_point_in_rho_order(self, tmp_path):
+        # at rho = 0.9 the composite design needs n = 43 (power 0.718 at
+        # nmax = 35); at rho = 0 both designs pass (n = 27 and 23)
+        text = SWEEP_CONFIG.replace("rho_values = 0.0, 0.5", "rho_values = 0.0, 0.9, 0.0") \
+            + "nmax = 35\n"
+        out = tmp_path / "sweep"
+        assert run_cli(["oc", "sweep", "--config", str(write(tmp_path, text)),
+                        "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["0", "true"], ["0.9", "false"], ["0", "true"]]
+        assert rows[1][2:] == ["nan"] * 10
+        assert rows[0] == rows[2] and "nan" not in rows[0]
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[-4:-1] == ["kind_b = composite", "points = 3", "failed = 1"]
+        assert summary[-1].startswith("error_0 = rho 0.9: no per-stage size up to 35 "
+                                      "reaches power 0.8")
+
     def test_oc_sweep_uses_every_outcome_sigma(self, tmp_path):
         cfg_path = write(tmp_path, SWEEP_CONFIG)
         rows = {}

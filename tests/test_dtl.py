@@ -563,6 +563,16 @@ class TestSearch:
                               null_block(2, model, SimConfig(seed=44, nsims=100)),
                               nmin=10, nmax=10)
 
+    def test_function_and_spec_share_the_default_nmax(self):
+        spec = DtLDesignSpec(n_outcomes=2, n_promising=1, max_retained=1, cp_lower=0.3,
+                             cp_upper=0.95, alpha=0.025, beta=0.2, delta0=0.0, delta1=0.01)
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        block = null_block(2, model, SimConfig(seed=45, nsims=500))
+        with pytest.raises(InfeasibleDesignError, match="no per-stage size up to 400 "):
+            search_dtl_design(spec, model, block, nmin=2)
+        with pytest.raises(InfeasibleDesignError, match="no per-stage size up to 400 "):
+            spec.search(model, block)
+
     def test_block_must_have_two_stages(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         with pytest.raises(ValueError, match="two stages"):

@@ -525,6 +525,22 @@ class TestSearch:
                              null_block(3, two_outcome_model, SimConfig(seed=29, nsims=5_000)),
                              nmax=2)
 
+    def test_function_and_spec_share_the_default_nmax(self):
+        # delta1 = 0.01 needs tens of thousands per stage
+        spec = GSDesignSpec(n_outcomes=2, n_promising=1, n_stages=2, alpha=0.025,
+                            beta=0.2, delta0=0.0, delta1=0.01)
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        block = null_block(2, model, SimConfig(seed=36, nsims=500))
+        with pytest.raises(InfeasibleDesignError, match="no per-stage size up to 400 "):
+            search_gs_design(spec, model, block)
+        with pytest.raises(InfeasibleDesignError, match="no per-stage size up to 400 "):
+            spec.search(model, block)
+
+    def test_nmin_below_one_rejected(self, two_outcome_model, two_outcome_spec):
+        block = null_block(3, two_outcome_model, SimConfig(seed=1, nsims=100))
+        with pytest.raises(ValueError, match="nmin"):
+            search_gs_design(two_outcome_spec, two_outcome_model, block, nmin=0)
+
     def test_model_spec_outcome_mismatch_rejected(self, two_outcome_spec):
         model = OutcomeModel.equicorrelated(3, 0.3)
         with pytest.raises(ValueError, match="outcomes"):

@@ -260,13 +260,21 @@ class TestLfcEffects:
 
 
 class TestGSDesignSpec:
-    def test_rejects_bad_error_rates(self):
-        with pytest.raises(ValueError):
-            GSDesignSpec(n_outcomes=2, n_promising=1, n_stages=2, alpha=0.0,
-                         beta=0.2, delta0=0.2, delta1=0.4)
-        with pytest.raises(ValueError):
-            GSDesignSpec(n_outcomes=2, n_promising=1, n_stages=2, alpha=0.025,
-                         beta=1.0, delta0=0.2, delta1=0.4)
+    # both design families share the m, error-rate and effect checks
+    @pytest.mark.parametrize("family", ["gs", "dtl"])
+    def test_rejects_bad_error_rates(self, family):
+        from multiseq.dtl import DtLDesignSpec
+
+        spec = {"gs": lambda **kw: GSDesignSpec(n_stages=2, **kw),
+                "dtl": lambda **kw: DtLDesignSpec(max_retained=1, cp_lower=0.3,
+                                                  cp_upper=0.95, **kw)}[family]
+        valid = dict(n_outcomes=2, n_promising=1, alpha=0.025, beta=0.2,
+                     delta0=0.2, delta1=0.4)
+        spec(**valid)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            spec(**(valid | {"alpha": 0.0}))
+        with pytest.raises(ValueError, match=r"^beta must lie in \(0, 1\)$"):
+            spec(**(valid | {"beta": 1.0}))
 
     def test_rejects_inverted_effect_order(self):
         with pytest.raises(ValueError, match="delta1"):
