@@ -36,26 +36,23 @@ class Sweep(NamedTuple):
     errors: list
 
 
-def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel,
-                        mu, threads: int = 1):
+def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel, mu):
     """Operating characteristics of a fixed realisation at true effects mu,
-    in one block pass shared by ``threads`` workers."""
+    in one pass over the block."""
     schedule = StageSchedule.equal(realisation.n, realisation.n_stages)
-    return realisation.evaluate(block, model, mean_shift_vector(mu, schedule, model),
-                                threads=threads)
+    return realisation.evaluate(block, model, mean_shift_vector(mu, schedule, model))
 
 
 def compare_at_effects(realisation_a, realisation_b, model: OutcomeModel,
-                       mus: Sequence, blocks: Mapping[int, StatisticBlock],
-                       threads: int = 1) -> list:
+                       mus: Sequence, blocks: Mapping[int, StatisticBlock]) -> list:
     """(oc_a, oc_b) at each effect vector; ``blocks`` maps a stage count to
     the model's null block, so equal stage counts share one."""
-    return [tuple(evaluate_at_effects(real, blocks[real.n_stages], model, mu, threads)
+    return [tuple(evaluate_at_effects(real, blocks[real.n_stages], model, mu)
                   for real in (realisation_a, realisation_b)) for mu in mus]
 
 
 def effect_grid(realisation_a, realisation_b, axes, model: OutcomeModel,
-                blocks: Mapping[int, StatisticBlock], threads: int = 1) -> list:
+                blocks: Mapping[int, StatisticBlock]) -> list:
     """Cartesian grid of true effects evaluated for two fixed realisations
     on ``blocks`` (stage count -> the model's null block).
 
@@ -67,8 +64,7 @@ def effect_grid(realisation_a, realisation_b, axes, model: OutcomeModel,
     if len(axes) != model.n_outcomes:
         raise ValueError("need one grid axis per outcome")
     points = list(itertools.product(*axes))
-    pairs = compare_at_effects(realisation_a, realisation_b, model, points, blocks,
-                               threads=threads)
+    pairs = compare_at_effects(realisation_a, realisation_b, model, points, blocks)
     return [(point, *pair) for point, pair in zip(points, pairs)]
 
 
@@ -79,8 +75,9 @@ def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,
     """Search both designs at each shared correlation; ``sigma`` is a
     scalar or per outcome.
 
-    Each correlation's null blocks are drawn once, shared by both
-    searches and dropped before the next correlation. A failed search
+    Each correlation's null blocks are drawn once on ``threads`` workers,
+    which also run every pass over them; both searches share the blocks,
+    which are dropped before the next correlation. A failed search
     leaves that point None and records its error instead of aborting
     the sweep.
     """
@@ -91,7 +88,7 @@ def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,
         model = OutcomeModel.equicorrelated(spec_a.n_outcomes, rho, sigma)
         blocks = null_blocks((spec_a.n_stages, spec_b.n_stages), model, cfg, threads)
         return tuple(spec.search(model, blocks[spec.n_stages], nmin=nmin, nmax=nmax,
-                                 threads=threads, lfc_mode=lfc_mode, strict=strict)
+                                 lfc_mode=lfc_mode, strict=strict)
                      for spec in (spec_a, spec_b))
 
     for rho in rho_values:

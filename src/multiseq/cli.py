@@ -329,7 +329,7 @@ def _null_blocks(cfg: RunConfig, model: OutcomeModel, specs) -> dict:
 
 def _search(cfg: RunConfig, spec, model: OutcomeModel, blocks: dict):
     return spec.search(model, blocks[spec.n_stages], nmin=cfg.nmin, nmax=_nmax(cfg),
-                       threads=cfg.threads, lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
+                       lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def _cmd_oc_grid(cfg: RunConfig) -> list:
     blocks = _null_blocks(cfg, model, specs)  # shared by both searches and the grid
     real_a, real_b = (_search(cfg, spec, model, blocks) for spec in specs)
     axes = (cfg.mu_values,) * cfg.K
-    grid = analysis.effect_grid(real_a, real_b, axes, model, blocks, threads=cfg.threads)
+    grid = analysis.effect_grid(real_a, real_b, axes, model, blocks)
     header = tuple(f"mu_{k + 1}" for k in range(cfg.K)) + ("p_reject_A", "p_reject_B") \
         + _COMPARED
     rows = [point + (oc_a.p_reject, oc_b.p_reject) + _compared(oc_a, oc_b)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import OutcomeModel, StageSchedule, _check_spec, lfc_effects
 from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
-from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
+from .simulate import StatisticBlock, count_true, mean_shift_vector
 
 # scipy.special's ndtr/ndtri are imported inside the two functions that use
 # them, not here: scipy.special takes about 0.35 s to import and only
@@ -117,11 +117,10 @@ class DtLRealisation:
         return self.r
 
     def evaluate(self, block: StatisticBlock, model: OutcomeModel,
-                 shift: np.ndarray, threads: int = 1) -> DtLOperatingCharacteristics:
+                 shift: np.ndarray) -> DtLOperatingCharacteristics:
         """Operating characteristics on a two-stage null block at a
-        per-column mean shift, the pass shared by ``threads`` workers."""
-        return estimate_dtl_oc(block, self.spec, model, self.r, self.n, shift=shift,
-                               threads=threads)
+        per-column mean shift."""
+        return estimate_dtl_oc(block, self.spec, model, self.r, self.n, shift=shift)
 
     def table(self, model: OutcomeModel, cp_grid) -> tuple:
         """(file name, header, rows) of the report table: CP on the cp_grid (lo, hi, step)."""
@@ -178,15 +177,14 @@ class _Rule:
     holds when at least m of the j* top-ranked have a stage-two statistic
     above r, ranked by descending core with ties to the lower index.
 
-    A pass runs over row chunks of CHUNK_BYTES on up to ``threads``
-    workers; each chunk adds the shift to its own rows (``oc`` to one
-    transposed copy of them) and writes only its own rows or counts, so
-    no block-sized copy is made and the result does not depend on the
-    thread count.
+    A pass runs over row chunks of CHUNK_BYTES on the block's workers;
+    ``oc`` adds the shift to one transposed copy of each chunk's rows, and
+    each chunk writes only its own rows or counts, so no block-sized copy
+    is made and the result does not depend on the thread count.
     """
 
     def __init__(self, block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
-                 n: int, max_retained: int | None = None, threads: int = 1):
+                 n: int, max_retained: int | None = None):
         from scipy.special import ndtri
 
         if block.n_stages != N_STAGES:
@@ -202,9 +200,7 @@ class _Rule:
         self.q_lower, self.q_upper = float(ndtri(spec.cp_lower)), float(ndtri(spec.cp_upper))
         self.k, self.m = spec.n_outcomes, spec.n_promising
         self.k_max = spec.max_retained if max_retained is None else int(max_retained)
-        self.block, self.n, self.threads = block, n, threads
-        row_bytes = block.values.shape[1] * block.values.itemsize
-        self.chunk_rows = max(1, CHUNK_BYTES // row_bytes)
+        self.block, self.n = block, n
 
     def _limits(self, rows: np.ndarray) -> tuple:
         """(t_go, e, U) of each row, e sorted by descending core."""
@@ -222,17 +218,15 @@ class _Rule:
             limit = np.maximum(limit, np.minimum(m_j, e[:, j - 1]))
         return t_go, e, limit
 
-    def go_limits(self, shift=None) -> np.ndarray:
+    def go_limits(self) -> np.ndarray:
         """Each row's U: the row goes exactly when r < U."""
         values = self.block.values
-        shift = None if shift is None else np.asarray(shift, dtype=float)
         limits = np.empty(self.block.nsims)
 
         def run(_, a: int, b: int) -> None:
-            limits[a:b] = self._limits(values[a:b] if shift is None
-                                       else values[a:b] + shift)[2]
+            limits[a:b] = self._limits(values[a:b])[2]
 
-        run_chunks(run, len(values), self.chunk_rows, self.threads)
+        self.block.each_chunk(run, CHUNK_BYTES)
         return limits
 
     def oc(self, r: float, shift=None) -> DtLOperatingCharacteristics:
@@ -242,7 +236,7 @@ class _Rule:
         values = self.block.values
         shift = None if shift is None else np.asarray(shift, dtype=float)
         later = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]  # K - 1 - i
-        counts = np.zeros((-(-nsims // self.chunk_rows), 3), dtype=np.int64)
+        counts = {}  # chunk index -> (go, stop, retained outcomes of the rows going on)
 
         def run(i: int, a: int, b: int) -> None:
             cols = values[a:b].T.copy()
@@ -262,11 +256,11 @@ class _Rule:
                 hits &= count_true(ge) + later - count_true(ge, axis=1) < k_max
             go |= count_true(hits) >= m
             retained = np.minimum(count_true(eligible), k_max)
-            counts[i] = (np.count_nonzero(go), np.count_nonzero(stop),
-                         retained[~stop].sum())
+            counts[i] = (int(np.count_nonzero(go)), int(np.count_nonzero(stop)),
+                         int(retained[~stop].sum()))
 
-        run_chunks(run, nsims, self.chunk_rows, self.threads)
-        go, stops, retained = (int(c) for c in counts.sum(axis=0))
+        self.block.each_chunk(run, CHUNK_BYTES)
+        go, stops, retained = map(sum, zip(*counts.values()))
         pet = stops / nsims
         return DtLOperatingCharacteristics(
             p_reject=go / nsims,
@@ -277,21 +271,20 @@ class _Rule:
 
 
 def estimate_dtl_oc(block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
-                    r: float, n: int, shift=None, max_retained: int | None = None,
-                    threads: int = 1) -> DtLOperatingCharacteristics:
+                    r: float, n: int, shift=None,
+                    max_retained: int | None = None) -> DtLOperatingCharacteristics:
     """Operating characteristics of the design on a two-stage block.
 
     ``shift`` is an optional per-column mean shift (length 2K), as
     produced by ``mean_shift_vector`` for the two-stage schedule.
     ``max_retained`` overrides the design's cap; passing K disables dropping,
     which is useful for reduction checks against single-stage designs.
-    ``threads`` workers share the block pass.
     """
-    return _Rule(block, spec, model, n, max_retained, threads).oc(r, shift)
+    return _Rule(block, spec, model, n, max_retained).oc(r, shift)
 
 
 def calibrate_r(null_block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
-                n: int, strict: bool = False, threads: int = 1) -> tuple:
+                n: int, strict: bool = False) -> tuple:
     """Final rejection boundary hitting the target type-I error rate.
 
     Returns (r, achieved alpha). Unlike the group-sequential constant, r
@@ -302,13 +295,12 @@ def calibrate_r(null_block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeM
     (``optimize.exceedance_boundary``; ``strict`` keeps achieved alpha
     <= target, and CalibrationError means no r > 0 reaches it).
     """
-    limits = _Rule(null_block, spec, model, n, threads=threads).go_limits()
+    limits = _Rule(null_block, spec, model, n).go_limits()
     return exceedance_boundary(limits, spec.alpha, strict=strict)
 
 
 def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: StatisticBlock,
-                      nmin: int, nmax: int = DEFAULT_NMAX, threads: int = 1,
-                      lfc_mode: str = "first-m",
+                      nmin: int, nmax: int = DEFAULT_NMAX, lfc_mode: str = "first-m",
                       strict: bool = False) -> DtLRealisation:
     """Smallest per-stage n in [nmin, nmax] meeting the target power.
 
@@ -324,14 +316,14 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: Statistic
     probes: dict = {}  # per-stage size -> (r, OC at the LFC)
 
     def power_at(n: int) -> float:
-        r, _ = calibrate_r(block, spec, model, n, strict=strict, threads=threads)
+        r, _ = calibrate_r(block, spec, model, n, strict=strict)
         shift = mean_shift_vector(effects, StageSchedule.equal(n, N_STAGES), model)
-        probes[n] = (r, _Rule(block, spec, model, n, threads=threads).oc(r, shift))
+        probes[n] = (r, _Rule(block, spec, model, n).oc(r, shift))
         return probes[n][1].p_reject
 
     n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax)
     r, oc_lfc = probes[n]
-    oc_null = estimate_dtl_oc(block, spec, model, r, n, threads=threads)
+    oc_null = estimate_dtl_oc(block, spec, model, r, n)
     return DtLRealisation(spec=spec, n=n, n_total=2 * n, r=r,
                           alpha_star=oc_null.p_reject, power_star=oc_lfc.p_reject,
                           oc_null=oc_null, oc_lfc=oc_lfc)

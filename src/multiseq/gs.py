@@ -16,7 +16,7 @@ favourable configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -30,7 +30,7 @@ from .model import (
     wang_tsiatis_boundaries,
 )
 from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
-from .simulate import StatisticBlock, count_true, mean_shift_vector, run_chunks
+from .simulate import StatisticBlock, count_true, mean_shift_vector
 
 __all__ = [
     "GSDesignSpec",
@@ -126,13 +126,11 @@ class DesignRealisation:
         return ("f", self.boundaries.lower), ("e", self.boundaries.upper)
 
     def evaluate(self, block: StatisticBlock, model: OutcomeModel,
-                 shift: np.ndarray, threads: int = 1) -> GSOperatingCharacteristics:
+                 shift: np.ndarray) -> GSOperatingCharacteristics:
         """Operating characteristics on a null block at a per-column mean
-        shift, the pass shared by ``threads`` workers; the shift already
-        carries the model's sigma."""
+        shift; the shift already carries the model's sigma."""
         schedule = StageSchedule.equal(self.n, self.n_stages)
-        return estimate_gs_oc(block, self.boundaries, self.spec, schedule, shift=shift,
-                              threads=threads)
+        return estimate_gs_oc(block, self.boundaries, self.spec, schedule, shift=shift)
 
     def table(self, model: OutcomeModel, cp_grid) -> tuple:
         """(file name, header, rows) of the report table: the boundaries per stage."""
@@ -172,12 +170,12 @@ class _Rule:
     design sums the K statistics at each stage and compares the sum with
     the boundary (one outcome, m = 1). The block is summed once; a shift
     is summed on its own and then added to the summed block. A pass runs
-    over row chunks of CHUNK_BYTES, on up to ``threads`` workers; each
-    chunk adds the shift to a transposed copy of its own rows, so no
+    over row chunks of CHUNK_BYTES on the block's workers; each chunk
+    adds the shift to a transposed copy of its own rows, so no
     block-sized copy is made.
     """
 
-    def __init__(self, block: StatisticBlock, spec: GSDesignSpec, threads: int = 1):
+    def __init__(self, block: StatisticBlock, spec: GSDesignSpec):
         self.summed = spec.composite
         if self.summed:
             block = composite_transform(block)  # an already summed block passes through
@@ -186,12 +184,7 @@ class _Rule:
             self.kind, self.k, self.m = "gs", spec.n_outcomes, spec.n_promising
         if block.n_outcomes != self.k or block.n_stages != spec.n_stages:
             raise ValueError("block shape does not match the design spec")
-        self.block, self.spec, self.threads = block, spec, threads
-
-    def _run(self, fn) -> None:
-        """fn(chunk index, first row, stop row) over every row chunk."""
-        row_bytes = self.block.values[:1].nbytes
-        run_chunks(fn, self.block.nsims, max(1, CHUNK_BYTES // row_bytes), self.threads)
+        self.block, self.spec = block, spec
 
     def decide(self, boundaries: Boundaries, shift=None):
         values = self.block.values
@@ -207,7 +200,7 @@ class _Rule:
             is_go[a:b], stop[a:b] = _decide(values[a:b], self.spec.n_stages, self.k,
                                             self.m, lower, upper, shift)
 
-        self._run(run)
+        self.block.each_chunk(run, CHUNK_BYTES)
         return is_go, stop
 
     def go_intervals(self) -> tuple:
@@ -238,7 +231,7 @@ class _Rule:
             keep = w > t
             parts[i] = t[keep], w[keep]
 
-        self._run(run)
+        self.block.each_chunk(run, CHUNK_BYTES)
         order = sorted(parts)
         return (np.concatenate([parts[i][0] for i in order]),
                 np.concatenate([parts[i][1] for i in order]))
@@ -258,29 +251,27 @@ class _Rule:
 
 def estimate_gs_oc(block: StatisticBlock, boundaries: Boundaries,
                    spec: GSDesignSpec, schedule: StageSchedule,
-                   shift: np.ndarray | None = None,
-                   threads: int = 1) -> GSOperatingCharacteristics:
+                   shift: np.ndarray | None = None) -> GSOperatingCharacteristics:
     """Aggregate rejection probability, expected stages, ESS and ENM.
 
     ``shift`` is an optional per-column mean shift applied on the fly,
     so power at any effect vector reuses the shared null block.
-    ``threads`` workers share the block pass.
     """
     if block.n_stages != boundaries.n_stages or block.n_stages != schedule.n_stages:
         raise ValueError("block, boundaries and schedule stage counts differ")
-    return _Rule(block, spec, threads).oc(boundaries, schedule, shift)
+    return _Rule(block, spec).oc(boundaries, schedule, shift)
 
 
 def composite_transform(block: StatisticBlock) -> StatisticBlock:
     """Sum the K statistics at each stage into one composite statistic.
 
     No re-standardisation: the calibrated constant absorbs the variance
-    of the correlated sum. With K = 1 the block passes through unchanged.
+    of the correlated sum. With K = 1 the block passes through unchanged;
+    the summed block keeps the block's workers.
     """
     if block.n_outcomes == 1:
         return block
-    summed = block.by_stage().sum(axis=2)
-    return StatisticBlock(values=summed, n_stages=block.n_stages, n_outcomes=1)
+    return replace(block, values=block.by_stage().sum(axis=2), n_outcomes=1)
 
 
 def _final_scale_boundaries(final: float, n_stages: int, wt_delta: float) -> Boundaries:
@@ -291,27 +282,26 @@ def _final_scale_boundaries(final: float, n_stages: int, wt_delta: float) -> Bou
 
 
 def calibrate_c(null_block: StatisticBlock, spec: GSDesignSpec,
-                strict: bool = False, threads: int = 1) -> tuple:
+                strict: bool = False) -> tuple:
     """Boundary constant hitting the target type-I error rate on a null block.
 
     Returns (constant, achieved alpha). The constant is on the
     final-stage scale (equal to e_J); for composite specs the block is
     reduced with ``composite_transform`` before calibration. It is
-    exact, with no bracket: one block pass, shared by ``threads``
-    workers, gives each row's go intervals in C, and the constant is
-    read off their sorted starts and ends
+    exact, with no bracket: one block pass gives each row's go intervals
+    in C, and the constant is read off their sorted starts and ends
     (``optimize.exceedance_boundary``). By default it sits on the step of
     alpha(C) nearest the target; ``strict`` takes the first step from
     which alpha stays at or below the target. CalibrationError means
     alpha at C -> 0+ is already at or below the target.
     """
-    starts, ends = _Rule(null_block, spec, threads).go_intervals()
+    starts, ends = _Rule(null_block, spec).go_intervals()
     return exceedance_boundary(ends, spec.alpha, strict=strict, starts=starts,
                                nrows=null_block.nsims, symbol="C")
 
 
 def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBlock,
-                     nmin: int = 1, threads: int = 1, nmax: int = DEFAULT_NMAX,
+                     nmin: int = 1, nmax: int = DEFAULT_NMAX,
                      lfc_mode: str = "first-m",
                      strict: bool = False) -> DesignRealisation:
     """Smallest design meeting the target error rates.
@@ -329,9 +319,11 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBl
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
-    rule = _Rule(block, spec, threads)
+    if not 1 <= nmin < nmax:  # before the calibration pass, not after it
+        raise ValueError("require 1 <= nmin < nmax")
+    rule = _Rule(block, spec)
     # the rule's block is already summed, so calibrate_c sums nothing again
-    constant, _ = calibrate_c(rule.block, spec, strict=strict, threads=threads)
+    constant, _ = calibrate_c(rule.block, spec, strict=strict)
     boundaries = _final_scale_boundaries(constant, spec.n_stages, spec.wt_delta)
     effects = lfc_effects(spec, mode=lfc_mode, sigma=model.sigma)
     oc_lfc = {}  # per-stage size -> OC at the LFC, one entry per probe

@@ -49,11 +49,13 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class StatisticBlock:
-    """nsims x (J*K) standardized statistics, stage-major columns, immutable."""
+    """nsims x (J*K) standardized statistics, stage-major columns, immutable;
+    every pass over the block runs on its ``threads`` workers."""
 
     values: np.ndarray
     n_stages: int
     n_outcomes: int
+    threads: int = 1
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
@@ -61,6 +63,8 @@ class StatisticBlock:
             raise ValueError("values must be 2-d with n_stages * n_outcomes columns")
         if not np.all(np.isfinite(values)):
             raise ValueError("statistics must be finite")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -71,6 +75,12 @@ class StatisticBlock:
     def by_stage(self) -> np.ndarray:
         """Read-only view shaped (nsims, stages, outcomes)."""
         return self.values.reshape(self.nsims, self.n_stages, self.n_outcomes)
+
+    def each_chunk(self, fn, chunk_bytes: int) -> None:
+        """One pass: fn(chunk index, first row, stop row) over row chunks of
+        at most chunk_bytes (at least one row), on the block's workers."""
+        row_bytes = self.values.shape[1] * self.values.itemsize
+        run_chunks(fn, self.nsims, max(1, chunk_bytes // row_bytes), self.threads)
 
 
 def cholesky_factor(cov: np.ndarray, jitter: float = _CHOLESKY_JITTER) -> np.ndarray:
@@ -130,6 +140,8 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     Chunk c uses the Philox stream keyed by (cfg.seed, c); assembly order
     is fixed, so output does not depend on the thread count.
     """
+    if threads < 1:  # before the draw, not after it
+        raise ValueError("threads must be >= 1")
     cov = assemble_covariance(schedule, model)
     factor_t = cholesky_factor(cov).T
     dim = cov.shape[0]
@@ -142,14 +154,16 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
                   out=out[start:stop])
 
     run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)
-    return StatisticBlock(values=out, n_stages=schedule.n_stages, n_outcomes=model.n_outcomes)
+    return StatisticBlock(values=out, n_stages=schedule.n_stages, n_outcomes=model.n_outcomes,
+                          threads=threads)
 
 
 def null_blocks(stage_counts, model: OutcomeModel, cfg: SimConfig,
                 threads: int = 1) -> dict:
     """Null block of one model for each distinct stage count, each drawn
     once; stage count -> block (the null statistics do not depend on the
-    stage size, so every search and grid on that model can share them)."""
+    stage size, so every search and grid on that model can share them).
+    ``threads`` workers draw each block and run every pass over it."""
     return {j: simulate_null_block(StageSchedule.equal(1, j), model, cfg, threads=threads)
             for j in sorted(set(stage_counts))}
 

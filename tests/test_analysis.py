@@ -101,6 +101,7 @@ class TestEffectGrid:
                                      nmax=200)
         axes = [(-0.1, 0.2, 0.4), (0.0, 0.3)]
         expected = effect_grid(real_gs, real_dtl, axes, model, blocks)
+        blocks = null_blocks([2], model, SimConfig(seed=63, nsims=600), threads=2)
         pools = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -112,7 +113,7 @@ class TestEffectGrid:
         # 600 rows in 100-row chunks: every pass spans 6 chunks
         for module in (gs_module, dtl_module):
             monkeypatch.setattr(module, "CHUNK_BYTES", 100 * 4 * 8)
-        grid = effect_grid(real_gs, real_dtl, axes, model, blocks, threads=2)
+        grid = effect_grid(real_gs, real_dtl, axes, model, blocks)
         # one pool per evaluation pass: 6 points, each for both designs
         assert pools == [2] * 12
         assert grid == expected

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from conftest import null_block
@@ -233,13 +235,13 @@ class TestMain:
         # boundary near zero cannot spend an alpha of 0.1 (alpha(0+) is
         # 1/16 in expectation)
         passes = []
-        real_run_chunks = gs.run_chunks
+        each_chunk = simulate.StatisticBlock.each_chunk
 
-        def counted(fn, nrows, chunk_rows, threads=1):
-            passes.append(nrows)
-            return real_run_chunks(fn, nrows, chunk_rows, threads)
+        def counted(block, fn, chunk_bytes):
+            passes.append(block.nsims)
+            return each_chunk(block, fn, chunk_bytes)
 
-        monkeypatch.setattr(gs, "run_chunks", counted)
+        monkeypatch.setattr(simulate.StatisticBlock, "each_chunk", counted)
         text = """kind = gs
 K = 4
 m = 4
@@ -434,6 +436,33 @@ mu_values = 0.0, 0.4
                                 if path.name != "config_echo.txt"}
         assert len(outputs[1]) >= 2
         assert outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_every_pass_runs_on_the_threads_workers(self, tmp_path, monkeypatch, name):
+        command, text, stage_counts = COMMANDS[name]
+        # as above: every block is drawn, and every pass made, over several chunks
+        for module in (gs, dtl):
+            monkeypatch.setattr(module, "CHUNK_BYTES", 8 << 10)
+        passes, pools = [], []
+        each_chunk = simulate.StatisticBlock.each_chunk
+
+        def counted(block, fn, chunk_bytes):
+            passes.append(block.threads)
+            return each_chunk(block, fn, chunk_bytes)
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate.StatisticBlock, "each_chunk", counted)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+        cfg_path = write(tmp_path, text + "chunk_size = 1000\n")
+        assert run_cli(command + ["--config", str(cfg_path), "--threads", "2",
+                                  "--out", str(tmp_path / "out")]) == 0
+        assert passes and set(passes) == {2}
+        # one 2-worker pool per block drawn and per pass
+        assert pools == [2] * (len(stage_counts) + len(passes))
 
     @pytest.mark.parametrize("kind", ["gs", "composite", "single-stage", "dtl"])
     def test_design_searches_once_through_the_module_function(self, tmp_path, monkeypatch,

@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,6 +321,11 @@ def random_dtl_case(rng, seed, nsims=1_000):
     return spec, model, block, n, shift
 
 
+def shifted(block, shift):
+    """The block with ``shift`` added to every row; the block itself when None."""
+    return block if shift is None else replace(block, values=block.values + shift)
+
+
 def off_limit_boundaries(rng, limits, count):
     """``count`` values of r, none equal to a go limit: midpoints between
     neighbouring distinct limits, plus uniform draws."""
@@ -345,7 +351,7 @@ class TestGoLimits:
                          ("cp_upper = 1", spec.cp_upper == 1.0),
                          ("shifted", shift is not None)})
             rule = dtl_mod._Rule(block, spec, model, n)
-            limits = rule.go_limits(shift)
+            limits = dtl_mod._Rule(shifted(block, shift), spec, model, n).go_limits()
             oracle = DtLBlockRule(block, spec, model, n, shift)
             rs = off_limit_boundaries(rng, limits, 110)
             assert rs.size >= 100
@@ -362,7 +368,7 @@ class TestGoLimits:
         rng = np.random.default_rng(71)
         for case in range(CASES):
             spec, model, block, n, shift = random_dtl_case(rng, 800 + case)
-            limits = dtl_mod._Rule(block, spec, model, n).go_limits(shift)
+            limits = dtl_mod._Rule(shifted(block, shift), spec, model, n).go_limits()
             oracle = DtLBlockRule(block, spec, model, n, shift)
             rs = np.sort(off_limit_boundaries(rng, limits, 60))
             goes = np.empty((block.nsims, rs.size), dtype=bool)
@@ -460,15 +466,16 @@ class TestCountPass:
                 rule = dtl_mod._Rule(block, spec, model, 12)
                 for s in (None, shift):
                     t_go, e, limit = rule._limits(values if s is None else values + s)
-                    np.testing.assert_array_equal(rule.go_limits(s), limit)
+                    np.testing.assert_array_equal(
+                        dtl_mod._Rule(shifted(block, s), spec, model, 12).go_limits(), limit)
                     # r on go limits, on eligibility limits e_j and on t_go
                     rs = np.concatenate([rng.choice(limit, 6), rng.choice(e.ravel(), 6),
                                          rng.choice(t_go, 2), rng.uniform(-1.0, 4.0, 2)])
                     for r in rs[np.isfinite(rs)]:
                         want = oc_from_limits(rule, r, t_go, e, limit)
                         for threads in (1, 2, 3):
-                            assert dtl_mod._Rule(block, spec, model, 12,
-                                                 threads=threads).oc(r, s) == want
+                            assert dtl_mod._Rule(replace(block, threads=threads), spec,
+                                                 model, 12).oc(r, s) == want
 
 
 def outcome_of(fn):
@@ -489,17 +496,18 @@ class TestChunkedPass:
         spec = dtl_spec(k=3, m=2, kmax=2, cpl=0.2, cpu=0.9, alpha=0.1)
         model = OutcomeModel.equicorrelated(3, 0.3)
         cfg = SimConfig(seed=nsims, nsims=nsims)
-        block = simulate_null_block(StageSchedule.equal(1, 2), model, cfg)
         shift = mean_shift_vector([0.3, 0.1, -0.2], StageSchedule.equal(20, 2), model)
 
         def run(threads):
-            rule = dtl_mod._Rule(block, spec, model, 20, threads=threads)
-            cal = outcome_of(lambda: calibrate_r(block, spec, model, 20, threads=threads))
+            block = simulate_null_block(StageSchedule.equal(1, 2), model, cfg, threads)
+            rule = dtl_mod._Rule(block, spec, model, 20)
+            cal = outcome_of(lambda: calibrate_r(block, spec, model, 20))
             search = outcome_of(lambda: search_summary(search_dtl_design(
-                spec, model, block, nmin=2, nmax=60, threads=threads)))
-            return (rule.go_limits(), rule.go_limits(shift), cal, rule.oc(2.0),
-                    estimate_dtl_oc(block, spec, model, 2.0, 20, shift=shift,
-                                    threads=threads), search)
+                spec, model, block, nmin=2, nmax=60)))
+            return (rule.go_limits(),
+                    dtl_mod._Rule(shifted(block, shift), spec, model, 20).go_limits(), cal,
+                    rule.oc(2.0), estimate_dtl_oc(block, spec, model, 2.0, 20, shift=shift),
+                    search)
 
         expected = run(1)  # one chunk, one thread
         pools = []
@@ -510,7 +518,7 @@ class TestChunkedPass:
                 super().__init__(max_workers)
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(dtl_mod, "CHUNK_BYTES", 3 * block.values[:1].nbytes)
+        monkeypatch.setattr(dtl_mod, "CHUNK_BYTES", 3 * 6 * 8)  # 3 rows of 2 x 3 statistics
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers interleave as often as they can
         try:

@@ -209,8 +209,6 @@ class TestChunkedPass:
                                                       composite):
         spec = replace(spec_for(3, 2, 3), composite=composite)
         model = OutcomeModel.equicorrelated(3, 0.3)
-        block = simulate_null_block(StageSchedule.equal(1, 3), model,
-                                    SimConfig(seed=nsims, nsims=nsims))
         b = wang_tsiatis_boundaries(3.0 if composite else 1.5, 3, 0.0)
         shift = mean_shift_vector([0.3, 0.1, -0.2], StageSchedule.equal(20, 3), model)
         lower, upper = np.asarray(b.lower), np.asarray(b.upper)
@@ -218,7 +216,9 @@ class TestChunkedPass:
         sys.setswitchinterval(1e-6)  # workers interleave as often as they can
         try:
             for threads in (1, 2, 3):
-                rule = gs_module._Rule(block, spec, threads)
+                block = simulate_null_block(StageSchedule.equal(1, 3), model,
+                                            SimConfig(seed=nsims, nsims=nsims), threads)
+                rule = gs_module._Rule(block, spec)
                 row_budget(monkeypatch, rule, 3)
                 for s in (None, shift):
                     is_go, stop = rule.decide(b, s)
@@ -301,9 +301,9 @@ def interval_alpha(starts, ends, constant, nsims):
     return int(np.count_nonzero((starts <= constant) & (constant < ends))) / nsims
 
 
-def calibration_outcome(block, spec, strict=False, threads=1):
+def calibration_outcome(block, spec, strict=False):
     try:
-        return calibrate_c(block, spec, strict=strict, threads=threads)
+        return calibrate_c(block, spec, strict=strict)
     except CalibrationError as exc:
         return str(exc)
 
@@ -364,11 +364,12 @@ class TestGoIntervals:
         sys.setswitchinterval(1e-6)  # workers interleave as often as they can
         try:
             for threads in (1, 2, 3):
-                rule = gs_module._Rule(block, spec, threads)
+                block = replace(block, threads=threads)
+                rule = gs_module._Rule(block, spec)
                 row_budget(monkeypatch, rule, 3)
                 for got, want in zip(rule.go_intervals(), one):
                     np.testing.assert_array_equal(got, want)
-                assert calibration_outcome(block, spec, threads=threads) == expected
+                assert calibration_outcome(block, spec) == expected
                 monkeypatch.undo()
         finally:
             sys.setswitchinterval(interval)
@@ -377,17 +378,18 @@ class TestGoIntervals:
 
     def test_calibration_makes_one_block_pass(self, monkeypatch, two_outcome_model):
         block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model,
-                                    SimConfig(seed=41, nsims=20_000))
+                                    SimConfig(seed=41, nsims=20_000), threads=2)
         passes = []
+        each_chunk = simulate_module.StatisticBlock.each_chunk
 
-        def counted(fn, nrows, chunk_rows, threads=1):
-            passes.append(nrows)
-            return simulate_module.run_chunks(fn, nrows, chunk_rows, threads)
+        def counted(block, fn, chunk_bytes):
+            passes.append((block.nsims, block.threads))
+            return each_chunk(block, fn, chunk_bytes)
 
-        monkeypatch.setattr(gs_module, "run_chunks", counted)
+        monkeypatch.setattr(simulate_module.StatisticBlock, "each_chunk", counted)
         monkeypatch.setattr(gs_module, "CHUNK_BYTES", 1_000 * 6 * 8)
-        calibrate_c(block, spec_for(2, 1, 3), threads=2)
-        assert passes == [20_000]
+        calibrate_c(block, spec_for(2, 1, 3))
+        assert passes == [(20_000, 2)]
 
     def test_calibration_memory_is_bounded_by_the_intervals(self, monkeypatch):
         # 40,000 rows of K = 10, J = 5 statistics: a 16 MB block. With
@@ -397,12 +399,12 @@ class TestGoIntervals:
                             beta=0.2, delta0=0.2, delta1=0.4)
         model = OutcomeModel.equicorrelated(10, 0.3)
         block = simulate_null_block(StageSchedule.equal(1, 5), model,
-                                    SimConfig(seed=62, nsims=40_000))
+                                    SimConfig(seed=62, nsims=40_000), threads=2)
         monkeypatch.setattr(gs_module, "CHUNK_BYTES", 64 << 10)
         starts, ends = gs_module._Rule(block, spec).go_intervals()
         tracemalloc.start()
         try:
-            calibrate_c(block, spec, threads=2)
+            calibrate_c(block, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -415,6 +417,27 @@ class TestComposite:
         block = simulate_null_block(StageSchedule.equal(1, 2), model,
                                     SimConfig(seed=20, nsims=100))
         assert composite_transform(block) is block
+
+    def test_passes_over_the_summed_block_keep_the_workers(self, monkeypatch,
+                                                            two_outcome_model):
+        block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model,
+                                    SimConfig(seed=22, nsims=600), threads=2)
+        assert composite_transform(block).threads == 2
+        spec = replace(spec_for(2, 1, 3), composite=True)
+        boundaries = wang_tsiatis_boundaries(3.0, 3, 0.0)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+        # 600 summed rows of 3 statistics in 100-row chunks: each pass spans 6
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 100 * 3 * 8)
+        calibrate_c(block, spec)
+        estimate_gs_oc(block, boundaries, spec, StageSchedule.equal(10, 3))
+        assert pools == [2, 2]  # one 2-worker pool per pass
 
     def test_opposite_statistics_cancel(self):
         block = StatisticBlock(values=np.array([[1.0, -1.0]]), n_stages=1,
@@ -501,10 +524,10 @@ class TestSearch:
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         block = null_block(3, two_outcome_model, cfg, threads=1)
-        first = search_gs_design(two_outcome_spec, two_outcome_model, block, threads=1)
+        first = search_gs_design(two_outcome_spec, two_outcome_model, block)
         assert pools == []
         block = null_block(3, two_outcome_model, cfg, threads=3)
-        second = search_gs_design(two_outcome_spec, two_outcome_model, block, threads=3)
+        second = search_gs_design(two_outcome_spec, two_outcome_model, block)
         # simulation starts one pool; every further pool is a threaded block pass
         assert len(pools) > 1 and set(pools) == {3}
         assert first.constant == second.constant
@@ -535,6 +558,22 @@ class TestSearch:
             search_gs_design(spec, model, block)
         with pytest.raises(InfeasibleDesignError, match="no per-stage size up to 400 "):
             spec.search(model, block)
+
+    @pytest.mark.parametrize("nmin, nmax", [(0, 400), (5, 5)])
+    def test_invalid_range_rejected_before_calibration(self, monkeypatch, two_outcome_model,
+                                                       two_outcome_spec, nmin, nmax):
+        block = null_block(3, two_outcome_model, SimConfig(seed=2, nsims=1_000))
+        calibrations = []
+
+        def counted(*args, **kwargs):
+            calibrations.append(args)
+            return calibrate_c(*args, **kwargs)
+
+        monkeypatch.setattr(gs_module, "calibrate_c", counted)
+        with pytest.raises(ValueError, match="require 1 <= nmin < nmax"):
+            search_gs_design(two_outcome_spec, two_outcome_model, block, nmin=nmin,
+                             nmax=nmax)
+        assert calibrations == []
 
     def test_nmin_below_one_rejected(self, two_outcome_model, two_outcome_spec):
         block = null_block(3, two_outcome_model, SimConfig(seed=1, nsims=100))

@@ -9,7 +9,12 @@ import multiseq.simulate as simulate_module
 from conftest import random_correlation
 from multiseq import InvalidCorrelationError, OutcomeModel, SimConfig
 from multiseq.model import StageSchedule, assemble_covariance
-from multiseq.simulate import cholesky_factor, mean_shift_vector, simulate_null_block
+from multiseq.simulate import (
+    StatisticBlock,
+    cholesky_factor,
+    mean_shift_vector,
+    simulate_null_block,
+)
 
 
 class TestSimConfig:
@@ -49,6 +54,33 @@ class TestCholesky:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(InvalidCorrelationError):
             cholesky_factor(bad)
+
+
+class TestStatisticBlock:
+    def test_rejects_fewer_than_one_worker(self, monkeypatch, two_outcome_model):
+        with pytest.raises(ValueError, match="threads"):
+            StatisticBlock(values=np.zeros((3, 2)), n_stages=1, n_outcomes=2, threads=0)
+        monkeypatch.setattr(simulate_module, "run_chunks", None)  # nothing is drawn
+        with pytest.raises(ValueError, match="threads"):
+            simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model,
+                                SimConfig(seed=96, nsims=50), threads=0)
+
+    def test_null_blocks_carry_their_workers(self, two_outcome_model):
+        blocks = simulate_module.null_blocks([1, 3], two_outcome_model,
+                                             SimConfig(seed=97, nsims=50), threads=2)
+        assert [block.threads for block in blocks.values()] == [2, 2]
+
+    @pytest.mark.parametrize("chunk_bytes, ranges", [
+        (1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),  # smaller than a row: one row each
+        (2 * 16, [(0, 2), (2, 4), (4, 5)]),
+        (3 * 16 - 1, [(0, 2), (2, 4), (4, 5)]),  # rounds down to whole rows
+        (5 * 16, [(0, 5)]),
+    ])
+    def test_each_chunk_sizes_chunks_in_whole_rows(self, chunk_bytes, ranges):
+        block = StatisticBlock(values=np.zeros((5, 2)), n_stages=2, n_outcomes=1)
+        calls = []
+        block.each_chunk(lambda i, a, b: calls.append((i, a, b)), chunk_bytes)
+        assert calls == [(i, a, b) for i, (a, b) in enumerate(ranges)]
 
 
 class TestNullBlocks:
