@@ -11,7 +11,9 @@ pass gives the constants at which each simulated trial goes, and the
 constant is read off them so the rejection probability hits the target
 type-I error rate. The per-stage sample size is then the smallest n
 whose mean-shifted block reaches the target power at the least
-favourable configuration.
+favourable configuration. When m = 1 or m = K and every LFC effect is
+>= 0, one more pass gives each trial the smallest n at which it goes,
+and n is read off them; two probes confirm it.
 """
 
 from __future__ import annotations
@@ -186,12 +188,16 @@ class _Rule:
             raise ValueError("block shape does not match the design spec")
         self.block, self.spec = block, spec
 
+    def _columns(self, shift) -> np.ndarray:
+        """A per-column vector of the spec's statistics as one per column of
+        the rule's block: summed over the outcomes of each stage if composite."""
+        shift = np.asarray(shift)
+        return shift.reshape(self.spec.n_stages, -1).sum(axis=1) if self.summed else shift
+
     def decide(self, boundaries: Boundaries, shift=None):
         values = self.block.values
         if shift is not None:
-            shift = np.asarray(shift)
-            if self.summed:
-                shift = shift.reshape(self.spec.n_stages, -1).sum(axis=1)
+            shift = self._columns(shift)
         lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
         is_go = np.empty(len(values), dtype=bool)
         stop = np.empty(len(values), dtype=np.intp)
@@ -223,8 +229,15 @@ class _Rule:
         parts = {}
 
         def run(i: int, lo: int, hi: int) -> None:
-            # W_j / a_j of every stage of every row in one partition call
-            w = np.partition(values[lo:hi].reshape(-1, k), k - m, axis=1)[:, k - m]
+            # W_j / a_j of every stage of every row; a column max (m = 1) or
+            # min (m = K) selects the same value as the partition, faster
+            z = values[lo:hi].reshape(-1, k)
+            if m in (1, k):
+                w = z[:, 0].copy()
+                for col in range(1, k):
+                    (np.maximum if m == 1 else np.minimum)(w, z[:, col], out=w)
+            else:
+                w = np.partition(z, k - m, axis=1)[:, k - m]
             w = w.reshape(hi - lo, n_stages) / a
             t = np.zeros_like(w)
             np.maximum.accumulate(np.abs(w[:, :-1]), axis=1, out=t[:, 1:])
@@ -235,6 +248,59 @@ class _Rule:
         order = sorted(parts)
         return (np.concatenate([parts[i][0] for i in order]),
                 np.concatenate([parts[i][1] for i in order]))
+
+    def go_thresholds(self, boundaries: Boundaries, slope) -> np.ndarray:
+        """t* of every row: with the columns shifted by t * slope (slope >= 0,
+        so t = sqrt(n) and slope = the shift at n = 1 give the shift at n),
+        the row goes exactly when t > t*. Needs m = 1 or m = K.
+
+        A statistic z with slope c > 0 passes above the edge e at the
+        crossing t = (e - z) / c; with c = 0 the crossing is -inf when z is
+        already past e (above u_j, or not below l_j) and +inf otherwise.
+        The row goes at stage j when t > g_j, the m-th smallest crossing of
+        u_j (the min when m = 1, the max when m = K), and stops for no-go
+        when t < h_j, the (K - m + 1)-th largest crossing of l_j (the same
+        min or max). So t* = min_j max(g_j, max_{i<j} h_i). Float rounding
+        may decide a row with t = t* either way. Each chunk takes one
+        transposed copy, as ``decide`` does, and otherwise only row-length
+        temporaries; t* depends on neither the chunk size nor the thread
+        count.
+        """
+        n_stages, k = self.spec.n_stages, self.k
+        if self.m not in (1, k):
+            raise ValueError("go thresholds need m = 1 or m = K")
+        pick = np.minimum if self.m == 1 else np.maximum
+        lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
+        slope = self._columns(slope).reshape(n_stages, k)
+        values = self.block.values
+        tstar = np.empty(len(values))
+
+        def crossing(edge: float, z: np.ndarray, c: np.ndarray, past, out: np.ndarray):
+            # the min (m = 1) or max (m = K) crossing of the edge over the K rows of z
+            step = np.empty_like(out)
+            for i, (zk, ck) in enumerate(zip(z, c)):
+                each = step if i else out
+                if ck > 0:
+                    np.divide(np.subtract(edge, zk, out=each), ck, out=each)
+                else:
+                    each[:] = np.where(past(zk, edge), -np.inf, np.inf)
+                if i:
+                    pick(out, each, out=out)
+            return out
+
+        def run(_, a: int, b: int) -> None:
+            cols = values[a:b].T.copy().reshape(n_stages, k, b - a)
+            t = tstar[a:b]
+            t[:] = np.inf
+            go, nogo = np.empty(b - a), np.full(b - a, -np.inf)  # nogo: max_{i<j} h_i
+            for j, (z, c) in enumerate(zip(cols, slope)):
+                crossing(upper[j], z, c, np.greater, go)
+                np.minimum(t, np.maximum(go, nogo, out=go), out=t)
+                if j < n_stages - 1:
+                    np.maximum(nogo, crossing(lower[j], z, c, np.greater_equal, go), out=nogo)
+
+        self.block.each_chunk(run, CHUNK_BYTES)
+        return tstar
 
     def oc(self, boundaries: Boundaries, schedule: StageSchedule,
            shift=None) -> GSOperatingCharacteristics:
@@ -300,6 +366,34 @@ def calibrate_c(null_block: StatisticBlock, spec: GSDesignSpec,
                                nrows=null_block.nsims, symbol="C")
 
 
+def _rows_needed(target: float, nrows: int) -> int:
+    """Smallest row count k with k / nrows >= target, compared in floats as
+    a rejection rate is."""
+    k = int(np.ceil(target * nrows))
+    while (k - 1) / nrows >= target:
+        k -= 1
+    while k / nrows < target:
+        k += 1
+    return k
+
+
+def _threshold_size(rule: _Rule, boundaries: Boundaries, slope: np.ndarray,
+                    target: float, nmin: int) -> float:
+    """The smallest per-stage size >= nmin at which at least a target
+    fraction of rows go, by ``_Rule.go_thresholds``: a row goes at n
+    exactly when sqrt(n) > t*, so from n* = floor(t*^2) + 1 on (1 when
+    t* < 0), and the size is an order statistic of n*. inf when too few
+    rows ever go."""
+    nstar = rule.go_thresholds(boundaries, slope)  # t*, turned into n* in place
+    np.maximum(nstar, 0.0, out=nstar)
+    np.square(nstar, out=nstar)
+    np.floor(nstar, out=nstar)
+    nstar += 1.0
+    k = _rows_needed(target, nstar.size)
+    nstar.partition(k - 1)
+    return max(float(nmin), nstar[k - 1])
+
+
 def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBlock,
                      nmin: int = 1, nmax: int = DEFAULT_NMAX,
                      lfc_mode: str = "first-m",
@@ -308,14 +402,20 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBl
 
     ``block`` is the model's null block with the spec's stage count (the
     null statistics do not depend on n, so it serves the whole search).
-    Calibrates the boundary constant once on it, then gallops
-    up from ``nmin`` and bisects to the smallest per-stage size whose
-    LFC power reaches 1 - beta, in about 2 * log2(n) block passes
-    (InfeasibleDesignError once ``nmax`` fails). With LFC effects >= 0
-    power on the shared block is exactly non-decreasing in n, so this is
-    the first passing size; with a negative effect the search warns if
-    its probes show power falling. Specs with ``composite=True`` search
-    on the summed statistic; ``strict`` keeps achieved alpha <= target.
+    Calibrates the boundary constant once on it. With LFC effects >= 0
+    power on the shared block is exactly non-decreasing in n. If also
+    m = 1 or m = K (a composite design is m = 1 on the summed statistic),
+    one threshold pass gives each row the smallest size at which it goes,
+    n is read off them, and probes at n (which must pass) and n - 1
+    (which must fail, unless n = nmin) confirm it: 5 block passes with
+    the null OC. When the pass finds no size up to ``nmax``, one probe
+    at nmax raises InfeasibleDesignError; when a probe disagrees (float
+    rounding at a row's threshold), the search falls back to
+    ``smallest_passing``. Other designs gallop up from ``nmin`` and bisect
+    with ``smallest_passing``, about 2 * log2(n) probes; with a negative
+    effect that search warns if its probes show power falling. Specs with
+    ``composite=True`` search on the summed statistic; ``strict`` keeps
+    achieved alpha <= target.
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
@@ -326,15 +426,28 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBl
     constant, _ = calibrate_c(rule.block, spec, strict=strict)
     boundaries = _final_scale_boundaries(constant, spec.n_stages, spec.wt_delta)
     effects = lfc_effects(spec, mode=lfc_mode, sigma=model.sigma)
+    target = 1.0 - spec.beta
     oc_lfc = {}  # per-stage size -> OC at the LFC, one entry per probe
 
     def power_at(n: int) -> float:
-        schedule = StageSchedule.equal(n, spec.n_stages)
-        oc_lfc[n] = rule.oc(boundaries, schedule,
-                            mean_shift_vector(effects, schedule, model))
+        if n not in oc_lfc:
+            schedule = StageSchedule.equal(n, spec.n_stages)
+            oc_lfc[n] = rule.oc(boundaries, schedule,
+                                mean_shift_vector(effects, schedule, model))
         return oc_lfc[n].p_reject
 
-    n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax, gallop=True)
+    exact = rule.m in (1, rule.k) and effects.min() >= 0.0
+    n = np.inf
+    if exact:
+        # the LFC shift at n is sqrt(n) times the shift at n = 1
+        slope = mean_shift_vector(effects, StageSchedule.equal(1, spec.n_stages), model)
+        n = _threshold_size(rule, boundaries, slope, target, nmin)
+    if not (n <= nmax and power_at(int(n)) >= target
+            and (n == nmin or power_at(int(n) - 1) < target)):
+        # after a threshold pass nmax goes first: when no size up to nmax
+        # passes, that one probe raises InfeasibleDesignError
+        n = smallest_passing(power_at, target, nmin, nmax, gallop=not exact)
+    n = int(n)
     oc_null = rule.oc(boundaries, StageSchedule.equal(n, spec.n_stages))
     return DesignRealisation(
         kind=rule.kind,

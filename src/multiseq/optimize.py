@@ -4,7 +4,9 @@ One block pass gives the boundaries at which each simulated trial goes,
 a union of disjoint intervals [start, end). The rejection rate is then a
 step function of the boundary, and ``exceedance_boundary`` reads the
 calibrated boundary off the sorted starts and ends, with no bisection.
-``smallest_passing`` searches the per-stage sample size.
+``smallest_passing`` searches the per-stage sample size by probing: for
+drop-the-loser designs, and for the gs designs that ``gs.search_gs_design``
+cannot size with its one threshold pass.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def smallest_passing(power: Callable[[int], float], target: float, nmin: int,
     """Smallest n in [nmin, nmax] with power(n) >= target, for power
     non-decreasing in n; each n is probed once. ``gallop`` probes
     nmin - 1 + 1, 2, 4, ... (capped at nmax) up to the first pass, about
-    2 * log2(n) probes in all; otherwise nmax goes first. The (failing,
+    2 * log2(n) probes in all, which suits a small n; otherwise nmax goes
+    first, which suits a large n or a likely infeasible range. The (failing,
     passing] bracket is then bisected. Raises InfeasibleDesignError when
     power at nmax falls short; warns when power falls between probes.
     """

@@ -42,12 +42,22 @@ class TestSearchDesignDispatch:
         starts = []
 
         def first_probe(power, target, nmin, nmax, gallop=False):
-            starts.append(nmin)
             power(nmin)
             return nmin
 
-        for module in (gs_module, dtl_module):
-            monkeypatch.setattr(module, "smallest_passing", first_probe)
+        def dtl_start(power, target, nmin, nmax):
+            starts.append(nmin)
+            return first_probe(power, target, nmin, nmax)
+
+        def gs_start(rule, boundaries, slope, target, nmin):
+            # the gs search reads n off its threshold pass from nmin up
+            starts.append(nmin)
+            return float(nmin)
+
+        monkeypatch.setattr(gs_module, "_threshold_size", gs_start)
+        # a gs probe at nmin that falls short falls back to smallest_passing
+        monkeypatch.setattr(gs_module, "smallest_passing", first_probe)
+        monkeypatch.setattr(dtl_module, "smallest_passing", dtl_start)
         for spec in (gs_spec(), gs_spec(composite=True), dtl_spec()):
             spec.search(model, block, nmax=50)
             spec.search(model, block, nmin=5, nmax=50)

@@ -48,6 +48,38 @@ def count_probes(monkeypatch):
     return sizes
 
 
+def count_search_paths(monkeypatch):
+    """How gs searches find n: "threshold" counts threshold passes,
+    "gallop" and "nmax_first" the ``smallest_passing`` calls of each kind."""
+    paths = {"threshold": 0, "gallop": 0, "nmax_first": 0}
+    threshold_size, smallest_passing = gs_module._threshold_size, gs_module.smallest_passing
+
+    def threshold(*args):
+        paths["threshold"] += 1
+        return threshold_size(*args)
+
+    def passing(power, target, nmin, nmax, gallop=False):
+        paths["gallop" if gallop else "nmax_first"] += 1
+        return smallest_passing(power, target, nmin, nmax, gallop=gallop)
+
+    monkeypatch.setattr(gs_module, "_threshold_size", threshold)
+    monkeypatch.setattr(gs_module, "smallest_passing", passing)
+    return paths
+
+
+def count_passes(monkeypatch):
+    """Row count of each block pass, in pass order."""
+    passes = []
+    each_chunk = simulate_module.StatisticBlock.each_chunk
+
+    def counted(block, fn, chunk_bytes):
+        passes.append(block.nsims)
+        return each_chunk(block, fn, chunk_bytes)
+
+    monkeypatch.setattr(simulate_module.StatisticBlock, "each_chunk", counted)
+    return passes
+
+
 class TestEvaluateRow:
     def test_single_stage_go(self):
         b = Boundaries(lower=(2.0,), upper=(2.0,))
@@ -411,6 +443,87 @@ class TestGoIntervals:
         assert peak < 2.5 * (starts.nbytes + ends.nbytes) < 0.2 * block.values.nbytes
 
 
+class TestGoThresholds:
+    def test_rows_go_exactly_from_their_threshold_size(self):
+        # a row goes at n exactly when sqrt(n) > t*, i.e. n >= floor(t*^2) + 1,
+        # apart from float ties with sqrt(n) = t*
+        rng = np.random.default_rng(11)
+        seen = {"composite": 0, "zero_delta0": 0, "m_is_k": 0, "go": 0, "nogo": 0, "ties": 0}
+        for case in range(32):
+            k = int(rng.integers(1, 6))
+            j = int(rng.integers(1, 5))
+            d1 = float(rng.uniform(0.2, 0.7))
+            spec = GSDesignSpec(n_outcomes=k, n_promising=int(rng.choice([1, k])), n_stages=j,
+                                alpha=0.025, beta=0.2,
+                                delta0=0.0 if case % 3 == 0 else float(rng.uniform(0.0, d1)),
+                                delta1=d1, wt_delta=float(rng.choice([0.0, 0.25, 0.5])),
+                                composite=case % 4 == 1)
+            model = OutcomeModel.equicorrelated(k, float(rng.uniform(0.0, 0.8)),
+                                                sigma=rng.uniform(0.5, 2.0, size=k))
+            block = simulate_null_block(StageSchedule.equal(1, j), model,
+                                        SimConfig(seed=500 + case, nsims=4_000))
+            constant, _ = calibrate_c(block, spec)
+            boundaries = _final_scale_boundaries(constant, j, spec.wt_delta)
+            rule = gs_module._Rule(block, spec)
+            effects = lfc_effects(spec, sigma=model.sigma)
+            slope = mean_shift_vector(effects, StageSchedule.equal(1, j), model)
+            tstar = rule.go_thresholds(boundaries, slope)
+            nstar = np.floor(np.maximum(tstar, 0.0) ** 2) + 1
+            # the search's size: the first n at which 80% of the rows go
+            size = gs_module._threshold_size(rule, boundaries, slope, 0.8, 1)
+            assert size == np.sort(nstar)[3_199], case
+            for n in (1, 3, 10, 30, 100, 300):
+                shift = mean_shift_vector(effects, StageSchedule.equal(n, j), model)
+                is_go, _ = rule.decide(boundaries, shift)
+                wrong = is_go != (n >= nstar)
+                assert np.all(np.abs(tstar[wrong] - np.sqrt(n)) <= 1e-9 * np.sqrt(n)), case
+                seen["ties"] += int(wrong.sum())
+                seen["go"] += int(is_go.sum())
+                seen["nogo"] += int((~is_go).sum())
+            seen["composite"] += spec.composite
+            seen["zero_delta0"] += min(spec.delta0) == 0.0
+            seen["m_is_k"] += spec.n_promising == spec.n_outcomes > 1 and not spec.composite
+        assert min(seen["composite"], seen["zero_delta0"], seen["m_is_k"]) >= 5, seen
+        assert min(seen["go"], seen["nogo"]) >= 100_000, seen
+        assert seen["ties"] <= 10, seen
+
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_chunks_and_threads_give_identical_thresholds(self, monkeypatch, m, composite):
+        spec = replace(spec_for(3, m, 3), composite=composite)
+        model = OutcomeModel.equicorrelated(3, 0.3, sigma=[1.0, 2.0, 0.5])
+        block = simulate_null_block(StageSchedule.equal(1, 3), model,
+                                    SimConfig(seed=12, nsims=1_001))
+        boundaries = _final_scale_boundaries(2.2, 3, 0.0)
+        slope = mean_shift_vector([0.3, 0.0, 0.1], StageSchedule.equal(1, 3), model)
+        one = gs_module._Rule(block, spec).go_thresholds(boundaries, slope)
+        # a zero slope gives infinite crossings; summed, the slope has none
+        assert np.isfinite(one).any() and np.isinf(one).any() != composite
+        for threads in (1, 3):
+            rule = gs_module._Rule(replace(block, threads=threads), spec)
+            row_budget(monkeypatch, rule, 7)
+            np.testing.assert_array_equal(rule.go_thresholds(boundaries, slope), one)
+            monkeypatch.undo()
+
+    def test_zero_slope_statistic_on_the_edge_never_crosses(self):
+        # with c = 0 the statistic never moves: on the upper edge it never
+        # goes, on the lower edge it never stops for no-go
+        spec = spec_for(1, 1, 2)
+        boundaries = Boundaries(lower=(0.5, 2.0), upper=(2.0, 2.0))
+        block = StatisticBlock(values=np.array([[2.0, 3.0], [0.5, 3.0], [0.4, 3.0]]),
+                               n_stages=2, n_outcomes=1)
+        got = gs_module._Rule(block, spec).go_thresholds(boundaries, np.array([-0.0, 0.0]))
+        np.testing.assert_array_equal(got, [-np.inf, -np.inf, np.inf])
+
+    def test_needs_m_of_one_or_all(self):
+        spec = spec_for(3, 2, 3)
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 3), model, SimConfig(seed=1, nsims=10))
+        with pytest.raises(ValueError, match="m = 1 or m = K"):
+            gs_module._Rule(block, spec).go_thresholds(_final_scale_boundaries(2.0, 3, 0.0),
+                                                       np.ones(9))
+
+
 class TestComposite:
     def test_single_outcome_passthrough(self, two_outcome_model):
         model = OutcomeModel.equicorrelated(1, 0.0)
@@ -602,14 +715,16 @@ class TestSearch:
         assert len(probes) <= 25
 
     def test_answer_two_takes_two_probes(self, monkeypatch):
-        # n = ((z_{0.975} + z_{0.8}) / 2.2)^2 = 1.6 rounds up to 2
+        # n = ((z_{0.975} + z_{0.8}) / 2.2)^2 = 1.6 rounds up to 2. The
+        # first shift built is the threshold pass's slope (the shift at
+        # n = 1); the probes then confirm n = 2 passes and n - 1 = 1 fails.
         probes = count_probes(monkeypatch)
         spec = GSDesignSpec(n_outcomes=1, n_promising=1, n_stages=1, alpha=0.025,
                             beta=0.2, delta0=2.2, delta1=2.2)
         model = OutcomeModel.equicorrelated(1, 0.0)
         real = search_gs_design(spec, model, null_block(1, model, SimConfig(seed=34, nsims=20_000)))
         assert real.n == 2
-        assert probes == [1, 2]
+        assert probes == [1, 2, 1]
 
     def test_returned_lfc_oc_is_the_probe_result(self, monkeypatch, two_outcome_model,
                                                  two_outcome_spec):
@@ -622,9 +737,35 @@ class TestSearch:
         assert real.oc_lfc == estimate_gs_oc(block, real.boundaries, two_outcome_spec,
                                              schedule, shift=shift)
 
-    def test_matches_linear_scan_on_random_designs(self):
-        rng = np.random.default_rng(4)
+    def test_matches_linear_scan_on_random_designs(self, monkeypatch):
+        paths = count_search_paths(monkeypatch)
         outcomes = {"found": 0, "at_nmin": 0, "infeasible": 0}
+        expected_paths = {"threshold": 0, "gallop": 0, "nmax_first": 0}
+
+        def check(case, spec, model, nmin, nmax):
+            j = spec.n_stages
+            block = simulate_null_block(StageSchedule.equal(1, j), model,
+                                        SimConfig(seed=300 + case, nsims=2_000))
+            constant, _ = calibrate_c(block, spec)
+            boundaries = _final_scale_boundaries(constant, j, spec.wt_delta)
+            effects = lfc_effects(spec)
+            expected = linear_scan_n(block, boundaries, spec, model, effects, nmin, nmax)
+            threshold = (spec.composite or spec.n_promising in (1, spec.n_outcomes)) \
+                and min(effects) >= 0
+            expected_paths["threshold" if threshold else "gallop"] += 1
+            if expected is None:
+                outcomes["infeasible"] += 1
+                # a threshold search confirms infeasibility with one probe at nmax
+                expected_paths["nmax_first"] += threshold
+                with pytest.raises(InfeasibleDesignError):
+                    search_gs_design(spec, model, block, nmin=nmin, nmax=nmax)
+                return
+            outcomes["at_nmin" if expected[0] == nmin else "found"] += 1
+            real = search_gs_design(spec, model, block, nmin=nmin, nmax=nmax)
+            assert (real.n, real.power_star, real.alpha_star) == expected, case
+            assert real.boundaries == boundaries
+
+        rng = np.random.default_rng(4)
         for case in range(36):
             k = int(rng.integers(1, 6))
             j = int(rng.integers(1, 5))
@@ -635,21 +776,59 @@ class TestSearch:
                                 wt_delta=float(rng.choice([0.0, 0.25, 0.5])),
                                 composite=bool(rng.integers(2)))
             model = OutcomeModel.equicorrelated(k, float(rng.uniform(0.0, 0.8)))
-            cfg = SimConfig(seed=300 + case, nsims=2_000)
             nmin = 1 if case % 3 else int(rng.integers(2, 60))
             nmax = nmin + int(rng.integers(1, 6) if case % 4 == 0 else rng.integers(20, 250))
-            block = simulate_null_block(StageSchedule.equal(1, j), model, cfg)
-            constant, _ = calibrate_c(block, spec)
-            boundaries = _final_scale_boundaries(constant, j, spec.wt_delta)
-            expected = linear_scan_n(block, boundaries, spec, model, lfc_effects(spec),
-                                     nmin, nmax)
-            if expected is None:
-                outcomes["infeasible"] += 1
-                with pytest.raises(InfeasibleDesignError):
-                    search_gs_design(spec, model, block, nmin=nmin, nmax=nmax)
-                continue
-            outcomes["at_nmin" if expected[0] == nmin else "found"] += 1
-            real = search_gs_design(spec, model, block, nmin=nmin, nmax=nmax)
-            assert (real.n, real.power_star, real.alpha_star) == expected, case
-            assert real.boundaries == boundaries
+            check(case, spec, model, nmin, nmax)
+        # designs the threshold pass serves: m = 1 or K, J = 1 and composite
+        # among them, per-outcome sigma and some delta0 = 0
+        rng = np.random.default_rng(5)
+        for case in range(36, 60):
+            k = int(rng.integers(1, 6))
+            j = 1 if case % 4 == 0 else int(rng.integers(1, 5))
+            d1 = float(rng.uniform(0.25, 0.7))
+            spec = GSDesignSpec(n_outcomes=k, n_promising=int(rng.choice([1, k])),
+                                n_stages=j, alpha=0.025, beta=0.2,
+                                delta0=0.0 if case % 5 == 0 else float(rng.uniform(0.0, d1)),
+                                delta1=d1, wt_delta=float(rng.choice([0.0, 0.25, 0.5])),
+                                composite=case % 3 == 0)
+            model = OutcomeModel.equicorrelated(k, float(rng.uniform(0.0, 0.8)),
+                                                sigma=rng.uniform(0.5, 2.0, size=k))
+            nmin = 1 if case % 3 else int(rng.integers(2, 60))
+            nmax = nmin + int(rng.integers(1, 6) if case % 4 == 1 else rng.integers(20, 250))
+            check(case, spec, model, nmin, nmax)
+        # a negative LFC effect keeps the gallop
+        check(60, GSDesignSpec(n_outcomes=2, n_promising=1, n_stages=2, alpha=0.025, beta=0.2,
+                               delta0=-0.1, delta1=0.5),
+              OutcomeModel.equicorrelated(2, 0.3), 1, 200)
         assert min(outcomes.values()) >= 3, outcomes
+        assert paths == expected_paths
+        assert expected_paths["threshold"] >= 36 and expected_paths["gallop"] >= 4, paths
+        assert expected_paths["nmax_first"] >= 3, paths
+
+    def test_threshold_search_makes_five_block_passes(self, monkeypatch, two_outcome_model):
+        # calibration, threshold pass, probes at n and n - 1, null OC
+        passes = count_passes(monkeypatch)
+        spec = GSDesignSpec(n_outcomes=2, n_promising=1, n_stages=3, alpha=0.025,
+                            beta=0.2, delta0=0.05, delta1=0.1)
+        block = null_block(3, two_outcome_model, SimConfig(seed=33, nsims=5_000))
+        real = search_gs_design(spec, two_outcome_model, block, nmax=2_000)
+        assert 200 <= real.n <= 500
+        assert len(passes) == 5
+
+    def test_infeasible_threshold_search_makes_three_block_passes(self, monkeypatch,
+                                                                  two_outcome_model,
+                                                                  two_outcome_spec):
+        # calibration, threshold pass, and one probe at nmax for the message
+        block = null_block(3, two_outcome_model, SimConfig(seed=29, nsims=5_000))
+        constant, _ = calibrate_c(block, two_outcome_spec)
+        schedule = StageSchedule.equal(3, 3)
+        power = estimate_gs_oc(
+            block, _final_scale_boundaries(constant, 3, 0.0), two_outcome_spec, schedule,
+            shift=mean_shift_vector(lfc_effects(two_outcome_spec), schedule,
+                                    two_outcome_model)).p_reject
+        passes = count_passes(monkeypatch)
+        with pytest.raises(InfeasibleDesignError) as caught:
+            search_gs_design(two_outcome_spec, two_outcome_model, block, nmax=3)
+        assert str(caught.value) == ("no per-stage size up to 3 reaches power 0.8: "
+                                     f"power at nmax is {power:.4f}")
+        assert len(passes) == 3
