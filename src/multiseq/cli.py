@@ -44,6 +44,7 @@ DESIGN_KINDS = ("gs", "composite", "single-stage", "dtl")
 THREADS_ENV = "MULTISEQ_THREADS"
 
 _MAX_CP_GRID_POINTS = 10_001  # interim statistics of a cp_lookup.csv, K rows each
+_MAX_EFFECT_GRID_POINTS = 100_000  # effect vectors of an oc grid, len(mu_values)^K
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,8 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.nmin is not None and cfg.nmin < 1:
         _fail("nmin", "must be >= 1")
     model = _built("rho", _model, cfg)
+    if cfg.command == "oc grid" and len(cfg.mu_values) ** cfg.K > _MAX_EFFECT_GRID_POINTS:
+        _fail("mu_values", f"len(mu_values)^K may be at most {_MAX_EFFECT_GRID_POINTS:,} points")
     for rho in cfg.rho_values if cfg.command == "oc sweep" else ():
         try:
             OutcomeModel.equicorrelated(cfg.K, rho, cfg.sigma)

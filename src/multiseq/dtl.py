@@ -177,9 +177,9 @@ class _Rule:
     holds when at least m of the j* top-ranked have a stage-two statistic
     above r, ranked by descending core with ties to the lower index.
 
-    A pass runs over row chunks of CHUNK_BYTES on the block's workers;
-    ``oc`` adds the shift to one transposed copy of each chunk's rows, and
-    each chunk writes only its own rows or counts, so no block-sized copy
+    A pass runs a kernel on each row chunk of CHUNK_BYTES on the block's
+    workers and combines the results in row order (``oc`` adds the shift
+    to one transposed copy of each chunk's rows), so no block-sized copy
     is made and the result does not depend on the thread count.
     """
 
@@ -220,26 +220,19 @@ class _Rule:
 
     def go_limits(self) -> np.ndarray:
         """Each row's U: the row goes exactly when r < U."""
-        values = self.block.values
-        limits = np.empty(self.block.nsims)
-
-        def run(_, a: int, b: int) -> None:
-            limits[a:b] = self._limits(values[a:b])[2]
-
-        self.block.each_chunk(run, CHUNK_BYTES)
-        return limits
+        limits = self.block.each_chunk(lambda rows: self._limits(rows)[2], CHUNK_BYTES)
+        return np.concatenate(limits)
 
     def oc(self, r: float, shift=None) -> DtLOperatingCharacteristics:
         """Operating characteristics at boundary r (ESS and ENM in subjects),
         from each row's counts at r."""
         k, m, k_max, nsims = self.k, self.m, self.k_max, self.block.nsims
-        values = self.block.values
         shift = None if shift is None else np.asarray(shift, dtype=float)
         later = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]  # K - 1 - i
-        counts = {}  # chunk index -> (go, stop, retained outcomes of the rows going on)
 
-        def run(i: int, a: int, b: int) -> None:
-            cols = values[a:b].T.copy()
+        def counts(rows: np.ndarray) -> tuple:
+            """(go, stop, retained outcomes of the rows going on) of a chunk."""
+            cols = rows.T.copy()
             if shift is not None:
                 cols += shift[:, None]
             core = (cols[:k] * self.sqrt_i1[:, None] + self.drift[:, None]) \
@@ -256,11 +249,10 @@ class _Rule:
                 hits &= count_true(ge) + later - count_true(ge, axis=1) < k_max
             go |= count_true(hits) >= m
             retained = np.minimum(count_true(eligible), k_max)
-            counts[i] = (int(np.count_nonzero(go)), int(np.count_nonzero(stop)),
-                         int(retained[~stop].sum()))
+            return (int(np.count_nonzero(go)), int(np.count_nonzero(stop)),
+                    int(retained[~stop].sum()))
 
-        self.block.each_chunk(run, CHUNK_BYTES)
-        go, stops, retained = map(sum, zip(*counts.values()))
+        go, stops, retained = map(sum, zip(*self.block.each_chunk(counts, CHUNK_BYTES)))
         pet = stops / nsims
         return DtLOperatingCharacteristics(
             p_reject=go / nsims,

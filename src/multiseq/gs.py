@@ -172,9 +172,9 @@ class _Rule:
     design sums the K statistics at each stage and compares the sum with
     the boundary (one outcome, m = 1). The block is summed once; a shift
     is summed on its own and then added to the summed block. A pass runs
-    over row chunks of CHUNK_BYTES on the block's workers; each chunk
-    adds the shift to a transposed copy of its own rows, so no
-    block-sized copy is made.
+    a kernel on each row chunk of CHUNK_BYTES on the block's workers and
+    combines the results in row order; a kernel adds the shift to a
+    transposed copy of its own rows, so no block-sized copy is made.
     """
 
     def __init__(self, block: StatisticBlock, spec: GSDesignSpec):
@@ -194,21 +194,6 @@ class _Rule:
         shift = np.asarray(shift)
         return shift.reshape(self.spec.n_stages, -1).sum(axis=1) if self.summed else shift
 
-    def decide(self, boundaries: Boundaries, shift=None):
-        values = self.block.values
-        if shift is not None:
-            shift = self._columns(shift)
-        lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
-        is_go = np.empty(len(values), dtype=bool)
-        stop = np.empty(len(values), dtype=np.intp)
-
-        def run(_, a: int, b: int) -> None:
-            is_go[a:b], stop[a:b] = _decide(values[a:b], self.spec.n_stages, self.k,
-                                            self.m, lower, upper, shift)
-
-        self.block.each_chunk(run, CHUNK_BYTES)
-        return is_go, stop
-
     def go_intervals(self) -> tuple:
         """(starts, ends): each row goes exactly when the final-stage
         constant C lies in one of its intervals [start, end).
@@ -225,29 +210,25 @@ class _Rule:
         """
         n_stages, k, m = self.spec.n_stages, self.k, self.m
         a = np.asarray(_final_scale_boundaries(1.0, n_stages, self.spec.wt_delta).upper)
-        values = self.block.values
-        parts = {}
 
-        def run(i: int, lo: int, hi: int) -> None:
+        def intervals(rows: np.ndarray) -> tuple:
             # W_j / a_j of every stage of every row; a column max (m = 1) or
             # min (m = K) selects the same value as the partition, faster
-            z = values[lo:hi].reshape(-1, k)
+            z = rows.reshape(-1, k)
             if m in (1, k):
                 w = z[:, 0].copy()
                 for col in range(1, k):
                     (np.maximum if m == 1 else np.minimum)(w, z[:, col], out=w)
             else:
                 w = np.partition(z, k - m, axis=1)[:, k - m]
-            w = w.reshape(hi - lo, n_stages) / a
+            w = w.reshape(len(rows), n_stages) / a
             t = np.zeros_like(w)
             np.maximum.accumulate(np.abs(w[:, :-1]), axis=1, out=t[:, 1:])
             keep = w > t
-            parts[i] = t[keep], w[keep]
+            return t[keep], w[keep]
 
-        self.block.each_chunk(run, CHUNK_BYTES)
-        order = sorted(parts)
-        return (np.concatenate([parts[i][0] for i in order]),
-                np.concatenate([parts[i][1] for i in order]))
+        starts, ends = zip(*self.block.each_chunk(intervals, CHUNK_BYTES))
+        return np.concatenate(starts), np.concatenate(ends)
 
     def go_thresholds(self, boundaries: Boundaries, slope) -> np.ndarray:
         """t* of every row: with the columns shifted by t * slope (slope >= 0,
@@ -262,7 +243,7 @@ class _Rule:
         when t < h_j, the (K - m + 1)-th largest crossing of l_j (the same
         min or max). So t* = min_j max(g_j, max_{i<j} h_i). Float rounding
         may decide a row with t = t* either way. Each chunk takes one
-        transposed copy, as ``decide`` does, and otherwise only row-length
+        transposed copy, as ``_decide`` does, and otherwise only row-length
         temporaries; t* depends on neither the chunk size nor the thread
         count.
         """
@@ -272,8 +253,6 @@ class _Rule:
         pick = np.minimum if self.m == 1 else np.maximum
         lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
         slope = self._columns(slope).reshape(n_stages, k)
-        values = self.block.values
-        tstar = np.empty(len(values))
 
         def crossing(edge: float, z: np.ndarray, c: np.ndarray, past, out: np.ndarray):
             # the min (m = 1) or max (m = K) crossing of the edge over the K rows of z
@@ -288,30 +267,40 @@ class _Rule:
                     pick(out, each, out=out)
             return out
 
-        def run(_, a: int, b: int) -> None:
-            cols = values[a:b].T.copy().reshape(n_stages, k, b - a)
-            t = tstar[a:b]
-            t[:] = np.inf
-            go, nogo = np.empty(b - a), np.full(b - a, -np.inf)  # nogo: max_{i<j} h_i
+        def thresholds(rows: np.ndarray) -> np.ndarray:
+            size = len(rows)
+            cols = rows.T.copy().reshape(n_stages, k, size)
+            # t*, the stage's go crossing, and max_{i<j} h_i
+            t, go, nogo = np.full(size, np.inf), np.empty(size), np.full(size, -np.inf)
             for j, (z, c) in enumerate(zip(cols, slope)):
                 crossing(upper[j], z, c, np.greater, go)
                 np.minimum(t, np.maximum(go, nogo, out=go), out=t)
                 if j < n_stages - 1:
                     np.maximum(nogo, crossing(lower[j], z, c, np.greater_equal, go), out=nogo)
+            return t
 
-        self.block.each_chunk(run, CHUNK_BYTES)
-        return tstar
+        return np.concatenate(self.block.each_chunk(thresholds, CHUNK_BYTES))
 
     def oc(self, boundaries: Boundaries, schedule: StageSchedule,
            shift=None) -> GSOperatingCharacteristics:
-        is_go, stop = self.decide(boundaries, shift)
-        ess = float(schedule.cumulative[stop].mean())
+        """Operating characteristics from each chunk's go count and
+        stop-stage histogram: every mean is an exact integer sum over nsims."""
+        n_stages, k, m, nsims = self.spec.n_stages, self.k, self.m, self.block.nsims
+        lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
+        shift = None if shift is None else self._columns(shift)
+
+        def counts(rows: np.ndarray) -> tuple:
+            is_go, stop = _decide(rows, n_stages, k, m, lower, upper, shift)
+            return np.count_nonzero(is_go), np.bincount(stop, minlength=n_stages)
+
+        go, stops = map(sum, zip(*self.block.each_chunk(counts, CHUNK_BYTES)))
+        ess = float(schedule.cumulative @ stops) / nsims
         # ENM counts all K measured outcomes, composite or not
         return GSOperatingCharacteristics(
-            p_reject=float(is_go.mean()),
+            p_reject=go / nsims,
             ess=ess,
             enm=self.spec.n_outcomes * ess,
-            expected_stages=float((stop + 1.0).mean()),
+            expected_stages=int(np.arange(1, n_stages + 1) @ stops) / nsims,
         )
 
 

@@ -61,6 +61,8 @@ class StatisticBlock:
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[1] != self.n_stages * self.n_outcomes:
             raise ValueError("values must be 2-d with n_stages * n_outcomes columns")
+        if len(values) < 1:  # a pass combines the results of at least one chunk
+            raise ValueError("values must hold at least one row")
         if not np.all(np.isfinite(values)):
             raise ValueError("statistics must be finite")
         if self.threads < 1:
@@ -76,11 +78,12 @@ class StatisticBlock:
         """Read-only view shaped (nsims, stages, outcomes)."""
         return self.values.reshape(self.nsims, self.n_stages, self.n_outcomes)
 
-    def each_chunk(self, fn, chunk_bytes: int) -> None:
-        """One pass: fn(chunk index, first row, stop row) over row chunks of
-        at most chunk_bytes (at least one row), on the block's workers."""
+    def each_chunk(self, fn, chunk_bytes: int) -> list:
+        """One pass: [fn(rows) for the read-only view of each row chunk of at
+        most chunk_bytes (at least one row)] in row order, on the block's workers."""
         row_bytes = self.values.shape[1] * self.values.itemsize
-        run_chunks(fn, self.nsims, max(1, chunk_bytes // row_bytes), self.threads)
+        return run_chunks(lambda a, b: fn(self.values[a:b]), self.nsims,
+                          max(1, chunk_bytes // row_bytes), self.threads)
 
 
 def cholesky_factor(cov: np.ndarray, jitter: float = _CHOLESKY_JITTER) -> np.ndarray:
@@ -102,29 +105,21 @@ def cholesky_factor(cov: np.ndarray, jitter: float = _CHOLESKY_JITTER) -> np.nda
         ) from None
 
 
-def _chunk_ranges(nsims: int, chunk_size: int):
-    starts = range(0, nsims, chunk_size)
-    return [(s, min(s + chunk_size, nsims)) for s in starts]
-
-
-def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> None:
-    """Call fn(chunk_index, start, stop) for each chunk of rows [0, nrows).
+def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> list:
+    """[fn(start, stop) for each chunk of rows [0, nrows)], in row order.
 
     With threads > 1 the chunks run on a per-call pool of at most
     min(threads, chunks) workers; every call's result is read, so a
     worker's exception reaches the caller.
     """
-    ranges = _chunk_ranges(nrows, chunk_rows)
+    ranges = [(a, min(a + chunk_rows, nrows)) for a in range(0, nrows, chunk_rows)]
     if threads > 1 and len(ranges) > 1:
         # imported here so that a single-threaded run never loads it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(threads, len(ranges))) as pool:
-            for fut in [pool.submit(fn, i, a, b) for i, (a, b) in enumerate(ranges)]:
-                fut.result()
-    else:
-        for i, (a, b) in enumerate(ranges):
-            fn(i, a, b)
+            return [fut.result() for fut in [pool.submit(fn, a, b) for a, b in ranges]]
+    return [fn(a, b) for a, b in ranges]
 
 
 def count_true(flags: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -147,8 +142,8 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     dim = cov.shape[0]
     out = np.empty((cfg.nsims, dim))
 
-    def fill(chunk_index: int, start: int, stop: int) -> None:
-        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_index,))
+    def fill(start: int, stop: int) -> None:
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.chunk_size,))
         rng = np.random.Generator(np.random.Philox(seq))
         np.matmul(rng.standard_normal((stop - start, dim)), factor_t,
                   out=out[start:stop])

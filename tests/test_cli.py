@@ -165,6 +165,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="strict_alpha"):
             parse_config("design", base | {"strict_alpha": "maybe"})
 
+    def test_effect_grid_size_is_bounded(self):
+        # len(mu_values)^K points: K = 10 on the default 7 values would hold
+        # 282,475,249; K = 5 holds 16,807, and 10 values at K = 5 exactly 100,000
+        pair = {"kind_a": "gs", "kind_b": "composite", "m": "1", "J": "2",
+                "delta0": "0.2", "delta1": "0.4"}
+        with pytest.raises(ConfigError, match="mu_values: .* 100,000 points"):
+            parse_config("oc grid", pair | {"K": "10"})
+        assert len(parse_config("oc grid", pair | {"K": "5"}).mu_values) == 7
+        ten = ", ".join(str(i / 10) for i in range(10))
+        assert parse_config("oc grid", pair | {"K": "5", "mu_values": ten}).K == 5
+        with pytest.raises(ConfigError, match="mu_values"):
+            parse_config("oc grid", pair | {"K": "6", "mu_values": ten})
+        # other commands do not evaluate the grid
+        assert parse_config("oc sweep", pair | {"K": "10"}).K == 10
+
     def test_threads_default_from_environment(self, monkeypatch):
         monkeypatch.setenv("MULTISEQ_THREADS", "5")
         cfg = parse_config("design", {"kind": "gs", "K": "1", "m": "1",
@@ -516,6 +531,7 @@ mu_values = 0.0, 0.4
         ("sweep", "delta1", "0.4,"),  # K = 3: not 0.4 for every outcome
         ("gs", "delta0", "0.1,,0.1"),  # K = 2: not two values
         ("dtl", "cp_grid", "-4:4:0.0007"),  # 11,430 points
+        ("grid-k10", "mu_values", "-0.2, -0.1, 0, 0.1, 0.2, 0.3, 0.4"),  # 7^10 points
     ])
     def test_invalid_input_fails_before_simulation(self, tmp_path, capsys, monkeypatch,
                                                    kind, key, value):
@@ -525,9 +541,11 @@ mu_values = 0.0, 0.4
         text = {"gs": GS_CONFIG,
                 "dtl": DTL_CONFIG.replace("nmin = 2\nnmax = 120\n", ""),
                 "grid": pair,
+                "grid-k10": pair.replace("K = 2", "K = 10"),
                 "sweep": pair.replace("K = 2", "K = 3")}[kind]
         cfg_path = write(tmp_path, text)
-        command = ["oc", kind] if kind in ("grid", "sweep") else ["design", kind]
+        oc_command = kind.removesuffix("-k10")
+        command = ["oc", oc_command] if oc_command in ("grid", "sweep") else ["design", kind]
         assert run_cli(command + ["--config", str(cfg_path), "--set",
                                   f"{key}={value}", "--out", str(tmp_path / "v")]) == 2
         assert f"configuration error: {key}:" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from multiseq import (
     search_gs_design,
 )
 from multiseq.gs import (
+    GSOperatingCharacteristics,
     _decide,
     _final_scale_boundaries,
     calibrate_c,
@@ -234,6 +235,14 @@ def row_budget(monkeypatch, rule, rows):
     monkeypatch.setattr(gs_module, "CHUNK_BYTES", rows * rule.block.values[:1].nbytes)
 
 
+def decisions(rule, boundaries, shift=None):
+    """(go?, stop stage index) of every row of the rule's block, from one
+    ``_decide`` call on all of its rows at the rule's shift."""
+    return _decide(rule.block.values, rule.spec.n_stages, rule.k, rule.m,
+                   np.asarray(boundaries.lower), np.asarray(boundaries.upper),
+                   None if shift is None else rule._columns(shift))
+
+
 class TestChunkedPass:
     @pytest.mark.parametrize("composite", [False, True])
     @pytest.mark.parametrize("nsims", [1, 7, 50, 1001])
@@ -242,7 +251,8 @@ class TestChunkedPass:
         spec = replace(spec_for(3, 2, 3), composite=composite)
         model = OutcomeModel.equicorrelated(3, 0.3)
         b = wang_tsiatis_boundaries(3.0 if composite else 1.5, 3, 0.0)
-        shift = mean_shift_vector([0.3, 0.1, -0.2], StageSchedule.equal(20, 3), model)
+        schedule = StageSchedule.equal(20, 3)
+        shift = mean_shift_vector([0.3, 0.1, -0.2], schedule, model)
         lower, upper = np.asarray(b.lower), np.asarray(b.upper)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers interleave as often as they can
@@ -253,7 +263,7 @@ class TestChunkedPass:
                 rule = gs_module._Rule(block, spec)
                 row_budget(monkeypatch, rule, 3)
                 for s in (None, shift):
-                    is_go, stop = rule.decide(b, s)
+                    is_go, stop = decisions(rule, b, s)
                     values = rule.block.values
                     if s is not None:
                         # a composite rule sums the shift per stage, then adds it
@@ -262,6 +272,11 @@ class TestChunkedPass:
                                                              lower, upper)
                     np.testing.assert_array_equal(is_go, expected_go)
                     np.testing.assert_array_equal(stop, expected_stop)
+                    # the chunked pass counts exactly what the rows decide
+                    ess = schedule.cumulative[expected_stop].mean()
+                    assert rule.oc(b, schedule, s) == GSOperatingCharacteristics(
+                        p_reject=expected_go.mean(), ess=ess, enm=3 * ess,
+                        expected_stages=(expected_stop + 1.0).mean())
         finally:
             sys.setswitchinterval(interval)
         if nsims == 1001:  # the shifted pass decides at every stage, both ways
@@ -278,11 +293,30 @@ class TestChunkedPass:
         shift = mean_shift_vector(np.full(10, 0.3), StageSchedule.equal(10, 5), model)
         tracemalloc.start()
         try:
-            rule.decide(wang_tsiatis_boundaries(2.0, 5, 0.0), shift)
+            rule.oc(wang_tsiatis_boundaries(2.0, 5, 0.0), StageSchedule.equal(10, 5), shift)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * block.values.nbytes
+
+    def test_fixed_boundary_pass_holds_no_per_row_arrays(self):
+        # 1,000,000 rows of K = 2, J = 1 statistics: a 16 MB block. Each
+        # chunk returns its counts, so the pass holds a chunk copy and its
+        # row-length temporaries, not a go flag and a stop stage per row.
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 1), model,
+                                    SimConfig(seed=63, nsims=1_000_000))
+        schedule = StageSchedule.equal(50, 1)
+        shift = mean_shift_vector([0.4, 0.2], schedule, model)
+        tracemalloc.start()
+        try:
+            oc = estimate_gs_oc(block, wang_tsiatis_boundaries(2.2, 1, 0.0), spec_for(2, 1, 1),
+                                schedule, shift=shift)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < oc.p_reject < 1.0
+        assert peak < 6e6
 
 
 class TestCalibration:
@@ -359,7 +393,7 @@ class TestGoIntervals:
             starts, ends = rule.go_intervals()
             assert np.all((starts >= 0) & (starts < ends))
             for constant in rng.uniform(0.01, 6.0, size=100):
-                is_go, _ = rule.decide(_final_scale_boundaries(constant, j, spec.wt_delta))
+                is_go, _ = decisions(rule, _final_scale_boundaries(constant, j, spec.wt_delta))
                 assert interval_alpha(starts, ends, constant, 1_000) == is_go.mean(), case
             outcomes["composite"] += spec.composite
             for strict in (False, True):
@@ -375,8 +409,10 @@ class TestGoIntervals:
                     constant, achieved = calibrate_c(block, spec, strict=strict)
                 assert (constant, achieved) == (expected.boundary, expected.alpha), case
                 assert len(caught) == expected.warns
-                is_go, _ = rule.decide(_final_scale_boundaries(constant, j, spec.wt_delta))
+                boundaries = _final_scale_boundaries(constant, j, spec.wt_delta)
+                is_go, _ = decisions(rule, boundaries)
                 assert is_go.mean() == achieved
+                assert rule.oc(boundaries, StageSchedule.equal(1, j)).p_reject == achieved
                 if strict:
                     assert achieved <= spec.alpha
         assert outcomes["calibrated"] >= 60 and outcomes["composite"] >= 6, outcomes
@@ -474,7 +510,7 @@ class TestGoThresholds:
             assert size == np.sort(nstar)[3_199], case
             for n in (1, 3, 10, 30, 100, 300):
                 shift = mean_shift_vector(effects, StageSchedule.equal(n, j), model)
-                is_go, _ = rule.decide(boundaries, shift)
+                is_go, _ = decisions(rule, boundaries, shift)
                 wrong = is_go != (n >= nstar)
                 assert np.all(np.abs(tstar[wrong] - np.sqrt(n)) <= 1e-9 * np.sqrt(n)), case
                 seen["ties"] += int(wrong.sum())

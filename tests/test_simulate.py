@@ -1,4 +1,6 @@
+import sys
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -65,6 +67,10 @@ class TestStatisticBlock:
             simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model,
                                 SimConfig(seed=96, nsims=50), threads=0)
 
+    def test_rejects_a_block_without_rows(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            StatisticBlock(values=np.zeros((0, 2)), n_stages=1, n_outcomes=2)
+
     def test_null_blocks_carry_their_workers(self, two_outcome_model):
         blocks = simulate_module.null_blocks([1, 3], two_outcome_model,
                                              SimConfig(seed=97, nsims=50), threads=2)
@@ -77,10 +83,40 @@ class TestStatisticBlock:
         (5 * 16, [(0, 5)]),
     ])
     def test_each_chunk_sizes_chunks_in_whole_rows(self, chunk_bytes, ranges):
-        block = StatisticBlock(values=np.zeros((5, 2)), n_stages=2, n_outcomes=1)
-        calls = []
-        block.each_chunk(lambda i, a, b: calls.append((i, a, b)), chunk_bytes)
-        assert calls == [(i, a, b) for i, (a, b) in enumerate(ranges)]
+        # row i holds (i, i), so a chunk's first and last values give its rows
+        values = np.repeat(np.arange(5.0)[:, None], 2, axis=1)
+        block = StatisticBlock(values=values, n_stages=2, n_outcomes=1)
+        got = block.each_chunk(lambda rows: (int(rows[0, 0]), int(rows[-1, 0]) + 1),
+                               chunk_bytes)
+        assert got == ranges
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_each_chunk_returns_kernel_results_in_row_order(self, threads):
+        block = StatisticBlock(values=np.arange(40.0).reshape(20, 2), n_stages=2,
+                               n_outcomes=1, threads=threads)
+
+        def kernel(rows):
+            if rows[0, 0] < 10:  # the first chunks finish last
+                time.sleep(0.002)
+            return rows
+
+        def failing(rows):
+            if rows[0, 0] == 26:
+                raise ZeroDivisionError("row 13")
+            return rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+        try:
+            got = block.each_chunk(kernel, 16)  # one 16-byte row per chunk
+            with pytest.raises(ZeroDivisionError, match="row 13"):
+                block.each_chunk(failing, 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [rows.tolist() for rows in got] == [[[2.0 * i, 2.0 * i + 1]] for i in range(20)]
+        # each kernel reads a read-only view of the block's own rows
+        assert all(np.shares_memory(rows, block.values) for rows in got)
+        assert not any(rows.flags.writeable for rows in got)
 
 
 class TestNullBlocks:
@@ -147,14 +183,27 @@ class TestSimulateNullBlock:
         cfg = SimConfig(seed=4, nsims=30, chunk_size=10)
         block = simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg,
                                     threads=10_000)
-        calls = []
-        simulate_module.run_chunks(lambda *c: calls.append(c), 7, 3, threads=10_000)
+        calls = simulate_module.run_chunks(lambda *c: c, 7, 3, threads=10_000)
         assert asked == [3, 3]
-        assert calls == [(0, 0, 3), (1, 3, 6), (2, 6, 7)]
+        assert calls == [(0, 3), (3, 6), (6, 7)]
         assert threading.active_count() == before
         monkeypatch.undo()
         unthreaded = simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg)
         assert np.array_equal(block.values, unthreaded.values)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_each_chunk_draws_its_own_stream(self, two_outcome_model, threads):
+        # 10 rows in 3-row chunks: chunk c draws rows [3c, 3c + 3) from the
+        # Philox stream keyed by (seed, c)
+        schedule = StageSchedule.equal(1, 2)
+        cfg = SimConfig(seed=45, nsims=10, chunk_size=3)
+        block = simulate_null_block(schedule, two_outcome_model, cfg, threads=threads)
+        factor_t = cholesky_factor(assemble_covariance(schedule, two_outcome_model)).T
+        for c in range(4):
+            seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(c,))
+            normals = np.random.Generator(np.random.Philox(seq)).standard_normal(
+                (min(3, 10 - 3 * c), 4))
+            np.testing.assert_array_equal(block.values[3 * c:3 * c + 3], normals @ factor_t)
 
     def test_chunking_affects_stream_but_not_shape(self, two_outcome_model):
         schedule = StageSchedule.equal(1, 2)
