@@ -3,7 +3,9 @@
 Grids and tables evaluate fixed design realisations at many true effect
 vectors on the caller's null blocks, one per stage count of one model
 (``simulate.null_blocks``); effects enter as mean shifts, so a 49-point
-grid costs no simulation and all points share common random numbers.
+grid costs no simulation and all points share common random numbers. A
+grid costs one block pass per realisation, whatever its size; a table of
+arbitrary effect vectors costs one pass per vector and realisation.
 Each driver returns the engine's own records: the operating
 characteristics of every evaluation and the realisations of every search.
 """
@@ -58,14 +60,16 @@ def effect_grid(realisation_a, realisation_b, axes, model: OutcomeModel,
 
     ``axes`` holds one sequence of candidate effect values per outcome;
     the result holds one (point, oc_a, oc_b) per point of the product, in
-    row-major order.
+    row-major order. Each realisation evaluates the whole grid in one
+    block pass (``evaluate_grid``), and every record equals
+    ``evaluate_at_effects`` at its point.
     """
     axes = tuple(tuple(float(v) for v in axis) for axis in axes)
     if len(axes) != model.n_outcomes:
         raise ValueError("need one grid axis per outcome")
-    points = list(itertools.product(*axes))
-    pairs = compare_at_effects(realisation_a, realisation_b, model, points, blocks)
-    return [(point, *pair) for point, pair in zip(points, pairs)]
+    ocs = [real.evaluate_grid(blocks[real.n_stages], model, axes)
+           for real in (realisation_a, realisation_b)]
+    return list(zip(itertools.product(*axes), *ocs))
 
 
 def correlation_sweep(spec_a, spec_b, rho_values, cfg: SimConfig,

@@ -18,6 +18,8 @@ and n is read off them; two probes confirm it.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -32,7 +34,13 @@ from .model import (
     wang_tsiatis_boundaries,
 )
 from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
-from .simulate import StatisticBlock, count_true, mean_shift_vector
+from .simulate import (
+    StatisticBlock,
+    axis_shifts,
+    count_on_grid,
+    count_true,
+    mean_shift_vector,
+)
 
 __all__ = [
     "GSDesignSpec",
@@ -133,6 +141,15 @@ class DesignRealisation:
         shift; the shift already carries the model's sigma."""
         schedule = StageSchedule.equal(self.n, self.n_stages)
         return estimate_gs_oc(block, self.boundaries, self.spec, schedule, shift=shift)
+
+    def evaluate_grid(self, block: StatisticBlock, model: OutcomeModel,
+                      axes) -> list:
+        """Operating characteristics at every point of
+        ``itertools.product(*axes)`` (one sequence of effects per outcome),
+        in row-major order, from one pass over the block; each equals
+        ``evaluate`` at that point's ``mean_shift_vector``."""
+        schedule = StageSchedule.equal(self.n, self.n_stages)
+        return _Rule(block, self.spec).grid_oc(self.boundaries, schedule, model, axes)
 
     def table(self, model: OutcomeModel, cp_grid) -> tuple:
         """(file name, header, rows) of the report table: the boundaries per stage."""
@@ -284,8 +301,8 @@ class _Rule:
     def oc(self, boundaries: Boundaries, schedule: StageSchedule,
            shift=None) -> GSOperatingCharacteristics:
         """Operating characteristics from each chunk's go count and
-        stop-stage histogram: every mean is an exact integer sum over nsims."""
-        n_stages, k, m, nsims = self.spec.n_stages, self.k, self.m, self.block.nsims
+        stop-stage histogram."""
+        n_stages, k, m = self.spec.n_stages, self.k, self.m
         lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
         shift = None if shift is None else self._columns(shift)
 
@@ -294,6 +311,68 @@ class _Rule:
             return np.count_nonzero(is_go), np.bincount(stop, minlength=n_stages)
 
         go, stops = map(sum, zip(*self.block.each_chunk(counts, CHUNK_BYTES)))
+        return self._oc(go, stops, schedule)
+
+    def grid_oc(self, boundaries: Boundaries, schedule: StageSchedule,
+                model: OutcomeModel, axes) -> list:
+        """Operating characteristics at every point of the grid
+        ``itertools.product(*axes)`` of effects, in row-major order, from
+        one pass.
+
+        The shifts are one (values, J) array per column of the rule's block
+        at a stage: per outcome, row v holds the outcome's shifts at its
+        v-th axis value (``axis_shifts``). A composite shift does not split
+        by outcome, so a summed rule gets one array holding each point's
+        summed shift, as ``oc`` sums it. Each chunk takes one transposed
+        copy and walks it in slices of at most CHUNK_BYTES / 8 (point, row)
+        cells. Per stage, each shifted column of each axis value is compared
+        with the boundaries once, as ``oc`` compares it, and the flags are
+        counted over the grid by broadcasting. A chunk returns each point's
+        go count and its count of rows still open after each stage but the
+        last, which give the stop-stage histogram.
+        """
+        if self.summed:
+            summed = [self._columns(mean_shift_vector(point, schedule, model))
+                      for point in itertools.product(*axes)]
+            shifts = [np.array(summed).reshape(-1, self.spec.n_stages)]
+        else:
+            shifts = axis_shifts(axes, schedule, model)
+        n_stages, k, m, nsims = self.spec.n_stages, self.k, self.m, self.block.nsims
+        lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
+        points = math.prod(len(s) for s in shifts)
+        width = max(1, CHUNK_BYTES // (8 * max(points, 1)))
+
+        def counts(rows: np.ndarray) -> np.ndarray:
+            cols = rows.T.copy().reshape(n_stages, k, len(rows))
+            # row 0: go rows; row j + 1: rows still open after stage j
+            total = np.zeros((n_stages, points), dtype=np.intp)
+            for a in range(0, len(rows), width):
+                z = cols[:, :, a:a + width]
+                still_open = np.ones((*map(len, shifts), z.shape[-1]), dtype=bool)
+                for j in range(n_stages):
+                    went = count_on_grid([z[j, i] + s[:, j, None] > upper[j]
+                                          for i, s in enumerate(shifts)]) >= m
+                    went &= still_open
+                    total[0] += np.count_nonzero(went, axis=-1).ravel()
+                    if j == n_stages - 1:
+                        break
+                    still_open &= ~went
+                    still_open &= count_on_grid([z[j, i] + s[:, j, None] < lower[j]
+                                                 for i, s in enumerate(shifts)]) <= k - m
+                    total[j + 1] += np.count_nonzero(still_open, axis=-1).ravel()
+            return total
+
+        total = sum(self.block.each_chunk(counts, CHUNK_BYTES))
+        opened = np.vstack([np.full(points, nsims), total[1:], np.zeros(points, np.intp)])
+        stops = opened[:-1] - opened[1:]
+        return [self._oc(int(total[0, p]), np.ascontiguousarray(stops[:, p]), schedule)
+                for p in range(points)]
+
+    def _oc(self, go: int, stops: np.ndarray,
+            schedule: StageSchedule) -> GSOperatingCharacteristics:
+        """Operating characteristics from the go count and the stop-stage
+        histogram: every mean is an exact integer sum over nsims."""
+        n_stages, nsims = self.spec.n_stages, self.block.nsims
         ess = float(schedule.cumulative @ stops) / nsims
         # ENM counts all K measured outcomes, composite or not
         return GSOperatingCharacteristics(

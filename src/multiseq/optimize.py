@@ -50,17 +50,22 @@ def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
     alpha(0+) <= target. ``symbol`` names the boundary in messages.
     """
     ends = np.asarray(ends, dtype=float)
-    starts = np.zeros(ends.size) if starts is None else np.asarray(starts, dtype=float)
+    starts = None if starts is None else np.asarray(starts, dtype=float)
     nrows = ends.size if nrows is None else int(nrows)
-    if ends.ndim != 1 or starts.shape != ends.shape or nrows < 1 or not 0.0 < target < 1.0:
+    if (ends.ndim != 1 or (starts is not None and starts.shape != ends.shape) or nrows < 1
+            or not 0.0 < target < 1.0):
         raise ValueError("need matching starts and ends for at least one row "
                          "and a target in (0, 1)")
     ends.sort()
-    starts.sort()
+    if starts is not None:
+        starts.sort()
 
     def count(c, side="right"):
-        # rows going at c ("right"), or just below c ("left")
-        return int(np.searchsorted(starts, c, side) - np.searchsorted(ends, c, side))
+        # rows going at c ("right"), or just below c ("left"); with every
+        # start at 0, #{starts <= c} is ends.size when c >= 0, else 0
+        begun = (ends.size * bool(c >= 0.0 if side == "right" else c > 0.0)
+                 if starts is None else np.searchsorted(starts, c, side))
+        return int(begun - np.searchsorted(ends, c, side))
 
     # k: the largest row count with k / nrows <= target
     k = int(np.floor(target * nrows))
@@ -73,43 +78,51 @@ def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
             f"target alpha {target:.6g} is out of reach for a boundary {symbol} > 0: "
             f"alpha at {symbol} -> 0+ is {count(0.0) / nrows:.6g}")
 
-    # A row count taken at the i-th sorted start (i + 1 - #{ends <= it})
-    # or end is exact at the last of its ties. Find the last start after
-    # which more than k rows go (a start at 0 does); from there only ends
-    # pass, and c* is where rise + 1 - k of them have.
-    for top in range(starts.size, 0, -_SLICE):
-        low = max(top - _SLICE, 0)
-        over = np.flatnonzero(np.arange(low + 1, top + 1)
-                              - np.searchsorted(ends, starts[low:top], "right") > k)
-        if over.size:
-            break
-    rise = low + int(over[-1])
-    cross = ends[rise - k]
+    if starts is None:
+        # the rise ends at the last start, 0; alpha only falls after it,
+        # so there is no dip to scan
+        cross = ends[ends.size - 1 - k]
+    else:
+        # A row count taken at the i-th sorted start (i + 1 - #{ends <= it})
+        # or end is exact at the last of its ties. Find the last start after
+        # which more than k rows go (a start at 0 does); from there only ends
+        # pass, and c* is where rise + 1 - k of them have.
+        for top in range(starts.size, 0, -_SLICE):
+            low = max(top - _SLICE, 0)
+            over = np.flatnonzero(np.arange(low + 1, top + 1)
+                                  - np.searchsorted(ends, starts[low:top], "right") > k)
+            if over.size:
+                break
+        rise = low + int(over[-1])
+        cross = ends[rise - k]
 
-    # alpha first falls to the target at an end; one below starts[rise]
-    # means it climbs back. A slice's counts are at least its first end's
-    # count less the slice length, so only slices near k are scanned.
-    first, last = np.searchsorted(ends, 0.0, "right"), np.searchsorted(ends, starts[rise])
-    heads = np.arange(first, last, _SLICE)
-    near = np.searchsorted(starts, ends[heads], "right") - np.minimum(heads + _SLICE, last) <= k
-    for low in heads[near]:
-        top = min(low + _SLICE, last)
-        dip = np.flatnonzero(np.searchsorted(starts, ends[low:top], "right")
-                             - np.arange(low + 1, top + 1) <= k)
-        if dip.size:
-            fall, climb = ends[low + dip[0]], starts[rise]
-            warnings.warn(f"alpha is not monotone in the boundary: {symbol}={fall:.6g} gives "
-                          f"{count(fall) / nrows:.6g} but {symbol}={climb:.6g} gives "
-                          f"{count(climb) / nrows:.6g}", stacklevel=3)
-            break
+        # alpha first falls to the target at an end; one below starts[rise]
+        # means it climbs back. A slice's counts are at least its first end's
+        # count less the slice length, so only slices near k are scanned.
+        first, last = np.searchsorted(ends, 0.0, "right"), np.searchsorted(ends, starts[rise])
+        heads = np.arange(first, last, _SLICE)
+        near = (np.searchsorted(starts, ends[heads], "right")
+                - np.minimum(heads + _SLICE, last) <= k)
+        for low in heads[near]:
+            top = min(low + _SLICE, last)
+            dip = np.flatnonzero(np.searchsorted(starts, ends[low:top], "right")
+                                 - np.arange(low + 1, top + 1) <= k)
+            if dip.size:
+                fall, climb = ends[low + dip[0]], starts[rise]
+                warnings.warn(f"alpha is not monotone in the boundary: {symbol}={fall:.6g} "
+                              f"gives {count(fall) / nrows:.6g} but {symbol}={climb:.6g} "
+                              f"gives {count(climb) / nrows:.6g}", stacklevel=3)
+                break
 
     low_alpha, high_alpha = count(cross) / nrows, count(cross, "left") / nrows
+    # starts at 0 lie below cross > 0, and 0 bounds the boundary from below anyway
+    events = (ends,) if starts is None else (starts, ends)
     if strict or (target - high_alpha) ** 2 >= (target - low_alpha) ** 2:
         # c in [cross, next value up): alpha = low_alpha <= target
-        up = [v[i] for v in (starts, ends) if (i := np.searchsorted(v, cross, "right")) < v.size]
+        up = [v[i] for v in events if (i := np.searchsorted(v, cross, "right")) < v.size]
         return float(0.5 * (cross + min(up, default=cross + 2.0))), low_alpha
     # c in [next value down, cross): alpha = high_alpha > target
-    down = [v[i - 1] for v in (starts, ends) if (i := np.searchsorted(v, cross, "left")) > 0]
+    down = [v[i - 1] for v in events if (i := np.searchsorted(v, cross, "left")) > 0]
     return float(0.5 * (max(down + [0.0]) + cross)), high_alpha
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "simulate_null_block",
     "null_blocks",
     "mean_shift_vector",
+    "axis_shifts",
 ]
 
 _CHOLESKY_JITTER = 1e-10
@@ -128,6 +129,27 @@ def count_true(flags: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.add.reduce(flags, axis=axis, dtype=np.min_scalar_type(flags.shape[axis]))
 
 
+def on_grid(values: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
+    """View of ``values``, one length per grid axis in ``axes`` (increasing)
+    then one per row, that broadcasts against a grid of ``ndim`` axes then rows."""
+    shape = [1] * ndim + [values.shape[-1]]
+    for axis, length in zip(axes, values.shape):
+        shape[axis] = length
+    return values.reshape(shape)
+
+
+def count_on_grid(flags) -> np.ndarray:
+    """Number of True flags at each grid point and row: flags[a] is a
+    (values of axis a, rows) array, and the result is (V_1, ..., V_A, rows)
+    in the smallest unsigned integer type that holds A."""
+    total = np.empty(tuple(len(f) for f in flags) + (flags[0].shape[-1],),
+                     dtype=np.min_scalar_type(len(flags)))
+    total[...] = on_grid(flags[0], (0,), len(flags))
+    for axis, f in enumerate(flags[1:], 1):
+        total += on_grid(f, (axis,), len(flags))
+    return total
+
+
 def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
                         cfg: SimConfig, threads: int = 1) -> StatisticBlock:
     """Draw cfg.nsims independent rows from MVN(0, assemble_covariance(...)).
@@ -171,3 +193,13 @@ def mean_shift_vector(mu, schedule: StageSchedule, model: OutcomeModel) -> np.nd
     shift = mu[None, :] * np.sqrt(schedule.cumulative)[:, None] / model.sigma[None, :]
     return shift.ravel()
 
+
+def axis_shifts(axes, schedule: StageSchedule, model: OutcomeModel) -> list:
+    """Per outcome k, a (len(axes[k]), J) array whose row v holds the shifts
+    that ``mean_shift_vector`` gives outcome k's J columns at mu_k =
+    axes[k][v], as the same float expression."""
+    if len(axes) != model.n_outcomes:
+        raise ValueError(f"need {model.n_outcomes} effect axes, got {len(axes)}")
+    root = np.sqrt(schedule.cumulative)
+    return [np.asarray(axis, dtype=float).reshape(-1, 1) * root[None, :] / sigma
+            for axis, sigma in zip(axes, model.sigma)]

@@ -1,6 +1,9 @@
+import itertools
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from conftest import null_block
@@ -15,7 +18,9 @@ from multiseq.analysis import (
     evaluate_at_effects,
 )
 from multiseq.dtl import DtLDesignSpec, DtLRealisation
-from multiseq.simulate import null_blocks
+from multiseq.gs import DesignRealisation, composite_transform
+from multiseq.model import Boundaries, StageSchedule, wang_tsiatis_boundaries
+from multiseq.simulate import StatisticBlock, mean_shift_vector, null_blocks
 
 
 def gs_spec(k=2, m=1, j=2, composite=False, delta0=0.2, delta1=0.4):
@@ -124,8 +129,8 @@ class TestEffectGrid:
         for module in (gs_module, dtl_module):
             monkeypatch.setattr(module, "CHUNK_BYTES", 100 * 4 * 8)
         grid = effect_grid(real_gs, real_dtl, axes, model, blocks)
-        # one pool per evaluation pass: 6 points, each for both designs
-        assert pools == [2] * 12
+        # one pool per grid pass: one pass per design, whatever the grid size
+        assert pools == [2] * 2
         assert grid == expected
 
     def test_axes_must_match_outcomes(self):
@@ -142,6 +147,193 @@ class TestEffectGrid:
         path = [(-0.2, -0.1), (0.0, 0.0), (0.1, 0.05), (0.3, 0.2), (0.4, 0.4)]
         probs = [evaluate_at_effects(real, block, model, mu).p_reject for mu in path]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
+
+
+GRID_KINDS = ("gs", "composite", "single-stage", "dtl-drop", "dtl-keep")
+
+
+def random_realisation(kind, model, axes, blocks, rng, threads, on=0):
+    """A realisation of ``kind`` with a random m and n, on a hand-built block
+    (blocks[J], drawn when missing). Block values and effects come from small
+    pools, so statistics tie across rows and outcomes, and each boundary (or
+    r) is a shifted statistic of a grid point, which lands on it exactly: a
+    drop-the-loser r on a stage-two statistic (on = 0), e_i (1) or t_i (2)."""
+    k = model.n_outcomes
+    m, n = int(rng.integers(1, k + 1)), int(rng.integers(1, 40))
+    stages = {"gs": int(rng.integers(1, 5)), "composite": int(rng.integers(1, 5)),
+              "single-stage": 1}.get(kind, 2)
+    if stages not in blocks:
+        values = rng.choice(np.arange(-8, 9) / 4.0, size=(int(rng.integers(20, 60)), stages * k))
+        if k > 1:  # some rows repeat outcome 1's statistics for outcome 2
+            rows = rng.random(len(values)) < 0.3
+            values[rows, 1::k] = values[rows, 0::k]
+        blocks[stages] = StatisticBlock(values, stages, k, threads=threads)
+    block = blocks[stages]
+    points = list(itertools.product(*axes))
+
+    def shifted(stage: int, outcome: int) -> float:
+        # a random row's statistic at a random grid point, as the block pass shifts it
+        shift = mean_shift_vector(points[int(rng.integers(len(points)))],
+                                  StageSchedule.equal(n, stages), model)
+        col = stage * k + outcome
+        return block.values[int(rng.integers(block.nsims)), col] + shift[col]
+
+    if kind.startswith("dtl"):
+        k_max = k - 1 if kind == "dtl-keep" else int(rng.integers(1, k - 1))
+        spec = DtLDesignSpec(n_outcomes=k, n_promising=m, max_retained=k_max,
+                             cp_lower=float(rng.choice([0.0, 0.2, 0.5])),
+                             cp_upper=float(rng.choice([0.8, 0.95, 1.0])),
+                             alpha=0.025, beta=0.2, delta0=0.1, delta1=0.3)
+        rule, i = dtl_module._Rule(block, spec, model, n), int(rng.integers(k))
+        core = (shifted(0, i) * rule.sqrt_i1[i] + rule.drift[i]) / rule.sqrt_gap[i]
+        # r on a shifted stage-two statistic, or on e_i or t_i
+        r = [shifted(1, i), (core - rule.q_lower) / rule.scale,
+             (core - rule.q_upper) / rule.scale][on]
+        r = r if np.isfinite(r) else shifted(1, i)  # a disabled CP threshold
+        return DtLRealisation(spec=spec, n=n, n_total=2 * n, r=float(r), alpha_star=0.0,
+                              power_star=0.0)
+    summed = kind == "composite"
+    spec = GSDesignSpec(n_outcomes=k, n_promising=1 if summed else m, n_stages=stages,
+                        alpha=0.025, beta=0.2, delta0=0.1, delta1=0.3, composite=summed)
+
+    def statistic(stage: int) -> float:
+        if not summed:
+            return shifted(stage, int(rng.integers(k)))
+        # the summed statistic and summed shift, as the composite rule forms them
+        point = points[int(rng.integers(len(points)))]
+        shift = mean_shift_vector(point, StageSchedule.equal(n, stages), model)
+        row = composite_transform(block).values[int(rng.integers(block.nsims))]
+        return row[stage] + shift.reshape(stages, k).sum(axis=1)[stage]
+
+    edges = [sorted((statistic(j), statistic(j))) for j in range(stages - 1)]
+    edges.append([statistic(stages - 1)] * 2)  # the final boundaries coincide
+    boundaries = Boundaries(lower=[lo for lo, _ in edges], upper=[up for _, up in edges])
+    return DesignRealisation(kind="composite" if summed else "gs", spec=spec, n=n,
+                             n_total=n * stages, constant=boundaries.upper[-1],
+                             boundaries=boundaries, alpha_star=0.0, power_star=0.0)
+
+
+class TestGridPass:
+    """``effect_grid`` (one pass per realisation) against per-point
+    ``evaluate_at_effects``: the records must be equal, not approximately."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    def test_grid_equals_pointwise_evaluation(self, monkeypatch, kind, seed):
+        rng = np.random.default_rng([GRID_KINDS.index(kind), seed])
+        threads = (1, 3)[seed % 2]
+        k = int(rng.integers({"dtl-drop": 3, "dtl-keep": 2}.get(kind, 1), 5))
+        sigma = rng.choice([0.7, 1.0, 1.3], size=k)
+        sigma[1 % k] = sigma[0]  # outcomes 1 and 2 can tie: the block repeats 1 as 2
+        model = OutcomeModel(sigma=sigma, rho=0.3)
+        # unsorted axes of unequal length, with duplicates and negative values
+        pool = np.array([-0.5, -0.25, 0.0, 0.1, 0.25, 0.5])
+        axes = [tuple(rng.choice(pool, size=int(rng.integers(1, 5 if k < 4 else 3))))
+                for _ in range(k)]
+        other = str(rng.choice([g for g in GRID_KINDS if g != "dtl-drop" or k >= 3]
+                               if k >= 2 else ["gs", "composite", "single-stage"]))
+        blocks = {}
+        reals = [random_realisation(name, model, axes, blocks, rng, threads, seed % 3)
+                 for name in (kind, other)]
+        # every pass runs in chunks of 1-3 rows: each module's budget gives
+        # its narrowest block `rows` rows and a wider one fewer, at least 1
+        rows = int(rng.integers(1, 4))
+        for module in (gs_module, dtl_module):
+            widths = [8 * (real.n_stages if real.kind == "composite" else real.n_stages * k)
+                      for real in reals if (real.kind == "dtl") == (module is dtl_module)]
+            monkeypatch.setattr(module, "CHUNK_BYTES", rows * min(widths, default=8))
+        grid = effect_grid(*reals, axes, model, blocks)
+        assert [point for point, _, _ in grid] == list(itertools.product(*axes))
+        for point, *ocs in grid:
+            for real, oc in zip(reals, ocs):
+                assert oc == evaluate_at_effects(real, blocks[real.n_stages], model, point)
+
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    def test_statistics_on_the_boundary(self, kind):
+        # 60 realisations per kind on one block, each with its boundaries (or
+        # r, in turn on a stage-two statistic, e_i and t_i) on shifted
+        # statistics: a grid kernel whose floats differ from the per-point
+        # pass in the last bit decides some of those rows the other way
+        rng = np.random.default_rng([GRID_KINDS.index(kind), 99])
+        model = OutcomeModel(sigma=[1.3, 1.3, 0.7], rho=0.3)
+        axes = [(0.25, -0.5, 0.25), (0.1, 0.25), (0.0, -0.25)]
+        blocks = {}
+        for draw in range(60):
+            real = random_realisation(kind, model, axes, blocks, rng, 1, draw % 3)
+            block = blocks[real.n_stages]
+            assert real.evaluate_grid(block, model, axes) == \
+                [evaluate_at_effects(real, block, model, p) for p in itertools.product(*axes)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_slices_of_a_chunk_match_pointwise_evaluation(self, threads):
+        # the default chunk sizes: a 3,000-row chunk is walked in slices
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        blocks = null_blocks([1, 2, 3], model, SimConfig(seed=70, nsims=3_000), threads=threads)
+        dtl = DtLRealisation(spec=DtLDesignSpec(3, 2, 2, 0.2, 0.9, 0.025, 0.2, 0.2, 0.4),
+                             n=30, n_total=60, r=1.9, alpha_star=0.0, power_star=0.0)
+        gs = DesignRealisation("gs", gs_spec(3, 2, 3), 30, 90, 2.1,
+                               wang_tsiatis_boundaries(2.1 * 3 ** 0.5, 3), 0.0, 0.0)
+        axes = [(0.4, -0.2, 0.0, 0.2, 0.3, 0.1, -0.1, 0.4)] * 3  # 512 points
+        points = list(itertools.product(*axes))
+        for real in (dtl, gs):
+            block = blocks[real.n_stages]
+            assert real.evaluate_grid(block, model, axes) == \
+                [evaluate_at_effects(real, block, model, point) for point in points]
+
+    def test_an_empty_axis_gives_an_empty_grid(self):
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        blocks = null_blocks([2], model, SimConfig(seed=71, nsims=500))
+        real = DesignRealisation("gs", gs_spec(), 10, 20, 2.0,
+                                 wang_tsiatis_boundaries(2.0 * 2 ** 0.5, 2), 0.0, 0.0)
+        assert effect_grid(real, real, [(0.1, 0.2), ()], model, blocks) == []
+
+    @pytest.mark.parametrize("values", [1, 2, 5])
+    def test_one_pass_per_realisation_whatever_the_grid_size(self, monkeypatch, values):
+        model = OutcomeModel.equicorrelated(2, 0.3)
+        blocks = null_blocks([1, 2, 3], model, SimConfig(seed=72, nsims=2_000))
+        reals = [search_gs_design(gs_spec(j=3), model, blocks[3]),
+                 gs_spec(composite=True).search(model, blocks[2]),
+                 gs_spec(j=1).search(model, blocks[1]),
+                 dtl_spec().search(model, blocks[2], nmax=200)]
+        passes = []
+        each_chunk = StatisticBlock.each_chunk
+
+        def counted(block, fn, chunk_bytes):
+            passes.append(block.n_stages)
+            return each_chunk(block, fn, chunk_bytes)
+
+        monkeypatch.setattr(StatisticBlock, "each_chunk", counted)
+        axes = [np.linspace(-0.2, 0.4, values)] * 2
+        for real_a, real_b in itertools.combinations(reals, 2):
+            del passes[:]
+            assert len(effect_grid(real_a, real_b, axes, model, blocks)) == values ** 2
+            assert passes == [real_a.n_stages, real_b.n_stages]
+
+    def test_grid_pass_memory_does_not_grow_with_nsims(self):
+        # 343-point K = 3 grids at 20k and 200k rows: the pass holds one
+        # transposed chunk and one slice of (point, row) counts, so its peak
+        # grows at most by a chunk copy filling up to CHUNK_BYTES
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        axes = [(-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4)] * 3
+        dtl = DtLRealisation(spec=DtLDesignSpec(3, 1, 1, 0.3, 0.95, 0.025, 0.2, 0.2, 0.4),
+                             n=60, n_total=120, r=2.0, alpha_star=0.0, power_star=0.0)
+        single = DesignRealisation("gs", gs_spec(3, 1, 1), 60, 60, 2.3,
+                                   wang_tsiatis_boundaries(2.3, 1), 0.0, 0.0)
+        peaks = {}
+        for nsims in (20_000, 200_000):
+            blocks = null_blocks([1, 2], model, SimConfig(seed=73, nsims=nsims))
+            for real in (dtl, single):
+                block = blocks[real.n_stages]
+                real.evaluate_grid(block, model, [(0.0,)] * 3)  # loads scipy.special once
+                tracemalloc.start()
+                try:
+                    real.evaluate_grid(block, model, axes)
+                    _, peaks[real.kind, nsims] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        for kind, module in (("dtl", dtl_module), ("gs", gs_module)):
+            assert peaks[kind, 200_000] - peaks[kind, 20_000] < module.CHUNK_BYTES
+            assert max(peaks[kind, 20_000], peaks[kind, 200_000]) < 4 * module.CHUNK_BYTES
 
 
 class TestCorrelationSweep:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -136,16 +137,37 @@ class TestStepIntervals:
             assert exceedance_boundary(ends.copy(), 0.45, False, starts.copy(), 10) == (0.5, 0.5)
 
     def test_starts_at_zero_are_the_go_limit_case(self):
+        # starts=None reads the boundary off the ends alone; it must give
+        # what explicit zero starts give, ties, negative limits, both modes
+        # and the out-of-reach error included
         rng = np.random.default_rng(16)
-        for _ in range(100):
-            limits = rng.normal(loc=1.0, size=int(rng.integers(2, 200)))
-            target = float(rng.uniform(0.01, 0.4))
-            if (limits > 0).mean() <= target:
-                continue
+
+        def boundary(limits, target, strict, starts):
+            try:
+                return exceedance_boundary(limits.copy(), target, strict, starts)
+            except CalibrationError as exc:
+                return str(exc)
+
+        for case in range(1_500):
+            size = int(rng.integers(1, 200))
+            limits = (rng.integers(-4, 12, size) / 4.0 if case % 2  # ties, some at 0
+                      else rng.normal(loc=1.0, size=size))
+            target = float(rng.uniform(0.01, 0.99))
             for strict in (False, True):
-                assert (exceedance_boundary(limits.copy(), target, strict)
-                        == exceedance_boundary(limits.copy(), target, strict,
-                                               np.zeros(limits.size)))
+                assert (boundary(limits, target, strict, None)
+                        == boundary(limits, target, strict, np.zeros(size)))
+
+    def test_go_limits_need_no_row_length_arrays(self):
+        # 1,000,000 go limits (8 MB) are sorted in place; every start is 0,
+        # so no start array is made
+        limits = np.random.default_rng(17).normal(loc=1.0, size=1_000_000)
+        tracemalloc.start()
+        try:
+            exceedance_boundary(limits, 0.025)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestExceedanceBoundary:
