@@ -11,9 +11,11 @@ promising outcomes into the second stage.
 
 The final boundary r is calibrated per candidate sample size (unlike the
 group-sequential constant, it depends on n through the information), and
-the smallest adequate per-stage n is found by bisection. Calibration is
-exact: a trial goes exactly when r is below its go limit U, so r is an
-order statistic of U, found in one threaded block pass with no bracket.
+the smallest adequate per-stage n is found by a bracketed search that
+interpolates the probit of power in sqrt(n) (``optimize.smallest_passing``).
+Calibration is exact: a trial goes exactly when r is below its go limit
+U, so r is an order statistic of U, found in one threaded block pass with
+no bracket.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ __all__ = [
 
 N_STAGES = 2
 # bytes of statistics per row chunk of a block pass; a chunk's working arrays
-# take 3.4-3.8 times its size in a go-limit pass and 2.4-2.8 in a count pass
-# (K = 3-10), so a single-threaded pass peaks below 4 MB whatever the block size.
+# and result take 1.8-2.4 times its size in a go-limit pass and 2.5-3.0 in a
+# count pass (K = 3-10, tracemalloc), so a single-threaded pass peaks below
+# 4 MB whatever the block size, besides a go-limit pass's nsims-long result.
 CHUNK_BYTES = 1 << 20
 
 
@@ -196,9 +199,10 @@ class _Rule:
     above r, ranked by descending core with ties to the lower index.
 
     A pass runs a kernel on each row chunk of CHUNK_BYTES on the block's
-    workers and combines the results in row order (``oc`` adds the shift
-    to one transposed copy of each chunk's rows), so no block-sized copy
-    is made and the result does not depend on the thread count.
+    workers and combines the results in row order. Each kernel works on
+    one transposed copy of the chunk's rows (``oc`` adds the shift to it),
+    so no block-sized copy is made and the result does not depend on the
+    thread count.
     """
 
     def __init__(self, block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
@@ -220,26 +224,73 @@ class _Rule:
         self.k_max = spec.max_retained if max_retained is None else int(max_retained)
         self.block, self.n = block, n
 
-    def _limits(self, rows: np.ndarray) -> tuple:
-        """(t_go, e, U) of each row, e sorted by descending core."""
-        k, m = self.k, self.m
-        core = (rows[:, :k] * self.sqrt_i1 + self.drift) / self.sqrt_gap
-        order = np.argsort(-core, axis=1, kind="stable")
-        e = np.take_along_axis(core, order, axis=1)
-        z2 = np.take_along_axis(rows[:, k:], order, axis=1)
-        t_go = (e[:, m - 1] - self.q_upper) / self.scale
-        e -= self.q_lower
-        e /= self.scale
-        limit = t_go
-        for j in range(m, self.k_max + 1):
-            m_j = np.partition(z2[:, :j], j - m, axis=1)[:, j - m]
-            limit = np.maximum(limit, np.minimum(m_j, e[:, j - 1]))
-        return t_go, e, limit
+    def _limits(self, rows: np.ndarray) -> np.ndarray:
+        """U of each row of a chunk, from one transposed copy.
+
+        Only the top max(m, K_max) cores of a row matter. Place p keeps
+        the p-th largest core seen so far and the index of its outcome.
+        Outcome i enters at the bottom and moves up past every core it
+        strictly exceeds, so tied cores keep the lower index first, as a
+        stable descending sort does. The values used are then read back
+        by index, and M_j keeps the top m of the first j stage-two
+        statistics by max/min insertion.
+        """
+        k, m, k_max = self.k, self.m, self.k_max
+        nrows, places = len(rows), max(m, k_max)
+        cols = rows.T.copy()
+        core = cols[:k]
+        core *= self.sqrt_i1[:, None]
+        core += self.drift[:, None]
+        core /= self.sqrt_gap[:, None]
+        index = np.min_scalar_type(k)
+        top, outcome = [core[0].copy()], [np.zeros(nrows, dtype=index)]
+        up = np.empty(nrows, dtype=bool)
+        for i in range(1, k):
+            if len(top) < places:
+                top.append(core[i].copy())
+                outcome.append(np.full(nrows, i, dtype=index))
+            else:  # the bottom place keeps the larger core; the other drops out
+                np.greater(core[i], top[-1], out=up)
+                np.maximum(top[-1], core[i], out=top[-1])
+                outcome[-1] ^= (outcome[-1] ^ index.type(i)) * up
+            for p in range(len(top) - 1, 0, -1):
+                np.greater(top[p], top[p - 1], out=up)
+                higher = np.maximum(top[p - 1], top[p])
+                np.minimum(top[p - 1], top[p], out=top[p])
+                top[p - 1] = higher
+                swap = (outcome[p - 1] ^ outcome[p]) * up
+                outcome[p - 1] ^= swap
+                outcome[p] ^= swap
+
+        flat, start = cols.ravel(), np.arange(nrows)
+
+        def value(p: int, stage: int) -> np.ndarray:
+            """The stage's statistic (the core at stage 0) of place p's outcome."""
+            at = outcome[p].astype(np.intp)
+            at += stage * k
+            at *= nrows
+            at += start
+            return flat[at]
+
+        e_m = value(m - 1, 0)
+        limit = (e_m - self.q_upper) / self.scale  # t_go
+        kept = []  # the top m stage-two statistics of the first j; U = t_go when m > K_max
+        for j in range(1, k_max + 1 if m <= k_max else 0):
+            z2 = value(j - 1, 1)
+            for p in range(len(kept)):
+                higher = np.maximum(kept[p], z2)
+                np.minimum(kept[p], z2, out=z2)
+                kept[p] = higher
+            if len(kept) < m:
+                kept.append(z2)
+            if j >= m:
+                e = ((e_m if j == m else value(j - 1, 0)) - self.q_lower) / self.scale
+                limit = np.maximum(limit, np.minimum(kept[m - 1], e))
+        return limit
 
     def go_limits(self) -> np.ndarray:
         """Each row's U: the row goes exactly when r < U."""
-        limits = self.block.each_chunk(lambda rows: self._limits(rows)[2], CHUNK_BYTES)
-        return np.concatenate(limits)
+        return np.concatenate(self.block.each_chunk(self._limits, CHUNK_BYTES))
 
     def oc(self, r: float, shift=None) -> DtLOperatingCharacteristics:
         """Operating characteristics at boundary r (ESS and ENM in subjects),
@@ -267,8 +318,9 @@ class _Rule:
                 hits &= count_true(ge) + later - count_true(ge, axis=1) < k_max
             go |= count_true(hits) >= m
             retained = np.minimum(count_true(eligible), k_max)
+            retained *= ~stop  # a multiply; a boolean index is 8 times slower
             return (int(np.count_nonzero(go)), int(np.count_nonzero(stop)),
-                    int(retained[~stop].sum()))
+                    int(retained.sum(dtype=np.intp)))
 
         go, stops, retained = map(sum, zip(*self.block.each_chunk(counts, CHUNK_BYTES)))
         return self._oc(go, stops, retained)
@@ -378,11 +430,14 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: Statistic
                       strict: bool = False) -> DtLRealisation:
     """Smallest per-stage n in [nmin, nmax] meeting the target power.
 
-    Bisection over n after a probe at nmax, recalibrating r at every
-    probe and evaluating power at the least favourable configuration on
-    ``block``, the model's two-stage null block. Power is assumed
-    monotone in n; if the recorded probes contradict that (shared-seed
-    jitter), a warning reports both powers.
+    ``optimize.smallest_passing`` probes nmax first, then interpolates
+    the probit of power in sqrt(n) from the design's alpha at n -> 0,
+    recalibrating r at every probe and evaluating power at the least
+    favourable configuration on ``block``, the model's two-stage null
+    block. Each probe is a go-limit pass and a count pass; the null OC at
+    the answer is one more. Power is assumed monotone in n; if the
+    recorded probes contradict that (shared-seed jitter), a warning
+    reports both powers.
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
@@ -395,7 +450,7 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: Statistic
         probes[n] = (r, _Rule(block, spec, model, n).oc(r, shift))
         return probes[n][1].p_reject
 
-    n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax)
+    n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax, alpha=spec.alpha)
     r, oc_lfc = probes[n]
     oc_null = estimate_dtl_oc(block, spec, model, r, n)
     return DtLRealisation(spec=spec, n=n, n_total=2 * n, r=r,

@@ -17,7 +17,11 @@ conditional-power lookup one (outcome, z) at a time, as a check on the
 per-outcome array call in ``dtl.cp_lookup``. ``invert_cp_boundaries``
 maps the conditional-power thresholds of one outcome to interim
 boundaries on the statistic scale, as a check on the thresholds in r
-that ``dtl._Rule`` derives. ``step_boundary`` evaluates the rejection
+that ``dtl._Rule`` derives. ``sorted_go_limits`` derives each row's go
+limit with a stable row-wise sort, as a check on the column-wise
+go-limit kernel of ``dtl._Rule``. ``bisection_n`` probes nmax and then
+bisects, as a check on the interpolating sample-size search.
+``step_boundary`` evaluates the rejection
 rate on every step between event values by direct counting, as a check
 on the exact interval calibration.
 """
@@ -203,6 +207,41 @@ def invert_cp_boundaries(cp_lower: float, cp_upper: float, r: float,
                       - gap * effect) / np.sqrt(i1))
 
     return bound(cp_lower), bound(cp_upper)
+
+
+def sorted_go_limits(rule, rows) -> tuple:
+    """(t_go, e, U) of each row of ``rows`` under a ``dtl._Rule``, with e
+    sorted by descending core: a stable row-wise argsort of the cores,
+    then M_j as an ``np.partition`` of the first j stage-two statistics."""
+    k, m = rule.k, rule.m
+    core = (rows[:, :k] * rule.sqrt_i1 + rule.drift) / rule.sqrt_gap
+    order = np.argsort(-core, axis=1, kind="stable")
+    e = np.take_along_axis(core, order, axis=1)
+    z2 = np.take_along_axis(rows[:, k:], order, axis=1)
+    t_go = (e[:, m - 1] - rule.q_upper) / rule.scale
+    e -= rule.q_lower
+    e /= rule.scale
+    limit = t_go
+    for j in range(m, rule.k_max + 1):
+        m_j = np.partition(z2[:, :j], j - m, axis=1)[:, j - m]
+        limit = np.maximum(limit, np.minimum(m_j, e[:, j - 1]))
+    return t_go, e, limit
+
+
+def bisection_n(power, target: float, nmin: int, nmax: int) -> int:
+    """Smallest n in [nmin, nmax] with power(n) >= target: a probe at
+    nmax, then bisection of the (failing, passing] bracket. Raises
+    ValueError when power at nmax falls short."""
+    lo, hi = nmin - 1, nmax
+    if power(hi) < target:
+        raise ValueError("power at nmax falls short")
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+        if power(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def covariance_entry(stage_a: int, stage_b: int, outcome_a: int, outcome_b: int,

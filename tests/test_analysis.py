@@ -50,7 +50,7 @@ class TestSearchDesignDispatch:
             power(nmin)
             return nmin
 
-        def dtl_start(power, target, nmin, nmax):
+        def dtl_start(power, target, nmin, nmax, **options):
             starts.append(nmin)
             return first_probe(power, target, nmin, nmax)
 

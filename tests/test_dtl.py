@@ -8,7 +8,14 @@ import pytest
 from scipy.special import ndtr
 
 import multiseq.dtl as dtl_mod
-from _oracles import DtLBlockRule, cp_lookup_rows, evaluate_dtl_row, invert_cp_boundaries
+from _oracles import (
+    DtLBlockRule,
+    bisection_n,
+    cp_lookup_rows,
+    evaluate_dtl_row,
+    invert_cp_boundaries,
+    sorted_go_limits,
+)
 from conftest import null_block
 from multiseq import CalibrationError, InfeasibleDesignError, OutcomeModel, SimConfig
 from multiseq.dtl import (
@@ -21,7 +28,7 @@ from multiseq.dtl import (
     search_dtl_design,
 )
 from multiseq.gs import GSDesignSpec, estimate_gs_oc
-from multiseq.model import Boundaries, StageSchedule
+from multiseq.model import Boundaries, StageSchedule, lfc_effects
 from multiseq.optimize import exceedance_boundary
 from multiseq.simulate import StatisticBlock, mean_shift_vector, simulate_null_block
 
@@ -403,7 +410,7 @@ class TestGoLimits:
         for case in range(CASES):
             spec, model, block, n, shift = random_dtl_case(rng, 1000 + case, nsims=20)
             rows = block.values if shift is None else block.values + shift
-            t_go, e, _ = dtl_mod._Rule(block, spec, model, n)._limits(rows)
+            t_go, e, _ = sorted_go_limits(dtl_mod._Rule(block, spec, model, n), rows)
             k, m = spec.n_outcomes, spec.n_promising
             i1, i2 = n / model.sigma ** 2, 2 * n / model.sigma ** 2
             d1 = np.asarray(spec.delta1)
@@ -429,8 +436,8 @@ class TestGoLimits:
 
 
 def oc_from_limits(rule, r, t_go, e, limit):
-    """The OC at r derived from each row's (t_go, e, U), as ``_limits``
-    gives them: p_reject is #{U > r} / N."""
+    """The OC at r derived from each row's (t_go, e, U), as
+    ``sorted_go_limits`` gives them: p_reject is #{U > r} / N."""
     stop = (t_go > r) | (e[:, rule.m - 1] < r)
     retained = int((e[~stop, :rule.k_max] > r).sum())
     nsims = rule.block.nsims
@@ -438,6 +445,68 @@ def oc_from_limits(rule, r, t_go, e, limit):
     return DtLOperatingCharacteristics(
         p_reject=int((limit > r).sum()) / nsims, pet=pet,
         ess=rule.n * (pet + 2.0 * (1.0 - pet)), enm=rule.n * (rule.k + retained / nsims))
+
+
+class TestColumnKernel:
+    """``go_limits`` keeps the top max(m, K_max) cores per row by insertion
+    over the columns; U must be bit-equal to the stable row-wise sort."""
+
+    @staticmethod
+    def random_case(rng, case):
+        """A random spec and block; every third block is tie-rich, with
+        statistics from a few values and one effect and sigma per outcome,
+        so cores and stage-two statistics tie within rows."""
+        k = int(rng.integers(2, 8))
+        m, k_max = int(rng.integers(1, k + 1)), int(rng.integers(1, k))
+        cpl = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.01, 0.5))
+        cpu = 1.0 if rng.random() < 0.3 else float(rng.uniform(max(cpl, 0.5) + 0.01, 0.999))
+        tied = case % 3 == 0
+        delta1 = 0.3 if tied else tuple(rng.uniform(0.1, 0.6, size=k))
+        spec = DtLDesignSpec(n_outcomes=k, n_promising=m, max_retained=k_max, cp_lower=cpl,
+                             cp_upper=cpu, alpha=0.1, beta=0.2, delta0=0.0, delta1=delta1)
+        sigma = 1.0 if tied else tuple(rng.uniform(0.5, 2.0, size=k))
+        model = OutcomeModel.equicorrelated(k, float(rng.uniform(0.0, 0.8)), sigma=sigma)
+        nsims = int(rng.integers(1, 60))
+        if tied:
+            values = rng.choice([-1.0, 0.0, 0.5, 1.5, 2.0], size=(nsims, 2 * k))
+        else:
+            values = simulate_null_block(StageSchedule.equal(1, 2), model,
+                                         SimConfig(seed=case, nsims=nsims)).values
+        block = StatisticBlock(values=values, n_stages=2, n_outcomes=k,
+                               threads=int(rng.integers(1, 4)))
+        return spec, model, block, int(rng.integers(3, 80))
+
+    def test_limits_equal_the_sorted_oracle(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        seen = {"m > K_max": 0, "no thresholds": 0, "tied": 0, "threads 3": 0}
+        for case in range(240):
+            spec, model, block, n = self.random_case(rng, case)
+            # chunks of 1-3 rows
+            monkeypatch.setattr(dtl_mod, "CHUNK_BYTES",
+                                int(rng.integers(1, 4)) * block.values[:1].nbytes)
+            rule = dtl_mod._Rule(block, spec, model, n)
+            _, _, want = sorted_go_limits(rule, block.values)
+            got = rule.go_limits()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            seen["m > K_max"] += spec.n_promising > spec.max_retained
+            seen["no thresholds"] += spec.cp_lower == 0.0 and spec.cp_upper == 1.0
+            seen["tied"] += case % 3 == 0
+            seen["threads 3"] += block.threads == 3
+        assert min(seen.values()) >= 10, seen
+
+    def test_ties_keep_the_lower_outcome_first(self):
+        # four tied cores and distinct stage-two statistics: the oracle's
+        # stable sort takes the stage-two statistics in outcome order
+        k = 4
+        values = np.array([[1.0, 1.0, 1.0, 1.0, 0.3, 2.0, 1.2, -0.5],
+                           [0.5, 1.0, 1.0, 0.5, 0.3, 2.0, 1.2, -0.5]])
+        block = StatisticBlock(values=values, n_stages=2, n_outcomes=k)
+        model = OutcomeModel.equicorrelated(k, 0.3)
+        for m, k_max in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 1), (3, 2)):
+            spec = dtl_spec(k=k, m=m, kmax=k_max, cpl=0.0, cpu=1.0)
+            rule = dtl_mod._Rule(block, spec, model, 10)
+            np.testing.assert_array_equal(rule.go_limits(), sorted_go_limits(rule, values)[2])
 
 
 class TestCountPass:
@@ -465,7 +534,7 @@ class TestCountPass:
                                      alpha=0.1, beta=0.2, delta0=0.0, delta1=0.4)
                 rule = dtl_mod._Rule(block, spec, model, 12)
                 for s in (None, shift):
-                    t_go, e, limit = rule._limits(values if s is None else values + s)
+                    t_go, e, limit = sorted_go_limits(rule, values if s is None else values + s)
                     np.testing.assert_array_equal(
                         dtl_mod._Rule(shifted(block, s), spec, model, 12).go_limits(), limit)
                     # r on go limits, on eligibility limits e_j and on t_go
@@ -580,6 +649,33 @@ class TestSearch:
             search_dtl_design(spec, model, block, nmin=2)
         with pytest.raises(InfeasibleDesignError, match="no per-stage size up to 400 "):
             spec.search(model, block)
+
+    def test_search_makes_at_most_thirteen_block_passes(self, monkeypatch):
+        # the paper's K = 3 design at 15,000 rows: bisection made 19 passes
+        # (9 probes of a go-limit and a count pass, then the null OC)
+        spec = dtl_spec(k=3)
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        block = null_block(2, model, SimConfig(seed=46, nsims=15_000))
+        passes = []
+        each_chunk = StatisticBlock.each_chunk
+
+        def counted(self, fn, chunk_bytes):
+            passes.append(fn)
+            return each_chunk(self, fn, chunk_bytes)
+
+        monkeypatch.setattr(StatisticBlock, "each_chunk", counted)
+        real = search_dtl_design(spec, model, block, nmin=2, nmax=400)
+        assert len(passes) <= 13
+        monkeypatch.undo()
+
+        effects = lfc_effects(spec, sigma=model.sigma)
+
+        def power(n):
+            r, _ = calibrate_r(block, spec, model, n)
+            shift = mean_shift_vector(effects, StageSchedule.equal(n, 2), model)
+            return estimate_dtl_oc(block, spec, model, r, n, shift=shift).p_reject
+
+        assert real.n == bisection_n(power, 0.8, 2, 400)
 
     def test_block_must_have_two_stages(self):
         model = OutcomeModel.equicorrelated(2, 0.3)

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from _oracles import step_boundary
+from _oracles import bisection_n, step_boundary
 from multiseq import CalibrationError, InfeasibleDesignError
 from multiseq.optimize import exceedance_boundary, smallest_passing
 
@@ -315,8 +316,9 @@ class TestSmallestPassing:
 
     @pytest.mark.parametrize("gallop", [True, False])
     def test_warns_when_power_falls_with_size(self, gallop):
-        # failing probes whose power dips between two sizes
-        powers = {n: 0.9 if n >= 20 else (0.5 if n % 2 else 0.3) for n in range(1, 41)}
+        # failing probes whose power dips between two sizes: the gallop sees
+        # 0.6 at 8 and 0.3 at 16, the interpolating search 0.6 at 10 and 0.3 at 16
+        powers = {n: 0.9 if n >= 20 else (0.6 if n < 15 else 0.3) for n in range(1, 41)}
         with pytest.warns(UserWarning, match="not monotone"):
             assert smallest_passing(powers.__getitem__, 0.8, 1, 40, gallop=gallop) == 20
 
@@ -324,3 +326,130 @@ class TestSmallestPassing:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert smallest_passing(lambda n: n / 100, 0.8, 1, 100, gallop=True) == 80
+
+
+def quantised_probit_power(rng, nsims=15_000):
+    """A random power curve Phi(a + b sqrt(n)) rounded down to a multiple of
+    1 / nsims, as a simulated rejection rate is, so that it reads exactly 0
+    or 1 far from the crossing; returns (power, alpha), alpha = Phi(a)."""
+    a, b = rng.uniform(-3.0, -1.0), rng.uniform(0.05, 1.5)
+    alpha = float(NormalDist().cdf(a))
+
+    def power(n):
+        return math.floor(NormalDist().cdf(a + b * math.sqrt(n)) * nsims) / nsims
+    return power, alpha
+
+
+def random_step_power(rng):
+    """Power that steps once, from a random value below 0.8 (0 in some
+    curves) to one at or above it (1 in some)."""
+    answer = int(rng.integers(1, 120))
+    low = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.01, 0.79))
+    high = 1.0 if rng.random() < 0.3 else float(rng.uniform(0.8, 0.999))
+    return (lambda n: high if n >= answer else low), low
+
+
+def logged(power, probes):
+    def probe(n):
+        probes.append(n)
+        return power(n)
+    return probe
+
+
+class TestInterpolatingSearch:
+    """Without gallop, probes after nmax interpolate Phi^-1(power) in
+    sqrt(n); where power crosses the target once, n is the bisection's."""
+
+    @pytest.mark.parametrize("shape", ["probit", "step"])
+    def test_same_size_as_bisection_on_curves_crossing_once(self, shape):
+        rng = np.random.default_rng(2 if shape == "probit" else 3)
+        probes_new, probes_old = [], []
+        for _ in range(400):
+            power, alpha = (quantised_probit_power(rng) if shape == "probit"
+                            else random_step_power(rng))
+            nmin = int(rng.integers(1, 6))
+            nmax = int(rng.integers(nmin + 1, 400))
+            with_alpha = rng.random() < 0.8
+            old = []
+            try:
+                want = bisection_n(logged(power, old), 0.8, nmin, nmax)
+            except ValueError:
+                with pytest.raises(InfeasibleDesignError):
+                    smallest_passing(power, 0.8, nmin, nmax, alpha=alpha)
+                continue
+            probes = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # power never falls
+                n = smallest_passing(logged(power, probes), 0.8, nmin, nmax,
+                                     alpha=alpha if with_alpha else None)
+            assert n == want
+            assert len(probes) == len(set(probes))  # each size probed once
+            assert all(nmin <= p <= nmax for p in probes)
+            assert probes[0] == nmax
+            # the bracket halves at least every four probes
+            assert len(probes) <= 1 + 4 * math.ceil(math.log2(nmax - nmin + 1))
+            probes_new.append(len(probes))
+            probes_old.append(len(old))
+        assert len(probes_new) > 300
+        if shape == "probit":
+            # smooth curves: the interpolation saves at least a quarter of the probes
+            assert sum(probes_new) <= 0.75 * sum(probes_old), (sum(probes_new), sum(probes_old))
+        else:
+            # the interpolation fits a step badly; with the bisection steps these
+            # curves take at most three times the bisection's probes
+            assert max(a / b for a, b in zip(probes_new, probes_old)) <= 3
+
+    def test_returns_a_crossing_and_warns_on_non_monotone_curves(self):
+        rng = np.random.default_rng(4)
+        warned_runs = 0
+        for _ in range(300):
+            a, b, jitter = rng.uniform(-3.0, -1.0), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.5)
+            noise = rng.normal(0.0, jitter, size=401)
+            powers = {n: round(NormalDist().cdf(a + b * math.sqrt(n) + noise[n]), 4)
+                      for n in range(1, 401)}
+            nmin, nmax = int(rng.integers(1, 6)), 400
+            if powers[nmax] < 0.8:
+                continue
+            probes = []
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                n = smallest_passing(logged(powers.__getitem__, probes), 0.8, nmin, nmax,
+                                     alpha=float(NormalDist().cdf(a)))
+            assert len(probes) == len(set(probes))
+            assert all(nmin <= p <= nmax for p in probes)
+            assert len(probes) <= 1 + 4 * math.ceil(math.log2(nmax - nmin + 1))
+            # a crossing: n passes, and n - 1 fails unless n = nmin
+            assert powers[n] >= 0.8 and (n == nmin or powers[n - 1] < 0.8)
+            assert n in probes and (n == nmin or n - 1 in probes)
+            probed = [powers[p] for p in sorted(probes)]
+            falls = any(x > y for x, y in zip(probed, probed[1:]))
+            assert bool(caught) == falls
+            if falls:
+                assert "not monotone" in str(caught[0].message)
+                warned_runs += 1
+        assert warned_runs > 20
+
+    def test_first_interpolation_starts_from_alpha(self):
+        # a pass at nmax below 1 and alpha at n = 0 give the second probe
+        # directly: Phi^-1 is linear in sqrt(n) through both
+        a, b = -1.96, 0.4
+        power = lambda n: NormalDist().cdf(a + b * math.sqrt(n))
+        root = (NormalDist().inv_cdf(0.8) - a) / b  # sqrt of the crossing, about 7.0
+        probes = []
+        n = smallest_passing(logged(power, probes), 0.8, 2, 100, alpha=power(0))
+        assert n == math.ceil(root * root)
+        # one below the prediction after the pass at nmax, then the prediction
+        assert probes == [100, n - 1, n]
+        # without alpha the second probe is the midpoint
+        probes = []
+        assert smallest_passing(logged(power, probes), 0.8, 2, 100) == n
+        assert probes[:2] == [100, 51]
+
+    def test_powers_of_zero_and_one_are_left_out(self):
+        # 1 at nmax and 0 below the step: no pair to interpolate, so the
+        # search bisects
+        probes, old = [], []
+        step = lambda n: 1.0 if n >= 37 else 0.0
+        assert smallest_passing(logged(step, probes), 0.8, 2, 120, alpha=0.025) == 37
+        assert bisection_n(logged(step, old), 0.8, 2, 120) == 37
+        assert probes == old
