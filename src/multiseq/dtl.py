@@ -272,8 +272,10 @@ class _Rule:
             at += start
             return flat[at]
 
-        e_m = value(m - 1, 0)
-        limit = (e_m - self.q_upper) / self.scale  # t_go
+        del top, up  # freed for the pass peak: only the outcome order is read from here on
+        e = value(m - 1, 0)  # e_m, used up at j = m
+        limit = e - self.q_upper
+        limit /= self.scale  # t_go
         kept = []  # the top m stage-two statistics of the first j; U = t_go when m > K_max
         for j in range(1, k_max + 1 if m <= k_max else 0):
             z2 = value(j - 1, 1)
@@ -284,13 +286,16 @@ class _Rule:
             if len(kept) < m:
                 kept.append(z2)
             if j >= m:
-                e = ((e_m if j == m else value(j - 1, 0)) - self.q_lower) / self.scale
-                limit = np.maximum(limit, np.minimum(kept[m - 1], e))
+                if j > m:
+                    e = value(j - 1, 0)
+                e -= self.q_lower
+                e /= self.scale
+                np.maximum(limit, np.minimum(kept[m - 1], e, out=e), out=limit)
         return limit
 
     def go_limits(self) -> np.ndarray:
         """Each row's U: the row goes exactly when r < U."""
-        return np.concatenate(self.block.each_chunk(self._limits, CHUNK_BYTES))
+        return self.block.each_row(self._limits, CHUNK_BYTES)
 
     def oc(self, r: float, shift=None) -> DtLOperatingCharacteristics:
         """Operating characteristics at boundary r (ESS and ENM in subjects),

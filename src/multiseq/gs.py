@@ -245,7 +245,8 @@ class _Rule:
             return t[keep], w[keep]
 
         starts, ends = zip(*self.block.each_chunk(intervals, CHUNK_BYTES))
-        return np.concatenate(starts), np.concatenate(ends)
+        starts = np.concatenate(starts)  # drops the start pieces before the ends join
+        return starts, np.concatenate(ends)
 
     def go_thresholds(self, boundaries: Boundaries, slope) -> np.ndarray:
         """t* of every row: with the columns shifted by t * slope (slope >= 0,
@@ -296,7 +297,7 @@ class _Rule:
                     np.maximum(nogo, crossing(lower[j], z, c, np.greater_equal, go), out=nogo)
             return t
 
-        return np.concatenate(self.block.each_chunk(thresholds, CHUNK_BYTES))
+        return self.block.each_row(thresholds, CHUNK_BYTES)
 
     def oc(self, boundaries: Boundaries, schedule: StageSchedule,
            shift=None) -> GSOperatingCharacteristics:

@@ -3,7 +3,10 @@
 Blocks of nsims x (J*K) statistics are drawn from the joint null
 distribution in independent chunks. Each chunk owns a Philox substream
 derived from (seed, chunk index), so the assembled block is bit-identical
-for a given SimConfig no matter how many worker threads are used.
+for a given SimConfig no matter how many worker threads are used. A
+worker draws its chunk's stream in sub-blocks of SUB_BLOCK_ROWS rows
+through one reused buffer and multiplies each by the Cholesky factor
+straight into the block, so a draw holds no chunk-sized temporary.
 
 Calibration and power evaluation share one null block: effects are added
 as mean shifts instead of resimulating, which keeps design comparisons on
@@ -30,6 +33,8 @@ __all__ = [
 ]
 
 _CHOLESKY_JITTER = 1e-10
+SUB_BLOCK_ROWS = 4_096  # 1.6 MB of normals at J*K = 50
+CHECK_BYTES = 1 << 18  # rows checked for finiteness at a time: a 32 kB flag temporary
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,8 @@ class StatisticBlock:
             raise ValueError("values must be 2-d with n_stages * n_outcomes columns")
         if len(values) < 1:  # a pass combines the results of at least one chunk
             raise ValueError("values must hold at least one row")
-        if not np.all(np.isfinite(values)):
+        step = max(1, CHECK_BYTES // (values.shape[1] * values.itemsize))
+        if not all(np.isfinite(values[a:a + step]).all() for a in range(0, len(values), step)):
             raise ValueError("statistics must be finite")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -85,6 +91,20 @@ class StatisticBlock:
         row_bytes = self.values.shape[1] * self.values.itemsize
         return run_chunks(lambda a, b: fn(self.values[a:b]), self.nsims,
                           max(1, chunk_bytes // row_bytes), self.threads)
+
+    def each_row(self, fn, chunk_bytes: int) -> np.ndarray:
+        """One ``each_chunk`` pass whose kernel gives one float per row: each
+        worker copies fn(rows) into its chunk's own rows of one nsims-length
+        array, placed by where the chunk's view starts in the block."""
+        out = np.empty(self.nsims)
+        first_row, row_bytes = self.values.ctypes.data, self.values.strides[0]
+
+        def fill(rows: np.ndarray) -> None:
+            a = (rows.ctypes.data - first_row) // row_bytes
+            out[a:a + len(rows)] = fn(rows)
+
+        self.each_chunk(fill, chunk_bytes)
+        return out
 
 
 def cholesky_factor(cov: np.ndarray, jitter: float = _CHOLESKY_JITTER) -> np.ndarray:
@@ -155,7 +175,12 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     """Draw cfg.nsims independent rows from MVN(0, assemble_covariance(...)).
 
     Chunk c uses the Philox stream keyed by (cfg.seed, c); assembly order
-    is fixed, so output does not depend on the thread count.
+    is fixed, so output does not depend on the thread count. A chunk draws
+    its stream in sub-blocks of SUB_BLOCK_ROWS rows, in order, and a short
+    tail joins the sub-block before it: every multiply covers at least
+    min(chunk rows, SUB_BLOCK_ROWS) rows, so BLAS takes the same path as
+    for one multiply of the whole chunk (its small-matrix and 1-row paths
+    round differently) and the rows match it bit for bit.
     """
     if threads < 1:  # before the draw, not after it
         raise ValueError("threads must be >= 1")
@@ -167,8 +192,12 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     def fill(start: int, stop: int) -> None:
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.chunk_size,))
         rng = np.random.Generator(np.random.Philox(seq))
-        np.matmul(rng.standard_normal((stop - start, dim)), factor_t,
-                  out=out[start:stop])
+        cuts = [start + SUB_BLOCK_ROWS * i
+                for i in range(max(1, (stop - start) // SUB_BLOCK_ROWS))] + [stop]
+        normals = np.empty((stop - cuts[-2], dim))  # the last multiply is the longest
+        for a, b in zip(cuts, cuts[1:]):
+            rng.standard_normal(out=normals[:b - a])
+            np.matmul(normals[:b - a], factor_t, out=out[a:b])
 
     run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)
     return StatisticBlock(values=out, n_stages=schedule.n_stages, n_outcomes=model.n_outcomes,

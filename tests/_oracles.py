@@ -23,7 +23,9 @@ go-limit kernel of ``dtl._Rule``. ``bisection_n`` probes nmax and then
 bisects, as a check on the interpolating sample-size search.
 ``step_boundary`` evaluates the rejection
 rate on every step between event values by direct counting, as a check
-on the exact interval calibration.
+on the exact interval calibration. ``one_multiply_null_block`` draws
+each chunk's normals whole and correlates them in one multiply, as a
+check on the sub-block draw of ``simulate_null_block``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ from scipy.special import ndtr, ndtri
 from multiseq.dtl import DtLDesignSpec, DtLOperatingCharacteristics, conditional_power
 from multiseq.gs import GSDesignSpec, estimate_gs_oc
 from multiseq.model import Boundaries, OutcomeModel, StageSchedule, assemble_covariance
-from multiseq.simulate import SimConfig, mean_shift_vector, simulate_null_block
+from multiseq.simulate import (
+    SimConfig,
+    cholesky_factor,
+    mean_shift_vector,
+    simulate_null_block,
+)
 
 
 def direct_rejection_estimate(mean, corr, threshold, m, nsims, seed,
@@ -75,6 +82,21 @@ def engine_empirical_covariance(schedule: StageSchedule, model: OutcomeModel,
         done += size
         i += 1
     return acc / done
+
+
+def one_multiply_null_block(schedule: StageSchedule, model: OutcomeModel,
+                            cfg: SimConfig) -> np.ndarray:
+    """The null block with chunk c drawn whole from the Philox stream keyed
+    by (cfg.seed, c) and multiplied by the Cholesky factor at once."""
+    factor_t = cholesky_factor(assemble_covariance(schedule, model)).T
+    out = np.empty((cfg.nsims, len(factor_t)))
+    for start in range(0, cfg.nsims, cfg.chunk_size):
+        stop = min(start + cfg.chunk_size, cfg.nsims)
+        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.chunk_size,))
+        rng = np.random.Generator(np.random.Philox(seq))
+        np.matmul(rng.standard_normal((stop - start, len(factor_t))), factor_t,
+                  out=out[start:stop])
+    return out
 
 
 def participant_level_statistics(model: OutcomeModel, schedule: StageSchedule,

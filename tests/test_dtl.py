@@ -617,6 +617,22 @@ class TestChunkedPass:
             tracemalloc.stop()
         assert peak < block.values.nbytes
 
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_go_limit_pass_fills_one_array(self, k):
+        # 1,000,000 rows: the go limits take 8 MB, and the pass holds
+        # little more than them
+        model = OutcomeModel.equicorrelated(k, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 2), model,
+                                    SimConfig(seed=75, nsims=1_000_000))
+        rule = dtl_mod._Rule(block, dtl_spec(k=k), model, 30)
+        tracemalloc.start()
+        try:
+            limits = rule.go_limits()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * limits.nbytes
+
 
 class TestSearch:
     def test_reproduces_two_outcome_design(self):

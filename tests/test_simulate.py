@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -67,6 +68,28 @@ class TestStatisticBlock:
             simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model,
                                 SimConfig(seed=96, nsims=50), threads=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_value_in_any_check_slice(self, bad):
+        step = simulate_module.CHECK_BYTES // 16  # rows of one check slice of 2 columns
+        nrows = 3 * step + 5
+        StatisticBlock(values=np.zeros((nrows, 2)), n_stages=1, n_outcomes=2)
+        for row in (0, step - 1, step, 2 * step - 1, 2 * step, nrows - 1):
+            values = np.zeros((nrows, 2))
+            values[row, row % 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                StatisticBlock(values=values, n_stages=1, n_outcomes=2)
+
+    def test_wrapping_an_array_allocates_no_block_sized_temporary(self):
+        values = np.zeros((1_000_000, 4))  # 32 MB
+        tracemalloc.start()
+        try:
+            block = StatisticBlock(values=values, n_stages=2, n_outcomes=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.values is values
+        assert peak < 1 << 20
+
     def test_rejects_a_block_without_rows(self):
         with pytest.raises(ValueError, match="at least one row"):
             StatisticBlock(values=np.zeros((0, 2)), n_stages=1, n_outcomes=2)
@@ -117,6 +140,24 @@ class TestStatisticBlock:
         # each kernel reads a read-only view of the block's own rows
         assert all(np.shares_memory(rows, block.values) for rows in got)
         assert not any(rows.flags.writeable for rows in got)
+
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_each_row_fills_each_chunk_into_its_own_rows(self, threads):
+        block = StatisticBlock(values=np.arange(40.0).reshape(20, 2), n_stages=2,
+                               n_outcomes=1, threads=threads)
+        chunks = []
+
+        def kernel(rows):
+            chunks.append(len(rows))
+            if rows[0, 0] < 10:  # the first chunks finish last
+                time.sleep(0.002)
+            return rows[:, 0]
+
+        got = block.each_row(kernel, 3 * 16)  # 3-row chunks
+        assert sorted(chunks) == [2] + [3] * 6
+        np.testing.assert_array_equal(got, block.values[:, 0])
+        assert not np.shares_memory(got, block.values)
 
 
 class TestNullBlocks:
@@ -204,6 +245,37 @@ class TestSimulateNullBlock:
             normals = np.random.Generator(np.random.Philox(seq)).standard_normal(
                 (min(3, 10 - 3 * c), 4))
             np.testing.assert_array_equal(block.values[3 * c:3 * c + 3], normals @ factor_t)
+
+    @pytest.mark.parametrize("stages, outcomes", [  # J * K = 1, 2, 3, 4, 6, 9, 12, 30, 50
+        (1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (3, 10), (5, 10)])
+    @pytest.mark.parametrize("chunk_size", [2 * simulate_module.SUB_BLOCK_ROWS + 5,
+                                            SimConfig(seed=0).chunk_size])
+    def test_sub_blocks_match_one_multiply_per_chunk(self, stages, outcomes, chunk_size):
+        sub = simulate_module.SUB_BLOCK_ROWS
+        schedule = StageSchedule.equal(1, stages)
+        model = OutcomeModel.equicorrelated(outcomes, 0.3)
+        for nsims in (1, sub - 1, sub, sub + 1, 2 * sub - 1, 2 * sub + 1,
+                      chunk_size - 1, chunk_size + 1, chunk_size + sub + 1):
+            cfg = SimConfig(seed=nsims, nsims=nsims, chunk_size=chunk_size)
+            want = _oracles.one_multiply_null_block(schedule, model, cfg)
+            for threads in (1, 2, 3):
+                got = simulate_null_block(schedule, model, cfg, threads=threads).values
+                assert np.array_equal(got, want), (nsims, threads)
+
+    @pytest.mark.parametrize("chunk_size", [65_536, 200_000])
+    def test_draw_holds_a_few_sub_blocks_per_worker(self, chunk_size):
+        # 200,000 rows of J * K = 50: an 80 MB block, drawn on 2 threads
+        schedule = StageSchedule.equal(1, 5)
+        model = OutcomeModel.equicorrelated(10, 0.3)
+        cfg = SimConfig(seed=46, nsims=200_000, chunk_size=chunk_size)
+        sub_block_bytes = simulate_module.SUB_BLOCK_ROWS * 50 * 8
+        tracemalloc.start()
+        try:
+            block = simulate_null_block(schedule, model, cfg, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= block.values.nbytes + 4 * 2 * sub_block_bytes
 
     def test_chunking_affects_stream_but_not_shape(self, two_outcome_model):
         schedule = StageSchedule.equal(1, 2)
