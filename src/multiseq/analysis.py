@@ -3,10 +3,11 @@
 Grids and tables evaluate fixed design realisations at many true effect
 vectors on the caller's null blocks, one per stage count of one model
 (``simulate.null_blocks``); effects enter as mean shifts, so a 49-point
-grid costs no simulation and all points share common random numbers. A
-grid costs one block pass per realisation, whatever its size; a table of
-arbitrary effect vectors costs one pass per vector and realisation.
-Each driver returns the engine's own records: the operating
+grid costs no simulation and all points share common random numbers.
+Every evaluation is a realisation's ``evaluate_grid``: a grid costs one
+block pass per realisation, whatever its size; a table of arbitrary
+effect vectors, each a grid of one point, costs one pass per vector and
+realisation. Each driver returns the engine's own records: the operating
 characteristics of every evaluation and the realisations of every search.
 """
 
@@ -16,9 +17,9 @@ import itertools
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import TrialDesignError
-from .model import OutcomeModel, StageSchedule
+from .model import OutcomeModel
 from .optimize import DEFAULT_NMAX
-from .simulate import SimConfig, StatisticBlock, mean_shift_vector, null_blocks
+from .simulate import SimConfig, StatisticBlock, null_blocks
 
 __all__ = [
     "Sweep",
@@ -39,10 +40,9 @@ class Sweep(NamedTuple):
 
 
 def evaluate_at_effects(realisation, block: StatisticBlock, model: OutcomeModel, mu):
-    """Operating characteristics of a fixed realisation at true effects mu,
-    in one pass over the block."""
-    schedule = StageSchedule.equal(realisation.n, realisation.n_stages)
-    return realisation.evaluate(block, model, mean_shift_vector(mu, schedule, model))
+    """Operating characteristics of a fixed realisation at true effects mu:
+    its effect grid of one point, in one pass over the block."""
+    return realisation.evaluate_grid(block, model, [(mu_k,) for mu_k in mu])[0]
 
 
 def compare_at_effects(realisation_a, realisation_b, model: OutcomeModel,
@@ -61,8 +61,7 @@ def effect_grid(realisation_a, realisation_b, axes, model: OutcomeModel,
     ``axes`` holds one sequence of candidate effect values per outcome;
     the result holds one (point, oc_a, oc_b) per point of the product, in
     row-major order. Each realisation evaluates the whole grid in one
-    block pass (``evaluate_grid``), and every record equals
-    ``evaluate_at_effects`` at its point.
+    block pass (``evaluate_grid``).
     """
     axes = tuple(tuple(float(v) for v in axis) for axis in axes)
     if len(axes) != model.n_outcomes:

@@ -20,7 +20,7 @@ no bracket.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Any
 
@@ -29,12 +29,10 @@ import numpy as np
 from .model import OutcomeModel, StageSchedule, _check_spec, lfc_effects
 from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
 from .simulate import (
+    ShiftGrid,
     StatisticBlock,
     axis_shifts,
-    count_on_grid,
-    count_true,
     mean_shift_vector,
-    on_grid,
 )
 
 # scipy.special's ndtr/ndtri are imported inside the two functions that use
@@ -127,18 +125,11 @@ class DtLRealisation:
     def constant(self) -> float:
         return self.r
 
-    def evaluate(self, block: StatisticBlock, model: OutcomeModel,
-                 shift: np.ndarray) -> DtLOperatingCharacteristics:
-        """Operating characteristics on a two-stage null block at a
-        per-column mean shift."""
-        return estimate_dtl_oc(block, self.spec, model, self.r, self.n, shift=shift)
-
     def evaluate_grid(self, block: StatisticBlock, model: OutcomeModel,
                       axes) -> list:
         """Operating characteristics at every point of
         ``itertools.product(*axes)`` (one sequence of effects per outcome),
-        in row-major order, from one pass over the block; each equals
-        ``evaluate`` at that point's ``mean_shift_vector``."""
+        in row-major order, from one pass over the block."""
         schedule = StageSchedule.equal(self.n, N_STAGES)
         return _Rule(block, self.spec, model, self.n).grid_oc(
             self.r, axis_shifts(axes, schedule, model))
@@ -190,7 +181,8 @@ class _Rule:
     rows with U > r. The test oracle ``invert_cp_boundaries`` gives e_j and
     t_go for one outcome on the interim-statistic scale.
 
-    At a fixed r (``oc``) a row needs counts, not U. With
+    At a fixed r the count kernel (``grid_oc``, whose one-point grid is
+    ``oc``) needs counts, not U. With
     e_i = (core_i - q_l) / s and t_i = (core_i - q_u) / s per outcome
     (rounding is monotone, so the m-th largest t_i is t_go): the interim
     go holds when #{t_i > r} >= m, the no-go when #{e_i >= r} < m, the
@@ -200,9 +192,9 @@ class _Rule:
 
     A pass runs a kernel on each row chunk of CHUNK_BYTES on the block's
     workers and combines the results in row order. Each kernel works on
-    one transposed copy of the chunk's rows (``oc`` adds the shift to it),
-    so no block-sized copy is made and the result does not depend on the
-    thread count.
+    one transposed copy of the chunk's rows (the count kernel adds the
+    shifts to it), so no block-sized copy is made and the result does not
+    depend on the thread count.
     """
 
     def __init__(self, block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
@@ -298,91 +290,64 @@ class _Rule:
         return self.block.each_row(self._limits, CHUNK_BYTES)
 
     def oc(self, r: float, shift=None) -> DtLOperatingCharacteristics:
-        """Operating characteristics at boundary r (ESS and ENM in subjects),
-        from each row's counts at r."""
-        k, m, k_max = self.k, self.m, self.k_max
-        shift = None if shift is None else np.asarray(shift, dtype=float)
-        later = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]  # K - 1 - i
-
-        def counts(rows: np.ndarray) -> tuple:
-            """(go, stop, retained outcomes of the rows going on) of a chunk."""
-            cols = rows.T.copy()
-            if shift is not None:
-                cols += shift[:, None]
-            core = (cols[:k] * self.sqrt_i1[:, None] + self.drift[:, None]) \
-                / self.sqrt_gap[:, None]
-            go = count_true((core - self.q_upper) / self.scale > r) >= m
-            e = (core - self.q_lower) / self.scale
-            stop = go | (count_true(e >= r) < m)
-            eligible = e > r
-            hits = eligible & (cols[k:] > r)
-            if k_max < k:  # retain the K_max top-ranked eligible outcomes
-                # rank_i = #{l < i: core_l >= core_i} + #{l > i: core_l > core_i}
-                ge = core[:, None] >= core[None, :]
-                ge[np.tril_indices(k)] = False  # keep l < i
-                hits &= count_true(ge) + later - count_true(ge, axis=1) < k_max
-            go |= count_true(hits) >= m
-            retained = np.minimum(count_true(eligible), k_max)
-            retained *= ~stop  # a multiply; a boolean index is 8 times slower
-            return (int(np.count_nonzero(go)), int(np.count_nonzero(stop)),
-                    int(retained.sum(dtype=np.intp)))
-
-        go, stops, retained = map(sum, zip(*self.block.each_chunk(counts, CHUNK_BYTES)))
-        return self._oc(go, stops, retained)
+        """Operating characteristics at boundary r (ESS and ENM in subjects)
+        at one per-column mean shift (none by default): ``grid_oc`` on the
+        grid with one value per outcome."""
+        size = N_STAGES * self.k
+        shift = np.zeros(size) if shift is None else np.asarray(shift, dtype=float)
+        if shift.shape != (size,):
+            raise ValueError(f"shift must have length J * K = {size}, got shape {shift.shape}")
+        return self.grid_oc(r, shift.reshape(N_STAGES, self.k).T[:, None, :])[0]
 
     def grid_oc(self, r: float, shifts) -> list:
-        """Operating characteristics at boundary r at every point of the grid
-        of per-outcome ``shifts`` (``axis_shifts``: row v of shifts[i] holds
-        outcome i's two stage shifts at its v-th effect), in row-major order,
-        from one pass.
-
-        Each chunk takes one transposed copy and walks it in slices of at
-        most CHUNK_BYTES / 8 (point, row) cells. Each outcome's shifted core
-        and its t_i, e_i and stage-two flags are formed once per axis value,
-        as ``oc`` forms them, and counted over the grid by broadcasting; with
-        K_max < K the rank of outcome i sums the pairwise flags core_l >=
-        core_i (l < i) and core_l > core_i (l > i), one (values, values,
-        rows) array per pair. A chunk returns each point's go, stop and
-        retained counts.
-        """
+        """Operating characteristics at boundary r at every point of the
+        ``ShiftGrid`` of per-outcome ``shifts`` (``axis_shifts``), in row-major
+        order, from one pass: the rule's one count kernel. Each chunk walks
+        one transposed copy in slices of ``ShiftGrid.width`` rows; each stage
+        of a slice is shifted once for every outcome and value, and the
+        cores, their t_i, e_i and stage-two flags are counted over the grid.
+        With K_max < K each unordered pair of outcomes is compared once,
+        core_l >= core_i for l < i, into a (values, values, rows) array that
+        adds to the rank of i; its complement adds to the rank of l. A chunk
+        returns each point's go, stop and retained counts."""
         k, m, k_max = self.k, self.m, self.k_max
-        points = math.prod(len(s) for s in shifts)
-        width = max(1, CHUNK_BYTES // (8 * max(points, 1)))
+        grid = ShiftGrid(shifts, N_STAGES)
+        points, width = grid.points, grid.width(CHUNK_BYTES)
 
         def counts(rows: np.ndarray) -> np.ndarray:
-            cols = rows.T.copy()
+            cols = rows.T.copy().reshape(N_STAGES, k, 1, len(rows))
             total = np.zeros((3, points), dtype=np.intp)  # go, stop, retained
             for a in range(0, len(rows), width):
-                core, t, e_ge, eligible, hits = [], [], [], [], []
-                for i, s in enumerate(shifts):
-                    c = ((cols[i, a:a + width] + s[:, 0, None]) * self.sqrt_i1[i]
-                         + self.drift[i]) / self.sqrt_gap[i]
-                    e = (c - self.q_lower) / self.scale
-                    core.append(c)
-                    t.append((c - self.q_upper) / self.scale > r)
-                    e_ge.append(e >= r)
-                    eligible.append(e > r)
-                    hits.append(eligible[i] & (cols[k + i, a:a + width] + s[:, 1, None] > r))
-                go = count_on_grid(t) >= m
-                stop = go | (count_on_grid(e_ge) < m)
+                core = grid.shift(cols[0, ..., a:a + width], 0)
+                core *= self.sqrt_i1[:, None, None]
+                core += self.drift[:, None, None]
+                core /= self.sqrt_gap[:, None, None]
+                go = grid.count((core - self.q_upper) / self.scale > r) >= m
+                e = core - self.q_lower
+                e /= self.scale
+                stop = grid.count(e >= r) < m
+                stop |= go
+                eligible = e > r
+                hits = eligible & (grid.shift(cols[1, ..., a:a + width], 1) > r)
                 if k_max < k:  # retain the K_max top-ranked eligible outcomes
-                    n_hits = np.zeros_like(go, dtype=np.min_scalar_type(k))
+                    core = [c[:v] for c, v in zip(core, grid.lengths)]
+                    # rank[i]: the outcomes ranked above outcome i, ties to the lower index
+                    rank = [np.zeros_like(go, dtype=np.min_scalar_type(k)) for _ in range(k)]
+                    for l, i in itertools.combinations(range(k), 2):
+                        ahead = grid.place(core[l][:, None] >= core[i][None, :], (l, i))
+                        rank[i] += ahead
+                        rank[l] += ~ahead
+                    n_hits = np.zeros_like(rank[0])
                     for i in range(k):
-                        rank = np.zeros_like(n_hits)
-                        for l in range(k):
-                            if l != i:
-                                pair = (core[l][:, None] >= core[i][None, :] if l < i
-                                        else core[i][:, None] < core[l][None, :])
-                                rank += on_grid(pair, (min(l, i), max(l, i)), k)
-                        n_hits += on_grid(hits[i], (i,), k) & (rank < k_max)
+                        n_hits += grid.place(hits[i, :grid.lengths[i]], (i,)) & (rank[i] < k_max)
                 else:
-                    n_hits = count_on_grid(hits)
+                    n_hits = grid.count(hits)
                 go |= n_hits >= m
-                retained = np.minimum(count_on_grid(eligible), k_max)
+                retained = np.minimum(grid.count(eligible), k_max)
                 retained *= ~stop  # a multiply; a masked assignment is 30 times slower
-                total += [np.count_nonzero(go, axis=-1).ravel(),
-                          np.count_nonzero(stop, axis=-1).ravel(),
-                          retained.sum(axis=-1, dtype=np.intp).ravel()]
+                total[0] += grid.tally(go)
+                total[1] += grid.tally(stop)
+                total[2] += retained.sum(axis=-1, dtype=np.intp).ravel()
             return total
 
         total = sum(self.block.each_chunk(counts, CHUNK_BYTES))

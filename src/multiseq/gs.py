@@ -19,7 +19,6 @@ and n is read off them; two probes confirm it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -35,10 +34,9 @@ from .model import (
 )
 from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
 from .simulate import (
+    ShiftGrid,
     StatisticBlock,
     axis_shifts,
-    count_on_grid,
-    count_true,
     mean_shift_vector,
 )
 
@@ -52,9 +50,9 @@ __all__ = [
     "search_gs_design",
 ]
 
-# bytes of statistics per row chunk of a block pass; a fixed-boundary pass
-# holds one transposed chunk copy per worker. A shifted 500k-row K = 10, J = 5
-# pass on 2 threads: 67 ms at 2 MB, 83 at 1 MB, 51 at 4-8 MB, 244 at 256 kB.
+# bytes of statistics per row chunk of a block pass; a count pass holds one
+# transposed chunk copy per worker. A shifted 500k-row K = 10, J = 5 count pass
+# on 2 threads: 62-67 ms at 2 MB, 92-98 at 1 MB, 53-57 at 4-8 MB, 262-288 at 256 kB.
 CHUNK_BYTES = 2 << 20
 
 
@@ -135,21 +133,14 @@ class DesignRealisation:
     def boundary_rows(self) -> tuple:
         return ("f", self.boundaries.lower), ("e", self.boundaries.upper)
 
-    def evaluate(self, block: StatisticBlock, model: OutcomeModel,
-                 shift: np.ndarray) -> GSOperatingCharacteristics:
-        """Operating characteristics on a null block at a per-column mean
-        shift; the shift already carries the model's sigma."""
-        schedule = StageSchedule.equal(self.n, self.n_stages)
-        return estimate_gs_oc(block, self.boundaries, self.spec, schedule, shift=shift)
-
     def evaluate_grid(self, block: StatisticBlock, model: OutcomeModel,
                       axes) -> list:
         """Operating characteristics at every point of
         ``itertools.product(*axes)`` (one sequence of effects per outcome),
-        in row-major order, from one pass over the block; each equals
-        ``evaluate`` at that point's ``mean_shift_vector``."""
+        in row-major order, from one pass over the block."""
         schedule = StageSchedule.equal(self.n, self.n_stages)
-        return _Rule(block, self.spec).grid_oc(self.boundaries, schedule, model, axes)
+        rule = _Rule(block, self.spec)
+        return rule.grid_oc(self.boundaries, schedule, rule.axis_shifts(schedule, model, axes))
 
     def table(self, model: OutcomeModel, cp_grid) -> tuple:
         """(file name, header, rows) of the report table: the boundaries per stage."""
@@ -157,29 +148,6 @@ class DesignRealisation:
         rows = [(j + 1, int(cum[j]), self.boundaries.lower[j], self.boundaries.upper[j])
                 for j in range(self.n_stages)]
         return "boundaries.csv", ("stage", "n_cumulative", "lower", "upper"), rows
-
-
-def _decide(values: np.ndarray, n_stages: int, n_outcomes: int, m: int,
-            lower: np.ndarray, upper: np.ndarray, shift=None):
-    """Decisions of each row of values + shift: (go?, stop stage index 0-based).
-
-    The rows are transposed into one contiguous (J*K, rows) copy, shifted in
-    place; each stage counts the statistics beyond its boundaries per row.
-    """
-    cols = values.T.copy()
-    if shift is not None:
-        cols += shift[:, None]
-    is_go = np.zeros(cols.shape[1], dtype=bool)
-    stop = np.zeros(cols.shape[1], dtype=np.intp)
-    still_open = np.ones(cols.shape[1], dtype=bool)
-    for j, z in enumerate(cols.reshape(n_stages, n_outcomes, cols.shape[1])):
-        go = count_true(z > upper[j]) >= m
-        is_go |= go & still_open
-        if j == n_stages - 1:
-            break
-        still_open &= ~go & (count_true(z < lower[j]) <= n_outcomes - m)
-        stop += still_open  # a row's stop index counts the stages it passes
-    return is_go, stop
 
 
 class _Rule:
@@ -191,7 +159,9 @@ class _Rule:
     is summed on its own and then added to the summed block. A pass runs
     a kernel on each row chunk of CHUNK_BYTES on the block's workers and
     combines the results in row order; a kernel adds the shift to a
-    transposed copy of its own rows, so no block-sized copy is made.
+    transposed copy of its own rows, so no block-sized copy is made. Every
+    count pass (``oc``, and so the searches' probes, and effect grids)
+    runs the one count kernel of ``grid_oc``; ``oc`` is its one-point grid.
     """
 
     def __init__(self, block: StatisticBlock, spec: GSDesignSpec):
@@ -208,7 +178,10 @@ class _Rule:
     def _columns(self, shift) -> np.ndarray:
         """A per-column vector of the spec's statistics as one per column of
         the rule's block: summed over the outcomes of each stage if composite."""
-        shift = np.asarray(shift)
+        shift = np.asarray(shift, dtype=float)
+        size = self.spec.n_stages * self.spec.n_outcomes
+        if shift.shape != (size,):
+            raise ValueError(f"shift must have length J * K = {size}, got shape {shift.shape}")
         return shift.reshape(self.spec.n_stages, -1).sum(axis=1) if self.summed else shift
 
     def go_intervals(self) -> tuple:
@@ -261,7 +234,7 @@ class _Rule:
         when t < h_j, the (K - m + 1)-th largest crossing of l_j (the same
         min or max). So t* = min_j max(g_j, max_{i<j} h_i). Float rounding
         may decide a row with t = t* either way. Each chunk takes one
-        transposed copy, as ``_decide`` does, and otherwise only row-length
+        transposed copy, as the count pass does, and otherwise only row-length
         temporaries; t* depends on neither the chunk size nor the thread
         count.
         """
@@ -301,66 +274,59 @@ class _Rule:
 
     def oc(self, boundaries: Boundaries, schedule: StageSchedule,
            shift=None) -> GSOperatingCharacteristics:
-        """Operating characteristics from each chunk's go count and
-        stop-stage histogram."""
-        n_stages, k, m = self.spec.n_stages, self.k, self.m
-        lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
-        shift = None if shift is None else self._columns(shift)
+        """Operating characteristics at one per-column mean shift (none by
+        default): ``grid_oc`` on the grid with one value per axis."""
+        shift = np.zeros(self.spec.n_stages * self.k) if shift is None else self._columns(shift)
+        return self.grid_oc(boundaries, schedule,
+                            shift.reshape(self.spec.n_stages, self.k).T[:, None, :])[0]
 
-        def counts(rows: np.ndarray) -> tuple:
-            is_go, stop = _decide(rows, n_stages, k, m, lower, upper, shift)
-            return np.count_nonzero(is_go), np.bincount(stop, minlength=n_stages)
+    def axis_shifts(self, schedule: StageSchedule, model: OutcomeModel, axes) -> list:
+        """``grid_oc``'s shifts for the effect grid ``itertools.product(*axes)``:
+        ``simulate.axis_shifts``, or for a summed rule one axis holding each
+        point's summed shift, since a composite shift does not split by outcome."""
+        if not self.summed:
+            return axis_shifts(axes, schedule, model)
+        summed = [self._columns(mean_shift_vector(point, schedule, model))
+                  for point in itertools.product(*axes)]
+        return [np.array(summed).reshape(-1, self.spec.n_stages)]
 
-        go, stops = map(sum, zip(*self.block.each_chunk(counts, CHUNK_BYTES)))
-        return self._oc(go, stops, schedule)
-
-    def grid_oc(self, boundaries: Boundaries, schedule: StageSchedule,
-                model: OutcomeModel, axes) -> list:
-        """Operating characteristics at every point of the grid
-        ``itertools.product(*axes)`` of effects, in row-major order, from
-        one pass.
-
-        The shifts are one (values, J) array per column of the rule's block
-        at a stage: per outcome, row v holds the outcome's shifts at its
-        v-th axis value (``axis_shifts``). A composite shift does not split
-        by outcome, so a summed rule gets one array holding each point's
-        summed shift, as ``oc`` sums it. Each chunk takes one transposed
-        copy and walks it in slices of at most CHUNK_BYTES / 8 (point, row)
-        cells. Per stage, each shifted column of each axis value is compared
-        with the boundaries once, as ``oc`` compares it, and the flags are
-        counted over the grid by broadcasting. A chunk returns each point's
-        go count and its count of rows still open after each stage but the
-        last, which give the stop-stage histogram.
-        """
-        if self.summed:
-            summed = [self._columns(mean_shift_vector(point, schedule, model))
-                      for point in itertools.product(*axes)]
-            shifts = [np.array(summed).reshape(-1, self.spec.n_stages)]
-        else:
-            shifts = axis_shifts(axes, schedule, model)
+    def grid_oc(self, boundaries: Boundaries, schedule: StageSchedule, shifts) -> list:
+        """Operating characteristics at every point of the ``ShiftGrid`` of
+        ``shifts`` (one (values, J) array per column of the rule's block), in
+        row-major order, from one pass: the rule's one count kernel. Each
+        chunk walks one transposed copy in slices of ``ShiftGrid.width`` rows;
+        per stage a slice is shifted once for every column and value,
+        compared with each boundary in one call and counted over the grid. A
+        chunk returns each point's go count and its rows still open after
+        each stage but the last, which give the stop-stage histogram."""
         n_stages, k, m, nsims = self.spec.n_stages, self.k, self.m, self.block.nsims
         lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
-        points = math.prod(len(s) for s in shifts)
-        width = max(1, CHUNK_BYTES // (8 * max(points, 1)))
+        grid = ShiftGrid(shifts, n_stages)
+        points, width = grid.points, grid.width(CHUNK_BYTES)
 
         def counts(rows: np.ndarray) -> np.ndarray:
-            cols = rows.T.copy().reshape(n_stages, k, len(rows))
+            cols = rows.T.copy().reshape(n_stages, k, 1, len(rows))
             # row 0: go rows; row j + 1: rows still open after stage j
             total = np.zeros((n_stages, points), dtype=np.intp)
             for a in range(0, len(rows), width):
-                z = cols[:, :, a:a + width]
-                still_open = np.ones((*map(len, shifts), z.shape[-1]), dtype=bool)
                 for j in range(n_stages):
-                    went = count_on_grid([z[j, i] + s[:, j, None] > upper[j]
-                                          for i, s in enumerate(shifts)]) >= m
-                    went &= still_open
-                    total[0] += np.count_nonzero(went, axis=-1).ravel()
-                    if j == n_stages - 1:
+                    z = grid.shift(cols[j, ..., a:a + width], j)
+                    final = j == n_stages - 1  # decides every open row: no lower test
+                    above, below = z > upper[j], None if final else z < lower[j]
+                    del z  # a grid slice's largest array: freed before the counts
+                    over = grid.count(above)
+                    went = over >= m
+                    if j:
+                        went &= still_open
+                    total[0] += grid.tally(went)
+                    if final:
                         break
-                    still_open &= ~went
-                    still_open &= count_on_grid([z[j, i] + s[:, j, None] < lower[j]
-                                                 for i, s in enumerate(shifts)]) <= k - m
-                    total[j + 1] += np.count_nonzero(still_open, axis=-1).ravel()
+                    if j:
+                        still_open &= over < m
+                    else:
+                        still_open = over < m
+                    still_open &= grid.count(below) <= k - m
+                    total[j + 1] += grid.tally(still_open)
             return total
 
         total = sum(self.block.each_chunk(counts, CHUNK_BYTES))
@@ -389,8 +355,8 @@ def estimate_gs_oc(block: StatisticBlock, boundaries: Boundaries,
                    shift: np.ndarray | None = None) -> GSOperatingCharacteristics:
     """Aggregate rejection probability, expected stages, ESS and ENM.
 
-    ``shift`` is an optional per-column mean shift applied on the fly,
-    so power at any effect vector reuses the shared null block.
+    ``shift`` is an optional per-column mean shift (length J * K) applied
+    on the fly, so power at any effect vector reuses the shared null block.
     """
     if block.n_stages != boundaries.n_stages or block.n_stages != schedule.n_stages:
         raise ValueError("block, boundaries and schedule stage counts differ")

@@ -15,6 +15,7 @@ common random numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,31 +144,58 @@ def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> list:
     return [fn(a, b) for a, b in ranges]
 
 
-def count_true(flags: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Number of True flags along ``axis``, in the smallest unsigned
-    integer type that holds that axis's length."""
-    return np.add.reduce(flags, axis=axis, dtype=np.min_scalar_type(flags.shape[axis]))
+class ShiftGrid:
+    """The Cartesian grid of a count pass: shifts[i] is a (values, stages)
+    array of column i's shifts, stacked into one (stages, columns, V, 1)
+    array zero-padded to the longest axis V. Grid arrays are (V_1, ..., V_A,
+    rows) without the axes of one value, so a one-point grid is (rows,)."""
 
+    def __init__(self, shifts, n_stages: int):
+        self.lengths = [len(s) for s in shifts]
+        self.points = math.prod(self.lengths)
+        self.stacked = np.zeros((n_stages, len(shifts), max(self.lengths), 1))
+        for i, s in enumerate(shifts):
+            self.stacked[:, i, :len(s), 0] = s.T
+        self.live = [a for a, v in enumerate(self.lengths) if v != 1]
 
-def on_grid(values: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
-    """View of ``values``, one length per grid axis in ``axes`` (increasing)
-    then one per row, that broadcasts against a grid of ``ndim`` axes then rows."""
-    shape = [1] * ndim + [values.shape[-1]]
-    for axis, length in zip(axes, values.shape):
-        shape[axis] = length
-    return values.reshape(shape)
+    def width(self, chunk_bytes: int) -> int:
+        """Rows of a slice holding at most chunk_bytes / 8 (point, row) cells
+        and shifted statistics of one stage."""
+        return max(1, chunk_bytes // (8 * max(self.points, self.stacked[0].size, 1)))
 
+    def shift(self, z: np.ndarray, stage: int) -> np.ndarray:
+        """(columns, V, rows): a stage's (columns, 1, rows) statistics plus
+        each of its shifts, added in place when every axis has one value."""
+        return np.add(z, self.stacked[stage], out=z if self.stacked.shape[2] == 1 else None)
 
-def count_on_grid(flags) -> np.ndarray:
-    """Number of True flags at each grid point and row: flags[a] is a
-    (values of axis a, rows) array, and the result is (V_1, ..., V_A, rows)
-    in the smallest unsigned integer type that holds A."""
-    total = np.empty(tuple(len(f) for f in flags) + (flags[0].shape[-1],),
-                     dtype=np.min_scalar_type(len(flags)))
-    total[...] = on_grid(flags[0], (0,), len(flags))
-    for axis, f in enumerate(flags[1:], 1):
-        total += on_grid(f, (axis,), len(flags))
-    return total
+    def place(self, values: np.ndarray, axes: tuple) -> np.ndarray:
+        """View of ``values``, one length per grid axis in ``axes``
+        (increasing) then one per row, that broadcasts against grid arrays."""
+        shape = [1] * len(self.live) + [values.shape[-1]]
+        for axis, length in zip(axes, values.shape):
+            if axis in self.live:
+                shape[self.live.index(axis)] = length
+        return values.reshape(shape)
+
+    def count(self, flags: np.ndarray) -> np.ndarray:
+        """Number of true flags at each grid point and row, in the smallest
+        unsigned integer type that holds the column count: flags is
+        (columns, V, rows), padded as the shifts are. A one-point grid is
+        counted by one reduction over the columns."""
+        dtype = np.min_scalar_type(len(flags))
+        if self.points == 1:
+            return np.add.reduce(flags[:, 0], axis=0, dtype=dtype)
+        total = np.empty([self.lengths[a] for a in self.live] + [flags.shape[-1]], dtype=dtype)
+        total[...] = self.place(flags[0, :self.lengths[0]], (0,))
+        for axis in range(1, len(flags)):
+            total += self.place(flags[axis, :self.lengths[axis]], (axis,))
+        return total
+
+    def tally(self, flags: np.ndarray) -> np.ndarray:
+        """Each point's count of flagged rows; one point is counted without
+        an axis, which is faster."""
+        return np.count_nonzero(flags) if self.points == 1 else \
+            np.count_nonzero(flags, axis=-1).ravel()
 
 
 def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,

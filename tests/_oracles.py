@@ -19,8 +19,10 @@ maps the conditional-power thresholds of one outcome to interim
 boundaries on the statistic scale, as a check on the thresholds in r
 that ``dtl._Rule`` derives. ``sorted_go_limits`` derives each row's go
 limit with a stable row-wise sort, as a check on the column-wise
-go-limit kernel of ``dtl._Rule``. ``bisection_n`` probes nmax and then
-bisects, as a check on the interpolating sample-size search.
+go-limit kernel of ``dtl._Rule``; ``oc_from_limits`` turns those limits
+into the operating characteristics at one r, as a check on its count
+kernel at ties. ``bisection_n`` probes nmax and then bisects, as a check
+on the interpolating sample-size search.
 ``step_boundary`` evaluates the rejection
 rate on every step between event values by direct counting, as a check
 on the exact interval calibration. ``one_multiply_null_block`` draws
@@ -248,6 +250,18 @@ def sorted_go_limits(rule, rows) -> tuple:
         m_j = np.partition(z2[:, :j], j - m, axis=1)[:, j - m]
         limit = np.maximum(limit, np.minimum(m_j, e[:, j - 1]))
     return t_go, e, limit
+
+
+def oc_from_limits(rule, r, t_go, e, limit):
+    """The OC at r derived from each row's (t_go, e, U), as
+    ``sorted_go_limits`` gives them: p_reject is #{U > r} / N."""
+    stop = (t_go > r) | (e[:, rule.m - 1] < r)
+    retained = int((e[~stop, :rule.k_max] > r).sum())
+    nsims = rule.block.nsims
+    pet = int(stop.sum()) / nsims
+    return DtLOperatingCharacteristics(
+        p_reject=int((limit > r).sum()) / nsims, pet=pet,
+        ess=rule.n * (pet + 2.0 * (1.0 - pet)), enm=rule.n * (rule.k + retained / nsims))
 
 
 def bisection_n(power, target: float, nmin: int, nmax: int) -> int:

@@ -28,7 +28,6 @@ from multiseq.dtl import (
 )
 from multiseq.gs import (
     DesignRealisation,
-    _decide,
     calibrate_c,
     composite_transform,
     estimate_gs_oc,
@@ -546,7 +545,7 @@ def test_criterion_8_dtl_degenerate_threshold_equivalence():
                              delta0=0.0, delta1=0.4)
         oc = estimate_dtl_oc(block, spec, model, r, n, shift=shift, max_retained=k)
         stage2 = block.values[:, k:] + shift[None, k:]
-        go, _ = _decide(stage2, 1, k, m, np.array([r]), np.array([r]))
+        go, _ = _oracles.decide_rows(stage2, 1, k, m, [r], [r])
         check(failures, oc.p_reject == float(go.mean()),
               f"case {case}: p {oc.p_reject} != single-stage {float(go.mean())}")
         check(failures, oc.pet == 0.0, f"case {case}: pet {oc.pet} != 0")

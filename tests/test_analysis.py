@@ -2,10 +2,12 @@ import itertools
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from _oracles import DtLBlockRule, decide_rows, oc_from_limits, sorted_go_limits
 from conftest import null_block
 import multiseq.dtl as dtl_module
 import multiseq.gs as gs_module
@@ -18,7 +20,7 @@ from multiseq.analysis import (
     evaluate_at_effects,
 )
 from multiseq.dtl import DtLDesignSpec, DtLRealisation
-from multiseq.gs import DesignRealisation, composite_transform
+from multiseq.gs import DesignRealisation, GSOperatingCharacteristics, composite_transform
 from multiseq.model import Boundaries, StageSchedule, wang_tsiatis_boundaries
 from multiseq.simulate import StatisticBlock, mean_shift_vector, null_blocks
 
@@ -213,9 +215,41 @@ def random_realisation(kind, model, axes, blocks, rng, threads, on=0):
                              boundaries=boundaries, alpha_star=0.0, power_star=0.0)
 
 
+def oracle_oc(real, block, model, point):
+    """Operating characteristics of ``real`` at one effect point from
+    row-wise oracles on the shifted block: ``decide_rows`` for the gs family
+    (on the summed block and shift if composite); for drop-the-loser the
+    sorted go limits (``oc_from_limits``), and ``DtLBlockRule`` too unless
+    r equals some row's e_i or t_i, where its conditional powers may round
+    to either side of a threshold."""
+    schedule = StageSchedule.equal(real.n, real.n_stages)
+    shift = mean_shift_vector(point, schedule, model)
+    if real.kind == "dtl":
+        rule, values = dtl_module._Rule(block, real.spec, model, real.n), block.values + shift
+        t_go, e, limit = sorted_go_limits(rule, values)
+        oc = oc_from_limits(rule, real.r, t_go, e, limit)
+        core = (values[:, :rule.k] * rule.sqrt_i1 + rule.drift) / rule.sqrt_gap
+        if not np.isin(real.r, np.concatenate([core - rule.q_lower, core - rule.q_upper])
+                       / rule.scale):
+            by_cp = DtLBlockRule(block, real.spec, model, real.n, shift).evaluate(real.r)
+            assert oc == replace(by_cp, ess=real.n * by_cp.ess, enm=real.n * by_cp.enm)
+        return oc
+    j, k, m = real.n_stages, model.n_outcomes, real.spec.n_promising
+    values = block.values + shift
+    if real.kind == "composite":
+        values = composite_transform(block).values + shift.reshape(j, k).sum(axis=1)
+        k = m = 1
+    go, stop = decide_rows(values, j, k, m, real.boundaries.lower, real.boundaries.upper)
+    ess = schedule.cumulative[stop].mean()
+    return GSOperatingCharacteristics(p_reject=go.mean(), ess=ess, enm=model.n_outcomes * ess,
+                                      expected_stages=(stop + 1.0).mean())
+
+
 class TestGridPass:
     """``effect_grid`` (one pass per realisation) against per-point
-    ``evaluate_at_effects``: the records must be equal, not approximately."""
+    ``evaluate_at_effects``, which runs the same kernel on a grid of one
+    point, and against the row-wise oracles of ``oracle_oc``: the records
+    must be equal, not approximately."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("kind", GRID_KINDS)
@@ -247,6 +281,7 @@ class TestGridPass:
         for point, *ocs in grid:
             for real, oc in zip(reals, ocs):
                 assert oc == evaluate_at_effects(real, blocks[real.n_stages], model, point)
+                assert oc == oracle_oc(real, blocks[real.n_stages], model, point)
 
     @pytest.mark.parametrize("kind", GRID_KINDS)
     def test_statistics_on_the_boundary(self, kind):
@@ -261,8 +296,10 @@ class TestGridPass:
         for draw in range(60):
             real = random_realisation(kind, model, axes, blocks, rng, 1, draw % 3)
             block = blocks[real.n_stages]
-            assert real.evaluate_grid(block, model, axes) == \
-                [evaluate_at_effects(real, block, model, p) for p in itertools.product(*axes)]
+            points = list(itertools.product(*axes))
+            grid = real.evaluate_grid(block, model, axes)
+            assert grid == [evaluate_at_effects(real, block, model, p) for p in points]
+            assert grid == [oracle_oc(real, block, model, p) for p in points]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_slices_of_a_chunk_match_pointwise_evaluation(self, threads):

@@ -61,6 +61,13 @@ rho_values = 0.0, 0.5
 COMMANDS = {
     "design-gs": (["design", "gs"], GS_CONFIG, [3]),
     "design-dtl": (["design", "dtl"], DTL_CONFIG, [2]),
+    # 1 < m < K: a gallop search, every probe of it a count pass
+    "design-gs-k3-m2": (["design", "gs"], GS_CONFIG.replace("K = 2\nm = 1", "K = 3\nm = 2"),
+                        [3]),
+    # K_max < K with six outcome pairs to rank
+    "design-dtl-k4-m2": (["design", "dtl"],
+                         DTL_CONFIG.replace("K = 2\nm = 1\nk_max = 1", "K = 4\nm = 2\nk_max = 2"),
+                         [2]),
     "grid-gs-composite": (["oc", "grid"],
                           GS_CONFIG.replace("kind = gs", "kind_a = gs\nkind_b = composite")
                           + "mu_values = 0.0, 0.4\n", [3]),

@@ -14,6 +14,7 @@ from _oracles import (
     cp_lookup_rows,
     evaluate_dtl_row,
     invert_cp_boundaries,
+    oc_from_limits,
     sorted_go_limits,
 )
 from conftest import null_block
@@ -199,6 +200,13 @@ class TestEstimateOC:
         block = simulate_null_block(StageSchedule.equal(1, 2), model,
                                     SimConfig(seed=seed, nsims=nsims))
         return model, block
+
+    def test_mis_sized_shift_is_rejected(self):
+        # one value would broadcast to every column: a wrong OC, not an error
+        model, block = self.make_block(3, 0.3, 200, 12)
+        for size in (1, 5, 7):
+            with pytest.raises(ValueError, match=r"length J \* K = 6, got shape"):
+                estimate_dtl_oc(block, dtl_spec(k=3), model, 2.0, 20, shift=np.full(size, 0.5))
 
     def test_aggregates_match_row_evaluation(self):
         rng = np.random.default_rng(35)
@@ -433,18 +441,6 @@ class TestGoLimits:
                     assert hi == pytest.approx(z1[o], rel=1e-9, abs=1e-9)
                 else:
                     assert spec.cp_upper == 1.0 and t_row == -np.inf
-
-
-def oc_from_limits(rule, r, t_go, e, limit):
-    """The OC at r derived from each row's (t_go, e, U), as
-    ``sorted_go_limits`` gives them: p_reject is #{U > r} / N."""
-    stop = (t_go > r) | (e[:, rule.m - 1] < r)
-    retained = int((e[~stop, :rule.k_max] > r).sum())
-    nsims = rule.block.nsims
-    pet = int(stop.sum()) / nsims
-    return DtLOperatingCharacteristics(
-        p_reject=int((limit > r).sum()) / nsims, pet=pet,
-        ess=rule.n * (pet + 2.0 * (1.0 - pet)), enm=rule.n * (rule.k + retained / nsims))
 
 
 class TestColumnKernel:

@@ -1,7 +1,7 @@
 """Golden outputs: the sha256 of every deterministic file each command writes.
 
 A refactor must leave the CLI's outputs byte-identical for fixed
-configurations. These hashes pin ``summary.txt`` and every CSV of the six
+configurations. These hashes pin ``summary.txt`` and every CSV of the eight
 command shapes in ``test_cli.COMMANDS`` (``config_echo.txt`` echoes the
 output path, so it is left out). They were recorded on a 2-vCPU Intel Xeon
 (KVM) box with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; another numpy
@@ -23,6 +23,14 @@ GOLDEN = {
     "design-dtl": {
         "cp_lookup.csv": "0c40d5546682c4fadebfbd87aa9833c0f4b8a64ccb55487da1a145ed6f492cf3",
         "summary.txt": "f5110a75d4f846c2c60f67ab3d47a8b6f07a3256dfa00de44ab395fbfc066419",
+    },
+    "design-gs-k3-m2": {
+        "boundaries.csv": "a5135c6a6f67809dba162521ff4c428db2e4df3248fd63e011e228d30c7e775b",
+        "summary.txt": "73a0b4ff61aff5919f824e72f47a1d042ab07d2e5fc71a8779a014c8da6d665d",
+    },
+    "design-dtl-k4-m2": {
+        "cp_lookup.csv": "ef7b3d20f7ceb8a57ea5a5a9c9e7b03bafd482c8a935efe54dead89e154b9500",
+        "summary.txt": "c10683cfa1844b8bf3a485c255608bd477c761440aaeaf00fa45cf9d9ae8442d",
     },
     "grid-gs-composite": {
         "grid.csv": "a5df55e4480b6562f85700d4202a472e3cdde8faf9c8ea9c9ebf5f58d548b7f1",

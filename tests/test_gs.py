@@ -21,7 +21,6 @@ from multiseq import (
 )
 from multiseq.gs import (
     GSOperatingCharacteristics,
-    _decide,
     _final_scale_boundaries,
     calibrate_c,
     composite_transform,
@@ -129,17 +128,57 @@ class TestEvaluateRow:
             m = int(rng.integers(1, k + 1))
             b = wang_tsiatis_boundaries(float(rng.uniform(0.5, 3.0)), j)
             values = rng.normal(size=(8, j * k)) * 2.0
-            go, stop = _decide(values, j, k, m, np.asarray(b.lower),
-                               np.asarray(b.upper))
-            for i in range(8):
-                path = evaluate_gs_row(values[i], b, n_promising=m)
-                assert (path.decision == "go") == bool(go[i])
-                assert path.stop_stage == stop[i] + 1
+            want = row_counts(values, b, k, m)
+            assert pass_counts(rule_on(values, k, m), b) == want
+            paths = [evaluate_gs_row(row, b, n_promising=m) for row in values]
+            assert want[0] == sum(path.decision == "go" for path in paths)
+            assert want[1] == tuple(np.bincount([path.stop_stage - 1 for path in paths],
+                                                minlength=j))
+            for row, path in zip(values, paths):  # each row a block of its own
+                go, stops = pass_counts(rule_on(row[None], k, m), b)
+                assert go == (path.decision == "go") and stops[path.stop_stage - 1] == 1
+
+
+def rule_on(values, k, m, composite=False):
+    """The gs rule of an m-of-K spec on a block of the given rows."""
+    j = values.shape[1] // k
+    spec = GSDesignSpec(n_outcomes=k, n_promising=m, n_stages=j, alpha=0.025, beta=0.2,
+                        delta0=0.2, delta1=0.4, composite=composite)
+    return gs_module._Rule(StatisticBlock(values, j, k), spec)
+
+
+def pass_counts(rule, boundaries, shift=None):
+    """(go count, stop-stage histogram) of one ``_Rule.oc`` pass at the
+    shift: the counts its kernel hands to ``_Rule._oc``."""
+    seen = []
+    aggregate = rule._oc
+    rule._oc = lambda go, stops, schedule: seen.append((go, tuple(stops))) or \
+        aggregate(go, stops, schedule)
+    try:
+        rule.oc(boundaries, StageSchedule.equal(1, rule.spec.n_stages), shift)
+    finally:
+        del rule._oc
+    (counts,) = seen
+    return counts
+
+
+def row_decisions(rule, boundaries, shift):
+    """(go?, stop stage index) of every row of the rule's block at the
+    shift, by ``decide_rows``; a composite rule sums the shift per stage."""
+    return decide_rows(rule.block.values + rule._columns(shift), rule.spec.n_stages, rule.k,
+                       rule.m, boundaries.lower, boundaries.upper)
+
+
+def row_counts(values, boundaries, k, m):
+    """(go count, stop-stage histogram) of the rows by ``decide_rows``."""
+    j = boundaries.n_stages
+    go, stop = decide_rows(values, j, k, m, boundaries.lower, boundaries.upper)
+    return int(go.sum()), tuple(np.bincount(stop, minlength=j))
 
 
 class TestCountKernel:
-    """``_decide`` counts with whole-column compares; ``decide_rows`` sums
-    over the outcome axis of each row."""
+    """``_Rule.oc`` counts with whole-array compares per stage; ``decide_rows``
+    sums over the outcome axis of each row."""
 
     def test_statistics_on_a_boundary_count_on_neither_side(self):
         rng = np.random.default_rng(23)
@@ -160,11 +199,8 @@ class TestCountKernel:
             # a zero shift keeps a column on its boundary
             shift = np.where(rng.random(j * k) < 0.5, 0.0, rng.normal(size=j * k))
             for s in (None, shift):
-                got = _decide(values, j, k, m, lower, upper, s)
-                want = decide_rows(values if s is None else values + s, j, k, m,
-                                   lower, upper)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
+                want = row_counts(values if s is None else values + s, b, k, m)
+                assert pass_counts(rule_on(values, k, m), b, s) == want
 
     def test_counter_holds_three_hundred_outcomes(self):
         rng = np.random.default_rng(24)
@@ -172,15 +208,13 @@ class TestCountKernel:
         # a per-row level spreads the exceedance counts on both sides of m
         values = rng.normal(size=(400, k)) + rng.normal(size=(400, 1))
         for c in (-0.2, 0.0, 0.4):
-            bound = np.array([c])
-            go, stop = _decide(values, 1, k, m, bound, bound)
-            want_go, want_stop = decide_rows(values, 1, k, m, bound, bound)
-            np.testing.assert_array_equal(go, want_go)
-            np.testing.assert_array_equal(stop, want_stop)
-            assert 0 < go.sum() < 400
+            bound = Boundaries(lower=(c,), upper=(c,))
+            go, stops = pass_counts(rule_on(values, k, m), bound)
+            assert (go, stops) == row_counts(values, bound, k, m)
+            assert 0 < go < 400
         # 300 of 300 above: a counter that wrapped at 256 would say 44
-        go, _ = _decide(np.ones((2, k)), 1, k, k, np.zeros(1), np.zeros(1))
-        assert go.all()
+        go, _ = pass_counts(rule_on(np.ones((2, k)), k, k), Boundaries(lower=(0.0,), upper=(0.0,)))
+        assert go == 2
 
 
 class TestEstimateOC:
@@ -216,6 +250,17 @@ class TestEstimateOC:
         oc = estimate_gs_oc(block, b, spec_for(2, 1, 3), schedule)
         assert oc.enm == 2 * oc.ess
 
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_mis_sized_shift_is_rejected(self, two_outcome_model, composite):
+        # one value would broadcast to every column: a wrong OC, not an error
+        block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model,
+                                    SimConfig(seed=11, nsims=200))
+        spec = replace(spec_for(2, 1, 3), composite=composite)
+        for size in (1, 5, 7):
+            with pytest.raises(ValueError, match=r"length J \* K = 6, got shape"):
+                estimate_gs_oc(block, wang_tsiatis_boundaries(2.2, 3, 0.0), spec,
+                               StageSchedule.equal(9, 3), shift=np.full(size, 0.5))
+
     def test_shift_argument_matches_shifted_block(self, two_outcome_model):
         schedule = StageSchedule.equal(9, 3)
         block = simulate_null_block(StageSchedule.equal(1, 3), two_outcome_model,
@@ -233,14 +278,6 @@ class TestEstimateOC:
 def row_budget(monkeypatch, rule, rows):
     """Make a block pass of ``rule`` run over chunks of ``rows`` rows."""
     monkeypatch.setattr(gs_module, "CHUNK_BYTES", rows * rule.block.values[:1].nbytes)
-
-
-def decisions(rule, boundaries, shift=None):
-    """(go?, stop stage index) of every row of the rule's block, from one
-    ``_decide`` call on all of its rows at the rule's shift."""
-    return _decide(rule.block.values, rule.spec.n_stages, rule.k, rule.m,
-                   np.asarray(boundaries.lower), np.asarray(boundaries.upper),
-                   None if shift is None else rule._columns(shift))
 
 
 class TestChunkedPass:
@@ -263,15 +300,14 @@ class TestChunkedPass:
                 rule = gs_module._Rule(block, spec)
                 row_budget(monkeypatch, rule, 3)
                 for s in (None, shift):
-                    is_go, stop = decisions(rule, b, s)
+                    go, stops = pass_counts(rule, b, s)
                     values = rule.block.values
                     if s is not None:
                         # a composite rule sums the shift per stage, then adds it
                         values = values + (s.reshape(3, 3).sum(axis=1) if composite else s)
                     expected_go, expected_stop = decide_rows(values, 3, rule.k, rule.m,
                                                              lower, upper)
-                    np.testing.assert_array_equal(is_go, expected_go)
-                    np.testing.assert_array_equal(stop, expected_stop)
+                    assert (go, stops) == row_counts(values, b, rule.k, rule.m)
                     # the chunked pass counts exactly what the rows decide
                     ess = schedule.cumulative[expected_stop].mean()
                     assert rule.oc(b, schedule, s) == GSOperatingCharacteristics(
@@ -280,7 +316,7 @@ class TestChunkedPass:
         finally:
             sys.setswitchinterval(interval)
         if nsims == 1001:  # the shifted pass decides at every stage, both ways
-            assert set(stop) == {0, 1, 2} and 0 < is_go.sum() < nsims
+            assert min(stops) > 0 and 0 < go < nsims
 
     def test_shifted_pass_peaks_below_half_the_block(self):
         # 40,000 rows of K = 10, J = 5 statistics: a 16 MB block
@@ -393,8 +429,8 @@ class TestGoIntervals:
             starts, ends = rule.go_intervals()
             assert np.all((starts >= 0) & (starts < ends))
             for constant in rng.uniform(0.01, 6.0, size=100):
-                is_go, _ = decisions(rule, _final_scale_boundaries(constant, j, spec.wt_delta))
-                assert interval_alpha(starts, ends, constant, 1_000) == is_go.mean(), case
+                go, _ = pass_counts(rule, _final_scale_boundaries(constant, j, spec.wt_delta))
+                assert interval_alpha(starts, ends, constant, 1_000) == go / 1_000, case
             outcomes["composite"] += spec.composite
             for strict in (False, True):
                 expected = step_boundary(starts, ends, 1_000, spec.alpha, strict)
@@ -410,8 +446,8 @@ class TestGoIntervals:
                 assert (constant, achieved) == (expected.boundary, expected.alpha), case
                 assert len(caught) == expected.warns
                 boundaries = _final_scale_boundaries(constant, j, spec.wt_delta)
-                is_go, _ = decisions(rule, boundaries)
-                assert is_go.mean() == achieved
+                go, _ = pass_counts(rule, boundaries)
+                assert go / 1_000 == achieved
                 assert rule.oc(boundaries, StageSchedule.equal(1, j)).p_reject == achieved
                 if strict:
                     assert achieved <= spec.alpha
@@ -510,7 +546,7 @@ class TestGoThresholds:
             assert size == np.sort(nstar)[3_199], case
             for n in (1, 3, 10, 30, 100, 300):
                 shift = mean_shift_vector(effects, StageSchedule.equal(n, j), model)
-                is_go, _ = decisions(rule, boundaries, shift)
+                is_go, _ = row_decisions(rule, boundaries, shift)
                 wrong = is_go != (n >= nstar)
                 assert np.all(np.abs(tstar[wrong] - np.sqrt(n)) <= 1e-9 * np.sqrt(n)), case
                 seen["ties"] += int(wrong.sum())
