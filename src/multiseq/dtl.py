@@ -26,6 +26,7 @@ from typing import Any
 
 import numpy as np
 
+from ._normal import ndtr, ndtri
 from .model import OutcomeModel, StageSchedule, _check_spec, lfc_effects
 from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
 from .simulate import (
@@ -34,10 +35,6 @@ from .simulate import (
     axis_shifts,
     mean_shift_vector,
 )
-
-# scipy.special's ndtr/ndtri are imported inside the two functions that use
-# them, not here: scipy.special takes about 0.35 s to import and only
-# drop-the-loser runs need it, so the other design families never load it.
 
 __all__ = [
     "DtLDesignSpec",
@@ -147,8 +144,6 @@ def conditional_power(z, r, info_interim, info_final, effect):
 
     Broadcasts over array inputs.
     """
-    from scipy.special import ndtr
-
     i1 = np.asarray(info_interim, dtype=float)
     i2 = np.asarray(info_final, dtype=float)
     if np.any(i2 <= i1) or np.any(i1 <= 0):
@@ -199,8 +194,6 @@ class _Rule:
 
     def __init__(self, block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
                  n: int, max_retained: int | None = None):
-        from scipy.special import ndtri
-
         if block.n_stages != N_STAGES:
             raise ValueError("drop-the-loser blocks must have exactly two stages")
         if block.n_outcomes != spec.n_outcomes:
@@ -211,7 +204,7 @@ class _Rule:
         self.drift = gap * np.asarray(spec.delta1)
         self.scale = float(np.sqrt(i2[0] / gap[0]))
         # ndtri maps a disabled threshold (0 or 1) to -inf / +inf
-        self.q_lower, self.q_upper = float(ndtri(spec.cp_lower)), float(ndtri(spec.cp_upper))
+        self.q_lower, self.q_upper = ndtri(spec.cp_lower), ndtri(spec.cp_upper)
         self.k, self.m = spec.n_outcomes, spec.n_promising
         self.k_max = spec.max_retained if max_retained is None else int(max_retained)
         self.block, self.n = block, n

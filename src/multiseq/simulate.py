@@ -6,7 +6,9 @@ derived from (seed, chunk index), so the assembled block is bit-identical
 for a given SimConfig no matter how many worker threads are used. A
 worker draws its chunk's stream in sub-blocks of SUB_BLOCK_ROWS rows
 through one reused buffer and multiplies each by the Cholesky factor
-straight into the block, so a draw holds no chunk-sized temporary.
+straight into the block, so a draw holds no chunk-sized temporary, and
+checks the sub-block's statistics finite while they are in cache, so the
+drawn block is not scanned again.
 
 Calibration and power evaluation share one null block: effects are added
 as mean shifts instead of resimulating, which keeps design comparisons on
@@ -16,7 +18,7 @@ common random numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -63,16 +65,16 @@ class StatisticBlock:
     n_stages: int
     n_outcomes: int
     threads: int = 1
+    _drawn: InitVar[bool] = False  # simulate_null_block's workers checked every row
 
-    def __post_init__(self):
+    def __post_init__(self, _drawn: bool):
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.ndim != 2 or values.shape[1] != self.n_stages * self.n_outcomes:
             raise ValueError("values must be 2-d with n_stages * n_outcomes columns")
         if len(values) < 1:  # a pass combines the results of at least one chunk
             raise ValueError("values must hold at least one row")
-        step = max(1, CHECK_BYTES // (values.shape[1] * values.itemsize))
-        if not all(np.isfinite(values[a:a + step]).all() for a in range(0, len(values), step)):
-            raise ValueError("statistics must be finite")
+        if not _drawn:
+            _require_finite(values)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         values.flags.writeable = False
@@ -106,6 +108,13 @@ class StatisticBlock:
 
         self.each_chunk(fill, chunk_bytes)
         return out
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """ValueError unless every value is finite, checked CHECK_BYTES of rows at a time."""
+    step = max(1, CHECK_BYTES // (values.shape[1] * values.itemsize))
+    if not all(np.isfinite(values[a:a + step]).all() for a in range(0, len(values), step)):
+        raise ValueError("statistics must be finite")
 
 
 def cholesky_factor(cov: np.ndarray, jitter: float = _CHOLESKY_JITTER) -> np.ndarray:
@@ -226,10 +235,11 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
         for a, b in zip(cuts, cuts[1:]):
             rng.standard_normal(out=normals[:b - a])
             np.matmul(normals[:b - a], factor_t, out=out[a:b])
+            _require_finite(out[a:b])  # while the rows are in cache
 
     run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)
     return StatisticBlock(values=out, n_stages=schedule.n_stages, n_outcomes=model.n_outcomes,
-                          threads=threads)
+                          threads=threads, _drawn=True)
 
 
 def null_blocks(stage_counts, model: OutcomeModel, cfg: SimConfig,

@@ -361,7 +361,7 @@ class TestGridPass:
             blocks = null_blocks([1, 2], model, SimConfig(seed=73, nsims=nsims))
             for real in (dtl, single):
                 block = blocks[real.n_stages]
-                real.evaluate_grid(block, model, [(0.0,)] * 3)  # loads scipy.special once
+                real.evaluate_grid(block, model, [(0.0,)] * 3)  # a warm-up pass, not measured
                 tracemalloc.start()
                 try:
                     real.evaluate_grid(block, model, axes)

@@ -4,9 +4,12 @@ A refactor must leave the CLI's outputs byte-identical for fixed
 configurations. These hashes pin ``summary.txt`` and every CSV of the eight
 command shapes in ``test_cli.COMMANDS`` (``config_echo.txt`` echoes the
 output path, so it is left out). They were recorded on a 2-vCPU Intel Xeon
-(KVM) box with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; another numpy
-or BLAS may round differently and move them. A change that alters numbers
-on purpose records new hashes and says why.
+(KVM) box with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31. They do not
+depend on the scipy version, since the program does not use scipy (its
+normal CDF and inverse are ports of scipy's Cephes code, which
+``test_normal.py`` ties to scipy bit for bit). Another numpy, BLAS or
+platform libm may round differently and move them. A change that alters
+numbers on purpose records new hashes and says why.
 """
 
 import hashlib
@@ -51,6 +54,12 @@ GOLDEN = {
 }
 
 
+def output_hashes(out) -> dict:
+    """File name -> sha256 of every file in out but config_echo.txt."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir() if path.name != "config_echo.txt"}
+
+
 def test_every_command_shape_is_pinned():
     assert set(GOLDEN) == set(COMMANDS)
 
@@ -62,6 +71,4 @@ def test_outputs_match_golden_hashes(tmp_path, name, threads):
     out = tmp_path / "out"
     assert run_cli(command + ["--config", str(write(tmp_path, text)),
                               "--threads", str(threads), "--out", str(out)]) == 0
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in out.iterdir() if path.name != "config_echo.txt"}
-    assert got == GOLDEN[name]
+    assert output_hashes(out) == GOLDEN[name]

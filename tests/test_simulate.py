@@ -3,6 +3,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,42 @@ class TestStatisticBlock:
             values[row, row % 2] = bad
             with pytest.raises(ValueError, match="finite"):
                 StatisticBlock(values=values, n_stages=1, n_outcomes=2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_draw_checks_each_row_once_on_its_workers(self, monkeypatch, two_outcome_model,
+                                                        threads):
+        checked = []  # (thread, address, copy) of the rows of every finiteness check
+        check = simulate_module._require_finite
+
+        def spy(values):
+            checked.append((threading.get_ident(), values.ctypes.data, values.copy()))
+            check(values)
+
+        monkeypatch.setattr(simulate_module, "_require_finite", spy)
+        rows = simulate_module.SUB_BLOCK_ROWS
+        cfg = SimConfig(seed=99, nsims=5 * rows + 7, chunk_size=2 * rows + 3)
+        block = simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg,
+                                    threads=threads)
+        assert len(checked) == 5  # one check per multiply: 2 + 2 + 1 sub-blocks
+        assert sum(len(rows) for *_, rows in checked) == block.nsims  # none scanned again
+        row_bytes = block.values.strides[0]
+        for _, address, rows in checked:  # each saw its rows after the multiply
+            a = (address - block.values.ctypes.data) // row_bytes
+            np.testing.assert_array_equal(rows, block.values[a:a + len(rows)])
+        if threads > 1:
+            assert threading.get_ident() not in {thread for thread, *_ in checked}
+        with pytest.raises(ValueError, match="finite"):  # an outside array is checked
+            replace(block, values=np.full_like(block.values, np.nan))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_drawn_non_finite_value_is_rejected(self, monkeypatch, two_outcome_model,
+                                                  threads):
+        monkeypatch.setattr(simulate_module, "cholesky_factor",
+                            lambda cov: np.diag([1.0, 1.0, 1.0, np.inf]))  # an infinite column
+        cfg = SimConfig(seed=100, nsims=3 * simulate_module.SUB_BLOCK_ROWS, chunk_size=5_000)
+        with pytest.raises(ValueError, match="statistics must be finite"):
+            simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg,
+                                threads=threads)
 
     def test_wrapping_an_array_allocates_no_block_sized_temporary(self):
         values = np.zeros((1_000_000, 4))  # 32 MB

@@ -1,9 +1,10 @@
 """Start-up cost: what a fresh interpreter loads to run the CLI.
 
-scipy.special takes about 0.35 s to import and only drop-the-loser
-designs use it, and the thread pool is only needed with threads > 1. Each
-case runs in a fresh interpreter, because this test session has both
-loaded already.
+numpy is the only runtime dependency: no command loads scipy (importing
+scipy.special would cost about 0.3 s and 24 MB per process), and a run
+with every scipy import made to fail writes the golden outputs. The
+thread pool is only needed with threads > 1. Each case runs in a fresh
+interpreter, because this test session has loaded both already.
 """
 
 import json
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from multiseq.cli import THREADS_ENV
+from test_cli import COMMANDS, write
+from test_golden import GOLDEN, output_hashes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LAZY = ("scipy", "concurrent.futures")
@@ -46,10 +49,15 @@ nmax = 120
 """
 
 
-def fresh_run(*argv) -> dict:
+# prepended to SCRIPT: every later import of scipy or its submodules raises ImportError
+NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+
+
+def fresh_run(*argv, block_scipy: bool = False) -> dict:
     env = {k: v for k, v in os.environ.items() if k != THREADS_ENV}
     env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, *argv], env=env,
+    script = NO_SCIPY + SCRIPT if block_scipy else SCRIPT
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -78,7 +86,24 @@ def test_dtl_config_error_exits_before_loading_scipy(tmp_path):
     assert "scipy" not in run["after"]
 
 
-def test_dtl_design_loads_scipy(tmp_path):
+def command_args(tmp_path, name: str) -> list:
+    """``test_cli.COMMANDS[name]`` on one thread, writing to tmp_path / "out"."""
+    command, text, _ = COMMANDS[name]
+    return command + ["--config", str(write(tmp_path, text)), "--threads", "1",
+                      "--out", str(tmp_path / "out")]
+
+
+def test_dtl_runs_load_no_scipy(tmp_path):
     run = fresh_run(*design(tmp_path, "dtl", CONFIG.format(J=2) + "k_max = 1\n"))
     assert run["code"] == 0
-    assert "scipy" in run["after"]
+    assert "scipy" not in run["after"]
+    run = fresh_run(*command_args(tmp_path, "grid-dtl-single-stage"))  # kind_a = dtl
+    assert run["code"] == 0
+    assert "scipy" not in run["after"]
+
+
+@pytest.mark.parametrize("name", ["design-dtl", "design-dtl-k4-m2", "grid-dtl-single-stage"])
+def test_numpy_alone_writes_the_golden_outputs(tmp_path, name):
+    run = fresh_run(*command_args(tmp_path, name), block_scipy=True)
+    assert run["code"] == 0
+    assert output_hashes(tmp_path / "out") == GOLDEN[name]
