@@ -395,6 +395,7 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: Statistic
 
     ``optimize.smallest_passing`` probes nmax first, then interpolates
     the probit of power in sqrt(n) from the design's alpha at n -> 0,
+    with powers of 0 and 1 clipped by the block's row count,
     recalibrating r at every probe and evaluating power at the least
     favourable configuration on ``block``, the model's two-stage null
     block. Each probe is a go-limit pass and a count pass; the null OC at
@@ -413,7 +414,7 @@ def search_dtl_design(spec: DtLDesignSpec, model: OutcomeModel, block: Statistic
         probes[n] = (r, _Rule(block, spec, model, n).oc(r, shift))
         return probes[n][1].p_reject
 
-    n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax, alpha=spec.alpha)
+    n = smallest_passing(power_at, 1.0 - spec.beta, nmin, nmax, spec.alpha, block.nsims)
     r, oc_lfc = probes[n]
     oc_null = estimate_dtl_oc(block, spec, model, r, n)
     return DtLRealisation(spec=spec, n=n, n_total=2 * n, r=r,

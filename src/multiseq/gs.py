@@ -32,7 +32,7 @@ from .model import (
     lfc_effects,
     wang_tsiatis_boundaries,
 )
-from .optimize import DEFAULT_NMAX, exceedance_boundary, smallest_passing
+from .optimize import DEFAULT_NMAX, exceedance_boundary, row_count, smallest_passing
 from .simulate import (
     ShiftGrid,
     StatisticBlock,
@@ -401,17 +401,6 @@ def calibrate_c(null_block: StatisticBlock, spec: GSDesignSpec,
                                nrows=null_block.nsims, symbol="C")
 
 
-def _rows_needed(target: float, nrows: int) -> int:
-    """Smallest row count k with k / nrows >= target, compared in floats as
-    a rejection rate is."""
-    k = int(np.ceil(target * nrows))
-    while (k - 1) / nrows >= target:
-        k -= 1
-    while k / nrows < target:
-        k += 1
-    return k
-
-
 def _threshold_size(rule: _Rule, boundaries: Boundaries, slope: np.ndarray,
                     target: float, nmin: int) -> float:
     """The smallest per-stage size >= nmin at which at least a target
@@ -424,7 +413,7 @@ def _threshold_size(rule: _Rule, boundaries: Boundaries, slope: np.ndarray,
     np.square(nstar, out=nstar)
     np.floor(nstar, out=nstar)
     nstar += 1.0
-    k = _rows_needed(target, nstar.size)
+    k = row_count(target, nstar.size)
     nstar.partition(k - 1)
     return max(float(nmin), nstar[k - 1])
 
@@ -446,11 +435,12 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBl
     the null OC. When the pass finds no size up to ``nmax``, one probe
     at nmax raises InfeasibleDesignError; when a probe disagrees (float
     rounding at a row's threshold), the search falls back to
-    ``smallest_passing``. Other designs gallop up from ``nmin`` and bisect
-    with ``smallest_passing``, about 2 * log2(n) probes; with a negative
-    effect that search warns if its probes show power falling. Specs with
-    ``composite=True`` search on the summed statistic; ``strict`` keeps
-    achieved alpha <= target.
+    ``smallest_passing`` from nmax. Other designs gallop up from ``nmin``
+    with ``smallest_passing``, about log2(n) probes, and interpolate in the
+    bracket below the first pass; with a negative effect that search warns
+    if its probes show power falling. Both searches take the spec's alpha
+    as the power at n -> 0. Specs with ``composite=True`` search on the
+    summed statistic; ``strict`` keeps achieved alpha <= target.
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
@@ -481,7 +471,8 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBl
             and (n == nmin or power_at(int(n) - 1) < target)):
         # after a threshold pass nmax goes first: when no size up to nmax
         # passes, that one probe raises InfeasibleDesignError
-        n = smallest_passing(power_at, target, nmin, nmax, gallop=not exact)
+        n = smallest_passing(power_at, target, nmin, nmax, spec.alpha, block.nsims,
+                             gallop=not exact)
     n = int(n)
     oc_null = rule.oc(boundaries, StageSchedule.equal(n, spec.n_stages))
     return DesignRealisation(

@@ -6,22 +6,26 @@ step function of the boundary, and ``exceedance_boundary`` reads the
 calibrated boundary off the sorted starts and ends, with no bisection.
 ``smallest_passing`` searches the per-stage sample size by probing: for
 drop-the-loser designs, and for the gs designs that ``gs.search_gs_design``
-cannot size with its one threshold pass. After a first probe at nmax it
-interpolates the probit of power linearly in sqrt(n), which on smooth
-power curves needs about 60% of the probes of bisection.
+cannot size with its one threshold pass. After a first passing probe, at
+nmax or at the top of a gallop, it interpolates the probit of power
+linearly in sqrt(n) across the bracket, which on smooth power curves
+needs about half the probes of bisection. ``row_count`` turns a rate into
+a row count under the float comparison that both searches use.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from typing import Callable
 
 import numpy as np
 
+from ._normal import ndtri
 from .errors import CalibrationError, InfeasibleDesignError
 
-__all__ = ["DEFAULT_NMAX", "exceedance_boundary", "smallest_passing"]
+__all__ = ["DEFAULT_NMAX", "exceedance_boundary", "row_count", "smallest_passing"]
 
 # largest per-stage size a sample-size search probes unless told otherwise
 DEFAULT_NMAX = 400
@@ -29,6 +33,16 @@ DEFAULT_NMAX = 400
 # event values per vectorised step: the scans below allocate about 64 kB
 # at a time, never one temporary per event
 _SLICE = 1 << 13
+
+
+def row_count(target: float, nrows: int, side: str = "left") -> int:
+    """The smallest row count k in [0, nrows] with k / nrows >= target
+    ("left"), or the largest with k / nrows <= target ("right"), compared
+    in floats as a rate of nrows rows is; nrows + 1 or -1 when none is."""
+    rates = range(nrows + 1)
+    if side == "left":
+        return bisect.bisect_left(rates, target, key=lambda k: k / nrows)
+    return bisect.bisect_right(rates, target, key=lambda k: k / nrows) - 1
 
 
 def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
@@ -70,12 +84,7 @@ def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
                  if starts is None else np.searchsorted(starts, c, side))
         return int(begun - np.searchsorted(ends, c, side))
 
-    # k: the largest row count with k / nrows <= target
-    k = int(np.floor(target * nrows))
-    if (k + 1) / nrows <= target:
-        k += 1
-    elif k / nrows > target:
-        k -= 1
+    k = row_count(target, nrows, "right")
     if count(0.0) <= k:
         raise CalibrationError(
             f"target alpha {target:.6g} is out of reach for a boundary {symbol} > 0: "
@@ -130,23 +139,22 @@ def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
 
 
 def smallest_passing(power: Callable[[int], float], target: float, nmin: int,
-                     nmax: int, gallop: bool = False, alpha: float | None = None) -> int:
+                     nmax: int, alpha: float, nsims: int, gallop: bool = False) -> int:
     """Smallest n in [nmin, nmax] with power(n) >= target, for power
-    non-decreasing in n; each n is probed once. ``gallop`` probes
-    nmin - 1 + 1, 2, 4, ... (capped at nmax) up to the first pass, about
-    2 * log2(n) probes in all, and then bisects the (failing, passing]
-    bracket, which suits a small n. Otherwise nmax goes first, which suits
-    a large n or a likely infeasible range, and each later probe lies in
-    the bracket where Phi^-1(power), linear in sqrt(n) between the nearest
-    failing and passing probes, reaches the target (``_aim``); there
-    ``alpha``, the power as n -> 0, stands in for a failing probe at n = 0,
-    and three probes that do not halve the bracket make the next a
-    bisection. Raises InfeasibleDesignError when power at nmax falls
-    short; warns when power falls between probes.
+    non-decreasing in n; each n is probed once. Up to the first pass it
+    probes nmax, which suits a large n or a likely infeasible range, or
+    with ``gallop`` nmin - 1 + 1, 2, 4, ... (capped at nmax), which suits
+    a small n. Each later probe lies in the (failing, passing] bracket
+    where Phi^-1(power), linear in sqrt(n) across the bracket, reaches the
+    target (``_aim``): ``alpha``, the power as n -> 0, stands in for a
+    failing probe at n = 0, and ``nsims``, the rows a power is a rate
+    over, clips powers away from 0 and 1. Three probes that do not halve
+    the bracket make the next a bisection. Raises InfeasibleDesignError
+    when power at nmax falls short; warns when power falls between probes.
     """
     if not 1 <= nmin < nmax:
         raise ValueError("require 1 <= nmin < nmax")
-    record = {}
+    record = {0: alpha}  # a stand-in, dropped before the monotonicity check
     ladder = ([min(nmin - 1 + 2 ** i, nmax) for i in range((nmax - nmin).bit_length() + 1)]
               if gallop else [nmax])
     lo = nmin - 1  # a virtual failing size, never probed
@@ -158,14 +166,11 @@ def smallest_passing(power: Callable[[int], float], target: float, nmin: int,
     else:
         raise InfeasibleDesignError(f"no per-stage size up to {nmax} reaches power "
                                     f"{target:.4g}: power at nmax is {record[nmax]:.4f}")
-    if not gallop and alpha is not None:
-        record[0] = alpha  # a stand-in, dropped before the monotonicity check
     passed, widths = True, [hi - lo]
     while hi - lo > 1:
-        # bisect, as with gallop, when three probes have not halved the bracket
+        # bisect when three probes have not halved the bracket
         slow = len(widths) > 3 and widths[-1] > widths[-4] / 2
-        mid = ((lo + hi + 1) // 2 if gallop or slow
-               else _aim(record, lo, hi, target, passed))
+        mid = (lo + hi + 1) // 2 if slow else _aim(record, lo, hi, target, passed, nsims)
         record[mid] = power(mid)
         passed = record[mid] >= target
         if passed:
@@ -173,7 +178,7 @@ def smallest_passing(power: Callable[[int], float], target: float, nmin: int,
         else:
             lo = mid
         widths.append(hi - lo)
-    record.pop(0, None)
+    del record[0]
 
     probed = sorted(record)
     for below, above in zip(probed, probed[1:]):
@@ -184,26 +189,23 @@ def smallest_passing(power: Callable[[int], float], target: float, nmin: int,
     return hi
 
 
-def _aim(record: dict, lo: int, hi: int, target: float, passed: bool) -> int:
+def _aim(record: dict, lo: int, hi: int, target: float, passed: bool, nsims: int) -> int:
     """The next size to probe in the bracket (lo, hi] with hi - lo > 1.
 
-    Phi^-1(power) is interpolated linearly in sqrt(n) between the largest
-    probe n <= lo and the smallest probe n >= hi whose power lies strictly
-    inside (0, 1), and the probe goes to the smallest n it predicts to
-    pass; after a passing probe, to one below, so that a failing probe can
-    close the bracket. Without two such probes it is the midpoint.
+    Every probe up to lo failed and every probe from hi on passed.
+    Phi^-1(power), with power clipped to [1 / (2 nsims), 1 - 1 / (2 nsims)],
+    is interpolated linearly in sqrt(n) between hi and lo, or the stand-in
+    at n = 0 when lo was never probed, and the probe goes to the smallest
+    n it predicts to pass; after a passing probe, to one below, so that a
+    failing probe can close the bracket. It is the midpoint when the
+    stand-in does not fail (alpha >= target) or the clipped probits tie
+    (nsims so small that a power says only pass or fail).
     """
-    inside = [n for n, p in record.items() if 0.0 < p < 1.0]
-    below = max((n for n in inside if n <= lo and record[n] < target), default=None)
-    above = min((n for n in inside if n >= hi and record[n] >= target), default=None)
-    if below is None or above is None:
+    below = lo if lo in record else 0
+    edge = 0.5 / nsims
+    low, high = (ndtri(min(max(record[n], edge), 1.0 - edge)) for n in (below, hi))
+    if record[below] >= target or low == high:
         return (lo + hi + 1) // 2
-    # imported here: statistics loads decimal and fractions, about 4 ms at
-    # start-up that only the probing searches need
-    from statistics import NormalDist
-
-    probit = NormalDist().inv_cdf
-    low, high = probit(record[below]), probit(record[above])
-    root = math.sqrt(below) + ((probit(target) - low) / (high - low)
-                               * (math.sqrt(above) - math.sqrt(below)))
+    root = math.sqrt(below) + ((ndtri(target) - low) / (high - low)
+                               * (math.sqrt(hi) - math.sqrt(below)))
     return min(max(math.ceil(root * root) - passed, lo + 1), hi - 1)

@@ -22,7 +22,9 @@ limit with a stable row-wise sort, as a check on the column-wise
 go-limit kernel of ``dtl._Rule``; ``oc_from_limits`` turns those limits
 into the operating characteristics at one r, as a check on its count
 kernel at ties. ``bisection_n`` probes nmax and then bisects, as a check
-on the interpolating sample-size search.
+on the interpolating sample-size search. ``rows_at_least`` and
+``rows_at_most`` find a row count for a rate by stepping from a rounded
+guess, as checks on ``optimize.row_count``.
 ``step_boundary`` evaluates the rejection
 rate on every step between event values by direct counting, as a check
 on the exact interval calibration. ``one_multiply_null_block`` draws
@@ -278,6 +280,28 @@ def bisection_n(power, target: float, nmin: int, nmax: int) -> int:
         else:
             hi = mid
     return hi
+
+
+def rows_at_least(target: float, nrows: int) -> int:
+    """Smallest row count k with k / nrows >= target, stepping from
+    ceil(target * nrows) in floats."""
+    k = int(np.ceil(target * nrows))
+    while (k - 1) / nrows >= target:
+        k -= 1
+    while k / nrows < target:
+        k += 1
+    return k
+
+
+def rows_at_most(target: float, nrows: int) -> int:
+    """Largest row count k with k / nrows <= target: floor(target * nrows),
+    corrected by one either way in floats."""
+    k = int(np.floor(target * nrows))
+    if (k + 1) / nrows <= target:
+        k += 1
+    elif k / nrows > target:
+        k -= 1
+    return k
 
 
 def covariance_entry(stage_a: int, stage_b: int, outcome_a: int, outcome_b: int,

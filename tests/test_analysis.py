@@ -48,13 +48,13 @@ class TestSearchDesignDispatch:
         block = null_block(2, model, SimConfig(seed=50, nsims=500))
         starts = []
 
-        def first_probe(power, target, nmin, nmax, gallop=False):
+        def first_probe(power, target, nmin, nmax, alpha, nsims, gallop=False):
             power(nmin)
             return nmin
 
-        def dtl_start(power, target, nmin, nmax, **options):
+        def dtl_start(power, target, nmin, nmax, alpha, nsims):
             starts.append(nmin)
-            return first_probe(power, target, nmin, nmax)
+            return first_probe(power, target, nmin, nmax, alpha, nsims)
 
         def gs_start(rule, boundaries, slope, target, nmin):
             # the gs search reads n off its threshold pass from nmin up

@@ -689,6 +689,36 @@ class TestSearch:
 
         assert real.n == bisection_n(power, 0.8, 2, 400)
 
+    def test_paper_shapes_find_the_bisection_size_in_fewer_probes(self, monkeypatch):
+        # the paper's three drop-the-loser shapes on 2,000-row null blocks,
+        # 8 seeds each: every search gives bisection's n on its own power
+        # function. Powers of 0 or 1 enter the interpolation clipped, so
+        # these 24 searches take 125 probes; leaving them out took 148.
+        searches = []
+        smallest_passing = dtl_mod.smallest_passing
+
+        def checked(power, target, nmin, nmax, *args, **kwargs):
+            probes = []
+
+            def counted(n):
+                probes.append(n)
+                return power(n)
+
+            n = smallest_passing(counted, target, nmin, nmax, *args, **kwargs)
+            searches.append((n, bisection_n(power, target, nmin, nmax), len(probes)))
+            return n
+
+        monkeypatch.setattr(dtl_mod, "smallest_passing", checked)
+        for k, m, kmax in ((2, 1, 1), (3, 1, 1), (6, 3, 3)):
+            spec = dtl_spec(k=k, m=m, kmax=kmax)
+            model = OutcomeModel.equicorrelated(k, 0.3)
+            for seed in range(8):
+                block = null_block(2, model, SimConfig(seed=900 + seed, nsims=2_000))
+                search_dtl_design(spec, model, block, nmin=2, nmax=400)
+        assert len(searches) == 24
+        assert [found for found, _, _ in searches] == [want for _, want, _ in searches]
+        assert sum(probes for _, _, probes in searches) == 125
+
     def test_block_must_have_two_stages(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         with pytest.raises(ValueError, match="two stages"):

@@ -58,9 +58,9 @@ def count_search_paths(monkeypatch):
         paths["threshold"] += 1
         return threshold_size(*args)
 
-    def passing(power, target, nmin, nmax, gallop=False):
+    def passing(power, target, nmin, nmax, alpha, nsims, gallop=False):
         paths["gallop" if gallop else "nmax_first"] += 1
-        return smallest_passing(power, target, nmin, nmax, gallop=gallop)
+        return smallest_passing(power, target, nmin, nmax, alpha, nsims, gallop=gallop)
 
     monkeypatch.setattr(gs_module, "_threshold_size", threshold)
     monkeypatch.setattr(gs_module, "smallest_passing", passing)

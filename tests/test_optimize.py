@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from _oracles import bisection_n, step_boundary
+from _oracles import bisection_n, rows_at_least, rows_at_most, step_boundary
 from multiseq import CalibrationError, InfeasibleDesignError
-from multiseq.optimize import exceedance_boundary, smallest_passing
+from multiseq.optimize import exceedance_boundary, row_count, smallest_passing
 
 
 # limits on a fine normal quantile grid: alpha(r) is the normal tail to
@@ -254,6 +254,39 @@ class TestExceedanceBoundary:
                 exceedance_boundary(np.asarray(limits), target)
 
 
+def test_row_count_equals_the_stepping_oracles():
+    # 120,000 (target, nrows) cases, each compared both ways: uniform
+    # targets, exact rates k / nrows and their float neighbours, rates
+    # written in decimals, and one-row blocks
+    rng = np.random.default_rng(18)
+    cases = []
+    for case in range(120_000):
+        nrows = 1 if case % 10 == 0 else int(rng.integers(1, 10 ** int(rng.integers(1, 8))))
+        kind = case % 4
+        if kind == 0:
+            target = float(rng.uniform(0.0, 1.0))
+        elif kind == 1:
+            target = float(rng.integers(1, nrows + 1)) / nrows
+        elif kind == 2:
+            exact = float(rng.integers(1, nrows + 1)) / nrows
+            target = float(np.nextafter(exact, rng.choice([0.0, 1.0])))
+        else:
+            target = round(float(rng.uniform(0.0, 1.0)), int(rng.integers(1, 4)))
+        if 0.0 < target < 1.0:
+            cases.append((target, nrows))
+    assert len(cases) > 100_000
+    assert sum(1 for t, n in cases if n == 1) > 5_000
+    assert sum(1 for t, n in cases if rows_at_least(t, n) / n == t) > 20_000
+    for target, nrows in cases:
+        assert row_count(target, nrows) == rows_at_least(target, nrows), (target, nrows)
+        assert row_count(target, nrows, "right") == rows_at_most(target, nrows), (target, nrows)
+
+
+# a power in the search tests is a rate over NSIMS rows, clipped to
+# [1 / (2 NSIMS), 1 - 1 / (2 NSIMS)] where the search interpolates
+NSIMS = 10_000
+
+
 def step_power(answer, probes):
     """Power that steps from 0.1 to 0.9 at ``answer``; logs each probe."""
     def power(n):
@@ -262,70 +295,76 @@ def step_power(answer, probes):
     return power
 
 
+def passing(power, nmin, nmax, gallop=False, alpha=0.1, nsims=NSIMS):
+    """``smallest_passing`` at target 0.8; alpha suits ``step_power``."""
+    return smallest_passing(power, 0.8, nmin, nmax, alpha, nsims, gallop=gallop)
+
+
 class TestSmallestPassing:
     @pytest.mark.parametrize("gallop", [True, False])
     def test_returns_smallest_passing_size(self, gallop):
         for nmin, nmax in ((1, 40), (3, 17), (5, 6)):
             for answer in range(nmin, nmax + 1):
                 probes = []
-                n = smallest_passing(step_power(answer, probes), 0.8, nmin, nmax,
-                                     gallop=gallop)
+                n = passing(step_power(answer, probes), nmin, nmax, gallop=gallop)
                 assert n == answer
                 assert len(probes) == len(set(probes))  # each size probed once
                 assert all(nmin <= p <= nmax for p in probes)
 
-    def test_gallop_ladder_then_bisection(self):
+    def test_gallop_ladder_then_interpolation(self):
         probes = []
-        assert smallest_passing(step_power(300, probes), 0.8, 1, 2000, gallop=True) == 300
+        assert passing(step_power(300, probes), 1, 2000, gallop=True) == 300
         assert probes[:10] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
         assert len(probes) <= 2 * math.ceil(math.log2(300)) + 1
 
     def test_gallop_starts_at_nmin(self):
         probes = []
-        smallest_passing(step_power(9, probes), 0.8, 5, 100, gallop=True)
+        passing(step_power(9, probes), 5, 100, gallop=True)
         assert probes[:3] == [5, 6, 8]
 
     def test_nmax_first_without_gallop(self):
+        # the second probe interpolates from alpha = 0.1 at n = 0 to 0.9 at
+        # 120, one below the predicted 83 after a pass; not the midpoint 61
         probes = []
-        assert smallest_passing(step_power(7, probes), 0.8, 2, 120) == 7
-        assert probes[:2] == [120, 61]
+        assert passing(step_power(7, probes), 2, 120) == 7
+        root = math.sqrt(120) * (ndtri(0.8) - ndtri(0.1)) / (ndtri(0.9) - ndtri(0.1))
+        assert math.ceil(root * root) == 83
+        assert probes[:2] == [120, 82]
 
     @pytest.mark.parametrize("gallop", [True, False])
     def test_adjacent_range_and_answer_at_nmin(self, gallop):
         for answer in (9, 10):
             probes = []
-            assert smallest_passing(step_power(answer, probes), 0.8, 9, 10,
-                                    gallop=gallop) == answer
+            assert passing(step_power(answer, probes), 9, 10, gallop=gallop) == answer
         probes = []
-        assert smallest_passing(step_power(1, probes), 0.8, 4, 400,
-                                gallop=gallop) == 4
+        assert passing(step_power(1, probes), 4, 400, gallop=gallop) == 4
 
     @pytest.mark.parametrize("gallop", [True, False])
     def test_raises_when_nmax_fails(self, gallop):
         probes = []
         with pytest.raises(InfeasibleDesignError, match="up to 50"):
-            smallest_passing(step_power(51, probes), 0.8, 1, 50, gallop=gallop)
+            passing(step_power(51, probes), 1, 50, gallop=gallop)
         assert probes[-1] == 50
         assert len(probes) <= math.ceil(math.log2(50)) + 1
 
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
-            smallest_passing(lambda n: 1.0, 0.8, 5, 4)
+            passing(lambda n: 1.0, 5, 4)
         with pytest.raises(ValueError):
-            smallest_passing(lambda n: 1.0, 0.8, 0, 4)
+            passing(lambda n: 1.0, 0, 4)
 
     @pytest.mark.parametrize("gallop", [True, False])
     def test_warns_when_power_falls_with_size(self, gallop):
         # failing probes whose power dips between two sizes: the gallop sees
-        # 0.6 at 8 and 0.3 at 16, the interpolating search 0.6 at 10 and 0.3 at 16
+        # 0.6 at 8 and 0.3 at 16, the search from nmax 0.6 at 13 and 0.3 at 16
         powers = {n: 0.9 if n >= 20 else (0.6 if n < 15 else 0.3) for n in range(1, 41)}
         with pytest.warns(UserWarning, match="not monotone"):
-            assert smallest_passing(powers.__getitem__, 0.8, 1, 40, gallop=gallop) == 20
+            assert passing(powers.__getitem__, 1, 40, gallop=gallop, alpha=0.6) == 20
 
     def test_monotone_probes_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert smallest_passing(lambda n: n / 100, 0.8, 1, 100, gallop=True) == 80
+            assert passing(lambda n: n / 100, 1, 100, gallop=True, alpha=0.0) == 80
 
 
 def quantised_probit_power(rng, nsims=15_000):
@@ -357,8 +396,8 @@ def logged(power, probes):
 
 
 class TestInterpolatingSearch:
-    """Without gallop, probes after nmax interpolate Phi^-1(power) in
-    sqrt(n); where power crosses the target once, n is the bisection's."""
+    """After the first pass, probes interpolate Phi^-1(power) in sqrt(n);
+    where power crosses the target once, n is the bisection's."""
 
     @pytest.mark.parametrize("shape", ["probit", "step"])
     def test_same_size_as_bisection_on_curves_crossing_once(self, shape):
@@ -369,19 +408,17 @@ class TestInterpolatingSearch:
                             else random_step_power(rng))
             nmin = int(rng.integers(1, 6))
             nmax = int(rng.integers(nmin + 1, 400))
-            with_alpha = rng.random() < 0.8
             old = []
             try:
                 want = bisection_n(logged(power, old), 0.8, nmin, nmax)
             except ValueError:
                 with pytest.raises(InfeasibleDesignError):
-                    smallest_passing(power, 0.8, nmin, nmax, alpha=alpha)
+                    smallest_passing(power, 0.8, nmin, nmax, alpha, 15_000)
                 continue
             probes = []
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # power never falls
-                n = smallest_passing(logged(power, probes), 0.8, nmin, nmax,
-                                     alpha=alpha if with_alpha else None)
+                n = smallest_passing(logged(power, probes), 0.8, nmin, nmax, alpha, 15_000)
             assert n == want
             assert len(probes) == len(set(probes))  # each size probed once
             assert all(nmin <= p <= nmax for p in probes)
@@ -414,7 +451,7 @@ class TestInterpolatingSearch:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 n = smallest_passing(logged(powers.__getitem__, probes), 0.8, nmin, nmax,
-                                     alpha=float(NormalDist().cdf(a)))
+                                     float(NormalDist().cdf(a)), NSIMS)
             assert len(probes) == len(set(probes))
             assert all(nmin <= p <= nmax for p in probes)
             assert len(probes) <= 1 + 4 * math.ceil(math.log2(nmax - nmin + 1))
@@ -436,20 +473,66 @@ class TestInterpolatingSearch:
         power = lambda n: NormalDist().cdf(a + b * math.sqrt(n))
         root = (NormalDist().inv_cdf(0.8) - a) / b  # sqrt of the crossing, about 7.0
         probes = []
-        n = smallest_passing(logged(power, probes), 0.8, 2, 100, alpha=power(0))
+        n = smallest_passing(logged(power, probes), 0.8, 2, 100, power(0), NSIMS)
         assert n == math.ceil(root * root)
         # one below the prediction after the pass at nmax, then the prediction
         assert probes == [100, n - 1, n]
-        # without alpha the second probe is the midpoint
-        probes = []
-        assert smallest_passing(logged(power, probes), 0.8, 2, 100) == n
-        assert probes[:2] == [100, 51]
 
-    def test_powers_of_zero_and_one_are_left_out(self):
-        # 1 at nmax and 0 below the step: no pair to interpolate, so the
-        # search bisects
+    def test_gallop_bracket_is_interpolated(self):
+        # the ladder's last failing and first passing rungs, 256 and 512,
+        # give the next probe as alpha and nmax do without the gallop
+        a, b = -1.96, 0.15
+        power = lambda n: NormalDist().cdf(a + b * math.sqrt(n))
+        probes, old = [], []
+        n = smallest_passing(logged(power, probes), 0.8, 1, 1000, power(0), NSIMS,
+                             gallop=True)
+        assert n == bisection_n(logged(power, old), 0.8, 257, 512) == 349
+        assert probes[:10] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
+        low, high = ndtri(power(256)), ndtri(power(512))
+        root = 16 + (ndtri(0.8) - low) / (high - low) * (math.sqrt(512) - 16)
+        assert probes[10] == math.ceil(root * root) - 1
+        # bisecting the bracket would take 8 probes
+        assert len(probes) - 10 < len(old) - 1 == 8
+
+    def test_powers_of_zero_and_one_enter_clipped(self):
+        # a 0/1 step over 1,000 rows: 1 at nmax reads as 1 - 1/2000, and 0
+        # below the step as 1/2000, so the search interpolates, and still
+        # gives bisection's n
         probes, old = [], []
         step = lambda n: 1.0 if n >= 37 else 0.0
-        assert smallest_passing(logged(step, probes), 0.8, 2, 120, alpha=0.025) == 37
+        assert smallest_passing(logged(step, probes), 0.8, 2, 120, 0.025, 1_000) == 37
         assert bisection_n(logged(step, old), 0.8, 2, 120) == 37
-        assert probes == old
+
+        def aim(below, p_below, above, p_above, passed):
+            low, high = ndtri(p_below), ndtri(p_above)
+            root = math.sqrt(below) + ((ndtri(0.8) - low) / (high - low)
+                                       * (math.sqrt(above) - math.sqrt(below)))
+            return math.ceil(root * root) - passed
+
+        second = aim(0, 0.025, 120, 1 - 1 / 2000, True)
+        assert (probes[1], old[1]) == (second, 61)
+        # the second probe reads 0, which the third starts from as 1/2000
+        assert step(second) == 0.0
+        assert probes[2] == aim(second, 1 / 2000, 120, 1 - 1 / 2000, False)
+
+    def test_one_row_powers_bisect(self):
+        # over one row every clipped power is 1/2: the probits tie, and every
+        # probe is bisection's midpoint, with no division by zero
+        step = lambda n: 1.0 if n >= 37 else 0.0
+        for alpha in (0.0, 0.025):
+            probes, old = [], []
+            assert smallest_passing(logged(step, probes), 0.8, 2, 120, alpha, 1) == 37
+            assert bisection_n(logged(step, old), 0.8, 2, 120) == 37
+            assert probes == old
+
+    def test_alpha_at_or_above_the_target_starts_with_the_midpoint(self):
+        # alpha >= 1 - beta: no failing stand-in lies below the first
+        # bracket, so its first probe is the midpoint; later brackets
+        # interpolate between probes
+        a, b = -1.96, 0.4
+        power = lambda n: NormalDist().cdf(a + b * math.sqrt(n))
+        for alpha in (0.8, 0.95):
+            probes, old = [], []
+            n = smallest_passing(logged(power, probes), 0.8, 2, 100, alpha, NSIMS)
+            assert n == bisection_n(logged(power, old), 0.8, 2, 100)
+            assert probes[:2] == old[:2] == [100, 51]

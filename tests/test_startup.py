@@ -3,8 +3,10 @@
 numpy is the only runtime dependency: no command loads scipy (importing
 scipy.special would cost about 0.3 s and 24 MB per process), and a run
 with every scipy import made to fail writes the golden outputs. The
-thread pool is only needed with threads > 1. Each case runs in a fresh
-interpreter, because this test session has loaded both already.
+thread pool is only needed with threads > 1. The sample-size search takes
+Phi^-1 from the package's own ndtri, so no search loads ``statistics``
+(with ``decimal`` and ``fractions``). Each case runs in a fresh
+interpreter, because this test session has loaded them already.
 """
 
 import json
@@ -20,7 +22,7 @@ from test_cli import COMMANDS, write
 from test_golden import GOLDEN, output_hashes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-LAZY = ("scipy", "concurrent.futures")
+LAZY = ("scipy", "concurrent.futures", "statistics", "decimal", "fractions")
 
 # imports the package, then runs cli.main on the arguments, if any; the
 # last line of stdout gives the exit code and the lazy modules loaded
@@ -107,3 +109,13 @@ def test_numpy_alone_writes_the_golden_outputs(tmp_path, name):
     run = fresh_run(*command_args(tmp_path, name), block_scipy=True)
     assert run["code"] == 0
     assert output_hashes(tmp_path / "out") == GOLDEN[name]
+
+
+def test_probing_searches_load_no_statistics(tmp_path):
+    # a drop-the-loser search, and a gs search that gallops (1 < m < K)
+    dtl = fresh_run(*design(tmp_path, "dtl", CONFIG.format(J=2) + "k_max = 1\n"))
+    gallop = fresh_run(*design(tmp_path, "gs",
+                               CONFIG.format(J=3).replace("K = 2\nm = 1", "K = 3\nm = 2")))
+    for run in (dtl, gallop):
+        assert run["code"] == 0
+        assert not {"statistics", "decimal", "fractions"} & set(run["after"])
