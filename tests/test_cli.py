@@ -80,6 +80,15 @@ COMMANDS = {
                                              "rho_values = 0.0, 0.3, 0.6"), [2, 2, 2]),
     "sensitivity-2x2": (["oc", "sensitivity"],
                         DTL_CONFIG + "cp_l_values = 0.2, 0.4\ncp_u_values = 0.8, 0.9\n", [2]),
+    # K >= 9: numpy sums a contiguous row of K statistics with 8 accumulators,
+    # which a column-by-column sum must reproduce
+    "design-composite-k10": (["design", "composite"],
+                             GS_CONFIG.replace("kind = gs\n", "").replace("K = 2", "K = 10"),
+                             [3]),
+    # 1 < m < K on ten outcomes: the fifth largest of each stage's statistics
+    "design-gs-k10-m5-j5": (["design", "gs"],
+                            GS_CONFIG.replace("K = 2\nm = 1\nJ = 3", "K = 10\nm = 5\nJ = 5"),
+                            [5]),
 }
 
 

@@ -1,7 +1,7 @@
 """Golden outputs: the sha256 of every deterministic file each command writes.
 
 A refactor must leave the CLI's outputs byte-identical for fixed
-configurations. These hashes pin ``summary.txt`` and every CSV of the eight
+configurations. These hashes pin ``summary.txt`` and every CSV of the ten
 command shapes in ``test_cli.COMMANDS`` (``config_echo.txt`` echoes the
 output path, so it is left out). They were recorded on a 2-vCPU Intel Xeon
 (KVM) box with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31. They do not
@@ -50,6 +50,14 @@ GOLDEN = {
     "sensitivity-2x2": {
         "sensitivity.csv": "d4b471e871c1875541aec4f8ef45a87ac84a3a4fb890b4ba04f59593a84e61ee",
         "summary.txt": "497ff3224c470839adb39845eee9fd3b472fbe7f9037c6435b298c94132f13b2",
+    },
+    "design-composite-k10": {
+        "boundaries.csv": "af9daa2f9cd46ca25f0f95a71560308a4ac3570a285a3a73851afc8f98b0ca03",
+        "summary.txt": "924f2118c35f2ac0a5ce7985af95e5cc137a7fd41c98142c36dfb60e472fb4df",
+    },
+    "design-gs-k10-m5-j5": {
+        "boundaries.csv": "6840662756ed00fcb53d84cc640c23d494dbfbb87f79b1118a6208cebd7bddb2",
+        "summary.txt": "cd469a2d3c074fdc004e3dc0862fdc8c610e93758d44e47d5b10748b3dff877e",
     },
 }
 
