@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -494,6 +495,7 @@ def _cmd_oc_sensitivity(cfg: RunConfig) -> list:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache  # built on the first call, then shared by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="multiseq",
                                      description="design search for multi-outcome "

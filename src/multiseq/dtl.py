@@ -48,10 +48,11 @@ __all__ = [
 ]
 
 N_STAGES = 2
-# bytes of statistics per row chunk of a block pass; a chunk's working arrays
-# and result take 1.8-2.4 times its size in a go-limit pass and 2.5-3.0 in a
-# count pass (K = 3-10, tracemalloc), so a single-threaded pass peaks below
-# 4 MB whatever the block size, besides a go-limit pass's nsims-long result.
+# bytes of statistics per row chunk of a block pass, read in place; a chunk's
+# working arrays take 0.9-1.3 times its size in a go-limit pass and 1.3-1.4 in
+# a one-point count pass (K = 3-10, tracemalloc), so a single-threaded pass
+# peaks below 2 MB whatever the block size, besides a go-limit pass's
+# nsims-long result.
 CHUNK_BYTES = 1 << 20
 
 
@@ -186,10 +187,11 @@ class _Rule:
     above r, ranked by descending core with ties to the lower index.
 
     A pass runs a kernel on each row chunk of CHUNK_BYTES on the block's
-    workers and combines the results in row order. Each kernel works on
-    one transposed copy of the chunk's rows (the count kernel adds the
-    shifts to it), so no block-sized copy is made and the result does not
-    depend on the thread count.
+    workers and combines the results in row order. Each kernel reads the
+    chunk's columns in place and writes the cores (and the count kernel
+    the shifted statistics) into the chunk's own workspaces, so no
+    block-sized copy is made and the result does not depend on the thread
+    count.
     """
 
     def __init__(self, block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,
@@ -210,7 +212,7 @@ class _Rule:
         self.block, self.n = block, n
 
     def _limits(self, rows: np.ndarray) -> np.ndarray:
-        """U of each row of a chunk, from one transposed copy.
+        """U of each row of a chunk, read from its columns in place.
 
         Only the top max(m, K_max) cores of a row matter. Place p keeps
         the p-th largest core seen so far and the index of its outcome.
@@ -222,9 +224,8 @@ class _Rule:
         """
         k, m, k_max = self.k, self.m, self.k_max
         nrows, places = len(rows), max(m, k_max)
-        cols = rows.T.copy()
-        core = cols[:k]
-        core *= self.sqrt_i1[:, None]
+        cols = rows.T
+        core = np.multiply(cols[:k], self.sqrt_i1[:, None], out=np.empty((k, nrows)))
         core += self.drift[:, None]
         core /= self.sqrt_gap[:, None]
         index = np.min_scalar_type(k)
@@ -247,12 +248,13 @@ class _Rule:
                 outcome[p - 1] ^= swap
                 outcome[p] ^= swap
 
-        flat, start = cols.ravel(), np.arange(nrows)
+        flat, start = core.ravel(), np.arange(nrows)
 
         def value(p: int, stage: int) -> np.ndarray:
             """The stage's statistic (the core at stage 0) of place p's outcome."""
+            if stage:
+                return cols[k:][outcome[p], start]
             at = outcome[p].astype(np.intp)
-            at += stage * k
             at *= nrows
             at += start
             return flat[at]
@@ -295,49 +297,66 @@ class _Rule:
     def grid_oc(self, r: float, shifts) -> list:
         """Operating characteristics at boundary r at every point of the
         ``ShiftGrid`` of per-outcome ``shifts`` (``axis_shifts``), in row-major
-        order, from one pass: the rule's one count kernel. Each chunk walks
-        one transposed copy in slices of ``ShiftGrid.width`` rows; each stage
-        of a slice is shifted once for every outcome and value, and the
-        cores, their t_i, e_i and stage-two flags are counted over the grid.
-        With K_max < K each unordered pair of outcomes is compared once,
-        core_l >= core_i for l < i, into a (values, values, rows) array that
-        adds to the rank of i; its complement adds to the rank of l. A chunk
-        returns each point's go, stop and retained counts."""
+        order, from one pass: the rule's one count kernel. Each chunk reads
+        its columns in place in slices of ``ShiftGrid.width`` rows; each
+        stage of a slice is shifted once for every outcome and value, and
+        the cores, their t_i, e_i and stage-two flags are counted over the
+        grid, all into the chunk's ``ShiftGrid.workspace``. With K_max < K
+        each unordered pair of outcomes is compared once, core_l >= core_i
+        for l < i, into a (values, values, rows) array that adds to the rank
+        of i; its complement adds to the rank of l. A chunk returns each
+        point's go, stop and retained counts."""
         k, m, k_max = self.k, self.m, self.k_max
         grid = ShiftGrid(shifts, N_STAGES)
         points, width = grid.points, grid.width(CHUNK_BYTES)
+        ranked = ("ranks", "pairs") if k_max < k else ()
 
         def counts(rows: np.ndarray) -> np.ndarray:
-            cols = rows.T.copy().reshape(N_STAGES, k, 1, len(rows))
+            cols = rows.T.reshape(N_STAGES, k, 1, len(rows))
+            cut = grid.workspace(min(width, len(rows)), "shifted", "shifted", "flags", "flags",
+                                 "counts", "marks", "marks", "marks", *ranked)
             total = np.zeros((3, points), dtype=np.intp)  # go, stop, retained
             for a in range(0, len(rows), width):
-                core = grid.shift(cols[0, ..., a:a + width], 0)
+                core, z, eligible, hits, count, go, stop, mark, *ranks = \
+                    cut(min(width, len(rows) - a))
+                grid.shift(cols[0, ..., a:a + width], 0, out=core)
                 core *= self.sqrt_i1[:, None, None]
                 core += self.drift[:, None, None]
                 core /= self.sqrt_gap[:, None, None]
-                go = grid.count((core - self.q_upper) / self.scale > r) >= m
-                e = core - self.q_lower
-                e /= self.scale
-                stop = grid.count(e >= r) < m
+                np.subtract(core, self.q_upper, out=z)
+                z /= self.scale  # t_i
+                grid.count(np.greater(z, r, out=eligible), out=count)
+                np.greater_equal(count, m, out=go)
+                np.subtract(core, self.q_lower, out=z)
+                z /= self.scale  # e_i
+                grid.count(np.greater_equal(z, r, out=eligible), out=count)
+                np.less(count, m, out=stop)
                 stop |= go
-                eligible = e > r
-                hits = eligible & (grid.shift(cols[1, ..., a:a + width], 1) > r)
+                np.greater(z, r, out=eligible)
+                grid.shift(cols[1, ..., a:a + width], 1, out=z)
+                np.greater(z, r, out=hits)
+                hits &= eligible
                 if k_max < k:  # retain the K_max top-ranked eligible outcomes
+                    rank, pairs = ranks
                     core = [c[:v] for c, v in zip(core, grid.lengths)]
                     # rank[i]: the outcomes ranked above outcome i, ties to the lower index
-                    rank = [np.zeros_like(go, dtype=np.min_scalar_type(k)) for _ in range(k)]
+                    rank[...] = 0
                     for l, i in itertools.combinations(range(k), 2):
-                        ahead = grid.place(core[l][:, None] >= core[i][None, :], (l, i))
-                        rank[i] += ahead
-                        rank[l] += ~ahead
-                    n_hits = np.zeros_like(rank[0])
+                        ahead = np.greater_equal(core[l][:, None], core[i][None, :],
+                                                 out=pairs[:len(core[l]), :len(core[i])])
+                        rank[i] += grid.place(ahead, (l, i))
+                        rank[l] += grid.place(np.invert(ahead, out=ahead), (l, i))
+                    count[...] = 0
                     for i in range(k):
-                        n_hits += grid.place(hits[i, :grid.lengths[i]], (i,)) & (rank[i] < k_max)
+                        np.less(rank[i], k_max, out=mark)
+                        mark &= grid.place(hits[i, :grid.lengths[i]], (i,))
+                        count += mark
                 else:
-                    n_hits = grid.count(hits)
-                go |= n_hits >= m
-                retained = np.minimum(grid.count(eligible), k_max)
-                retained *= ~stop  # a multiply; a masked assignment is 30 times slower
+                    grid.count(hits, out=count)
+                go |= np.greater_equal(count, m, out=mark)
+                retained = np.minimum(grid.count(eligible, out=count), k_max, out=count)
+                # a multiply; a masked assignment is 30 times slower
+                retained *= np.invert(stop, out=mark)
                 total[0] += grid.tally(go)
                 total[1] += grid.tally(stop)
                 total[2] += retained.sum(axis=-1, dtype=np.intp).ravel()

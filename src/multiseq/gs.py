@@ -18,6 +18,7 @@ and n is read off them; two probes confirm it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -50,10 +51,17 @@ __all__ = [
     "search_gs_design",
 ]
 
-# bytes of statistics per row chunk of a block pass; a count pass holds one
-# transposed chunk copy per worker. A shifted 500k-row K = 10, J = 5 count pass
-# on 2 threads: 62-67 ms at 2 MB, 92-98 at 1 MB, 53-57 at 4-8 MB, 262-288 at 256 kB.
-CHUNK_BYTES = 2 << 20
+# bytes of statistics per row chunk of a block pass. A kernel reads its chunk's
+# columns in place and holds only its workspaces (0.24-0.35 times the chunk in a
+# one-point count pass, which shifts the chunk in slices of a quarter of this;
+# K = 2-10, tracemalloc). Fewer rows per chunk mean more numpy calls per row,
+# which two workers contend for. A 500k-row K = 10, m = 5, J = 5 block's interval
+# pass / one-point count pass, in ms (medians of 9, OpenBLAS on one thread):
+#   1 thread:  133 / 80 at 1 MB, 101 / 45 at 2 MB, 92 / 42 at 4 MB, 90 / 47 at 8 MB,
+#              100 / 57 at 16 MB;
+#   2 threads: 290 / 99 at 1 MB, 186 / 61 at 2 MB, 122 / 44 at 4 MB, 75 / 35 at 8 MB,
+#              64 / 33 at 16 MB.
+CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -158,8 +166,9 @@ class _Rule:
     the boundary (one outcome, m = 1). The block is summed once; a shift
     is summed on its own and then added to the summed block. A pass runs
     a kernel on each row chunk of CHUNK_BYTES on the block's workers and
-    combines the results in row order; a kernel adds the shift to a
-    transposed copy of its own rows, so no block-sized copy is made. Every
+    combines the results in row order; a kernel reads its chunk's columns
+    in place and writes only its own workspaces (a count kernel adds the
+    shift into one), so no pass copies a chunk or the block. Every
     count pass (``oc``, and so the searches' probes, and effect grids)
     runs the one count kernel of ``grid_oc``; ``oc`` is its one-point grid.
     """
@@ -194,28 +203,32 @@ class _Rule:
         stage with |W_j| > C * a_j and goes there when W_j > C * a_j, so
         it goes exactly when C is in some [T_j, W_j / a_j), where T_j is
         the largest |W_i| / a_i over i < j and T_1 = 0. The intervals are
-        disjoint; only non-empty ones are kept, in row order and stage
-        order within a row, so the result depends on neither the chunk
-        size nor the thread count.
+        disjoint; only non-empty ones are kept.
+
+        Each chunk reads its columns in place, stage by stage: W_j by
+        ``_order_statistic`` over the stage's K columns, and T_j as a
+        running max. A chunk lists its intervals stage by stage, so their
+        order depends on the chunk size, but their multiset (all that
+        calibration reads) does not, and for one chunk size neither does
+        the order depend on the thread count.
         """
         n_stages, k, m = self.spec.n_stages, self.k, self.m
         a = np.asarray(_final_scale_boundaries(1.0, n_stages, self.spec.wt_delta).upper)
 
         def intervals(rows: np.ndarray) -> tuple:
-            # W_j / a_j of every stage of every row; a column max (m = 1) or
-            # min (m = K) selects the same value as the partition, faster
-            z = rows.reshape(-1, k)
-            if m in (1, k):
-                w = z[:, 0].copy()
-                for col in range(1, k):
-                    (np.maximum if m == 1 else np.minimum)(w, z[:, col], out=w)
-            else:
-                w = np.partition(z, k - m, axis=1)[:, k - m]
-            w = w.reshape(len(rows), n_stages) / a
-            t = np.zeros_like(w)
-            np.maximum.accumulate(np.abs(w[:, :-1]), axis=1, out=t[:, 1:])
-            keep = w > t
-            return t[keep], w[keep]
+            cols = rows.T.reshape(n_stages, k, len(rows))
+            pool = []  # the chunk's row-length workspaces
+            t, w = np.zeros(len(rows)), np.empty(len(rows))
+            keep = np.empty(len(rows), dtype=bool)
+            starts, ends = [], []
+            for j in range(n_stages):
+                np.divide(_order_statistic(cols[j], k - m, pool), a[j], out=w)
+                kept = np.flatnonzero(np.greater(w, t, out=keep))  # faster than a mask
+                starts.append(t.take(kept))
+                ends.append(w.take(kept))
+                if j < n_stages - 1:
+                    np.maximum(t, np.abs(w, out=w), out=t)
+            return np.concatenate(starts), np.concatenate(ends)
 
         starts, ends = zip(*self.block.each_chunk(intervals, CHUNK_BYTES))
         starts = np.concatenate(starts)  # drops the start pieces before the ends join
@@ -233,10 +246,9 @@ class _Rule:
         u_j (the min when m = 1, the max when m = K), and stops for no-go
         when t < h_j, the (K - m + 1)-th largest crossing of l_j (the same
         min or max). So t* = min_j max(g_j, max_{i<j} h_i). Float rounding
-        may decide a row with t = t* either way. Each chunk takes one
-        transposed copy, as the count pass does, and otherwise only row-length
-        temporaries; t* depends on neither the chunk size nor the thread
-        count.
+        may decide a row with t = t* either way. Each chunk reads its
+        columns in place and writes only row-length workspaces; t* depends
+        on neither the chunk size nor the thread count.
         """
         n_stages, k = self.spec.n_stages, self.k
         if self.m not in (1, k):
@@ -260,7 +272,7 @@ class _Rule:
 
         def thresholds(rows: np.ndarray) -> np.ndarray:
             size = len(rows)
-            cols = rows.T.copy().reshape(n_stages, k, size)
+            cols = rows.T.reshape(n_stages, k, size)
             # t*, the stage's go crossing, and max_{i<j} h_i
             t, go, nogo = np.full(size, np.inf), np.empty(size), np.full(size, -np.inf)
             for j, (z, c) in enumerate(zip(cols, slope)):
@@ -294,38 +306,40 @@ class _Rule:
         """Operating characteristics at every point of the ``ShiftGrid`` of
         ``shifts`` (one (values, J) array per column of the rule's block), in
         row-major order, from one pass: the rule's one count kernel. Each
-        chunk walks one transposed copy in slices of ``ShiftGrid.width`` rows;
-        per stage a slice is shifted once for every column and value,
-        compared with each boundary in one call and counted over the grid. A
-        chunk returns each point's go count and its rows still open after
-        each stage but the last, which give the stop-stage histogram."""
+        chunk reads its columns in place in slices of ``ShiftGrid.width``
+        rows; per stage a slice is shifted once for every column and value,
+        compared with each boundary and counted over the grid, all into the
+        chunk's ``ShiftGrid.workspace``. A chunk returns each point's go
+        count and its rows still open after each stage but the last, which
+        give the stop-stage histogram."""
         n_stages, k, m, nsims = self.spec.n_stages, self.k, self.m, self.block.nsims
         lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
         grid = ShiftGrid(shifts, n_stages)
-        points, width = grid.points, grid.width(CHUNK_BYTES)
+        points, width = grid.points, grid.width(CHUNK_BYTES // 4)
 
         def counts(rows: np.ndarray) -> np.ndarray:
-            cols = rows.T.copy().reshape(n_stages, k, 1, len(rows))
+            cols = rows.T.reshape(n_stages, k, 1, len(rows))
+            cut = grid.workspace(min(width, len(rows)), "shifted", "flags", "counts", "counts",
+                                 "marks", "marks")
             # row 0: go rows; row j + 1: rows still open after stage j
             total = np.zeros((n_stages, points), dtype=np.intp)
             for a in range(0, len(rows), width):
+                z, flags, over, below, went, still_open = cut(min(width, len(rows) - a))
                 for j in range(n_stages):
-                    z = grid.shift(cols[j, ..., a:a + width], j)
-                    final = j == n_stages - 1  # decides every open row: no lower test
-                    above, below = z > upper[j], None if final else z < lower[j]
-                    del z  # a grid slice's largest array: freed before the counts
-                    over = grid.count(above)
-                    went = over >= m
+                    grid.shift(cols[j, ..., a:a + width], j, out=z)
+                    grid.count(np.greater(z, upper[j], out=flags), out=over)
+                    np.greater_equal(over, m, out=went)
                     if j:
                         went &= still_open
                     total[0] += grid.tally(went)
-                    if final:
+                    if j == n_stages - 1:  # decides every open row: no lower test
                         break
                     if j:
-                        still_open &= over < m
+                        still_open &= np.less(over, m, out=went)
                     else:
-                        still_open = over < m
-                    still_open &= grid.count(below) <= k - m
+                        np.less(over, m, out=still_open)
+                    grid.count(np.less(z, lower[j], out=flags), out=below)
+                    still_open &= np.less_equal(below, k - m, out=went)
                     total[j + 1] += grid.tally(still_open)
             return total
 
@@ -369,10 +383,112 @@ def composite_transform(block: StatisticBlock) -> StatisticBlock:
     No re-standardisation: the calibrated constant absorbs the variance
     of the correlated sum. With K = 1 the block passes through unchanged;
     the summed block keeps the block's workers.
+
+    The sum is taken column by column, in row chunks, into a column-major
+    block, in the order of numpy's ``np.add.reduce`` over a contiguous row
+    of a stage's statistics (its identity 0.0 plus their pairwise sum), so
+    the summed values do not depend on the block's layout.
     """
     if block.n_outcomes == 1:
         return block
-    return replace(block, values=block.by_stage().sum(axis=2), n_outcomes=1)
+    n_stages, k = block.n_stages, block.n_outcomes
+    cols = block.values.T.reshape(n_stages, k, block.nsims)
+    summed = np.empty((n_stages, block.nsims))
+    step = max(1, CHUNK_BYTES // (k * 8))
+    for a in range(0, block.nsims, step):
+        for j in range(n_stages):
+            summed[j, a:a + step] = _pairwise_sum(cols[j, :, a:a + step])
+    summed += 0.0  # numpy's identity: turns -0.0 into 0.0
+    return replace(block, values=summed.T, n_outcomes=1)
+
+
+def _pairwise_sum(cols) -> np.ndarray:
+    """numpy's pairwise summation of n >= 1 contiguous values, applied to
+    columns: fewer than 8 are added in turn; up to 128 go into 8 running
+    sums, combined as a tree, and the rest are added in turn; more split
+    in two at a multiple of 8."""
+    n = len(cols)
+    if n < 8:
+        total = cols[0].copy()  # numpy starts from -0.0, and -0.0 + x is x
+        for col in cols[1:]:
+            total += col
+        return total
+    if n <= 128:
+        whole = n - n % 8
+        r = [functools.reduce(np.add, cols[i:whole:8]) for i in range(8)]
+        return functools.reduce(np.add, cols[whole:], ((r[0] + r[1]) + (r[2] + r[3]))
+                                + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
+
+
+@functools.cache
+def _selection_network(k: int, rank: int) -> tuple:
+    """Comparators (i, j, low, high) that put the rank-th smallest (from 0)
+    of k values on wire ``rank``: Batcher's odd-even merge sort of k wires
+    (Knuth, TAOCP vol. 3, 5.3.4), pruned backwards to the comparators
+    whose outputs wire ``rank`` reads. A comparator puts the min of wires
+    i < j on i and the max on j; ``low`` and ``high`` say whether its min
+    and its max are read later. The min (rank 0) or the max (rank k - 1)
+    is a chain of k - 1 one-sided comparators instead: a column min or max."""
+    if rank == 0:
+        return tuple((i, i + 1, True, False) for i in reversed(range(k - 1)))
+    if rank == k - 1:
+        return tuple((i, i + 1, False, True) for i in range(k - 1))
+    pairs, p = [], 1
+    while p < k:
+        step = p
+        while step:
+            for j in range(step % p, k - step, 2 * step):
+                pairs += [(i, i + step) for i in range(j, j + min(step, k - j - step))
+                          if i // (2 * p) == (i + step) // (2 * p)]
+            step //= 2
+        p *= 2
+    read, network = {rank}, []
+    for i, j in reversed(pairs):
+        if i in read or j in read:
+            network.append((i, j, i in read, j in read))
+            read |= {i, j}
+    return tuple(reversed(network))
+
+
+def _order_statistic(cols, rank: int, pool: list) -> np.ndarray:
+    """The rank-th smallest (from 0) of the columns, element by element,
+    by ``_selection_network``: exactly the value ``np.partition`` puts at
+    ``rank`` along each row. Reads the columns and writes only row-length
+    workspaces taken from ``pool``, which gets back every one but the
+    result's (with one column, the result is that column)."""
+    wires, owned = list(cols), [False] * len(cols)
+
+    def spare(*candidates: int) -> np.ndarray:
+        # the first owned buffer among the wires, else a pooled or new one
+        for w in candidates:
+            if owned[w]:
+                owned[w] = False
+                return wires[w]
+        return pool.pop() if pool else np.empty_like(cols[0])
+
+    def release(w: int) -> None:
+        if owned[w]:
+            pool.append(wires[w])
+            owned[w] = False
+
+    for i, j, low, high in _selection_network(len(wires), rank):
+        a, b = wires[i], wires[j]
+        if low and high:
+            lo = np.minimum(a, b, out=spare())
+            wires[j] = np.maximum(a, b, out=spare(j, i))
+            release(i)
+            wires[i], owned[i], owned[j] = lo, True, True
+        else:  # one output is read later; the other wire is dead
+            kept, dead = (i, j) if low else (j, i)
+            wires[kept] = (np.minimum if low else np.maximum)(a, b, out=spare(kept, dead))
+            release(dead)
+            owned[kept] = True
+    owned[rank] = False
+    for w in range(len(wires)):
+        release(w)
+    return wires[rank]
 
 
 def _final_scale_boundaries(final: float, n_stages: int, wt_delta: float) -> Boundaries:

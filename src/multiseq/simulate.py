@@ -5,10 +5,13 @@ distribution in independent chunks. Each chunk owns a Philox substream
 derived from (seed, chunk index), so the assembled block is bit-identical
 for a given SimConfig no matter how many worker threads are used. A
 worker draws its chunk's stream in sub-blocks of SUB_BLOCK_ROWS rows
-through one reused buffer and multiplies each by the Cholesky factor
-straight into the block, so a draw holds no chunk-sized temporary, and
-checks the sub-block's statistics finite while they are in cache, so the
-drawn block is not scanned again.
+through one reused buffer, multiplies each by the Cholesky factor into a
+second reused buffer of rows, and copies that into the block's columns,
+so a draw holds no chunk-sized temporary; it checks the copied
+statistics finite while they are in cache, so the drawn block is not
+scanned again. A drawn block is stored column-major: every column of
+statistics is contiguous, and a block pass reads a chunk's columns in
+place.
 
 Calibration and power evaluation share one null block: effects are added
 as mean shifts instead of resimulating, which keeps design comparisons on
@@ -59,7 +62,13 @@ class SimConfig:
 @dataclass(frozen=True, eq=False)
 class StatisticBlock:
     """nsims x (J*K) standardized statistics, stage-major columns, immutable;
-    every pass over the block runs on its ``threads`` workers."""
+    every pass over the block runs on its ``threads`` workers.
+
+    ``simulate_null_block`` stores ``values`` column-major (F-ordered), so
+    the transpose of a chunk's rows, ``values[a:b].T``, is one contiguous
+    run per column and costs nothing. A wrapped array keeps its order when
+    it is C- or F-contiguous (no copy); any other array is copied
+    C-contiguous. Kernels work for either order, fastest on columns."""
 
     values: np.ndarray
     n_stages: int
@@ -68,7 +77,9 @@ class StatisticBlock:
     _drawn: InitVar[bool] = False  # simulate_null_block's workers checked every row
 
     def __post_init__(self, _drawn: bool):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if not values.flags.f_contiguous:
+            values = np.ascontiguousarray(values)  # a C-contiguous array passes through
         if values.ndim != 2 or values.shape[1] != self.n_stages * self.n_outcomes:
             raise ValueError("values must be 2-d with n_stages * n_outcomes columns")
         if len(values) < 1:  # a pass combines the results of at least one chunk
@@ -83,10 +94,6 @@ class StatisticBlock:
     @property
     def nsims(self) -> int:
         return self.values.shape[0]
-
-    def by_stage(self) -> np.ndarray:
-        """Read-only view shaped (nsims, stages, outcomes)."""
-        return self.values.reshape(self.nsims, self.n_stages, self.n_outcomes)
 
     def each_chunk(self, fn, chunk_bytes: int) -> list:
         """One pass: [fn(rows) for the read-only view of each row chunk of at
@@ -172,10 +179,34 @@ class ShiftGrid:
         and shifted statistics of one stage."""
         return max(1, chunk_bytes // (8 * max(self.points, self.stacked[0].size, 1)))
 
-    def shift(self, z: np.ndarray, stage: int) -> np.ndarray:
-        """(columns, V, rows): a stage's (columns, 1, rows) statistics plus
-        each of its shifts, added in place when every axis has one value."""
-        return np.add(z, self.stacked[stage], out=z if self.stacked.shape[2] == 1 else None)
+    def workspace(self, width: int, *kinds: str):
+        """Arrays for the slices of a chunk, at most ``width`` rows each, one
+        per kind: "shifted" statistics (columns, V, rows) and their "flags",
+        grid arrays of "counts" and boolean "marks", "ranks" (one count grid
+        array per column) and "pairs" of columns' flags (V, V, rows).
+        Returns cut(rows): views of each array's first ``rows`` rows.
+
+        The arrays share one allocation. Freeing it raises glibc's trim
+        threshold to twice its size, so the next pass gets the same pages
+        back instead of faulting them in again."""
+        columns, values, count = len(self.lengths), self.stacked.shape[2], \
+            np.min_scalar_type(len(self.lengths))
+        grid = tuple(self.lengths[a] for a in self.live)
+        layout = {"shifted": ((columns, values), float), "flags": ((columns, values), bool),
+                  "counts": (grid, count), "marks": (grid, bool),
+                  "ranks": ((columns,) + grid, count), "pairs": ((values, values), bool)}
+        shapes = [(layout[kind][0] + (width,), np.dtype(layout[kind][1])) for kind in kinds]
+        sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in shapes]
+        starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])  # 64-byte aligned
+        space = np.empty(starts[-1], dtype=np.uint8)
+        arrays = [space[a:a + size].view(dtype).reshape(shape)
+                  for (shape, dtype), a, size in zip(shapes, starts, sizes)]
+        return lambda rows: [a[..., :rows] for a in arrays]
+
+    def shift(self, z: np.ndarray, stage: int, out: np.ndarray) -> np.ndarray:
+        """(columns, V, rows) into ``out``: a stage's (columns, 1, rows)
+        statistics plus each of its shifts."""
+        return np.add(z, self.stacked[stage], out=out)
 
     def place(self, values: np.ndarray, axes: tuple) -> np.ndarray:
         """View of ``values``, one length per grid axis in ``axes``
@@ -186,19 +217,17 @@ class ShiftGrid:
                 shape[self.live.index(axis)] = length
         return values.reshape(shape)
 
-    def count(self, flags: np.ndarray) -> np.ndarray:
-        """Number of true flags at each grid point and row, in the smallest
-        unsigned integer type that holds the column count: flags is
-        (columns, V, rows), padded as the shifts are. A one-point grid is
-        counted by one reduction over the columns."""
-        dtype = np.min_scalar_type(len(flags))
+    def count(self, flags: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Number of true flags at each grid point and row, into ``out``, a
+        "counts" array of ``workspace``: flags is (columns, V, rows), padded
+        as the shifts are. A one-point grid is counted by one reduction over
+        the columns."""
         if self.points == 1:
-            return np.add.reduce(flags[:, 0], axis=0, dtype=dtype)
-        total = np.empty([self.lengths[a] for a in self.live] + [flags.shape[-1]], dtype=dtype)
-        total[...] = self.place(flags[0, :self.lengths[0]], (0,))
+            return np.add.reduce(flags[:, 0], axis=0, dtype=out.dtype, out=out)
+        out[...] = self.place(flags[0, :self.lengths[0]], (0,))
         for axis in range(1, len(flags)):
-            total += self.place(flags[axis, :self.lengths[axis]], (axis,))
-        return total
+            out += self.place(flags[axis, :self.lengths[axis]], (axis,))
+        return out
 
     def tally(self, flags: np.ndarray) -> np.ndarray:
         """Each point's count of flagged rows; one point is counted without
@@ -209,7 +238,8 @@ class ShiftGrid:
 
 def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
                         cfg: SimConfig, threads: int = 1) -> StatisticBlock:
-    """Draw cfg.nsims independent rows from MVN(0, assemble_covariance(...)).
+    """Draw cfg.nsims independent rows from MVN(0, assemble_covariance(...)),
+    stored column-major.
 
     Chunk c uses the Philox stream keyed by (cfg.seed, c); assembly order
     is fixed, so output does not depend on the thread count. A chunk draws
@@ -217,14 +247,17 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     tail joins the sub-block before it: every multiply covers at least
     min(chunk rows, SUB_BLOCK_ROWS) rows, so BLAS takes the same path as
     for one multiply of the whole chunk (its small-matrix and 1-row paths
-    round differently) and the rows match it bit for bit.
+    round differently) and the rows match it bit for bit. Each multiply
+    writes a row-major buffer, which is then copied into the block's
+    columns: the layout changes where the values are stored, not what
+    they are.
     """
     if threads < 1:  # before the draw, not after it
         raise ValueError("threads must be >= 1")
     cov = assemble_covariance(schedule, model)
     factor_t = cholesky_factor(cov).T
     dim = cov.shape[0]
-    out = np.empty((cfg.nsims, dim))
+    out = np.empty((dim, cfg.nsims)).T  # column-major
 
     def fill(start: int, stop: int) -> None:
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.chunk_size,))
@@ -232,9 +265,11 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
         cuts = [start + SUB_BLOCK_ROWS * i
                 for i in range(max(1, (stop - start) // SUB_BLOCK_ROWS))] + [stop]
         normals = np.empty((stop - cuts[-2], dim))  # the last multiply is the longest
+        rows = np.empty_like(normals)
         for a, b in zip(cuts, cuts[1:]):
             rng.standard_normal(out=normals[:b - a])
-            np.matmul(normals[:b - a], factor_t, out=out[a:b])
+            np.matmul(normals[:b - a], factor_t, out=rows[:b - a])
+            out[a:b] = rows[:b - a]
             _require_finite(out[a:b])  # while the rows are in cache
 
     run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)

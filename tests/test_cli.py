@@ -230,6 +230,31 @@ class TestMain:
                     "power_star =", "ess_lfc =", "enm_lfc =", "seed = 7"):
             assert key in summary
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main builds its parser once per process; a later call must not see
+        # an earlier call's --set entries, exit codes or help text
+        assert cli._build_parser() is cli._build_parser()
+        cfg_path = write(tmp_path, GS_CONFIG)
+        outs = [tmp_path / name for name in ("set", "plain")]
+        assert run_cli(["design", "gs", "--config", str(cfg_path), "--set", "seed=8",
+                        "--set", "nsims=3000", "--out", str(outs[0])]) == 0
+        assert run_cli(["design", "gs", "--config", str(cfg_path), "--out", str(outs[1])]) == 0
+        echoes = [(out / "config_echo.txt").read_text() for out in outs]
+        assert "seed = 8" in echoes[0] and "nsims = 3000" in echoes[0]
+        assert "seed = 7" in echoes[1] and "nsims = 4000" in echoes[1]
+        capsys.readouterr()
+        helps, codes = [], []
+        for _ in range(2):
+            codes.append(run_cli(["design", "gs", "--config", str(cfg_path),
+                                  "--set", "no-equals-sign", "--out", str(tmp_path / "bad")]))
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(["design", "--help"])
+            helps.append((exit_info.value.code, capsys.readouterr()))
+        assert codes == [2, 2]
+        assert helps[0] == helps[1] and helps[0][0] == 0
+        assert "--set KEY=VALUE" in helps[0][1].out
+        assert helps[0][1].err.count("--set expects KEY=VALUE") == 1
+
     def test_design_dtl_emits_cp_lookup(self, tmp_path):
         cfg_path = write(tmp_path, DTL_CONFIG)
         out = tmp_path / "dtl"

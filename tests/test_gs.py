@@ -399,6 +399,12 @@ class TestCalibration:
             previous = p
 
 
+def interval_pairs(starts, ends):
+    """The (start, end) pairs sorted by start, then end: their multiset."""
+    order = np.lexsort((ends, starts))
+    return starts[order], ends[order]
+
+
 def interval_alpha(starts, ends, constant, nsims):
     return int(np.count_nonzero((starts <= constant) & (constant < ends))) / nsims
 
@@ -458,6 +464,9 @@ class TestGoIntervals:
     @pytest.mark.parametrize("nsims", [1, 7, 50, 1001])
     def test_chunks_and_threads_give_identical_intervals(self, monkeypatch, nsims,
                                                          composite):
+        # a chunk lists its intervals stage by stage: the chunk size may
+        # reorder them, but not change their multiset, and for one chunk
+        # size the thread count changes nothing
         spec = replace(spec_for(3, 2, 3, alpha=0.1), composite=composite)
         model = OutcomeModel.equicorrelated(3, 0.3)
         block = simulate_null_block(StageSchedule.equal(1, 3), model,
@@ -466,13 +475,18 @@ class TestGoIntervals:
         expected = calibration_outcome(block, spec)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+        chunked = None
         try:
             for threads in (1, 2, 3):
                 block = replace(block, threads=threads)
                 rule = gs_module._Rule(block, spec)
                 row_budget(monkeypatch, rule, 3)
-                for got, want in zip(rule.go_intervals(), one):
-                    np.testing.assert_array_equal(got, want)
+                got = rule.go_intervals()
+                for pairs, want in zip(interval_pairs(*got), interval_pairs(*one)):
+                    np.testing.assert_array_equal(pairs, want)
+                chunked = got if chunked is None else chunked
+                for each, first in zip(got, chunked):
+                    np.testing.assert_array_equal(each, first)
                 assert calibration_outcome(block, spec) == expected
                 monkeypatch.undo()
         finally:
@@ -513,6 +527,69 @@ class TestGoIntervals:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * (starts.nbytes + ends.nbytes) < 0.2 * block.values.nbytes
+
+
+class TestOrderStatistic:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_every_network_selects_by_the_zero_one_principle(self, k):
+        # all 2^k inputs of 0s and 1s; a comparator output that is not read
+        # later becomes NaN, which would reach the result if it were read
+        bits = ((np.arange(2 ** k)[None, :] >> np.arange(k)[:, None]) & 1).astype(float)
+        ordered = np.sort(bits, axis=0)
+        for rank in range(k):
+            wires = bits.copy()
+            network = gs_module._selection_network(k, rank)
+            for i, j, low, high in network:
+                lo, hi = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
+                wires[i], wires[j] = (lo if low else np.nan), (hi if high else np.nan)
+            assert np.array_equal(wires[rank], ordered[rank]), (k, rank)
+            if rank in (0, k - 1):  # a column min or max
+                assert len(network) == k - 1
+                assert all(low != high for _, _, low, high in network)
+
+    def test_values_equal_the_partitions(self):
+        # every 1 <= m <= K <= 12 on tie-rich integer-valued columns, read in
+        # place from a read-only column-major block, which is never written
+        rng = np.random.default_rng(26)
+        for k in range(1, 13):
+            values = rng.integers(-2, 3, size=(400, 2 * k)).astype(float)
+            block = StatisticBlock(values=np.asfortranarray(values), n_stages=2, n_outcomes=k)
+            cols = block.values.T.reshape(2, k, 400)[1]
+            pool = []
+            for m in range(1, k + 1):
+                got = gs_module._order_statistic(cols, k - m, pool)
+                want = np.partition(values[:, k:], k - m, axis=1)[:, k - m]
+                assert (got == want).all(), (k, m)
+                assert not any(buffer is got for buffer in pool)
+            assert len(pool) <= k + 1  # the workspaces are reused
+        assert np.array_equal(block.values, values)
+
+    def test_passes_read_a_drawn_chunk_in_place(self):
+        # 40,000 rows of K = 10, J = 5 statistics (16 MB, column-major) in two
+        # chunks: the interval pass and a one-point count pass each peak below
+        # one visited chunk's bytes, so neither copies a chunk transposed
+        spec = GSDesignSpec(n_outcomes=10, n_promising=5, n_stages=5, alpha=0.025,
+                            beta=0.2, delta0=0.2, delta1=0.4)
+        model = OutcomeModel.equicorrelated(10, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 5), model,
+                                    SimConfig(seed=64, nsims=40_000))
+        assert block.values.flags.f_contiguous
+        row_bytes = block.values[:1].nbytes
+        chunk_bytes = gs_module.CHUNK_BYTES // row_bytes * row_bytes
+        assert block.values.nbytes > chunk_bytes
+        rule = gs_module._Rule(block, spec)
+        schedule = StageSchedule.equal(10, 5)
+        shift = mean_shift_vector(np.full(10, 0.3), schedule, model)
+        passes = {"intervals": rule.go_intervals,
+                  "count": lambda: rule.oc(wang_tsiatis_boundaries(2.0, 5, 0.0), schedule, shift)}
+        for name, run in passes.items():
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < chunk_bytes, name
 
 
 class TestGoThresholds:
@@ -623,6 +700,24 @@ class TestComposite:
         calibrate_c(block, spec)
         estimate_gs_oc(block, boundaries, spec, StageSchedule.equal(10, 3))
         assert pools == [2, 2]  # one 2-worker pool per pass
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sum_is_numpys_contiguous_row_sum(self, monkeypatch, order):
+        # bit for bit numpy's sum of each stage's K contiguous statistics, for
+        # K up to 40 and 150 (numpy's pairwise sum splits rows past 128), on
+        # either layout, across summing chunks, with signed zeros and with
+        # magnitudes far apart, so that another order rounds differently
+        rng = np.random.default_rng(25)
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 3_000)
+        for k in list(range(2, 41)) + [150]:
+            values = rng.standard_normal((301, 2 * k)) * rng.choice([1e-8, 1.0, 1e8], size=2 * k)
+            values[:3, :] = rng.choice([0.0, -0.0], size=(3, 2 * k))
+            block = StatisticBlock(values=np.array(values, order=order), n_stages=2,
+                                   n_outcomes=k)
+            summed = composite_transform(block).values
+            want = values.reshape(301, 2, k).sum(axis=2)
+            assert summed.flags.f_contiguous
+            assert np.ascontiguousarray(summed).tobytes() == want.tobytes(), k
 
     def test_opposite_statistics_cancel(self):
         block = StatisticBlock(values=np.array([[1.0, -1.0]]), n_stages=1,
