@@ -254,6 +254,7 @@ class _Rule:
             """The stage's statistic (the core at stage 0) of place p's outcome."""
             if stage:
                 return cols[k:][outcome[p], start]
+            # the cores are one contiguous array: a flat gather is 2.4 times faster
             at = outcome[p].astype(np.intp)
             at *= nrows
             at += start
