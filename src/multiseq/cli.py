@@ -340,6 +340,8 @@ def _search(cfg: RunConfig, spec, model: OutcomeModel, blocks: dict):
 # emission
 
 def _fmt(value) -> str:
+    if type(value) is float:  # every cell of a grid.csv: numpy floats take the chain below
+        return format(value, ".6g")
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):

@@ -33,6 +33,7 @@ from .simulate import (
     ShiftGrid,
     StatisticBlock,
     axis_shifts,
+    carve,
     mean_shift_vector,
 )
 
@@ -49,7 +50,7 @@ __all__ = [
 
 N_STAGES = 2
 # bytes of statistics per row chunk of a block pass, read in place; a chunk's
-# working arrays take 0.9-1.3 times its size in a go-limit pass and 1.3-1.4 in
+# working arrays take 0.8-1.7 times its size in a go-limit pass and 1.3-1.4 in
 # a one-point count pass (K = 3-10, tracemalloc), so a single-threaded pass
 # peaks below 2 MB whatever the block size, besides a go-limit pass's
 # nsims-long result.
@@ -220,65 +221,89 @@ class _Rule:
         strictly exceeds, so tied cores keep the lower index first, as a
         stable descending sort does. The values used are then read back
         by index, and M_j keeps the top m of the first j stage-two
-        statistics by max/min insertion.
+        statistics by max/min insertion. Every working array is a row of
+        one workspace allocation (``carve``): the places' rows are free
+        rows, and once the places are ranked, the statistics read back by
+        index take them.
         """
         k, m, k_max = self.k, self.m, self.k_max
         nrows, places = len(rows), max(m, k_max)
+        index = np.min_scalar_type(k)
+        # free rows: the places and a swap row, then e, t_go, and with m <= K_max the
+        # top m of M_j and, when a read may move down past them, a swap row
+        reads = 2 + (m + (k_max > 1) if m <= k_max else 0)
+        core, free, outcome, swap, up, at = carve(
+            ((k, nrows), float), ((max(places + 1, reads), nrows), float),
+            ((places, nrows), index), ((nrows,), index), ((nrows,), bool), ((nrows,), np.intp))
+        free, outcome = list(free), list(outcome)
         cols = rows.T
-        core = np.multiply(cols[:k], self.sqrt_i1[:, None], out=np.empty((k, nrows)))
+        np.multiply(cols[:k], self.sqrt_i1[:, None], out=core)
         core += self.drift[:, None]
         core /= self.sqrt_gap[:, None]
-        index = np.min_scalar_type(k)
-        top, outcome = [core[0].copy()], [np.zeros(nrows, dtype=index)]
-        up = np.empty(nrows, dtype=bool)
-        for i in range(1, k):
+        top = []
+        for i in range(k):
             if len(top) < places:
-                top.append(core[i].copy())
-                outcome.append(np.full(nrows, i, dtype=index))
+                top.append(free.pop())
+                top[-1][...] = core[i]
+                outcome[len(top) - 1][...] = i
             else:  # the bottom place keeps the larger core; the other drops out
                 np.greater(core[i], top[-1], out=up)
                 np.maximum(top[-1], core[i], out=top[-1])
-                outcome[-1] ^= (outcome[-1] ^ index.type(i)) * up
+                np.bitwise_xor(outcome[-1], i, out=swap)
+                outcome[-1] ^= np.multiply(swap, up, out=swap)
             for p in range(len(top) - 1, 0, -1):
                 np.greater(top[p], top[p - 1], out=up)
-                higher = np.maximum(top[p - 1], top[p])
+                higher = np.maximum(top[p - 1], top[p], out=free.pop())
                 np.minimum(top[p - 1], top[p], out=top[p])
+                free.append(top[p - 1])
                 top[p - 1] = higher
-                swap = (outcome[p - 1] ^ outcome[p]) * up
+                np.multiply(np.bitwise_xor(outcome[p - 1], outcome[p], out=swap), up, out=swap)
                 outcome[p - 1] ^= swap
                 outcome[p] ^= swap
+        free += top  # only the outcome order is read from here on
 
-        flat, start = core.ravel(), np.arange(nrows)
+        # the cores are one contiguous array, and the stage-two columns one strided
+        # run: a flat gather from either is 2.4 times faster than a 2-d index
+        stage_two = cols[k:]
+        across, down = (stride // stage_two.itemsize for stride in stage_two.strides)
+        start = np.arange(nrows)
+        sources = ((core.ravel(), nrows, start),
+                   (np.lib.stride_tricks.as_strided(
+                       stage_two, ((k - 1) * across + (nrows - 1) * down + 1,),
+                       (stage_two.itemsize,), writeable=False),
+                    across, start if down == 1 else start * down))
 
         def value(p: int, stage: int) -> np.ndarray:
-            """The stage's statistic (the core at stage 0) of place p's outcome."""
-            if stage:
-                return cols[k:][outcome[p], start]
-            # the cores are one contiguous array: a flat gather is 2.4 times faster
-            at = outcome[p].astype(np.intp)
-            at *= nrows
-            at += start
-            return flat[at]
+            """The stage's statistic (the core at stage 0) of place p's outcome,
+            into a free row."""
+            flat, outcome_step, row_steps = sources[stage]
+            np.multiply(outcome[p], outcome_step, out=at, dtype=np.intp)
+            np.add(at, row_steps, out=at)
+            # mode="raise" would gather into a buffered copy of the row
+            return np.take(flat, at, out=free.pop(), mode="clip")
 
-        del top, up  # freed for the pass peak: only the outcome order is read from here on
         e = value(m - 1, 0)  # e_m, used up at j = m
-        limit = e - self.q_upper
+        limit = np.subtract(e, self.q_upper, out=free.pop())
         limit /= self.scale  # t_go
         kept = []  # the top m stage-two statistics of the first j; U = t_go when m > K_max
         for j in range(1, k_max + 1 if m <= k_max else 0):
             z2 = value(j - 1, 1)
             for p in range(len(kept)):
-                higher = np.maximum(kept[p], z2)
+                higher = np.maximum(kept[p], z2, out=free.pop())
                 np.minimum(kept[p], z2, out=z2)
+                free.append(kept[p])
                 kept[p] = higher
             if len(kept) < m:
                 kept.append(z2)
+            else:  # the least of m + 1 drops out
+                free.append(z2)
             if j >= m:
                 if j > m:
                     e = value(j - 1, 0)
                 e -= self.q_lower
                 e /= self.scale
                 np.maximum(limit, np.minimum(kept[m - 1], e, out=e), out=limit)
+                free.append(e)
         return limit
 
     def go_limits(self) -> np.ndarray:
@@ -305,20 +330,24 @@ class _Rule:
         grid, all into the chunk's ``ShiftGrid.workspace``. With K_max < K
         each unordered pair of outcomes is compared once, core_l >= core_i
         for l < i, into a (values, values, rows) array that adds to the rank
-        of i; its complement adds to the rank of l. A chunk returns each
+        of i; its complement adds to the rank of l. A slice's go and stop
+        flags and retained outcomes add into one tally per (point, row)
+        cell, which ``ShiftGrid.slices`` reduces once per chunk into each
         point's go, stop and retained counts."""
         k, m, k_max = self.k, self.m, self.k_max
         grid = ShiftGrid(shifts, N_STAGES)
         points, width = grid.points, grid.width(CHUNK_BYTES)
         ranked = ("ranks", "pairs") if k_max < k else ()
+        step = min(k, k_max)  # the most outcomes a row retains
 
         def counts(rows: np.ndarray) -> np.ndarray:
             cols = rows.T.reshape(N_STAGES, k, 1, len(rows))
             cut = grid.workspace(min(width, len(rows)), "shifted", "shifted", "flags", "flags",
-                                 "counts", "marks", "marks", "marks", *ranked)
+                                 "counts", "marks", "marks", "marks", *ranked,
+                                 tallies=3, step=step)
             total = np.zeros((3, points), dtype=np.intp)  # go, stop, retained
-            for a in range(0, len(rows), width):
-                core, z, eligible, hits, count, go, stop, mark, *ranks = \
+            for a in grid.slices(len(rows), width, cut()[-1], total, step):
+                core, z, eligible, hits, count, go, stop, mark, *ranks, (gone, stopped, kept) = \
                     cut(min(width, len(rows) - a))
                 grid.shift(cols[0, ..., a:a + width], 0, out=core)
                 core *= self.sqrt_i1[:, None, None]
@@ -340,43 +369,51 @@ class _Rule:
                 if k_max < k:  # retain the K_max top-ranked eligible outcomes
                     rank, pairs = ranks
                     core = [c[:v] for c, v in zip(core, grid.lengths)]
-                    # rank[i]: the outcomes ranked above outcome i, ties to the lower index
-                    rank[...] = 0
+                    # rank[i]: the outcomes ranked above outcome i, ties to the lower
+                    # index; its first pair, (0, i) or (0, 1) for outcome 0, assigns it
                     for l, i in itertools.combinations(range(k), 2):
                         ahead = np.greater_equal(core[l][:, None], core[i][None, :],
                                                  out=pairs[:len(core[l]), :len(core[i])])
-                        rank[i] += grid.place(ahead, (l, i))
-                        rank[l] += grid.place(np.invert(ahead, out=ahead), (l, i))
-                    count[...] = 0
+                        _add(rank[i], grid.place(ahead, (l, i)), first=l == 0)
+                        _add(rank[l], grid.place(np.invert(ahead, out=ahead), (l, i)),
+                             first=i == 1)
                     for i in range(k):
                         np.less(rank[i], k_max, out=mark)
                         mark &= grid.place(hits[i, :grid.lengths[i]], (i,))
-                        count += mark
+                        _add(count, mark, first=i == 0)
                 else:
                     grid.count(hits, out=count)
                 go |= np.greater_equal(count, m, out=mark)
                 retained = np.minimum(grid.count(eligible, out=count), k_max, out=count)
                 # a multiply; a masked assignment is 30 times slower
                 retained *= np.invert(stop, out=mark)
-                total[0] += grid.tally(go)
-                total[1] += grid.tally(stop)
-                total[2] += retained.sum(axis=-1, dtype=np.intp).ravel()
+                gone += go.view(np.uint8)
+                stopped += stop.view(np.uint8)
+                kept += retained
             return total
 
         total = sum(self.block.each_chunk(counts, CHUNK_BYTES))
-        return [self._oc(*map(int, total[:, p])) for p in range(points)]
+        return self._oc(*total)
 
-    def _oc(self, go: int, stops: int, retained: int) -> DtLOperatingCharacteristics:
-        """Operating characteristics (ESS and ENM in subjects) from the go and
-        stop counts and the retained outcomes summed over the rows going on."""
+    def _oc(self, go: np.ndarray, stops: np.ndarray, retained: np.ndarray) -> list:
+        """Operating characteristics (ESS and ENM in subjects) of every point
+        from its go and stop counts and the retained outcomes summed over
+        its rows going on."""
         nsims = self.block.nsims
         pet = stops / nsims
-        return DtLOperatingCharacteristics(
-            p_reject=go / nsims,
-            pet=pet,
-            ess=self.n * (pet + 2.0 * (1.0 - pet)),
-            enm=self.n * (self.k + retained / nsims),
-        )
+        columns = (go / nsims, pet, self.n * (pet + 2.0 * (1.0 - pet)),
+                   self.n * (self.k + retained / nsims))
+        return [DtLOperatingCharacteristics(*values)
+                for values in zip(*(column.tolist() for column in columns))]
+
+
+def _add(out: np.ndarray, flags: np.ndarray, first: bool) -> None:
+    """Assigns boolean flags to a count array if first, else adds them to it
+    (as uint8, which adds without a cast from bool)."""
+    if first:
+        np.copyto(out, flags)
+    else:
+        np.add(out, flags.view(np.uint8), out=out)
 
 
 def estimate_dtl_oc(block: StatisticBlock, spec: DtLDesignSpec, model: OutcomeModel,

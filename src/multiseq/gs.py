@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 # bytes of statistics per row chunk of a block pass. A kernel reads its chunk's
-# columns in place and holds only its workspaces (0.24-0.35 times the chunk in a
+# columns in place and holds only its workspaces (0.25-0.40 times the chunk in a
 # one-point count pass, which shifts the chunk in slices of a quarter of this;
 # K = 2-10, tracemalloc). Fewer rows per chunk mean more numpy calls per row,
 # which two workers contend for. A 500k-row K = 10, m = 5, J = 5 block's interval
@@ -309,9 +309,10 @@ class _Rule:
         chunk reads its columns in place in slices of ``ShiftGrid.width``
         rows; per stage a slice is shifted once for every column and value,
         compared with each boundary and counted over the grid, all into the
-        chunk's ``ShiftGrid.workspace``. A chunk returns each point's go
-        count and its rows still open after each stage but the last, which
-        give the stop-stage histogram."""
+        chunk's ``ShiftGrid.workspace``. Its go rows and its rows still open
+        after each stage but the last add into one tally per (point, row)
+        cell, which ``ShiftGrid.slices`` reduces once per chunk into each
+        point's go count and stop-stage histogram."""
         n_stages, k, m, nsims = self.spec.n_stages, self.k, self.m, self.block.nsims
         lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
         grid = ShiftGrid(shifts, n_stages)
@@ -320,18 +321,19 @@ class _Rule:
         def counts(rows: np.ndarray) -> np.ndarray:
             cols = rows.T.reshape(n_stages, k, 1, len(rows))
             cut = grid.workspace(min(width, len(rows)), "shifted", "flags", "counts", "counts",
-                                 "marks", "marks")
+                                 "marks", "marks", tallies=n_stages)
             # row 0: go rows; row j + 1: rows still open after stage j
             total = np.zeros((n_stages, points), dtype=np.intp)
-            for a in range(0, len(rows), width):
-                z, flags, over, below, went, still_open = cut(min(width, len(rows) - a))
+            for a in grid.slices(len(rows), width, cut()[-1], total):
+                z, flags, over, below, went, still_open, (gone, *opened) = \
+                    cut(min(width, len(rows) - a))
                 for j in range(n_stages):
                     grid.shift(cols[j, ..., a:a + width], j, out=z)
                     grid.count(np.greater(z, upper[j], out=flags), out=over)
                     np.greater_equal(over, m, out=went)
                     if j:
                         went &= still_open
-                    total[0] += grid.tally(went)
+                    gone += went.view(np.uint8)  # a row goes at one stage: 1 a slice
                     if j == n_stages - 1:  # decides every open row: no lower test
                         break
                     if j:
@@ -340,28 +342,23 @@ class _Rule:
                         np.less(over, m, out=still_open)
                     grid.count(np.less(z, lower[j], out=flags), out=below)
                     still_open &= np.less_equal(below, k - m, out=went)
-                    total[j + 1] += grid.tally(still_open)
+                    opened[j] += still_open.view(np.uint8)
             return total
 
         total = sum(self.block.each_chunk(counts, CHUNK_BYTES))
         opened = np.vstack([np.full(points, nsims), total[1:], np.zeros(points, np.intp)])
-        stops = opened[:-1] - opened[1:]
-        return [self._oc(int(total[0, p]), np.ascontiguousarray(stops[:, p]), schedule)
-                for p in range(points)]
+        return self._oc(total[0], opened[:-1] - opened[1:], schedule)
 
-    def _oc(self, go: int, stops: np.ndarray,
-            schedule: StageSchedule) -> GSOperatingCharacteristics:
-        """Operating characteristics from the go count and the stop-stage
-        histogram: every mean is an exact integer sum over nsims."""
-        n_stages, nsims = self.spec.n_stages, self.block.nsims
-        ess = float(schedule.cumulative @ stops) / nsims
-        # ENM counts all K measured outcomes, composite or not
-        return GSOperatingCharacteristics(
-            p_reject=go / nsims,
-            ess=ess,
-            enm=self.spec.n_outcomes * ess,
-            expected_stages=int(np.arange(1, n_stages + 1) @ stops) / nsims,
-        )
+    def _oc(self, go: np.ndarray, stops: np.ndarray, schedule: StageSchedule) -> list:
+        """Operating characteristics of every point from its go count and its
+        column of the (J, points) stop-stage histogram: every mean is an
+        exact integer sum over nsims (its terms are integers below 2^53)."""
+        stages = np.arange(1, self.spec.n_stages + 1)
+        p_reject, ess, expected_stages = (np.vstack(
+            [go, schedule.cumulative @ stops, stages @ stops]) / self.block.nsims).tolist()
+        k = self.spec.n_outcomes  # ENM counts all K measured outcomes, composite or not
+        return [GSOperatingCharacteristics(p, e, k * e, s)
+                for p, e, s in zip(p_reject, ess, expected_stages)]
 
 
 def estimate_gs_oc(block: StatisticBlock, boundaries: Boundaries,

@@ -20,6 +20,7 @@ common random numbers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -179,29 +180,29 @@ class ShiftGrid:
         and shifted statistics of one stage."""
         return max(1, chunk_bytes // (8 * max(self.points, self.stacked[0].size, 1)))
 
-    def workspace(self, width: int, *kinds: str):
+    def workspace(self, width: int, *kinds: str, tallies: int = 0, step: int = 1):
         """Arrays for the slices of a chunk, at most ``width`` rows each, one
         per kind: "shifted" statistics (columns, V, rows) and their "flags",
         grid arrays of "counts" and boolean "marks", "ranks" (one count grid
-        array per column) and "pairs" of columns' flags (V, V, rows).
-        Returns cut(rows): views of each array's first ``rows`` rows.
-
-        The arrays share one allocation. Freeing it raises glibc's trim
-        threshold to twice its size, so the next pass gets the same pages
-        back instead of faulting them in again."""
+        array per column) and "pairs" of columns' flags (V, V, rows). With
+        ``tallies``, one more array, last: that many zeroed grid arrays of
+        the smallest unsigned type that holds ``step``, the most a slice adds
+        to one of their cells (see ``slices``). Returns cut(rows=width):
+        views of each array's first ``rows`` rows, all in one allocation
+        (``carve``)."""
         columns, values, count = len(self.lengths), self.stacked.shape[2], \
             np.min_scalar_type(len(self.lengths))
         grid = tuple(self.lengths[a] for a in self.live)
         layout = {"shifted": ((columns, values), float), "flags": ((columns, values), bool),
                   "counts": (grid, count), "marks": (grid, bool),
                   "ranks": ((columns,) + grid, count), "pairs": ((values, values), bool)}
-        shapes = [(layout[kind][0] + (width,), np.dtype(layout[kind][1])) for kind in kinds]
-        sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in shapes]
-        starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])  # 64-byte aligned
-        space = np.empty(starts[-1], dtype=np.uint8)
-        arrays = [space[a:a + size].view(dtype).reshape(shape)
-                  for (shape, dtype), a, size in zip(shapes, starts, sizes)]
-        return lambda rows: [a[..., :rows] for a in arrays]
+        shapes = [(layout[kind][0] + (width,), layout[kind][1]) for kind in kinds]
+        if tallies:
+            shapes.append(((tallies,) + grid + (width,), np.min_scalar_type(step)))
+        arrays = carve(*shapes)
+        if tallies:
+            arrays[-1][...] = 0
+        return lambda rows=width: [a[..., :rows] for a in arrays]
 
     def shift(self, z: np.ndarray, stage: int, out: np.ndarray) -> np.ndarray:
         """(columns, V, rows) into ``out``: a stage's (columns, 1, rows)
@@ -222,6 +223,7 @@ class ShiftGrid:
         "counts" array of ``workspace``: flags is (columns, V, rows), padded
         as the shifts are. A one-point grid is counted by one reduction over
         the columns."""
+        flags = flags.view(np.uint8)  # adds without a cast from bool
         if self.points == 1:
             return np.add.reduce(flags[:, 0], axis=0, dtype=out.dtype, out=out)
         out[...] = self.place(flags[0, :self.lengths[0]], (0,))
@@ -229,11 +231,43 @@ class ShiftGrid:
             out += self.place(flags[axis, :self.lengths[axis]], (axis,))
         return out
 
-    def tally(self, flags: np.ndarray) -> np.ndarray:
-        """Each point's count of flagged rows; one point is counted without
-        an axis, which is faster."""
-        return np.count_nonzero(flags) if self.points == 1 else \
-            np.count_nonzero(flags, axis=-1).ravel()
+    def slices(self, nrows: int, width: int, tallies: np.ndarray, total: np.ndarray,
+               step: int = 1):
+        """Start of each ``width``-row slice of a chunk of nrows rows. Each
+        slice adds at most ``step`` to a cell of ``tallies``, the (tallies,
+        *grid, width) array of ``workspace``. Their counts are added into
+        ``total`` (tallies, points) after the last slice, and also every
+        max // step slices, before a cell could overflow. So a slice adds in
+        place, and a chunk reduces over its rows once."""
+        every, added = np.iinfo(tallies.dtype).max // step, 0
+        for a in range(0, nrows, width):
+            if added == every:
+                self._flush(tallies, total, added * step)
+                tallies[...] = 0
+                added = 0
+            added += 1
+            yield a
+        self._flush(tallies, total, added * step)
+
+    def _flush(self, tallies: np.ndarray, total: np.ndarray, most: int) -> None:
+        """Adds the tallies' counts over their rows to total. No cell exceeds
+        ``most``, so the sum takes the smallest type that holds a row of
+        them: the narrower, the faster the cast from uint8."""
+        cells = tallies.reshape(len(tallies), self.points, tallies.shape[-1])
+        total += np.add.reduce(cells, axis=-1, dtype=np.min_scalar_type(most * cells.shape[-1]))
+
+
+def carve(*shapes) -> list:
+    """Arrays of the given (shape, dtype) pairs, 64-byte aligned in one
+    allocation. Freeing it raises glibc's trim threshold to twice its size,
+    so the next pass gets the same pages back instead of faulting them in
+    again; separate arrays of the same total would not."""
+    shapes = [(shape, np.dtype(dtype)) for shape, dtype in shapes]
+    sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in shapes]
+    starts = list(itertools.accumulate((-(-size // 64) * 64 for size in sizes), initial=0))
+    space = np.empty(starts[-1], dtype=np.uint8)
+    return [space[a:a + size].view(dtype).reshape(shape)
+            for (shape, dtype), a, size in zip(shapes, starts, sizes)]
 
 
 def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,

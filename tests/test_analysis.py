@@ -324,6 +324,42 @@ class TestGridPass:
                                  wang_tsiatis_boundaries(2.0 * 2 ** 0.5, 2), 0.0, 0.0)
         assert effect_grid(real, real, [(0.1, 0.2), ()], model, blocks) == []
 
+    @pytest.mark.parametrize("kind", ["gs", "composite", "dtl-drop", "dtl-keep"])
+    def test_a_chunk_of_more_slices_than_a_tally_holds(self, monkeypatch, kind):
+        # K = 4 and 8 values: 4,096 points in 2-row slices, so the 1,000-row
+        # block is one chunk of 500 slices: more than a uint8 tally cell takes
+        # (255, or 255 // K_max for drop-the-loser's retained outcomes). The
+        # grid must equal its 512-point sub-grids with the first axis fixed,
+        # whose 16-row slices fit one chunk's tallies.
+        model = OutcomeModel.equicorrelated(4, 0.3)
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 262_144)
+        monkeypatch.setattr(dtl_module, "CHUNK_BYTES", 65_536)
+        axes = [(-0.2, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.5)] * 4
+        block = null_block(2, model, SimConfig(seed=76, nsims=1_000))
+        if kind.startswith("dtl"):
+            spec = DtLDesignSpec(4, 1, 2, 0.3, 0.95, 0.025, 0.2, 0.2, 0.4)
+            schedule = StageSchedule.equal(60, 2)
+
+            def evaluate(axes):  # dtl-keep retains every eligible outcome
+                rule = dtl_module._Rule(block, spec, model, 60, 2 if kind == "dtl-drop" else 4)
+                return rule.grid_oc(2.0, simulate_module.axis_shifts(axes, schedule, model))
+        else:
+            real = DesignRealisation(kind, gs_spec(4, 2, 2, composite=kind == "composite"), 60,
+                                     120, 2.1, wang_tsiatis_boundaries(2.1 * 2 ** 0.5, 2),
+                                     0.0, 0.0)
+
+            def evaluate(axes):
+                return real.evaluate_grid(block, model, axes)
+
+        flushes = []
+        flush = simulate_module.ShiftGrid._flush
+        monkeypatch.setattr(simulate_module.ShiftGrid, "_flush",
+                            lambda grid, *args: flushes.append(1) or flush(grid, *args))
+        grid = evaluate(axes)
+        assert len(flushes) > 1  # the one chunk's tallies were reduced before its end
+        assert grid == [oc for value in axes[0] for oc in evaluate([(value,)] + axes[1:])]
+        assert max(oc.p_reject for oc in grid) == 1.0  # cells that count every slice
+
     @pytest.mark.parametrize("values", [1, 2, 5])
     def test_one_pass_per_realisation_whatever_the_grid_size(self, monkeypatch, values):
         model = OutcomeModel.equicorrelated(2, 0.3)
@@ -347,9 +383,9 @@ class TestGridPass:
             assert passes == [real_a.n_stages, real_b.n_stages]
 
     def test_grid_pass_memory_does_not_grow_with_nsims(self):
-        # 343-point K = 3 grids at 20k and 200k rows: the pass holds one
-        # transposed chunk and one slice of (point, row) counts, so its peak
-        # grows at most by a chunk copy filling up to CHUNK_BYTES
+        # 343-point K = 3 grids at 20k and 200k rows: the pass reads each
+        # chunk's columns in place and holds one workspace of a slice's
+        # (point, row) cells, so its peak grows by less than a chunk
         model = OutcomeModel.equicorrelated(3, 0.3)
         axes = [(-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4)] * 3
         dtl = DtLRealisation(spec=DtLDesignSpec(3, 1, 1, 0.3, 0.95, 0.025, 0.2, 0.2, 0.4),

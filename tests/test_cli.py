@@ -1,10 +1,12 @@
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from conftest import null_block
 from multiseq import OutcomeModel, analysis, cli, dtl, gs, simulate
 from multiseq.cli import (
+    _fmt,
     _sim_config,
     _spec_for_kind,
     config_echo_lines,
@@ -90,6 +92,19 @@ COMMANDS = {
                             GS_CONFIG.replace("K = 2\nm = 1\nJ = 3", "K = 10\nm = 5\nJ = 5"),
                             [5]),
 }
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.1"), (1 / 3, "0.333333"), (2.0, "2"), (1e-7, "1e-07"), (123456789.0, "1.23457e+08"),
+    (-0.0, "-0"), (np.float64(0.1234567891), "0.123457"), (np.float32(0.1), "0.1"),
+    (np.float32(2.5), "2.5"), (float("nan"), "nan"), (np.float64("nan"), "nan"),
+    (float("inf"), "inf"), (-float("inf"), "-inf"), (3, "3"), (-7, "-7"), (np.int64(42), "42"),
+    (True, "true"), (False, "false"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+    ("abc", "abc"),
+])
+def test_fmt_writes_each_value_type_as_before(value, text):
+    # the strings of the float fast path and of the type chain it skips
+    assert _fmt(value) == text
 
 
 def write(tmp_path, text, name="run.cfg"):

@@ -149,11 +149,12 @@ def rule_on(values, k, m, composite=False):
 
 def pass_counts(rule, boundaries, shift=None):
     """(go count, stop-stage histogram) of one ``_Rule.oc`` pass at the
-    shift: the counts its kernel hands to ``_Rule._oc``."""
+    shift: the counts its kernel hands to ``_Rule._oc``, which takes every
+    point's at once; a one-point pass has point 0 only."""
     seen = []
     aggregate = rule._oc
-    rule._oc = lambda go, stops, schedule: seen.append((go, tuple(stops))) or \
-        aggregate(go, stops, schedule)
+    rule._oc = lambda go, stops, schedule: \
+        seen.append((int(go[0]), tuple(stops[:, 0].tolist()))) or aggregate(go, stops, schedule)
     try:
         rule.oc(boundaries, StageSchedule.equal(1, rule.spec.n_stages), shift)
     finally:
