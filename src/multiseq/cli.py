@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
 import os
 import sys
@@ -28,12 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, dtl, gs
+from . import dtl, gs
 from .errors import (
     CalibrationError,
     ConfigError,
     InfeasibleDesignError,
     InvalidCorrelationError,
+    TrialDesignError,
 )
 from .model import OutcomeModel, lfc_effects
 from .optimize import DEFAULT_NMAX
@@ -445,37 +447,43 @@ def _cmd_oc_grid(cfg: RunConfig) -> list:
     blocks = _null_blocks(cfg, model, specs)  # shared by both searches and the grid
     real_a, real_b = (_search(cfg, spec, model, blocks) for spec in specs)
     axes = (cfg.mu_values,) * cfg.K
-    grid = analysis.effect_grid(real_a, real_b, axes, model, blocks)
+    # each realisation evaluates the whole grid in one block pass
+    ocs = [real.evaluate_grid(blocks[real.n_stages], model, axes) for real in (real_a, real_b)]
     header = tuple(f"mu_{k + 1}" for k in range(cfg.K)) + ("p_reject_A", "p_reject_B") \
         + _COMPARED
     rows = [point + (oc_a.p_reject, oc_b.p_reject) + _compared(oc_a, oc_b)
-            for point, oc_a, oc_b in grid]
+            for point, oc_a, oc_b in zip(itertools.product(*axes), *ocs)]
     summary = (_summary_for_realisation(real_a, "A") +
                _summary_for_realisation(real_b, "B"))
     return emit_results(cfg, Path(cfg.out), summary, {"grid.csv": (header, rows)})
 
 
+def _searched_at_rho(cfg: RunConfig, specs, rho: float) -> list:
+    """Both searches at one shared correlation, on blocks drawn for it
+    alone; they are freed on return, before the next correlation's draw."""
+    model = OutcomeModel.equicorrelated(cfg.K, rho, cfg.sigma)
+    blocks = _null_blocks(cfg, model, specs)
+    return [_search(cfg, spec, model, blocks) for spec in specs]
+
+
 def _cmd_oc_sweep(cfg: RunConfig) -> list:
-    spec_a = _spec_for_kind(cfg, cfg.kind_a)
-    spec_b = _spec_for_kind(cfg, cfg.kind_b)
-    sweep = analysis.correlation_sweep(spec_a, spec_b, cfg.rho_values,
-                                       _sim_config(cfg), sigma=cfg.sigma,
-                                       threads=cfg.threads, nmin=cfg.nmin, nmax=_nmax(cfg),
-                                       lfc_mode=cfg.lfc_mode, strict=cfg.strict_alpha)
+    specs = [_spec_for_kind(cfg, kind) for kind in (cfg.kind_a, cfg.kind_b)]
     header = ("rho", "valid", "n_A", "n_B", "constant_A", "constant_B") + _COMPARED
-    rows = []
-    for rho, point in zip(sweep.rho_values, sweep.points):
-        if point is None:  # a failed search: every cell after valid is nan
+    rows, errors = [], []
+    for rho in cfg.rho_values:
+        try:
+            a, b = _searched_at_rho(cfg, specs, rho)
+        except TrialDesignError as exc:
+            # a failed search marks its point invalid, every cell after valid nan
+            errors.append((rho, str(exc)))
             rows.append((rho, False) + (math.nan,) * (len(header) - 2))
             continue
-        a, b = point
         # n as a float, the column type of a sweep with failed points (1e+06, not 1000000)
         rows.append((rho, True, float(a.n), float(b.n), a.constant, b.constant)
                     + _compared(a.oc_lfc, b.oc_lfc))
     summary = [f"kind_a = {cfg.kind_a}", f"kind_b = {cfg.kind_b}",
-               f"points = {len(rows)}", f"failed = {len(sweep.errors)}"]
-    summary += [f"error_{i} = rho {rho}: {msg}"
-                for i, (rho, msg) in enumerate(sweep.errors)]
+               f"points = {len(rows)}", f"failed = {len(errors)}"]
+    summary += [f"error_{i} = rho {rho}: {msg}" for i, (rho, msg) in enumerate(errors)]
     return emit_results(cfg, Path(cfg.out), summary, {"sweep.csv": (header, rows)})
 
 

@@ -13,7 +13,7 @@ type-I error rate. The per-stage sample size is then the smallest n
 whose mean-shifted block reaches the target power at the least
 favourable configuration. When m = 1 or m = K and every LFC effect is
 >= 0, one more pass gives each trial the smallest n at which it goes,
-and n is read off them; two probes confirm it.
+and n is read off them; probes at n - 1 and n confirm it.
 """
 
 from __future__ import annotations
@@ -543,17 +543,18 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBl
     power on the shared block is exactly non-decreasing in n. If also
     m = 1 or m = K (a composite design is m = 1 on the summed statistic),
     one threshold pass gives each row the smallest size at which it goes,
-    n is read off them, and probes at n (which must pass) and n - 1
-    (which must fail, unless n = nmin) confirm it: 5 block passes with
-    the null OC. When the pass finds no size up to ``nmax``, one probe
-    at nmax raises InfeasibleDesignError; when a probe disagrees (float
-    rounding at a row's threshold), the search falls back to
-    ``smallest_passing`` from nmax. Other designs gallop up from ``nmin``
-    with ``smallest_passing``, about log2(n) probes, and interpolate in the
-    bracket below the first pass; with a negative effect that search warns
-    if its probes show power falling. Both searches take the spec's alpha
-    as the power at n -> 0. Specs with ``composite=True`` search on the
-    summed statistic; ``strict`` keeps achieved alpha <= target.
+    and n is read off them. ``smallest_passing`` then opens with probes at
+    n - 1 (which must fail, unless n = nmin) and n (which must pass): 5
+    block passes with the null OC. When the pass finds no size up to
+    ``nmax``, the one probe at nmax raises InfeasibleDesignError; when a
+    probe disagrees (float rounding at a row's threshold), the search goes
+    on in the bracket that the probes leave. Other designs open with a
+    gallop up from ``nmin`` (nmin - 1 + 1, 2, 4, ...), about log2(n)
+    probes, and interpolate in the bracket below the first pass; with a
+    negative effect that search warns if its probes show power falling.
+    Both searches take the spec's alpha as the power at n -> 0. Specs
+    with ``composite=True`` search on the summed statistic; ``strict``
+    keeps achieved alpha <= target.
     """
     if model.n_outcomes != spec.n_outcomes:
         raise ValueError("model and spec disagree on the number of outcomes")
@@ -568,25 +569,18 @@ def search_gs_design(spec: GSDesignSpec, model: OutcomeModel, block: StatisticBl
     oc_lfc = {}  # per-stage size -> OC at the LFC, one entry per probe
 
     def power_at(n: int) -> float:
-        if n not in oc_lfc:
-            schedule = StageSchedule.equal(n, spec.n_stages)
-            oc_lfc[n] = rule.oc(boundaries, schedule,
-                                mean_shift_vector(effects, schedule, model))
+        schedule = StageSchedule.equal(n, spec.n_stages)
+        oc_lfc[n] = rule.oc(boundaries, schedule, mean_shift_vector(effects, schedule, model))
         return oc_lfc[n].p_reject
 
-    exact = rule.m in (1, rule.k) and effects.min() >= 0.0
-    n = np.inf
-    if exact:
+    if rule.m in (1, rule.k) and effects.min() >= 0.0:
         # the LFC shift at n is sqrt(n) times the shift at n = 1
         slope = mean_shift_vector(effects, StageSchedule.equal(1, spec.n_stages), model)
         n = _threshold_size(rule, boundaries, slope, target, nmin)
-    if not (n <= nmax and power_at(int(n)) >= target
-            and (n == nmin or power_at(int(n) - 1) < target)):
-        # after a threshold pass nmax goes first: when no size up to nmax
-        # passes, that one probe raises InfeasibleDesignError
-        n = smallest_passing(power_at, target, nmin, nmax, spec.alpha, block.nsims,
-                             gallop=not exact)
-    n = int(n)
+        opening = () if n > nmax else (int(n),) if n == nmin else (int(n) - 1, int(n))
+    else:
+        opening = tuple(nmin - 1 + 2 ** i for i in range((nmax - nmin).bit_length()))
+    n = smallest_passing(power_at, target, nmin, nmax, spec.alpha, block.nsims, opening)
     oc_null = rule.oc(boundaries, StageSchedule.equal(n, spec.n_stages))
     return DesignRealisation(
         kind=rule.kind,

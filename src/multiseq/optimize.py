@@ -4,12 +4,11 @@ One block pass gives the boundaries at which each simulated trial goes,
 a union of disjoint intervals [start, end). The rejection rate is then a
 step function of the boundary, and ``exceedance_boundary`` reads the
 calibrated boundary off the sorted starts and ends, with no bisection.
-``smallest_passing`` searches the per-stage sample size by probing: for
-drop-the-loser designs, and for the gs designs that ``gs.search_gs_design``
-cannot size with its one threshold pass. After a first passing probe, at
-nmax or at the top of a gallop, it interpolates the probit of power
-linearly in sqrt(n) across the bracket, which on smooth power curves
-needs about half the probes of bisection. ``row_count`` turns a rate into
+``smallest_passing`` searches the per-stage sample size by probing, for
+every design family: it probes the caller's opening sizes, then nmax, up
+to the first pass, and then interpolates the probit of power linearly in
+sqrt(n) across the bracket, which on smooth power curves needs about half
+the probes of bisection. ``row_count`` turns a rate into
 a row count under the float comparison that both searches use.
 """
 
@@ -139,24 +138,26 @@ def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
 
 
 def smallest_passing(power: Callable[[int], float], target: float, nmin: int,
-                     nmax: int, alpha: float, nsims: int, gallop: bool = False) -> int:
+                     nmax: int, alpha: float, nsims: int, opening=()) -> int:
     """Smallest n in [nmin, nmax] with power(n) >= target, for power
     non-decreasing in n; each n is probed once. Up to the first pass it
-    probes nmax, which suits a large n or a likely infeasible range, or
-    with ``gallop`` nmin - 1 + 1, 2, 4, ... (capped at nmax), which suits
-    a small n. Each later probe lies in the (failing, passing] bracket
-    where Phi^-1(power), linear in sqrt(n) across the bracket, reaches the
-    target (``_aim``): ``alpha``, the power as n -> 0, stands in for a
-    failing probe at n = 0, and ``nsims``, the rows a power is a rate
-    over, clips powers away from 0 and 1. Three probes that do not halve
-    the bracket make the next a bisection. Raises InfeasibleDesignError
-    when power at nmax falls short; warns when power falls between probes.
+    probes the sizes of ``opening``, increasing within [nmin, nmax], and
+    then nmax unless the opening ends there. No opening suits a large n or
+    a likely infeasible range, a gallop ladder a small n, and (n - 1, n) a
+    size n known but for float rounding. Each later probe lies in the
+    (failing, passing] bracket where Phi^-1(power), linear in sqrt(n)
+    across the bracket, reaches the target (``_aim``): ``alpha``, the power
+    as n -> 0, stands in for a failing probe at n = 0, and ``nsims``, the
+    rows a power is a rate over, clips powers away from 0 and 1. Three
+    probes that do not halve the bracket make the next a bisection. Raises
+    InfeasibleDesignError when power at nmax falls short; warns when power
+    falls between probes.
     """
-    if not 1 <= nmin < nmax:
-        raise ValueError("require 1 <= nmin < nmax")
+    ladder = list(opening) if opening and opening[-1] == nmax else [*opening, nmax]
+    if not 1 <= nmin < nmax or any(a >= b for a, b in zip([nmin - 1] + ladder, ladder)):
+        raise ValueError("require 1 <= nmin < nmax and an opening increasing within "
+                         "[nmin, nmax]")
     record = {0: alpha}  # a stand-in, dropped before the monotonicity check
-    ladder = ([min(nmin - 1 + 2 ** i, nmax) for i in range((nmax - nmin).bit_length() + 1)]
-              if gallop else [nmax])
     lo = nmin - 1  # a virtual failing size, never probed
     for hi in ladder:
         record[hi] = power(hi)

@@ -25,6 +25,12 @@ def null_block(n_stages, model, cfg, threads=1):
     return null_blocks([n_stages], model, cfg, threads=threads)[n_stages]
 
 
+def at_effects(real, block, model, mu):
+    """Operating characteristics of a realisation at one effect vector: its
+    grid of one point."""
+    return real.evaluate_grid(block, model, [(mu_k,) for mu_k in mu])[0]
+
+
 def random_correlation(rng, k):
     """Random positive-definite correlation matrix."""
     a = rng.normal(size=(k, k + 2))

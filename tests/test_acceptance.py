@@ -16,9 +16,14 @@ import numpy as np
 import pytest
 
 import _oracles
-from conftest import null_block, random_correlation
-from multiseq import GSDesignSpec, OutcomeModel, SimConfig, search_gs_design
-from multiseq.analysis import compare_at_effects, correlation_sweep
+from conftest import at_effects, null_block, random_correlation
+from multiseq import (
+    GSDesignSpec,
+    OutcomeModel,
+    SimConfig,
+    TrialDesignError,
+    search_gs_design,
+)
 from multiseq.dtl import (
     DtLDesignSpec,
     DtLRealisation,
@@ -75,6 +80,22 @@ def fixed_gs_realisation(spec, n, constant):
                              spec=spec, n=n, n_total=n * spec.n_stages,
                              constant=constant, boundaries=boundaries,
                              alpha_star=float("nan"), power_star=float("nan"))
+
+
+def sweep(spec_a, spec_b, rhos, cfg, **search) -> list:
+    """Both searched realisations at each shared correlation, as ``oc
+    sweep`` runs them: the correlation's null blocks drawn once for both
+    searches. A point is None where a search failed."""
+    points = []
+    for rho in rhos:
+        model = OutcomeModel.equicorrelated(spec_a.n_outcomes, rho)
+        blocks = null_blocks([spec_a.n_stages, spec_b.n_stages], model, cfg)
+        try:
+            points.append(tuple(spec.search(model, blocks[spec.n_stages], **search)
+                                for spec in (spec_a, spec_b)))
+        except TrialDesignError:
+            points.append(None)
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +190,9 @@ def test_criterion_3_effect_table_three_outcomes():
     real_mo = fixed_gs_realisation(gs_spec(3, 1, 3), 20, 2.394350)
     real_comp = fixed_gs_realisation(gs_spec(3, 1, 3, composite=True), 21, 4.387731)
     mus = [row[0] for row in TABLE_K3_EFFECTS]
-    pairs = compare_at_effects(real_mo, real_comp, model, mus, null_blocks([3], model, cfg))
+    block = null_blocks([3], model, cfg)[3]
+    pairs = [(at_effects(real_mo, block, model, mu), at_effects(real_comp, block, model, mu))
+             for mu in mus]
     failures = []
     for (mu, p_mo, p_comp, ess_ratio), (oc_mo, oc_comp) in zip(TABLE_K3_EFFECTS, pairs,
                                                                  strict=True):
@@ -245,7 +268,9 @@ def dtl_table_pairs():
                               power_star=float("nan"))
     ss_real = fixed_gs_realisation(gs_spec(3, 1, 1), 59, 2.380403)
     mus = [row[0] for row in TABLE_DTL_EFFECTS]
-    return compare_at_effects(dtl_real, ss_real, model, mus, null_blocks([1, 2], model, cfg))
+    blocks = null_blocks([1, 2], model, cfg)
+    return [(at_effects(dtl_real, blocks[2], model, mu), at_effects(ss_real, blocks[1], model, mu))
+            for mu in mus]
 
 
 def test_criterion_5_dtl_table_rejection_and_ess(dtl_table_pairs):
@@ -302,23 +327,21 @@ GS_TREND_CONFIGS = [(2, 1), (4, 2), (6, 1), (6, 3), (10, 5)]
 DTL_TREND_CONFIGS = [(2, 1, 1), (6, 1, 3), (6, 1, 5), (6, 3, 3), (6, 3, 5)]
 
 
-def sweep_column(sweep, value) -> np.ndarray:
+def sweep_column(points, value) -> np.ndarray:
     """value(real_a, real_b) at each correlation of a sweep, NaN where a search failed."""
-    return np.array([np.nan if point is None else value(*point) for point in sweep.points])
+    return np.array([np.nan if point is None else value(*point) for point in points])
 
 
-def lfc_ratios(sweep, name: str) -> np.ndarray:
+def lfc_ratios(points, name: str) -> np.ndarray:
     """A/B ratio of an OC field ("ess" or "enm") under the LFC per correlation."""
-    return sweep_column(sweep, lambda a, b: getattr(a.oc_lfc, name) / getattr(b.oc_lfc, name))
+    return sweep_column(points, lambda a, b: getattr(a.oc_lfc, name) / getattr(b.oc_lfc, name))
 
 
 @pytest.fixture(scope="module")
 def gs_trend_curves():
     rhos = (0.0, 0.5, 0.6, 0.7, 0.8)
     cfg = SimConfig(seed=SEED + 6, nsims=TREND_NSIMS)
-    curves = {(k, m): correlation_sweep(gs_spec(k, m, 3),
-                                        gs_spec(k, m, 3, composite=True),
-                                        rhos, cfg)
+    curves = {(k, m): sweep(gs_spec(k, m, 3), gs_spec(k, m, 3, composite=True), rhos, cfg)
               for k, m in GS_TREND_CONFIGS}
     return rhos, curves
 
@@ -326,9 +349,9 @@ def gs_trend_curves():
 def test_criterion_6_gs_composite_ess_ratio_decreases(gs_trend_curves):
     rhos, curves = gs_trend_curves
     failures = []
-    for (k, m), sweep in curves.items():
-        check(failures, None not in sweep.points, f"K={k},m={m}: sweep point failed")
-        ratios = lfc_ratios(sweep, "ess")
+    for (k, m), points in curves.items():
+        check(failures, None not in points, f"K={k},m={m}: sweep point failed")
+        ratios = lfc_ratios(points, "ess")
         check(failures, ratios[-1] < ratios[0],
               f"K={k},m={m}: ESS ratio {ratios[0]:.3f}->{ratios[-1]:.3f} not decreasing")
     report("criterion 6 (sequential-vs-composite trend)", failures,
@@ -362,10 +385,10 @@ def test_criterion_6_gs_composite_superiority_at_high_correlation(gs_trend_curve
     high = np.asarray(rhos) >= 0.5
     higher = np.asarray(rhos) >= 0.7
     failures = []
-    for (k, m), sweep in curves.items():
-        n_a = sweep_column(sweep, lambda a, b: a.n)
-        n_b = sweep_column(sweep, lambda a, b: b.n)
-        ess_ratio = lfc_ratios(sweep, "ess")
+    for (k, m), points in curves.items():
+        n_a = sweep_column(points, lambda a, b: a.n)
+        n_b = sweep_column(points, lambda a, b: b.n)
+        ess_ratio = lfc_ratios(points, "ess")
         check(failures, bool((n_a[high] <= n_b[high]).all()),
               f"K={k},m={m}: sequential n {n_a[high]} above composite n "
               f"{n_b[high]} at rho>=0.5")
@@ -382,10 +405,9 @@ def test_criterion_6_dtl_versus_single_stage_trends():
     cfg = SimConfig(seed=SEED + 7, nsims=TREND_NSIMS)
     failures = []
     for k, m, k_max in DTL_TREND_CONFIGS:
-        sweep = correlation_sweep(dtl_spec(k, m, k_max), gs_spec(k, m, 1), rhos,
-                                  cfg, nmin=2, nmax=300)
-        ess_ratio, enm_ratio = lfc_ratios(sweep, "ess"), lfc_ratios(sweep, "enm")
-        check(failures, None not in sweep.points, f"K={k},m={m}: sweep point failed")
+        points = sweep(dtl_spec(k, m, k_max), gs_spec(k, m, 1), rhos, cfg, nmin=2, nmax=300)
+        ess_ratio, enm_ratio = lfc_ratios(points, "ess"), lfc_ratios(points, "enm")
+        check(failures, None not in points, f"K={k},m={m}: sweep point failed")
         check(failures, ess_ratio[-1] < ess_ratio[0],
               f"K={k},m={m},K_max={k_max}: ESS ratio "
               f"{ess_ratio[0]:.3f}->{ess_ratio[-1]:.3f} not decreasing")

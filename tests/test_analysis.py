@@ -1,6 +1,10 @@
+"""Design comparisons: effect grids through each realisation's
+``evaluate_grid`` (one block pass per realisation, whatever the grid
+size), effect tables of one-point grids, and correlation sweeps through
+``oc sweep``."""
+
 import itertools
 import tracemalloc
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -8,17 +12,12 @@ import numpy as np
 import pytest
 
 from _oracles import DtLBlockRule, decide_rows, oc_from_limits, sorted_go_limits
-from conftest import null_block
+from conftest import at_effects, null_block
 import multiseq.dtl as dtl_module
 import multiseq.gs as gs_module
 import multiseq.simulate as simulate_module
 from multiseq import GSDesignSpec, OutcomeModel, SimConfig, search_gs_design
-from multiseq.analysis import (
-    compare_at_effects,
-    correlation_sweep,
-    effect_grid,
-    evaluate_at_effects,
-)
+from multiseq.cli import main
 from multiseq.dtl import DtLDesignSpec, DtLRealisation
 from multiseq.gs import DesignRealisation, GSOperatingCharacteristics, composite_transform
 from multiseq.model import Boundaries, StageSchedule, wang_tsiatis_boundaries
@@ -48,7 +47,7 @@ class TestSearchDesignDispatch:
         block = null_block(2, model, SimConfig(seed=50, nsims=500))
         starts = []
 
-        def first_probe(power, target, nmin, nmax, alpha, nsims, gallop=False):
+        def first_probe(power, target, nmin, nmax, alpha, nsims, opening=()):
             power(nmin)
             return nmin
 
@@ -62,7 +61,6 @@ class TestSearchDesignDispatch:
             return float(nmin)
 
         monkeypatch.setattr(gs_module, "_threshold_size", gs_start)
-        # a gs probe at nmin that falls short falls back to smallest_passing
         monkeypatch.setattr(gs_module, "smallest_passing", first_probe)
         monkeypatch.setattr(dtl_module, "smallest_passing", dtl_start)
         for spec in (gs_spec(), gs_spec(composite=True), dtl_spec()):
@@ -77,9 +75,10 @@ class TestEffectGrid:
         blocks = null_blocks([2], model, SimConfig(seed=57, nsims=10_000))
         real_a = search_gs_design(gs_spec(), model, blocks[2])
         real_b = search_gs_design(gs_spec(), model, blocks[2])
-        grid = effect_grid(real_a, real_b, [(-0.1, 0.2), (-0.1, 0.2)], model, blocks)
-        assert len(grid) == 4
-        for _, oc_a, oc_b in grid:
+        grids = [real.evaluate_grid(blocks[2], model, [(-0.1, 0.2), (-0.1, 0.2)])
+                 for real in (real_a, real_b)]
+        assert len(grids[0]) == 4
+        for oc_a, oc_b in zip(*grids, strict=True):
             assert oc_a.ess / oc_b.ess == 1.0 and oc_a.enm / oc_b.enm == 1.0
             assert oc_a.p_reject == oc_b.p_reject
 
@@ -89,15 +88,13 @@ class TestEffectGrid:
         real_a = search_gs_design(gs_spec(), model, blocks[2])
         real_b = gs_spec(composite=True).search(model, blocks[2])
         axes = [(-0.2, 0.0, 0.4), (0.0, 0.2)]
-        first = effect_grid(real_a, real_b, axes, model, blocks)
-        second = effect_grid(real_a, real_b, axes, model, blocks)
-        assert [point for point, _, _ in first] == [
-            (-0.2, 0.0), (-0.2, 0.2), (0.0, 0.0), (0.0, 0.2), (0.4, 0.0), (0.4, 0.2)]
-        assert [oc_a.p_reject for _, oc_a, _ in first] == \
-            [oc_a.p_reject for _, oc_a, _ in second]
-        assert [oc_b.enm for _, _, oc_b in first] == [oc_b.enm for _, _, oc_b in second]
+        first = [real.evaluate_grid(blocks[2], model, axes) for real in (real_a, real_b)]
+        assert first == [real.evaluate_grid(blocks[2], model, axes) for real in (real_a, real_b)]
+        # row-major order: the last axis varies fastest
+        points = [(-0.2, 0.0), (-0.2, 0.2), (0.0, 0.0), (0.0, 0.2), (0.4, 0.0), (0.4, 0.2)]
+        assert first[1] == [at_effects(real_b, blocks[2], model, mu) for mu in points]
         # composite trials still measure both outcomes at every stage
-        for _, oc_a, oc_b in first:
+        for oc_a, oc_b in zip(*first, strict=True):
             assert oc_b.enm == pytest.approx(2 * oc_b.ess, rel=1e-7)
             assert oc_a.enm == pytest.approx(2 * oc_a.ess, rel=1e-7)
 
@@ -106,9 +103,10 @@ class TestEffectGrid:
         blocks = null_blocks([2], model, SimConfig(seed=59, nsims=10_000))
         real_a = search_gs_design(gs_spec(), model, blocks[2])
         real_b = gs_spec(composite=True).search(model, blocks[2])
-        (point, _, oc_b), = effect_grid(real_a, real_b, [(0.1,), (0.3,)], model, blocks)
-        assert point == (0.1, 0.3)
-        assert oc_b == evaluate_at_effects(real_b, blocks[2], model, [0.1, 0.3])
+        # a one-point grid's record is that point's record in a larger grid
+        for real in (real_a, real_b):
+            oc, = real.evaluate_grid(blocks[2], model, [(0.1,), (0.3,)])
+            assert oc == real.evaluate_grid(blocks[2], model, [(0.0, 0.1), (0.3, 0.5)])[2]
 
     def test_threads_reach_every_evaluation_pass(self, monkeypatch):
         model = OutcomeModel.equicorrelated(2, 0.3)
@@ -117,7 +115,7 @@ class TestEffectGrid:
         real_dtl = dtl_spec().search(model, null_block(2, model, SimConfig(seed=63, nsims=5_000)),
                                      nmax=200)
         axes = [(-0.1, 0.2, 0.4), (0.0, 0.3)]
-        expected = effect_grid(real_gs, real_dtl, axes, model, blocks)
+        expected = [real.evaluate_grid(blocks[2], model, axes) for real in (real_gs, real_dtl)]
         blocks = null_blocks([2], model, SimConfig(seed=63, nsims=600), threads=2)
         pools = []
 
@@ -130,24 +128,24 @@ class TestEffectGrid:
         # 600 rows in 100-row chunks: every pass spans 6 chunks
         for module in (gs_module, dtl_module):
             monkeypatch.setattr(module, "CHUNK_BYTES", 100 * 4 * 8)
-        grid = effect_grid(real_gs, real_dtl, axes, model, blocks)
+        grids = [real.evaluate_grid(blocks[2], model, axes) for real in (real_gs, real_dtl)]
         # one pool per grid pass: one pass per design, whatever the grid size
         assert pools == [2] * 2
-        assert grid == expected
+        assert grids == expected
 
     def test_axes_must_match_outcomes(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         blocks = null_blocks([2], model, SimConfig(seed=60, nsims=5_000))
         real = search_gs_design(gs_spec(), model, blocks[2])
         with pytest.raises(ValueError):
-            effect_grid(real, real, [(0.0,)], model, blocks)
+            real.evaluate_grid(blocks[2], model, [(0.0,)])
 
     def test_rejection_monotone_along_increasing_effects(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         block = null_block(2, model, SimConfig(seed=61, nsims=20_000))
         real = search_gs_design(gs_spec(), model, block)
         path = [(-0.2, -0.1), (0.0, 0.0), (0.1, 0.05), (0.3, 0.2), (0.4, 0.4)]
-        probs = [evaluate_at_effects(real, block, model, mu).p_reject for mu in path]
+        probs = [at_effects(real, block, model, mu).p_reject for mu in path]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
 
 
@@ -246,10 +244,10 @@ def oracle_oc(real, block, model, point):
 
 
 class TestGridPass:
-    """``effect_grid`` (one pass per realisation) against per-point
-    ``evaluate_at_effects``, which runs the same kernel on a grid of one
-    point, and against the row-wise oracles of ``oracle_oc``: the records
-    must be equal, not approximately."""
+    """``evaluate_grid`` (one pass per realisation) against per-point
+    ``at_effects``, which runs the same kernel on a grid of one point, and
+    against the row-wise oracles of ``oracle_oc``: the records must be
+    equal, not approximately."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("kind", GRID_KINDS)
@@ -276,12 +274,12 @@ class TestGridPass:
             widths = [8 * (real.n_stages if real.kind == "composite" else real.n_stages * k)
                       for real in reals if (real.kind == "dtl") == (module is dtl_module)]
             monkeypatch.setattr(module, "CHUNK_BYTES", rows * min(widths, default=8))
-        grid = effect_grid(*reals, axes, model, blocks)
-        assert [point for point, _, _ in grid] == list(itertools.product(*axes))
-        for point, *ocs in grid:
-            for real, oc in zip(reals, ocs):
-                assert oc == evaluate_at_effects(real, blocks[real.n_stages], model, point)
-                assert oc == oracle_oc(real, blocks[real.n_stages], model, point)
+        points = list(itertools.product(*axes))
+        for real in reals:
+            block = blocks[real.n_stages]
+            for point, oc in zip(points, real.evaluate_grid(block, model, axes), strict=True):
+                assert oc == at_effects(real, block, model, point)
+                assert oc == oracle_oc(real, block, model, point)
 
     @pytest.mark.parametrize("kind", GRID_KINDS)
     def test_statistics_on_the_boundary(self, kind):
@@ -298,7 +296,7 @@ class TestGridPass:
             block = blocks[real.n_stages]
             points = list(itertools.product(*axes))
             grid = real.evaluate_grid(block, model, axes)
-            assert grid == [evaluate_at_effects(real, block, model, p) for p in points]
+            assert grid == [at_effects(real, block, model, p) for p in points]
             assert grid == [oracle_oc(real, block, model, p) for p in points]
 
     @pytest.mark.parametrize("threads", [1, 3])
@@ -315,14 +313,14 @@ class TestGridPass:
         for real in (dtl, gs):
             block = blocks[real.n_stages]
             assert real.evaluate_grid(block, model, axes) == \
-                [evaluate_at_effects(real, block, model, point) for point in points]
+                [at_effects(real, block, model, point) for point in points]
 
     def test_an_empty_axis_gives_an_empty_grid(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         blocks = null_blocks([2], model, SimConfig(seed=71, nsims=500))
         real = DesignRealisation("gs", gs_spec(), 10, 20, 2.0,
                                  wang_tsiatis_boundaries(2.0 * 2 ** 0.5, 2), 0.0, 0.0)
-        assert effect_grid(real, real, [(0.1, 0.2), ()], model, blocks) == []
+        assert real.evaluate_grid(blocks[2], model, [(0.1, 0.2), ()]) == []
 
     @pytest.mark.parametrize("kind", ["gs", "composite", "dtl-drop", "dtl-keep"])
     def test_a_chunk_of_more_slices_than_a_tally_holds(self, monkeypatch, kind):
@@ -377,10 +375,10 @@ class TestGridPass:
 
         monkeypatch.setattr(StatisticBlock, "each_chunk", counted)
         axes = [np.linspace(-0.2, 0.4, values)] * 2
-        for real_a, real_b in itertools.combinations(reals, 2):
+        for real in reals:
             del passes[:]
-            assert len(effect_grid(real_a, real_b, axes, model, blocks)) == values ** 2
-            assert passes == [real_a.n_stages, real_b.n_stages]
+            assert len(real.evaluate_grid(blocks[real.n_stages], model, axes)) == values ** 2
+            assert passes == [real.n_stages]
 
     def test_grid_pass_memory_does_not_grow_with_nsims(self):
         # 343-point K = 3 grids at 20k and 200k rows: the pass reads each
@@ -409,66 +407,54 @@ class TestGridPass:
             assert max(peaks[kind, 20_000], peaks[kind, 200_000]) < 4 * module.CHUNK_BYTES
 
 
+def oc_sweep(tmp_path, text):
+    """Run ``oc sweep`` on a K = 2 configuration: delta0 = 0.2, delta1 =
+    0.4, and k_max = 1 for a drop-the-loser kind, plus ``text``. Returns
+    the rows of sweep.csv as {column: cell} and the lines of summary.txt."""
+    config = tmp_path / "sweep.cfg"
+    config.write_text("K = 2\nm = 1\nk_max = 1\ndelta0 = 0.2\ndelta1 = 0.4\n" + text)
+    out = tmp_path / "sweep"
+    assert main(["oc", "sweep", "--config", str(config), "--out", str(out)]) == 0
+    header, *rows = (line.split(",") for line in (out / "sweep.csv").read_text().splitlines())
+    summary = (out / "summary.txt").read_text().splitlines()
+    return [dict(zip(header, row, strict=True)) for row in rows], summary
+
+
 class TestCorrelationSweep:
-    def test_self_comparison_is_flat_at_one(self):
-        cfg = SimConfig(seed=62, nsims=5_000)
-        sweep = correlation_sweep(gs_spec(), gs_spec(), (0.0, 0.4), cfg)
-        assert sweep.rho_values == (0.0, 0.4) and sweep.errors == []
-        for real_a, real_b in sweep.points:
-            assert real_a.oc_lfc.ess / real_b.oc_lfc.ess == 1.0
-            assert real_a.oc_lfc.enm / real_b.oc_lfc.enm == 1.0
+    def test_self_comparison_is_flat_at_one(self, tmp_path):
+        rows, summary = oc_sweep(tmp_path, "kind_a = gs\nkind_b = gs\nJ = 2\nseed = 62\n"
+                                           "nsims = 5000\nrho_values = 0.0, 0.4\n")
+        assert [row["rho"] for row in rows] == ["0", "0.4"] and "failed = 0" in summary
+        for row in rows:
+            assert row["ess_ratio"] == row["enm_ratio"] == "1"
 
-    def test_failed_points_are_marked_not_fatal(self):
-        cfg = SimConfig(seed=63, nsims=2_000)
-        sweep = correlation_sweep(dtl_spec(), gs_spec(j=1), (0.0, 0.3), cfg,
-                                  nmin=2, nmax=4)
-        assert sweep.points == [None, None]
-        assert [rho for rho, _ in sweep.errors] == [0.0, 0.3]
+    def test_failed_points_are_marked_not_fatal(self, tmp_path):
+        rows, summary = oc_sweep(tmp_path, "kind_a = dtl\nkind_b = single-stage\nseed = 63\n"
+                                           "nsims = 2000\nnmin = 2\nnmax = 4\n"
+                                           "rho_values = 0.0, 0.3\n")
+        assert [(row["rho"], row["valid"]) for row in rows] == [("0", "false"), ("0.3", "false")]
+        assert "failed = 2" in summary
+        assert [line.split(":")[0] for line in summary[-2:]] == ["error_0 = rho 0.0",
+                                                                 "error_1 = rho 0.3"]
 
-    def test_records_design_constants(self):
-        cfg = SimConfig(seed=64, nsims=5_000)
-        sweep = correlation_sweep(gs_spec(), gs_spec(composite=True), (0.3,), cfg)
-        (real_a, real_b), = sweep.points
-        assert (real_a.kind, real_b.kind) == ("gs", "composite")
-        assert real_a.n >= 1 and real_b.n >= 1
-        assert real_a.constant > 0 and real_b.constant > 0
-
-    def test_draws_each_block_once_and_drops_it_before_the_next_rho(self, monkeypatch):
-        drawn = []  # (model, stage count, weak reference to the block)
-        simulate = simulate_module.simulate_null_block
-
-        def tracked(schedule, model, cfg, threads=1):
-            assert all(ref() is None for other, _, ref in drawn if other is not model)
-            block = simulate(schedule, model, cfg, threads=threads)
-            drawn.append((model, schedule.n_stages, weakref.ref(block)))
-            return block
-
-        monkeypatch.setattr(simulate_module, "simulate_null_block", tracked)
-        cfg = SimConfig(seed=65, nsims=2_000)
-        sweep = correlation_sweep(dtl_spec(), gs_spec(j=1), (0.0, 0.3, 0.6), cfg, nmax=200)
-        assert None not in sweep.points
-        assert [(model.rho[0, 1], j) for model, j, _ in drawn] == \
-            [(0.0, 1), (0.0, 2), (0.3, 1), (0.3, 2), (0.6, 1), (0.6, 2)]
-        monkeypatch.undo()
-        # each point equals both searches on the blocks that null_blocks draws
-        for i, rho in enumerate((0.0, 0.3, 0.6)):
-            model = OutcomeModel.equicorrelated(2, rho)
-            blocks = null_blocks([1, 2], model, cfg)
-            real_a = dtl_spec().search(model, blocks[2], nmax=200)
-            real_b = gs_spec(j=1).search(model, blocks[1], nmax=200)
-            got_a, got_b = sweep.points[i]
-            assert (got_a.n, got_b.n) == (real_a.n, real_b.n)
-            assert (got_a.oc_lfc, got_b.oc_lfc) == (real_a.oc_lfc, real_b.oc_lfc)
+    def test_records_design_constants(self, tmp_path):
+        (row,), summary = oc_sweep(tmp_path, "kind_a = gs\nkind_b = composite\nJ = 2\n"
+                                             "seed = 64\nnsims = 5000\nrho_values = 0.3\n")
+        assert {"kind_a = gs", "kind_b = composite"} <= set(summary)
+        assert float(row["n_A"]) >= 1 and float(row["n_B"]) >= 1
+        assert float(row["constant_A"]) > 0 and float(row["constant_B"]) > 0
 
 
 class TestCompareAtEffects:
+    """Two realisations at arbitrary effect vectors, each a one-point grid."""
+
     def test_table_rows_share_blocks_across_points(self):
         model = OutcomeModel.equicorrelated(2, 0.3)
         blocks = null_blocks([2], model, SimConfig(seed=65, nsims=10_000))
         real_a = search_gs_design(gs_spec(), model, blocks[2])
         real_b = gs_spec(composite=True).search(model, blocks[2])
-        pairs = compare_at_effects(real_a, real_b, model,
-                                   [(0.0, 0.0), (0.4, 0.2)], blocks)
+        pairs = [tuple(at_effects(real, blocks[2], model, mu) for real in (real_a, real_b))
+                 for mu in [(0.0, 0.0), (0.4, 0.2)]]
         assert len(pairs) == 2
         assert pairs[1][0].p_reject > pairs[0][0].p_reject
 
@@ -491,10 +477,10 @@ class TestCompareAtEffects:
         real_a = search_gs_design(gs_spec(), model, blocks[2])  # two stages
         real_b = spec_b.search(model, blocks[spec_b.n_stages], nmax=200)
         mus = [(0.0, 0.0), (0.4, 0.2)]
-        expected = [tuple(evaluate_at_effects(real, null_block(real.n_stages, model, cfg),
-                                              model, mu) for real in (real_a, real_b))
-                    for mu in mus]
+        expected = [tuple(at_effects(real, null_block(real.n_stages, model, cfg), model, mu)
+                          for real in (real_a, real_b)) for mu in mus]
         del calls[:]
-        pairs = compare_at_effects(real_a, real_b, model, mus, blocks)
+        pairs = [tuple(at_effects(real, blocks[real.n_stages], model, mu)
+                       for real in (real_a, real_b)) for mu in mus]
         assert calls == []  # the grid evaluates the caller's blocks only
         assert pairs == expected

@@ -1,10 +1,11 @@
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import null_block
-from multiseq import OutcomeModel, analysis, cli, dtl, gs, simulate
+from multiseq import OutcomeModel, cli, dtl, gs, simulate
 from multiseq.cli import (
     _fmt,
     _sim_config,
@@ -63,7 +64,7 @@ rho_values = 0.0, 0.5
 COMMANDS = {
     "design-gs": (["design", "gs"], GS_CONFIG, [3]),
     "design-dtl": (["design", "dtl"], DTL_CONFIG, [2]),
-    # 1 < m < K: a gallop search, every probe of it a count pass
+    # 1 < m < K: a search that opens with a gallop, every probe of it a count pass
     "design-gs-k3-m2": (["design", "gs"], GS_CONFIG.replace("K = 2\nm = 1", "K = 3\nm = 2"),
                         [3]),
     # K_max < K with six outcome pairs to rank
@@ -94,6 +95,24 @@ COMMANDS = {
 }
 
 
+# block passes each shape makes, at any thread count: a gs or composite
+# threshold search makes 5 (calibration, threshold pass, probes at n - 1 and
+# n, null OC), a gallop search 2 more than its probes, a drop-the-loser
+# search two per probe and one more, and an effect grid one per design
+PASSES = {
+    "design-gs": 5,
+    "design-dtl": 9,
+    "design-gs-k3-m2": 9,
+    "design-dtl-k4-m2": 11,
+    "grid-gs-composite": 12,
+    "grid-dtl-single-stage": 16,
+    "sweep-three-rho": 30,
+    "sensitivity-2x2": 38,
+    "design-composite-k10": 5,
+    "design-gs-k10-m5-j5": 8,
+}
+
+
 @pytest.mark.parametrize("value, text", [
     (0.1, "0.1"), (1 / 3, "0.333333"), (2.0, "2"), (1e-7, "1e-07"), (123456789.0, "1.23457e+08"),
     (-0.0, "-0"), (np.float64(0.1234567891), "0.123457"), (np.float32(0.1), "0.1"),
@@ -115,7 +134,7 @@ def write(tmp_path, text, name="run.cfg"):
 
 def patch_simulation(monkeypatch, replacement):
     """Replace simulate_null_block in every module that looks it up."""
-    for module in (analysis, cli, dtl, gs, simulate):
+    for module in (cli, dtl, gs, simulate):
         if hasattr(module, "simulate_null_block"):
             monkeypatch.setattr(module, "simulate_null_block", replacement)
 
@@ -489,6 +508,55 @@ mu_values = 0.0, 0.4
         assert run_cli(command + ["--config", str(write(tmp_path, text)),
                                   "--out", str(tmp_path / "out")]) == 0
         assert drawn == stage_counts
+
+    def test_oc_sweep_draws_each_block_once_and_drops_it_before_the_next_rho(
+            self, tmp_path, monkeypatch):
+        drawn = []  # (model, stage count, weak reference to the block)
+        simulate_null_block = simulate.simulate_null_block
+
+        def tracked(schedule, model, cfg, threads=1):
+            assert all(ref() is None for other, _, ref in drawn if other is not model)
+            block = simulate_null_block(schedule, model, cfg, threads=threads)
+            drawn.append((model, schedule.n_stages, weakref.ref(block)))
+            return block
+
+        patch_simulation(monkeypatch, tracked)
+        text = DTL_CONFIG.replace("kind = dtl", "kind_a = dtl\nkind_b = single-stage") \
+            .replace("seed = 7\nnsims = 4000\nnmin = 2\nnmax = 120\n",
+                     "seed = 65\nnsims = 2000\nnmax = 200\nrho_values = 0.0, 0.3, 0.6\n")
+        out = tmp_path / "sweep"
+        assert run_cli(["oc", "sweep", "--config", str(write(tmp_path, text)),
+                        "--out", str(out)]) == 0
+        assert [(model.rho[0, 1], j) for model, j, _ in drawn] == \
+            [(0.0, 1), (0.0, 2), (0.3, 1), (0.3, 2), (0.6, 1), (0.6, 2)]
+        monkeypatch.undo()
+        # each row equals both searches on the blocks that null_blocks draws
+        cfg = parse_config("oc sweep", load_key_values(tmp_path / "run.cfg"))
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        for line, rho in zip(rows, (0.0, 0.3, 0.6), strict=True):
+            model = OutcomeModel.equicorrelated(2, rho)
+            blocks = simulate.null_blocks([1, 2], model, _sim_config(cfg))
+            a, b = (_spec_for_kind(cfg, kind).search(model, blocks[j], nmax=200)
+                    for kind, j in (("dtl", 2), ("single-stage", 1)))
+            cells = (rho, True, float(a.n), float(b.n), a.constant, b.constant) \
+                + cli._compared(a.oc_lfc, b.oc_lfc)
+            assert line == ",".join(_fmt(cell) for cell in cells)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_block_passes_are_pinned(self, tmp_path, monkeypatch, name, threads):
+        command, text, _ = COMMANDS[name]
+        passes = []
+        each_chunk = simulate.StatisticBlock.each_chunk
+
+        def counted(block, fn, chunk_bytes):
+            passes.append(block.n_stages)
+            return each_chunk(block, fn, chunk_bytes)
+
+        monkeypatch.setattr(simulate.StatisticBlock, "each_chunk", counted)
+        assert run_cli(command + ["--config", str(write(tmp_path, text)), "--threads",
+                                  str(threads), "--out", str(tmp_path / "out")]) == 0
+        assert len(passes) == PASSES[name]
 
     @pytest.mark.parametrize("name", list(COMMANDS))
     def test_outputs_do_not_depend_on_threads(self, tmp_path, monkeypatch, name):

@@ -49,18 +49,18 @@ def count_probes(monkeypatch):
 
 
 def count_search_paths(monkeypatch):
-    """How gs searches find n: "threshold" counts threshold passes,
-    "gallop" and "nmax_first" the ``smallest_passing`` calls of each kind."""
-    paths = {"threshold": 0, "gallop": 0, "nmax_first": 0}
+    """How gs searches find n: "threshold" counts threshold passes, and
+    "openings" holds the opening of each ``smallest_passing`` call."""
+    paths = {"threshold": 0, "openings": []}
     threshold_size, smallest_passing = gs_module._threshold_size, gs_module.smallest_passing
 
     def threshold(*args):
         paths["threshold"] += 1
         return threshold_size(*args)
 
-    def passing(power, target, nmin, nmax, alpha, nsims, gallop=False):
-        paths["gallop" if gallop else "nmax_first"] += 1
-        return smallest_passing(power, target, nmin, nmax, alpha, nsims, gallop=gallop)
+    def passing(power, target, nmin, nmax, alpha, nsims, opening=()):
+        paths["openings"].append(tuple(opening))
+        return smallest_passing(power, target, nmin, nmax, alpha, nsims, opening)
 
     monkeypatch.setattr(gs_module, "_threshold_size", threshold)
     monkeypatch.setattr(gs_module, "smallest_passing", passing)
@@ -885,14 +885,14 @@ class TestSearch:
     def test_answer_two_takes_two_probes(self, monkeypatch):
         # n = ((z_{0.975} + z_{0.8}) / 2.2)^2 = 1.6 rounds up to 2. The
         # first shift built is the threshold pass's slope (the shift at
-        # n = 1); the probes then confirm n = 2 passes and n - 1 = 1 fails.
+        # n = 1); the probes then confirm n - 1 = 1 fails and n = 2 passes.
         probes = count_probes(monkeypatch)
         spec = GSDesignSpec(n_outcomes=1, n_promising=1, n_stages=1, alpha=0.025,
                             beta=0.2, delta0=2.2, delta1=2.2)
         model = OutcomeModel.equicorrelated(1, 0.0)
         real = search_gs_design(spec, model, null_block(1, model, SimConfig(seed=34, nsims=20_000)))
         assert real.n == 2
-        assert probes == [1, 2, 1]
+        assert probes == [1, 1, 2]
 
     def test_returned_lfc_oc_is_the_probe_result(self, monkeypatch, two_outcome_model,
                                                  two_outcome_spec):
@@ -908,7 +908,7 @@ class TestSearch:
     def test_matches_linear_scan_on_random_designs(self, monkeypatch):
         paths = count_search_paths(monkeypatch)
         outcomes = {"found": 0, "at_nmin": 0, "infeasible": 0}
-        expected_paths = {"threshold": 0, "gallop": 0, "nmax_first": 0}
+        expected_paths = {"threshold": 0, "openings": []}
 
         def check(case, spec, model, nmin, nmax):
             j = spec.n_stages
@@ -920,11 +920,17 @@ class TestSearch:
             expected = linear_scan_n(block, boundaries, spec, model, effects, nmin, nmax)
             threshold = (spec.composite or spec.n_promising in (1, spec.n_outcomes)) \
                 and min(effects) >= 0
-            expected_paths["threshold" if threshold else "gallop"] += 1
+            expected_paths["threshold"] += threshold
+            # the sizes probed before nmax: n - 1 and n after a threshold pass
+            # (n alone at nmin, none when no size up to nmax passes, so that
+            # one probe confirms infeasibility), else the gallop 1, 2, 4, ...
+            # above nmin - 1
+            n = None if expected is None else expected[0]
+            expected_paths["openings"].append(
+                (() if n is None else (n,) if n == nmin else (n - 1, n)) if threshold
+                else tuple(nmin - 1 + 2 ** i for i in range((nmax - nmin).bit_length())))
             if expected is None:
                 outcomes["infeasible"] += 1
-                # a threshold search confirms infeasibility with one probe at nmax
-                expected_paths["nmax_first"] += threshold
                 with pytest.raises(InfeasibleDesignError):
                     search_gs_design(spec, model, block, nmin=nmin, nmax=nmax)
                 return
@@ -970,8 +976,11 @@ class TestSearch:
               OutcomeModel.equicorrelated(2, 0.3), 1, 200)
         assert min(outcomes.values()) >= 3, outcomes
         assert paths == expected_paths
-        assert expected_paths["threshold"] >= 36 and expected_paths["gallop"] >= 4, paths
-        assert expected_paths["nmax_first"] >= 3, paths
+        # one smallest_passing call per search: at least 4 gallops, and at
+        # least 3 infeasible threshold searches
+        threshold, openings = expected_paths["threshold"], expected_paths["openings"]
+        assert threshold >= 36 and len(openings) == 61 and len(openings) - threshold >= 4, paths
+        assert openings.count(()) >= 3, paths
 
     def test_threshold_search_makes_five_block_passes(self, monkeypatch, two_outcome_model):
         # calibration, threshold pass, probes at n and n - 1, null OC

@@ -295,31 +295,38 @@ def step_power(answer, probes):
     return power
 
 
-def passing(power, nmin, nmax, gallop=False, alpha=0.1, nsims=NSIMS):
+def gallop(nmin, nmax):
+    """The opening of a gs search without a threshold pass: nmin - 1 + 1,
+    2, 4, ... below nmax."""
+    return tuple(nmin - 1 + 2 ** i for i in range((nmax - nmin).bit_length()))
+
+
+def passing(power, nmin, nmax, opening=(), alpha=0.1, nsims=NSIMS):
     """``smallest_passing`` at target 0.8; alpha suits ``step_power``."""
-    return smallest_passing(power, 0.8, nmin, nmax, alpha, nsims, gallop=gallop)
+    return smallest_passing(power, 0.8, nmin, nmax, alpha, nsims, opening)
 
 
 class TestSmallestPassing:
-    @pytest.mark.parametrize("gallop", [True, False])
-    def test_returns_smallest_passing_size(self, gallop):
+    @pytest.mark.parametrize("galloping", [True, False])
+    def test_returns_smallest_passing_size(self, galloping):
         for nmin, nmax in ((1, 40), (3, 17), (5, 6)):
             for answer in range(nmin, nmax + 1):
                 probes = []
-                n = passing(step_power(answer, probes), nmin, nmax, gallop=gallop)
+                opening = gallop(nmin, nmax) if galloping else ()
+                n = passing(step_power(answer, probes), nmin, nmax, opening)
                 assert n == answer
                 assert len(probes) == len(set(probes))  # each size probed once
                 assert all(nmin <= p <= nmax for p in probes)
 
     def test_gallop_ladder_then_interpolation(self):
         probes = []
-        assert passing(step_power(300, probes), 1, 2000, gallop=True) == 300
+        assert passing(step_power(300, probes), 1, 2000, gallop(1, 2000)) == 300
         assert probes[:10] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
         assert len(probes) <= 2 * math.ceil(math.log2(300)) + 1
 
     def test_gallop_starts_at_nmin(self):
         probes = []
-        passing(step_power(9, probes), 5, 100, gallop=True)
+        passing(step_power(9, probes), 5, 100, gallop(5, 100))
         assert probes[:3] == [5, 6, 8]
 
     def test_nmax_first_without_gallop(self):
@@ -331,19 +338,20 @@ class TestSmallestPassing:
         assert math.ceil(root * root) == 83
         assert probes[:2] == [120, 82]
 
-    @pytest.mark.parametrize("gallop", [True, False])
-    def test_adjacent_range_and_answer_at_nmin(self, gallop):
+    @pytest.mark.parametrize("galloping", [True, False])
+    def test_adjacent_range_and_answer_at_nmin(self, galloping):
         for answer in (9, 10):
             probes = []
-            assert passing(step_power(answer, probes), 9, 10, gallop=gallop) == answer
+            opening = gallop(9, 10) if galloping else ()
+            assert passing(step_power(answer, probes), 9, 10, opening) == answer
         probes = []
-        assert passing(step_power(1, probes), 4, 400, gallop=gallop) == 4
+        assert passing(step_power(1, probes), 4, 400, gallop(4, 400) if galloping else ()) == 4
 
-    @pytest.mark.parametrize("gallop", [True, False])
-    def test_raises_when_nmax_fails(self, gallop):
+    @pytest.mark.parametrize("galloping", [True, False])
+    def test_raises_when_nmax_fails(self, galloping):
         probes = []
         with pytest.raises(InfeasibleDesignError, match="up to 50"):
-            passing(step_power(51, probes), 1, 50, gallop=gallop)
+            passing(step_power(51, probes), 1, 50, gallop(1, 50) if galloping else ())
         assert probes[-1] == 50
         assert len(probes) <= math.ceil(math.log2(50)) + 1
 
@@ -353,18 +361,48 @@ class TestSmallestPassing:
         with pytest.raises(ValueError):
             passing(lambda n: 1.0, 0, 4)
 
-    @pytest.mark.parametrize("gallop", [True, False])
-    def test_warns_when_power_falls_with_size(self, gallop):
+    @pytest.mark.parametrize("opening", [(4, 3), (5, 5), (2, 10), (39, 40, 40), (3, 41), (50,)])
+    def test_rejects_an_opening_not_increasing_within_the_range(self, opening):
+        probes = []
+        with pytest.raises(ValueError, match="opening"):
+            passing(step_power(7, probes), 3, 40, opening)
+        assert probes == []
+
+    def test_opening_whose_lower_size_already_passes(self):
+        # (n - 1, n) of a threshold pass that rounded one size high: the
+        # search goes on below n - 1, and nmax is never probed
+        probes = []
+        assert passing(step_power(15, probes), 1, 100, (19, 20)) == 15
+        assert probes[0] == 19 and 20 not in probes and 100 not in probes
+        assert len(probes) == len(set(probes))
+
+    def test_opening_whose_upper_size_fails(self):
+        # (n - 1, n) of a threshold pass that rounded one size low: nmax
+        # passes, and the search goes on in the bracket (n, nmax]
+        probes = []
+        assert passing(step_power(25, probes), 1, 100, (19, 20)) == 25
+        assert probes[:3] == [19, 20, 100]
+        assert all(20 < p <= 100 for p in probes[2:]) and len(probes) == len(set(probes))
+
+    def test_opening_that_confirms_a_size_ends_the_search(self):
+        for opening, answer in (((19, 20), 20), ((3,), 3), ((99, 100), 100)):
+            probes = []
+            assert passing(step_power(answer, probes), 3, 100, opening) == answer
+            assert probes == list(opening)  # nmax is probed at most once
+
+    @pytest.mark.parametrize("galloping", [True, False])
+    def test_warns_when_power_falls_with_size(self, galloping):
         # failing probes whose power dips between two sizes: the gallop sees
         # 0.6 at 8 and 0.3 at 16, the search from nmax 0.6 at 13 and 0.3 at 16
         powers = {n: 0.9 if n >= 20 else (0.6 if n < 15 else 0.3) for n in range(1, 41)}
         with pytest.warns(UserWarning, match="not monotone"):
-            assert passing(powers.__getitem__, 1, 40, gallop=gallop, alpha=0.6) == 20
+            assert passing(powers.__getitem__, 1, 40, gallop(1, 40) if galloping else (),
+                           alpha=0.6) == 20
 
     def test_monotone_probes_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert passing(lambda n: n / 100, 1, 100, gallop=True, alpha=0.0) == 80
+            assert passing(lambda n: n / 100, 1, 100, gallop(1, 100), alpha=0.0) == 80
 
 
 def quantised_probit_power(rng, nsims=15_000):
@@ -485,7 +523,7 @@ class TestInterpolatingSearch:
         power = lambda n: NormalDist().cdf(a + b * math.sqrt(n))
         probes, old = [], []
         n = smallest_passing(logged(power, probes), 0.8, 1, 1000, power(0), NSIMS,
-                             gallop=True)
+                             gallop(1, 1000))
         assert n == bisection_n(logged(power, old), 0.8, 257, 512) == 349
         assert probes[:10] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
         low, high = ndtri(power(256)), ndtri(power(512))
