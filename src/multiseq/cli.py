@@ -342,8 +342,6 @@ def _search(cfg: RunConfig, spec, model: OutcomeModel, blocks: dict):
 # emission
 
 def _fmt(value) -> str:
-    if type(value) is float:  # every cell of a grid.csv: numpy floats take the chain below
-        return format(value, ".6g")
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
@@ -398,11 +396,20 @@ def _write_text(path: Path, lines) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """A header and rows of cells in ``_fmt`` form. A row of Python floats
+    (every row of a grid.csv) is formatted whole: "%.6g" writes what
+    ``_fmt`` does, and no such cell needs quoting."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        floats = {}  # row length -> line format
         for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+            if set(map(type, row)) == {float}:
+                line = floats.get(len(row)) or floats.setdefault(
+                    len(row), ",".join(["%.6g"] * len(row)) + writer.dialect.lineterminator)
+                fh.write(line % tuple(row))
+            else:
+                writer.writerow([_fmt(cell) for cell in row])
 
 
 def emit_results(cfg: RunConfig, out_dir: Path, summary_lines, csv_files) -> list:

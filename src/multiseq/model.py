@@ -1,12 +1,13 @@
-"""Domain types: outcome model, stage schedules, stopping boundaries, and
-the covariance of standardized test statistics.
+"""Domain types: outcome model, stage schedules, stopping boundaries and
+least favourable configurations.
 
 A trial measures K correlated normal outcomes on every participant. At
 analysis j the standardized statistic for outcome k is the running mean
 scaled by the square root of its information N_j / sigma_k**2, so under
 the null every statistic is standard normal and the joint distribution
-over stages and outcomes is multivariate normal with the covariance
-assembled here.
+over stages and outcomes is multivariate normal: the outcomes'
+correlation within a stage, and independent increments across stages
+(``simulate.simulate_null_block`` draws it that way).
 
 Statistics are laid out stage-major throughout the package: column
 (j - 1) * K + (k - 1) holds outcome k at stage j.
@@ -23,7 +24,6 @@ __all__ = [
     "OutcomeModel",
     "StageSchedule",
     "Boundaries",
-    "assemble_covariance",
     "wang_tsiatis_boundaries",
     "lfc_effects",
     "lfc_working_indices",
@@ -115,7 +115,7 @@ class StageSchedule:
     """Per-stage sample sizes and their cumulative totals.
 
     The design search always uses equal stage sizes; general sizes are
-    accepted so the covariance construction can be tested against them.
+    accepted so the drawn increments can be tested against them.
     """
 
     stage_sizes: tuple
@@ -177,13 +177,6 @@ def wang_tsiatis_boundaries(constant: float, n_stages: int, wt_delta: float = 0.
     lower = -upper
     lower[-1] = upper[-1]
     return Boundaries(lower=tuple(lower), upper=tuple(upper))
-
-
-def assemble_covariance(schedule: StageSchedule, model: OutcomeModel) -> np.ndarray:
-    """Full (J*K) x (J*K) covariance of the statistics, stage-major layout."""
-    cum = schedule.cumulative
-    stage_part = np.sqrt(np.minimum.outer(cum, cum) / np.maximum.outer(cum, cum))
-    return np.kron(stage_part, model.rho)
 
 
 def lfc_working_indices(spec, mode: str = "first-m", sigma=None) -> tuple:

@@ -1,17 +1,18 @@
 """Seedable generation of correlated standardized test statistics.
 
 Blocks of nsims x (J*K) statistics are drawn from the joint null
-distribution in independent chunks. Each chunk owns a Philox substream
+distribution in independent chunks. Each chunk owns an SFC64 substream
 derived from (seed, chunk index), so the assembled block is bit-identical
 for a given SimConfig no matter how many worker threads are used. A
-worker draws its chunk's stream in sub-blocks of SUB_BLOCK_ROWS rows
-through one reused buffer, multiplies each by the Cholesky factor into a
-second reused buffer of rows, and copies that into the block's columns,
-so a draw holds no chunk-sized temporary; it checks the copied
-statistics finite while they are in cache, so the drawn block is not
-scanned again. A drawn block is stored column-major: every column of
-statistics is contiguous, and a block pass reads a chunk's columns in
-place.
+worker draws its chunk in sub-blocks of SUB_BLOCK_ROWS rows, stage by
+stage: each stage's independent increment is K normals per row times the
+K x K Cholesky factor of the outcomes' correlation, added to a running
+sum that is scaled into the stage's columns of the block. So a draw holds
+three buffers of K x SUB_BLOCK_ROWS values per worker and no chunk-sized
+temporary; it checks each sub-block's statistics finite while they are
+in cache, so the drawn block is not scanned again. A drawn block is
+stored column-major: every column of statistics is contiguous, and a
+block pass reads a chunk's columns in place.
 
 Calibration and power evaluation share one null block: effects are added
 as mean shifts instead of resimulating, which keeps design comparisons on
@@ -27,7 +28,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import InvalidCorrelationError
-from .model import OutcomeModel, StageSchedule, assemble_covariance
+from .model import OutcomeModel, StageSchedule
 
 __all__ = [
     "SimConfig",
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 _CHOLESKY_JITTER = 1e-10
-SUB_BLOCK_ROWS = 4_096  # 1.6 MB of normals at J*K = 50
+SUB_BLOCK_ROWS = 4_096  # 320 kB of normals at K = 10
 CHECK_BYTES = 1 << 18  # rows checked for finiteness at a time: a 32 kB flag temporary
 
 
@@ -272,39 +273,46 @@ def carve(*shapes) -> list:
 
 def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
                         cfg: SimConfig, threads: int = 1) -> StatisticBlock:
-    """Draw cfg.nsims independent rows from MVN(0, assemble_covariance(...)),
-    stored column-major.
+    """Draw cfg.nsims independent rows of the joint null statistics, stored
+    column-major.
 
-    Chunk c uses the Philox stream keyed by (cfg.seed, c); assembly order
-    is fixed, so output does not depend on the thread count. A chunk draws
-    its stream in sub-blocks of SUB_BLOCK_ROWS rows, in order, and a short
-    tail joins the sub-block before it: every multiply covers at least
-    min(chunk rows, SUB_BLOCK_ROWS) rows, so BLAS takes the same path as
-    for one multiply of the whole chunk (its small-matrix and 1-row paths
-    round differently) and the rows match it bit for bit. Each multiply
-    writes a row-major buffer, which is then copied into the block's
-    columns: the layout changes where the values are stored, not what
-    they are.
+    The statistics have independent increments: with n_j new participants
+    at stage j and N_j in total, Z_j = (S_1 + ... + S_j) / sqrt(N_j) for
+    independent S_i ~ N(0, n_i R), where R is the outcomes' correlation
+    (Jennison & Turnbull 2000; the random-walk construction of
+    Glasserman 2004, §3.1). Chunk c uses the SFC64 stream keyed by
+    (cfg.seed, c) and draws it in sub-blocks of SUB_BLOCK_ROWS rows (the
+    last may be shorter), in order. Within a sub-block, stage by stage, it
+    draws a (K, rows) array of normals, multiplies it by sqrt(n_j) times
+    the K x K Cholesky factor of R, adds that to a running sum, and writes
+    the sum times 1/sqrt(N_j) straight into stage j's columns. Assembly
+    order is fixed, so output does not depend on the thread count.
     """
     if threads < 1:  # before the draw, not after it
         raise ValueError("threads must be >= 1")
-    cov = assemble_covariance(schedule, model)
-    factor_t = cholesky_factor(cov).T
-    dim = cov.shape[0]
-    out = np.empty((dim, cfg.nsims)).T  # column-major
+    k, stages = model.n_outcomes, schedule.n_stages
+    factors = np.sqrt(np.asarray(schedule.stage_sizes, dtype=float))[:, None, None] \
+        * cholesky_factor(model.rho)
+    scales = 1.0 / np.sqrt(schedule.cumulative)
+    columns = np.empty((stages * k, cfg.nsims))  # row i is the block's column i
+    out = columns.T  # column-major
 
     def fill(start: int, stop: int) -> None:
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.chunk_size,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        cuts = [start + SUB_BLOCK_ROWS * i
-                for i in range(max(1, (stop - start) // SUB_BLOCK_ROWS))] + [stop]
-        normals = np.empty((stop - cuts[-2], dim))  # the last multiply is the longest
-        rows = np.empty_like(normals)
-        for a, b in zip(cuts, cuts[1:]):
-            rng.standard_normal(out=normals[:b - a])
-            np.matmul(normals[:b - a], factor_t, out=rows[:b - a])
-            out[a:b] = rows[:b - a]
-            _require_finite(out[a:b])  # while the rows are in cache
+        rng = np.random.Generator(np.random.SFC64(seq))
+        width = min(SUB_BLOCK_ROWS, stop - start)
+        normals, running, step = np.empty(k * width), np.empty((k, width)), np.empty((k, width))
+        for a in range(start, stop, width):
+            rows = min(width, stop - a)
+            draw, total = normals[:k * rows].reshape(k, rows), running[:, :rows]
+            for j, factor in enumerate(factors):
+                rng.standard_normal(out=draw)
+                if j:
+                    total += np.matmul(factor, draw, out=step[:, :rows])
+                else:
+                    np.matmul(factor, draw, out=total)
+                np.multiply(total, scales[j], out=columns[j * k:(j + 1) * k, a:a + rows])
+            _require_finite(out[a:a + rows])  # on this worker, while the rows are in cache
 
     run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)
     return StatisticBlock(values=out, n_stages=schedule.n_stages, n_outcomes=model.n_outcomes,

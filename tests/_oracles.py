@@ -2,7 +2,7 @@
 oracles by the test suite.
 
 The estimators avoid the package's simulation path: a different
-generator family (PCG64 vs Philox), a different factorization (SVD vs
+generator family (PCG64 vs SFC64), a different factorization (SVD vs
 Cholesky), and direct counting. The row evaluators and
 ``covariance_entry`` work one trial or one entry at a time, as checks on
 the package's vectorised code; ``linear_scan_n`` probes every sample
@@ -27,9 +27,10 @@ on the interpolating sample-size search. ``rows_at_least`` and
 guess, as checks on ``optimize.row_count``.
 ``step_boundary`` evaluates the rejection
 rate on every step between event values by direct counting, as a check
-on the exact interval calibration. ``one_multiply_null_block`` draws
-each chunk's normals whole and correlates them in one multiply, as a
-check on the sub-block draw of ``simulate_null_block``.
+on the exact interval calibration. ``increment_null_block`` correlates
+each chunk's stage increments in stacked multiplies and sums them with
+``np.cumsum``, as a check on the running sums of ``simulate_null_block``;
+``assemble_covariance`` gives the J*K covariance that its rows estimate.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from scipy.special import ndtr, ndtri
 
 from multiseq.dtl import DtLDesignSpec, DtLOperatingCharacteristics, conditional_power
 from multiseq.gs import GSDesignSpec, estimate_gs_oc
-from multiseq.model import Boundaries, OutcomeModel, StageSchedule, assemble_covariance
+from multiseq.model import Boundaries, OutcomeModel, StageSchedule
 from multiseq.simulate import (
+    SUB_BLOCK_ROWS,
     SimConfig,
     cholesky_factor,
     mean_shift_vector,
@@ -88,18 +90,30 @@ def engine_empirical_covariance(schedule: StageSchedule, model: OutcomeModel,
     return acc / done
 
 
-def one_multiply_null_block(schedule: StageSchedule, model: OutcomeModel,
-                            cfg: SimConfig) -> np.ndarray:
-    """The null block with chunk c drawn whole from the Philox stream keyed
-    by (cfg.seed, c) and multiplied by the Cholesky factor at once."""
-    factor_t = cholesky_factor(assemble_covariance(schedule, model)).T
-    out = np.empty((cfg.nsims, len(factor_t)))
+def increment_null_block(schedule: StageSchedule, model: OutcomeModel,
+                         cfg: SimConfig) -> np.ndarray:
+    """The null block built from its stage increments in whole arrays.
+
+    Chunk c draws the SFC64 stream keyed by (cfg.seed, c) in the worker's
+    order: per sub-block of SUB_BLOCK_ROWS rows, one (J, K, rows) array, the
+    J stages' (K, rows) normals in turn. One stacked multiply per sub-block
+    gives every stage's increment, and np.cumsum over the stages, scaled by
+    1/sqrt(N_j), gives the statistics."""
+    k, stages = model.n_outcomes, schedule.n_stages
+    factors = np.sqrt(np.asarray(schedule.stage_sizes, dtype=float))[:, None, None] \
+        * cholesky_factor(model.rho)
+    scales = 1.0 / np.sqrt(schedule.cumulative)
+    out = np.empty((cfg.nsims, stages * k))
     for start in range(0, cfg.nsims, cfg.chunk_size):
-        stop = min(start + cfg.chunk_size, cfg.nsims)
+        rows = min(cfg.chunk_size, cfg.nsims - start)
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.chunk_size,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        np.matmul(rng.standard_normal((stop - start, len(factor_t))), factor_t,
-                  out=out[start:stop])
+        rng = np.random.Generator(np.random.SFC64(seq))
+        increments = np.empty((stages, k, rows))
+        for a in range(0, rows, SUB_BLOCK_ROWS):
+            b = min(a + SUB_BLOCK_ROWS, rows)
+            increments[:, :, a:b] = factors @ rng.standard_normal((stages, k, b - a))
+        z = np.cumsum(increments, axis=0) * scales[:, None, None]
+        out[start:start + rows] = z.reshape(stages * k, rows).T
     return out
 
 
@@ -124,6 +138,15 @@ def participant_level_statistics(model: OutcomeModel, schedule: StageSchedule,
         cols = slice(j * model.n_outcomes, (j + 1) * model.n_outcomes)
         out[:, cols] = means * np.sqrt(n_j) / model.sigma[None, :]
     return out
+
+
+def assemble_covariance(schedule: StageSchedule, model: OutcomeModel) -> np.ndarray:
+    """Full (J*K) x (J*K) covariance of the statistics, stage-major layout:
+    rho[k, k'] * sqrt(N_min / N_max) between outcome k at one stage and k'
+    at another."""
+    cum = schedule.cumulative
+    stage_part = np.sqrt(np.minimum.outer(cum, cum) / np.maximum.outer(cum, cum))
+    return np.kron(stage_part, model.rho)
 
 
 def analytic_covariance(schedule: StageSchedule, model: OutcomeModel):

@@ -1,3 +1,4 @@
+import csv
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -101,29 +102,44 @@ COMMANDS = {
 # search two per probe and one more, and an effect grid one per design
 PASSES = {
     "design-gs": 5,
-    "design-dtl": 9,
+    "design-dtl": 11,
     "design-gs-k3-m2": 9,
     "design-dtl-k4-m2": 11,
     "grid-gs-composite": 12,
-    "grid-dtl-single-stage": 16,
+    "grid-dtl-single-stage": 18,
     "sweep-three-rho": 30,
-    "sensitivity-2x2": 38,
+    "sensitivity-2x2": 42,
     "design-composite-k10": 5,
-    "design-gs-k10-m5-j5": 8,
+    "design-gs-k10-m5-j5": 7,
 }
 
 
-@pytest.mark.parametrize("value, text", [
+FMT_CASES = [
     (0.1, "0.1"), (1 / 3, "0.333333"), (2.0, "2"), (1e-7, "1e-07"), (123456789.0, "1.23457e+08"),
     (-0.0, "-0"), (np.float64(0.1234567891), "0.123457"), (np.float32(0.1), "0.1"),
     (np.float32(2.5), "2.5"), (float("nan"), "nan"), (np.float64("nan"), "nan"),
     (float("inf"), "inf"), (-float("inf"), "-inf"), (3, "3"), (-7, "-7"), (np.int64(42), "42"),
     (True, "true"), (False, "false"), (np.bool_(True), "true"), (np.bool_(False), "false"),
     ("abc", "abc"),
-])
+]
+
+
+@pytest.mark.parametrize("value, text", FMT_CASES)
 def test_fmt_writes_each_value_type_as_before(value, text):
-    # the strings of the float fast path and of the type chain it skips
     assert _fmt(value) == text
+
+
+def test_csv_rows_of_floats_are_written_as_fmt_writes_them(tmp_path):
+    # whole rows of Python floats take one format; other rows go cell by
+    # cell through _fmt and csv quoting
+    floats = tuple(value for value, _ in FMT_CASES if type(value) is float)
+    rows = [floats, floats[:2], (0.5, 2, True, "a,b", np.float64(0.25)), floats[::-1]]
+    cli._write_csv(tmp_path / "fast.csv", ("x", "y"), rows)
+    with open(tmp_path / "cells.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("x", "y"))
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -347,7 +363,7 @@ seed = 3
                         "--out", str(tmp_path / "y")]) == 4
         err = capsys.readouterr().err
         assert ("target alpha 0.1 is out of reach for a boundary C > 0: "
-                "alpha at C -> 0+ is 0.066") in err
+                "alpha at C -> 0+ is 0.063") in err
         assert passes == [2000]  # the one calibration pass stops the search
 
     def test_unreachable_dtl_alpha_fails_fast(self, tmp_path, capsys, monkeypatch):

@@ -7,9 +7,11 @@ output path, so it is left out). They were recorded on a 2-vCPU Intel Xeon
 (KVM) box with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31. They do not
 depend on the scipy version, since the program does not use scipy (its
 normal CDF and inverse are ports of scipy's Cephes code, which
-``test_normal.py`` ties to scipy bit for bit). Another numpy, BLAS or
-platform libm may round differently and move them. A change that alters
-numbers on purpose records new hashes and says why.
+``test_normal.py`` ties to scipy bit for bit). They pin the draw of
+``simulate_null_block``: SFC64 streams per chunk and per-stage increments
+through the K x K Cholesky factor. Another numpy, BLAS or platform libm
+may round differently and move them. A change that alters numbers on
+purpose records new hashes and says why.
 """
 
 import hashlib
@@ -20,44 +22,44 @@ from test_cli import COMMANDS, run_cli, write
 
 GOLDEN = {
     "design-gs": {
-        "boundaries.csv": "91285802d8b5fd706a03461999111dc51c4c15016c196dab906af04f095cd6bf",
-        "summary.txt": "3ac8ce953ca26d050607df809deb94a803b457e927e7e941a146997ee3d5fbc4",
+        "boundaries.csv": "df9f740f50463924df95c6adde5e5d39792019402e6de75fa8e25b6eeedb3823",
+        "summary.txt": "c70fbdfe35ae8f4dafc261bee0f15e6211178ae077db4110f832ee90e9a51eea",
     },
     "design-dtl": {
-        "cp_lookup.csv": "0c40d5546682c4fadebfbd87aa9833c0f4b8a64ccb55487da1a145ed6f492cf3",
-        "summary.txt": "f5110a75d4f846c2c60f67ab3d47a8b6f07a3256dfa00de44ab395fbfc066419",
+        "cp_lookup.csv": "70e275b8f545d9d192f503743b5a83748daa90fd6831629a9ef58332a282f941",
+        "summary.txt": "a59c04ad11cceb68862b3ab77c142c975f5aadb3f9133283baa5c04996bde4bc",
     },
     "design-gs-k3-m2": {
-        "boundaries.csv": "a5135c6a6f67809dba162521ff4c428db2e4df3248fd63e011e228d30c7e775b",
-        "summary.txt": "73a0b4ff61aff5919f824e72f47a1d042ab07d2e5fc71a8779a014c8da6d665d",
+        "boundaries.csv": "b4223c14192896e183e068402b70040267053b3e10f16ad9f74429b0c44a986d",
+        "summary.txt": "ae9a0218d6b31a3b749b79bf05b40810a10670798a93a91e1ade5752fc9d0ae8",
     },
     "design-dtl-k4-m2": {
-        "cp_lookup.csv": "ef7b3d20f7ceb8a57ea5a5a9c9e7b03bafd482c8a935efe54dead89e154b9500",
-        "summary.txt": "c10683cfa1844b8bf3a485c255608bd477c761440aaeaf00fa45cf9d9ae8442d",
+        "cp_lookup.csv": "c8c29090274827d29d917d904c0f9ec99f1f48bb66505a3beefcab82ad70b6ba",
+        "summary.txt": "88ff1d23d9dd1a7ff5d0badb759e52ebb7bcd182f406fbd40ff6f8624e94d6ac",
     },
     "grid-gs-composite": {
-        "grid.csv": "a5df55e4480b6562f85700d4202a472e3cdde8faf9c8ea9c9ebf5f58d548b7f1",
-        "summary.txt": "15f53f285c471598218bb67cd199c0f47dc6866f8e9ca0ef555c77c0888d1398",
+        "grid.csv": "5ff9568bf20f5fdb32ad7c9199106627efd203aab86317e2758ae094ce3616a1",
+        "summary.txt": "053d3f76790c5d22b24aa377c7a6c64fc3e26cb0238c381089e92042674acb48",
     },
     "grid-dtl-single-stage": {
-        "grid.csv": "152298f967f26a77056715746cd26dc63e6b4b0cf75e1d083f66aefc180a6419",
-        "summary.txt": "6da0d4d12c665091e89989388c9220ccc44d82da657e2237c37ac7b106f2a975",
+        "grid.csv": "10398ec1e53e4b82b9154479b13fb7869b1f1155b28395a0cced7bb72e9e6e32",
+        "summary.txt": "27b5f540499a1b65f6449ca446f97d9f156a203ebe383f753933c8d07ffcdcd3",
     },
     "sweep-three-rho": {
         "summary.txt": "f30e67465c75e73e5e4140dca378ccbdfaada17a362961a04f5a5d81bc868486",
-        "sweep.csv": "bd978ddc68e3ec8fc9dbd8b8638fcf27a2f6c6e9929f4bd2942328593acc9513",
+        "sweep.csv": "b89c36303965284f6d81aa630950a02d4bc58f56d5755d3b61f846ff9e24c8f7",
     },
     "sensitivity-2x2": {
-        "sensitivity.csv": "d4b471e871c1875541aec4f8ef45a87ac84a3a4fb890b4ba04f59593a84e61ee",
+        "sensitivity.csv": "a18454cc9e495ae1ac4c5967a79ff7499e8d5d473c0e98eaf38c74aa5527ba2d",
         "summary.txt": "497ff3224c470839adb39845eee9fd3b472fbe7f9037c6435b298c94132f13b2",
     },
     "design-composite-k10": {
-        "boundaries.csv": "af9daa2f9cd46ca25f0f95a71560308a4ac3570a285a3a73851afc8f98b0ca03",
-        "summary.txt": "924f2118c35f2ac0a5ce7985af95e5cc137a7fd41c98142c36dfb60e472fb4df",
+        "boundaries.csv": "b7343c9a69d9c731119dd3db8075ae4ffffb433cc9b5b2829d59440794423f4b",
+        "summary.txt": "0dce917b1a7a175b4b18d8d74ff355b3faf234fc59c364f2448cf6d0d6a81fdf",
     },
     "design-gs-k10-m5-j5": {
-        "boundaries.csv": "6840662756ed00fcb53d84cc640c23d494dbfbb87f79b1118a6208cebd7bddb2",
-        "summary.txt": "cd469a2d3c074fdc004e3dc0862fdc8c610e93758d44e47d5b10748b3dff877e",
+        "boundaries.csv": "ef5cc863c5f3c3c84734225d75e467fda6e11cbc199817a4647a3700235e5e3e",
+        "summary.txt": "90fb50bbcc6fdfee2e39767792a155926e0b7cd4ef1569530bc5d549a0214683",
     },
 }
 

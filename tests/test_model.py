@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from _oracles import covariance_entry
+from _oracles import assemble_covariance, covariance_entry
 from conftest import random_correlation
 from multiseq import GSDesignSpec, OutcomeModel
 from multiseq.model import (
     Boundaries,
     StageSchedule,
-    assemble_covariance,
     lfc_effects,
     lfc_working_indices,
     wang_tsiatis_boundaries,

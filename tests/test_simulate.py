@@ -12,7 +12,8 @@ import _oracles
 import multiseq.simulate as simulate_module
 from conftest import random_correlation
 from multiseq import InvalidCorrelationError, OutcomeModel, SimConfig
-from multiseq.model import StageSchedule, assemble_covariance
+from _oracles import assemble_covariance
+from multiseq.model import StageSchedule
 from multiseq.simulate import (
     StatisticBlock,
     cholesky_factor,
@@ -91,26 +92,33 @@ class TestStatisticBlock:
             check(values)
 
         monkeypatch.setattr(simulate_module, "_require_finite", spy)
-        rows = simulate_module.SUB_BLOCK_ROWS
-        cfg = SimConfig(seed=99, nsims=5 * rows + 7, chunk_size=2 * rows + 3)
+        sub = simulate_module.SUB_BLOCK_ROWS
+        cfg = SimConfig(seed=99, nsims=5 * sub + 7, chunk_size=2 * sub + 3)
         block = simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg,
                                     threads=threads)
-        assert len(checked) == 5  # one check per multiply: 2 + 2 + 1 sub-blocks
+        assert len(checked) == 8  # one check per sub-block: 3 + 3 + 2
         assert sum(len(rows) for *_, rows in checked) == block.nsims  # none scanned again
         row_bytes = block.values.strides[0]
-        for _, address, rows in checked:  # each saw its rows after the multiply
+        starts = []
+        for _, address, rows in checked:  # each saw its rows after every stage was written
             a = (address - block.values.ctypes.data) // row_bytes
             np.testing.assert_array_equal(rows, block.values[a:a + len(rows)])
+            starts.append(a)
+        assert sorted(starts) == [0, sub, 2 * sub, 2 * sub + 3, 3 * sub + 3, 4 * sub + 3,
+                                  4 * sub + 6, 5 * sub + 6]  # every row once
         if threads > 1:
             assert threading.get_ident() not in {thread for thread, *_ in checked}
         with pytest.raises(ValueError, match="finite"):  # an outside array is checked
             replace(block, values=np.full_like(block.values, np.nan))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_drawn_non_finite_value_is_rejected(self, monkeypatch, two_outcome_model,
                                                   threads):
+        # outcome 2's increments are infinite, and their sum over two stages
+        # is infinite or nan (inf - inf)
         monkeypatch.setattr(simulate_module, "cholesky_factor",
-                            lambda cov: np.diag([1.0, 1.0, 1.0, np.inf]))  # an infinite column
+                            lambda rho: np.diag([1.0, np.inf]))
         cfg = SimConfig(seed=100, nsims=3 * simulate_module.SUB_BLOCK_ROWS, chunk_size=5_000)
         with pytest.raises(ValueError, match="statistics must be finite"):
             simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg,
@@ -269,35 +277,86 @@ class TestSimulateNullBlock:
         unthreaded = simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg)
         assert np.array_equal(block.values, unthreaded.values)
 
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_each_chunk_draws_its_own_stream(self, two_outcome_model, threads):
         # 10 rows in 3-row chunks: chunk c draws rows [3c, 3c + 3) from the
-        # Philox stream keyed by (seed, c)
+        # SFC64 stream keyed by (seed, c), one (K, rows) array per stage,
+        # and Z_2 = (X_1 + X_2) / sqrt(2) for its two correlated increments
         schedule = StageSchedule.equal(1, 2)
         cfg = SimConfig(seed=45, nsims=10, chunk_size=3)
         block = simulate_null_block(schedule, two_outcome_model, cfg, threads=threads)
-        factor_t = cholesky_factor(assemble_covariance(schedule, two_outcome_model)).T
+        np.testing.assert_array_equal(
+            block.values, _oracles.increment_null_block(schedule, two_outcome_model, cfg))
+        factor = cholesky_factor(two_outcome_model.rho)
         for c in range(4):
             seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(c,))
-            normals = np.random.Generator(np.random.Philox(seq)).standard_normal(
-                (min(3, 10 - 3 * c), 4))
-            np.testing.assert_array_equal(block.values[3 * c:3 * c + 3], normals @ factor_t)
+            x_1, x_2 = factor @ np.random.Generator(np.random.SFC64(seq)).standard_normal(
+                (2, 2, min(3, 10 - 3 * c)))
+            np.testing.assert_allclose(block.values[3 * c:3 * c + 3],
+                                       np.vstack([x_1, (x_1 + x_2) / np.sqrt(2.0)]).T,
+                                       rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("stages, outcomes", [  # J * K = 1, 2, 3, 4, 6, 9, 12, 30, 50
         (1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (3, 10), (5, 10)])
     @pytest.mark.parametrize("chunk_size", [2 * simulate_module.SUB_BLOCK_ROWS + 5,
                                             SimConfig(seed=0).chunk_size])
     def test_sub_blocks_match_one_multiply_per_chunk(self, stages, outcomes, chunk_size):
+        # the oracle multiplies all stages of a sub-block at once and sums
+        # each chunk's increments with np.cumsum
         sub = simulate_module.SUB_BLOCK_ROWS
         schedule = StageSchedule.equal(1, stages)
         model = OutcomeModel.equicorrelated(outcomes, 0.3)
         for nsims in (1, sub - 1, sub, sub + 1, 2 * sub - 1, 2 * sub + 1,
                       chunk_size - 1, chunk_size + 1, chunk_size + sub + 1):
             cfg = SimConfig(seed=nsims, nsims=nsims, chunk_size=chunk_size)
-            want = _oracles.one_multiply_null_block(schedule, model, cfg)
+            want = _oracles.increment_null_block(schedule, model, cfg)
             for threads in (1, 2, 3):
                 got = simulate_null_block(schedule, model, cfg, threads=threads).values
                 assert np.array_equal(got, want), (nsims, threads)
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 4), (3, 1, 2)])
+    def test_unequal_stages_match_the_increment_oracle(self, sizes):
+        schedule = StageSchedule(stage_sizes=sizes)
+        model = OutcomeModel.equicorrelated(3, -0.2)
+        cfg = SimConfig(seed=47, nsims=3 * simulate_module.SUB_BLOCK_ROWS + 11,
+                        chunk_size=2 * simulate_module.SUB_BLOCK_ROWS + 5)
+        want = _oracles.increment_null_block(schedule, model, cfg)
+        for threads in (1, 2):
+            got = simulate_null_block(schedule, model, cfg, threads=threads).values
+            assert np.array_equal(got, want), threads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_whole_chunks_are_a_prefix_of_a_larger_block(self, threads):
+        # chunk c keeps its stream and its sub-blocks whatever nsims is, so a
+        # block grows by whole chunks; each chunk ends in a 5-row sub-block
+        schedule = StageSchedule.equal(1, 3)
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        chunk = 2 * simulate_module.SUB_BLOCK_ROWS + 5
+        small = simulate_null_block(schedule, model,
+                                    SimConfig(seed=48, nsims=2 * chunk, chunk_size=chunk),
+                                    threads=threads).values
+        for nsims in (3 * chunk, 4 * chunk + 10):
+            large = simulate_null_block(schedule, model,
+                                        SimConfig(seed=48, nsims=nsims, chunk_size=chunk),
+                                        threads=threads).values
+            assert np.array_equal(large[:2 * chunk], small), nsims
+
+    @pytest.mark.parametrize("sizes, outcomes, rho", [
+        ((1, 1, 1), 3, 0.3),
+        ((1, 2, 4), 3, [[1.0, -0.4, 0.2], [-0.4, 1.0, 0.5], [0.2, 0.5, 1.0]]),
+        ((3, 1), 2, 0.6),
+        ((1,) * 5, 10, 0.3),
+    ])
+    def test_sample_covariance_within_four_standard_errors(self, sizes, outcomes, rho):
+        # every entry c of the J*K covariance, from 1M rows: the mean of
+        # products of two unit-variance normals has variance (1 + c^2) / N
+        schedule = StageSchedule(stage_sizes=sizes)
+        model = OutcomeModel(sigma=np.ones(outcomes), rho=rho)
+        nsims = 1_000_000
+        emp = _oracles.engine_empirical_covariance(schedule, model, nsims_total=nsims,
+                                                   seed=49, block_size=250_000)
+        analytic = assemble_covariance(schedule, model)
+        assert np.all(np.abs(emp - analytic) < 4.0 * np.sqrt((1.0 + analytic ** 2) / nsims))
 
     @pytest.mark.parametrize("chunk_size", [65_536, 200_000])
     def test_draw_holds_a_few_sub_blocks_per_worker(self, chunk_size):
