@@ -396,18 +396,15 @@ def _write_text(path: Path, lines) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """A header and rows of cells in ``_fmt`` form. A row of Python floats
-    (every row of a grid.csv) is formatted whole: "%.6g" writes what
+    """A header and rows of cells in ``_fmt`` form. A row of Python floats,
+    as every grid.csv row is, is formatted whole: "%.6g" writes what
     ``_fmt`` does, and no such cell needs quoting."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        floats = {}  # row length -> line format
         for row in rows:
             if set(map(type, row)) == {float}:
-                line = floats.get(len(row)) or floats.setdefault(
-                    len(row), ",".join(["%.6g"] * len(row)) + writer.dialect.lineterminator)
-                fh.write(line % tuple(row))
+                fh.write(",".join(["%.6g"] * len(row)) % tuple(row) + writer.dialect.lineterminator)
             else:
                 writer.writerow([_fmt(cell) for cell in row])
 
