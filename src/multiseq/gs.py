@@ -19,7 +19,6 @@ and n is read off them; probes at n - 1 and n confirm it.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -164,7 +163,8 @@ class _Rule:
     This is the one place that reads ``spec.composite``: a composite
     design sums the K statistics at each stage and compares the sum with
     the boundary (one outcome, m = 1). The block is summed once; a shift
-    is summed on its own and then added to the summed block. A pass runs
+    is summed on its own and then added to the summed block. Both sums
+    follow ``_outcome_sum``: 0.0 plus the K outcomes in order. A pass runs
     a kernel on each row chunk of CHUNK_BYTES on the block's workers and
     combines the results in row order; a kernel reads its chunk's columns
     in place and writes only its own workspaces (a count kernel adds the
@@ -186,12 +186,14 @@ class _Rule:
 
     def _columns(self, shift) -> np.ndarray:
         """A per-column vector of the spec's statistics as one per column of
-        the rule's block: summed over the outcomes of each stage if composite."""
+        the rule's block: if composite, each stage's K entries summed in
+        outcome order by ``_outcome_sum``."""
         shift = np.asarray(shift, dtype=float)
         size = self.spec.n_stages * self.spec.n_outcomes
         if shift.shape != (size,):
             raise ValueError(f"shift must have length J * K = {size}, got shape {shift.shape}")
-        return shift.reshape(self.spec.n_stages, -1).sum(axis=1) if self.summed else shift
+        stages = shift.reshape(self.spec.n_stages, -1)
+        return _outcome_sum(stages.T, np.empty(len(stages))) if self.summed else shift
 
     def go_intervals(self) -> tuple:
         """(starts, ends): each row goes exactly when the final-stage
@@ -295,12 +297,16 @@ class _Rule:
     def axis_shifts(self, schedule: StageSchedule, model: OutcomeModel, axes) -> list:
         """``grid_oc``'s shifts for the effect grid ``itertools.product(*axes)``:
         ``simulate.axis_shifts``, or for a summed rule one axis holding each
-        point's summed shift, since a composite shift does not split by outcome."""
+        point's summed shift, since a composite shift does not split by
+        outcome: outcome i's shifts, placed on grid axis i, summed over the
+        whole grid at once by ``_outcome_sum``, as ``_columns`` sums a point."""
+        shifts = axis_shifts(axes, schedule, model)
         if not self.summed:
-            return axis_shifts(axes, schedule, model)
-        summed = [self._columns(mean_shift_vector(point, schedule, model))
-                  for point in itertools.product(*axes)]
-        return [np.array(summed).reshape(-1, self.spec.n_stages)]
+            return shifts
+        k = len(shifts)
+        placed = [np.expand_dims(s, [a for a in range(k) if a != i]) for i, s in enumerate(shifts)]
+        grid = np.empty([len(s) for s in shifts] + [self.spec.n_stages])
+        return [_outcome_sum(placed, grid).reshape(-1, self.spec.n_stages)]
 
     def grid_oc(self, boundaries: Boundaries, schedule: StageSchedule, shifts) -> list:
         """Operating characteristics at every point of the ``ShiftGrid`` of
@@ -381,42 +387,28 @@ def composite_transform(block: StatisticBlock) -> StatisticBlock:
     of the correlated sum. With K = 1 the block passes through unchanged;
     the summed block keeps the block's workers.
 
-    The sum is taken column by column, in row chunks, into a column-major
-    block, in the order of numpy's ``np.add.reduce`` over a contiguous row
-    of a stage's statistics (its identity 0.0 plus their pairwise sum), so
-    the summed values do not depend on the block's layout.
+    The sum is taken in row chunks into a column-major block, each stage
+    by ``_outcome_sum`` (0.0 plus outcomes 1 ... K in order, column by
+    column), so the summed values do not depend on the block's layout.
     """
     if block.n_outcomes == 1:
         return block
     n_stages, k = block.n_stages, block.n_outcomes
-    cols = block.values.T.reshape(n_stages, k, block.nsims)
+    outcomes = block.values.T.reshape(n_stages, k, block.nsims).swapaxes(0, 1)
     summed = np.empty((n_stages, block.nsims))
-    step = max(1, CHUNK_BYTES // (k * 8))
+    step = max(1, CHUNK_BYTES // (n_stages * k * 8))
     for a in range(0, block.nsims, step):
-        for j in range(n_stages):
-            summed[j, a:a + step] = _pairwise_sum(cols[j, :, a:a + step])
-    summed += 0.0  # numpy's identity: turns -0.0 into 0.0
+        _outcome_sum(outcomes[..., a:a + step], summed[:, a:a + step])
     return replace(block, values=summed.T, n_outcomes=1)
 
 
-def _pairwise_sum(cols) -> np.ndarray:
-    """numpy's pairwise summation of n >= 1 contiguous values, applied to
-    columns: fewer than 8 are added in turn; up to 128 go into 8 running
-    sums, combined as a tree, and the rest are added in turn; more split
-    in two at a multiple of 8."""
-    n = len(cols)
-    if n < 8:
-        total = cols[0].copy()  # numpy starts from -0.0, and -0.0 + x is x
-        for col in cols[1:]:
-            total += col
-        return total
-    if n <= 128:
-        whole = n - n % 8
-        r = [functools.reduce(np.add, cols[i:whole:8]) for i in range(8)]
-        return functools.reduce(np.add, cols[whole:], ((r[0] + r[1]) + (r[2] + r[3]))
-                                + ((r[4] + r[5]) + (r[6] + r[7])))
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(cols[:half]) + _pairwise_sum(cols[half:])
+def _outcome_sum(terms, out: np.ndarray) -> np.ndarray:
+    """The composite sum, into ``out``: 0.0 plus each outcome's term (which
+    broadcasts against ``out``), added in outcome order."""
+    out[...] = 0.0
+    for term in terms:
+        out += term
+    return out
 
 
 @functools.cache

@@ -3,6 +3,7 @@
 size), effect tables of one-point grids, and correlation sweeps through
 ``oc sweep``."""
 
+import functools
 import itertools
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,7 @@ from multiseq import GSDesignSpec, OutcomeModel, SimConfig, search_gs_design
 from multiseq.cli import main
 from multiseq.dtl import DtLDesignSpec, DtLRealisation
 from multiseq.gs import DesignRealisation, GSOperatingCharacteristics, composite_transform
-from multiseq.model import Boundaries, StageSchedule, wang_tsiatis_boundaries
+from multiseq.model import Boundaries, StageSchedule, lfc_effects, wang_tsiatis_boundaries
 from multiseq.simulate import StatisticBlock, mean_shift_vector, null_blocks
 
 
@@ -152,6 +153,11 @@ class TestEffectGrid:
 GRID_KINDS = ("gs", "composite", "single-stage", "dtl-drop", "dtl-keep")
 
 
+def outcome_sum(shift, stages):
+    """A composite shift: each stage's outcome shifts added to 0.0 in outcome order."""
+    return functools.reduce(np.add, np.reshape(shift, (stages, -1)).T, 0.0)
+
+
 def random_realisation(kind, model, axes, blocks, rng, threads, on=0):
     """A realisation of ``kind`` with a random m and n, on a hand-built block
     (blocks[J], drawn when missing). Block values and effects come from small
@@ -203,7 +209,7 @@ def random_realisation(kind, model, axes, blocks, rng, threads, on=0):
         point = points[int(rng.integers(len(points)))]
         shift = mean_shift_vector(point, StageSchedule.equal(n, stages), model)
         row = composite_transform(block).values[int(rng.integers(block.nsims))]
-        return row[stage] + shift.reshape(stages, k).sum(axis=1)[stage]
+        return row[stage] + outcome_sum(shift, stages)[stage]
 
     edges = [sorted((statistic(j), statistic(j))) for j in range(stages - 1)]
     edges.append([statistic(stages - 1)] * 2)  # the final boundaries coincide
@@ -235,7 +241,7 @@ def oracle_oc(real, block, model, point):
     j, k, m = real.n_stages, model.n_outcomes, real.spec.n_promising
     values = block.values + shift
     if real.kind == "composite":
-        values = composite_transform(block).values + shift.reshape(j, k).sum(axis=1)
+        values = composite_transform(block).values + outcome_sum(shift, j)
         k = m = 1
     go, stop = decide_rows(values, j, k, m, real.boundaries.lower, real.boundaries.upper)
     ess = schedule.cumulative[stop].mean()
@@ -254,7 +260,9 @@ class TestGridPass:
     def test_grid_equals_pointwise_evaluation(self, monkeypatch, kind, seed):
         rng = np.random.default_rng([GRID_KINDS.index(kind), seed])
         threads = (1, 3)[seed % 2]
-        k = int(rng.integers({"dtl-drop": 3, "dtl-keep": 2}.get(kind, 1), 5))
+        # a composite shift sums K terms: from 8 on, the order of the sum shows
+        k = int(rng.integers({"dtl-drop": 3, "dtl-keep": 2}.get(kind, 1),
+                             11 if kind == "composite" else 5))
         sigma = rng.choice([0.7, 1.0, 1.3], size=k)
         sigma[1 % k] = sigma[0]  # outcomes 1 and 2 can tie: the block repeats 1 as 2
         model = OutcomeModel(sigma=sigma, rho=0.3)
@@ -379,6 +387,37 @@ class TestGridPass:
             del passes[:]
             assert len(real.evaluate_grid(blocks[real.n_stages], model, axes)) == values ** 2
             assert passes == [real.n_stages]
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 10])
+    def test_a_composite_search_meets_its_grid_at_the_lfc(self, k):
+        # the search's probes sum each LFC shift by _Rule._columns and a grid
+        # sums every point's by _Rule.axis_shifts: the same terms in the same
+        # order, so the OC at the LFC point is the same, bit for bit
+        model = OutcomeModel(sigma=np.linspace(0.7, 1.3, k), rho=0.3)
+        block = null_block(2, model, SimConfig(seed=77, nsims=4_000))
+        spec = gs_spec(k, 1, 2, composite=True, delta0=np.linspace(0.05, 0.2, k))
+        real = spec.search(model, block)
+        lfc = lfc_effects(spec, sigma=model.sigma)
+        assert real.evaluate_grid(block, model, [(mu,) for mu in lfc]) == [real.oc_lfc]
+
+    def test_a_composite_grid_makes_no_call_per_point(self, monkeypatch):
+        # the 16,807 points' summed shifts come from whole-array adds of the
+        # outcomes' axis shifts, not from one mean shift vector per point
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mean_shift_vector(*args)
+
+        for module in (simulate_module, gs_module):
+            monkeypatch.setattr(module, "mean_shift_vector", counted)
+        model = OutcomeModel.equicorrelated(5, 0.3)
+        real = DesignRealisation("composite", gs_spec(5, 1, 2, composite=True), 30, 60, 2.1,
+                                 wang_tsiatis_boundaries(2.1 * 2 ** 0.5, 2), 0.0, 0.0)
+        axes = [(-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)] * 5
+        block = null_block(2, model, SimConfig(seed=78, nsims=200))
+        assert len(real.evaluate_grid(block, model, axes)) == 7 ** 5
+        assert len(calls) <= 1
 
     def test_grid_pass_memory_does_not_grow_with_nsims(self):
         # 343-point K = 3 grids at 20k and 200k rows: the pass reads each

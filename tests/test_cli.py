@@ -84,8 +84,8 @@ COMMANDS = {
                                              "rho_values = 0.0, 0.3, 0.6"), [2, 2, 2]),
     "sensitivity-2x2": (["oc", "sensitivity"],
                         DTL_CONFIG + "cp_l_values = 0.2, 0.4\ncp_u_values = 0.8, 0.9\n", [2]),
-    # K >= 9: numpy sums a contiguous row of K statistics with 8 accumulators,
-    # which a column-by-column sum must reproduce
+    # K = 10: a composite stage sums ten statistics, and ten shifts, in
+    # outcome order
     "design-composite-k10": (["design", "composite"],
                              GS_CONFIG.replace("kind = gs\n", "").replace("K = 2", "K = 10"),
                              [3]),

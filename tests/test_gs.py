@@ -703,11 +703,12 @@ class TestComposite:
         assert pools == [2, 2]  # one 2-worker pool per pass
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_sum_is_numpys_contiguous_row_sum(self, monkeypatch, order):
-        # bit for bit numpy's sum of each stage's K contiguous statistics, for
-        # K up to 40 and 150 (numpy's pairwise sum splits rows past 128), on
-        # either layout, across summing chunks, with signed zeros and with
-        # magnitudes far apart, so that another order rounds differently
+    def test_sum_adds_outcomes_in_order(self, monkeypatch, order):
+        # bit for bit 0.0 plus each stage's K statistics in outcome order, for
+        # K up to 40 and 150, on either layout, across summing chunks, with
+        # signed zeros and with magnitudes far apart, so that another order
+        # rounds differently; below 8 terms numpy's row sum adds in turn too,
+        # so there the sum is also numpy's
         rng = np.random.default_rng(25)
         monkeypatch.setattr(gs_module, "CHUNK_BYTES", 3_000)
         for k in list(range(2, 41)) + [150]:
@@ -716,9 +717,14 @@ class TestComposite:
             block = StatisticBlock(values=np.array(values, order=order), n_stages=2,
                                    n_outcomes=k)
             summed = composite_transform(block).values
-            want = values.reshape(301, 2, k).sum(axis=2)
             assert summed.flags.f_contiguous
-            assert np.ascontiguousarray(summed).tobytes() == want.tobytes(), k
+            summed, stages = np.ascontiguousarray(summed).tobytes(), values.reshape(301, 2, k)
+            want = np.zeros((301, 2))
+            for i in range(k):
+                want = want + stages[:, :, i]
+            assert summed == want.tobytes(), k
+            if k <= 7:
+                assert summed == stages.sum(axis=2).tobytes(), k
 
     def test_opposite_statistics_cancel(self):
         block = StatisticBlock(values=np.array([[1.0, -1.0]]), n_stages=1,
