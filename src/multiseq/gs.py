@@ -93,6 +93,14 @@ class GSDesignSpec:
             raise ValueError("n_stages must be >= 1")
         if not np.isfinite(self.wt_delta):
             raise ValueError("wt_delta must be finite")
+        # the boundaries are rescaled by J^(0.5 - wt_delta) and by its
+        # reciprocal; neither may overflow or fall below the normal floats
+        with np.errstate(over="ignore", under="ignore"):
+            scales = float(self.n_stages) ** np.array([0.5 - self.wt_delta, self.wt_delta - 0.5])
+        if not np.all((scales >= np.finfo(float).tiny) & (scales < np.inf)):
+            limit = 1022 * np.log(2) / np.log(self.n_stages)
+            raise ValueError(f"wt_delta must be within about {limit:.4g} of 0.5 at J = "
+                             f"{self.n_stages}, got {self.wt_delta!r}")
         _check_spec(self)
 
     def search(self, model: OutcomeModel, block: StatisticBlock, nmin: int | None = None,

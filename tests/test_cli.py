@@ -525,6 +525,33 @@ mu_values = 0.0, 0.4
                                   "--out", str(tmp_path / "out")]) == 0
         assert drawn == stage_counts
 
+    @pytest.mark.parametrize("command, stages, delta, code", [
+        # J^(0.5 - delta) or its reciprocal would overflow or fall below the
+        # normal floats; at J = 10, +-300 keeps both normal
+        ("gs", 3, "700", 2), ("gs", 3, "-700", 2), ("gs", 10, "310", 2), ("gs", 10, "-310", 2),
+        ("dtl", 2, "2000", 2), ("gs", 10, "300", 0), ("gs", 10, "-300", 0),
+    ])
+    def test_an_extreme_wang_tsiatis_delta_fails_before_the_draw(
+            self, tmp_path, capsys, monkeypatch, command, stages, delta, code):
+        drawn = []
+        simulate_null_block = simulate.simulate_null_block
+
+        def counted(schedule, model, cfg, threads=1):
+            drawn.append(schedule.n_stages)
+            return simulate_null_block(schedule, model, cfg, threads=threads)
+
+        patch_simulation(monkeypatch, counted)
+        text = GS_CONFIG if command == "gs" else DTL_CONFIG
+        assert run_cli(["design", command, "--config", str(write(tmp_path, text)),
+                        "--set", f"J={stages}", "--set", f"delta={delta}",
+                        "--out", str(tmp_path / "out")]) == code
+        if code == 2:
+            assert drawn == []
+            assert "configuration error: delta: wt_delta must be within about" \
+                in capsys.readouterr().err
+        else:
+            assert drawn == [stages]
+
     def test_oc_sweep_draws_each_block_once_and_drops_it_before_the_next_rho(
             self, tmp_path, monkeypatch):
         drawn = []  # (model, stage count, weak reference to the block)

@@ -5,13 +5,14 @@ configurations. These hashes pin ``summary.txt`` and every CSV of the ten
 command shapes in ``test_cli.COMMANDS`` (``config_echo.txt`` echoes the
 output path, so it is left out). They were recorded on a 2-vCPU Intel Xeon
 (KVM) box with Python 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31. They do not
-depend on the scipy version, since the program does not use scipy (its
-normal CDF and inverse are ports of scipy's Cephes code, which
-``test_normal.py`` ties to scipy bit for bit). They pin the draw of
-``simulate_null_block``: SFC64 streams per chunk and per-stage increments
-through the K x K Cholesky factor. Another numpy, BLAS or platform libm
-may round differently and move them. A change that alters numbers on
-purpose records new hashes and says why.
+depend on the scipy version, since the program does not use scipy: its
+normal CDF is 0.5 erfc from the platform libm, and its inverse is a port
+of scipy's Cephes code, which ``test_normal.py`` ties to scipy bit for
+bit. They pin the draw of ``simulate_null_block``: SFC64 streams per
+chunk and per-stage increments through the K x K Cholesky factor.
+Another numpy, BLAS or platform libm may round differently and move
+them. A change that alters numbers on purpose records new hashes and
+says why.
 """
 
 import hashlib

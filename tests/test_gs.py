@@ -867,6 +867,17 @@ class TestSearch:
         with pytest.raises(ValueError, match="nmin"):
             search_gs_design(two_outcome_spec, two_outcome_model, block, nmin=0)
 
+    def test_wang_tsiatis_delta_keeps_the_boundary_scale_normal(self):
+        # 10^(0.5 - delta) and its reciprocal are normal floats up to
+        # |delta - 0.5| = 1022 log 2 / log 10 = 307.65...
+        for delta in (-307.1, 0.0, 0.5, 308.1):
+            spec_for(2, 1, 10, wt_delta=delta)
+        for delta in (-307.2, 308.2, 1e308):
+            with pytest.raises(ValueError, match=r"^wt_delta must be within about 307.7 of 0.5"):
+                spec_for(2, 1, 10, wt_delta=delta)
+        for delta in (-1.7e308, -1e300, 1e300, 1.7e308):  # J = 1 takes every finite delta
+            assert spec_for(2, 1, 1, wt_delta=delta).wt_delta == delta
+
     def test_model_spec_outcome_mismatch_rejected(self, two_outcome_spec):
         model = OutcomeModel.equicorrelated(3, 0.3)
         with pytest.raises(ValueError, match="outcomes"):

@@ -1,11 +1,14 @@
-"""The Cephes ports in multiseq._normal against scipy.special, bit for bit.
+"""multiseq._normal against independent references.
 
-The program's outputs (calibrated boundaries, cp_lookup.csv) go through
-these two functions, so the ports must return exactly what scipy's
-compiled Cephes code returns: equal floats, and equal bits where the
-result is NaN.
+``ndtri`` ports Cephes and must return exactly what scipy's compiled
+Cephes code returns: equal floats, and equal bits where the result is NaN.
+``ndtr`` takes the libm's ``erfc``; mpmath at 96 bits checks it to within
+a few ulps of the exact 0.5 erfc(t) at its own rounded argument t.
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -49,21 +52,36 @@ NDTRI_INPUTS = {
                           0xFFF8000000000123),
 }
 
+# ndtr's error bound: glibc 2.36's erfc was measured at up to 3.81 ulps on
+# 200,000 uniform draws on [-1.78, -1.18] (where erfc's argument is in
+# [0.84, 1.26], its worst interval) and at most 2.76 on 200,000 on [-37.5, 40]
+NDTR_ULPS = 4
 NDTR_INPUTS = {
-    "normal": RNG.normal(0.0, 3.0, 30_000),
-    "wide normal": RNG.normal(0.0, 15.0, 20_000),
-    "uniform on [-40, 40]": RNG.uniform(-40.0, 40.0, 50_000),
+    "normal": RNG.normal(0.0, 3.0, 8_000),
+    "wide normal": RNG.normal(0.0, 15.0, 4_000),
+    "uniform on [-37.5, 40]": RNG.uniform(-37.5, 40.0, 10_000),
+    "erfc argument in [0.84, 1.26]": RNG.uniform(-1.78, -1.18, 3_000),
+    # where the Cephes port switched between its erf and erfc forms
     "branch points": around(1.0, -1.0, np.sqrt(2), -np.sqrt(2), 8 * np.sqrt(2), -8 * np.sqrt(2),
-                            np.sqrt(2 * 709.782712893384), -np.sqrt(2 * 709.782712893384)),
+                            np.sqrt(2 * 709.782712893384), -np.sqrt(2 * 709.782712893384),
+                            steps=250),
     "deep lower tail": -RNG.uniform(37.0, 38.7, 1_000),
-    "special values": np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 40.0, -40.0]),
-    "NaNs": nan_with_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123),
 }
+
+
+def ulps_from_exact(got, inputs) -> np.ndarray:
+    """|got - 0.5 erfc(t)| at t = -a sqrt(1/2) rounded, in ulps of the exact value."""
+    errors = []
+    with mpmath.workprec(96):
+        for g, t in zip(got.tolist(), (inputs * -math.sqrt(0.5)).tolist()):
+            exact = mpmath.erfc(t) / 2
+            errors.append(float(abs(g - exact)) / math.ulp(float(exact)))
+    return np.array(errors)
 
 
 def test_enough_inputs():
     assert sum(map(len, NDTRI_INPUTS.values())) >= 100_000
-    assert sum(map(len, NDTR_INPUTS.values())) >= 100_000
+    assert sum(map(len, NDTR_INPUTS.values())) >= 30_000
 
 
 @pytest.mark.parametrize("name", list(NDTRI_INPUTS))
@@ -73,11 +91,28 @@ def test_ndtri_matches_scipy_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", list(NDTR_INPUTS))
-def test_ndtr_matches_scipy_bit_for_bit(name):
+def test_ndtr_is_within_4_ulps_of_mpmath(name):
     inputs = NDTR_INPUTS[name]
-    assert_same_bits(ndtr(inputs), special.ndtr(inputs), inputs)
-    assert_same_bits(np.array([ndtr(a) for a in inputs[:100]]), special.ndtr(inputs[:100]),
-                     inputs[:100])  # one 0-d array at a time
+    got = ndtr(inputs)
+    errors = ulps_from_exact(got, inputs)
+    worst = errors.argmax()
+    assert errors[worst] <= NDTR_ULPS, f"ndtr({inputs[worst]!r}) is {errors[worst]:.2f} ulps off"
+    for a, want in zip(inputs[:100], got[:100]):  # one 0-d array at a time
+        one = ndtr(a)
+        assert isinstance(one, np.ndarray) and one.shape == () and one == want
+
+
+def test_ndtr_at_the_ends():
+    assert ndtr(-np.inf) == 0.0 and ndtr(np.inf) == 1.0
+    assert ndtr(0.0) == 0.5 and ndtr(-0.0) == 0.5
+    np.testing.assert_array_equal(ndtr(np.array([[-np.inf, -0.0], [0.0, np.inf]])),
+                                  [[0.0, 0.5], [0.5, 1.0]])
+
+
+def test_ndtr_of_nan_is_nan():
+    nans = nan_with_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123)
+    assert np.isnan(ndtr(nans)).all()
+    assert all(np.isnan(ndtr(a)) for a in nans)
 
 
 def test_ndtri_ends_and_domain():
@@ -102,9 +137,9 @@ class TestConditionalPower:
                                                  effect[j])
         assert conditional_power(np.zeros((0, 2)), 2.0, 32.0, 64.0, 0.4).shape == (0, 2)
 
-    def test_equals_scipy_on_its_argument(self):
+    def test_equals_ndtr_of_its_argument(self):
         z = np.random.default_rng(5).normal(0.0, 2.0, 500)
         i1, i2, r, effect = 32.0, 64.0, 2.1, 0.4
         gap = i2 - i1
         arg = (z * np.sqrt(i1) - r * np.sqrt(i2) + gap * effect) / np.sqrt(gap)
-        np.testing.assert_array_equal(conditional_power(z, r, i1, i2, effect), special.ndtr(arg))
+        assert_same_bits(conditional_power(z, r, i1, i2, effect), ndtr(arg), arg)
