@@ -13,7 +13,6 @@ from .errors import (
     CalibrationError,
     ConfigError,
     InfeasibleDesignError,
-    InvalidCorrelationError,
     TrialDesignError,
 )
 from .gs import GSDesignSpec, search_gs_design

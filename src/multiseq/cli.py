@@ -11,8 +11,8 @@ named flags ``--seed --nsims --threads --out`` override their keys.
 Outputs are deterministic: identical configurations produce
 byte-identical files.
 
-Exit codes: 0 success, 2 validation error, 3 infeasible design,
-4 numeric failure.
+Exit codes: 0 success, 2 validation error or a block too large to allocate,
+3 infeasible design, 4 numeric failure (no boundary reaches the target).
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dtl, gs
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    InfeasibleDesignError,
-    InvalidCorrelationError,
-    TrialDesignError,
-)
+from .errors import CalibrationError, ConfigError, InfeasibleDesignError
 from .model import OutcomeModel, lfc_effects
 from .optimize import DEFAULT_NMAX
 from .simulate import SimConfig, null_blocks
@@ -329,8 +323,13 @@ def _nmax(cfg: RunConfig) -> int:
 
 def _null_blocks(cfg: RunConfig, model: OutcomeModel, specs) -> dict:
     """The model's null block for each stage count the specs need, drawn once."""
-    return null_blocks([spec.n_stages for spec in specs], model, _sim_config(cfg),
-                       threads=cfg.threads)
+    stage_counts = [spec.n_stages for spec in specs]
+    try:
+        return null_blocks(stage_counts, model, _sim_config(cfg), threads=cfg.threads)
+    except MemoryError:
+        columns = max(stage_counts) * cfg.K
+        _fail("nsims", f"a null block of {cfg.nsims:,} x {columns} statistics "
+                       f"({8 * cfg.nsims * columns / 2**30:.3g} GiB) cannot be allocated")
 
 
 def _search(cfg: RunConfig, spec, model: OutcomeModel, blocks: dict):
@@ -477,7 +476,7 @@ def _cmd_oc_sweep(cfg: RunConfig) -> list:
     for rho in cfg.rho_values:
         try:
             a, b = _searched_at_rho(cfg, specs, rho)
-        except TrialDesignError as exc:
+        except (InfeasibleDesignError, CalibrationError) as exc:
             # a failed search marks its point invalid, every cell after valid nan
             errors.append((rho, str(exc)))
             rows.append((rho, False) + (math.nan,) * (len(header) - 2))
@@ -571,7 +570,7 @@ def main(argv=None) -> int:
     except InfeasibleDesignError as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return 3
-    except (CalibrationError, InvalidCorrelationError) as exc:
+    except CalibrationError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
     for path in written:

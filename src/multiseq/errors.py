@@ -1,12 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package. Invalid input to a
+constructor, a rho that is not positive semidefinite included, raises
+ValueError instead."""
 
 
 class TrialDesignError(Exception):
     """Base class for all package-specific errors."""
-
-
-class InvalidCorrelationError(TrialDesignError):
-    """A correlation matrix is not positive semidefinite (after one jitter pass)."""
 
 
 class CalibrationError(TrialDesignError):
@@ -19,4 +17,5 @@ class InfeasibleDesignError(TrialDesignError):
 
 
 class ConfigError(TrialDesignError):
-    """A run configuration failed validation; the message names the field."""
+    """A run configuration failed validation, or its null block cannot be
+    allocated; the message names the field."""

@@ -15,7 +15,7 @@ Statistics are laid out stage-major throughout the package: column
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -28,10 +28,6 @@ __all__ = [
     "lfc_effects",
     "lfc_working_indices",
 ]
-
-# Eigenvalues above this (negative) floor are treated as rounding noise;
-# anything below means the correlation matrix is genuinely invalid.
-_PSD_TOL = 1e-8
 
 
 def _as_vector(x, k: int, name: str) -> np.ndarray:
@@ -69,12 +65,16 @@ class OutcomeModel:
     """True means, standard deviations and correlation of the K outcomes.
 
     ``rho`` may be a scalar (shared correlation between all pairs) or a
-    full K x K matrix. Instances are immutable and safe to share across
-    workers.
+    full K x K matrix. ``factor``, its lower Cholesky factor, is the one
+    test of a valid rho: ``np.linalg.cholesky(rho)``, else once more with
+    1e-10 added to the diagonal, which accepts a singular rho such as 1.
+    A rho that fails both is not positive semidefinite. Instances are
+    immutable and safe to share across workers.
     """
 
     sigma: Any
     rho: Any
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
@@ -95,9 +95,15 @@ class OutcomeModel:
         off = rho[~np.eye(k, dtype=bool)]
         if off.size and (off.min() < -1.0 or off.max() > 1.0):
             raise ValueError("off-diagonal correlations must lie in [-1, 1]")
-        if k > 1 and np.linalg.eigvalsh(rho).min() < -_PSD_TOL:
+        for attempt in (rho, rho + 1e-10 * np.eye(k)):
+            try:
+                factor = np.linalg.cholesky(attempt)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
             raise ValueError("rho must be positive semidefinite")
-        for name, arr in (("sigma", sigma), ("rho", rho)):
+        for name, arr in (("sigma", sigma), ("rho", rho), ("factor", factor)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -6,13 +6,14 @@ derived from (seed, chunk index), so the assembled block is bit-identical
 for a given SimConfig no matter how many worker threads are used. A
 worker draws its chunk in sub-blocks of SUB_BLOCK_ROWS rows, stage by
 stage: each stage's independent increment is K normals per row times the
-K x K Cholesky factor of the outcomes' correlation, added to a running
-sum that is scaled into the stage's columns of the block. So a draw holds
-three buffers of K x SUB_BLOCK_ROWS values per worker and no chunk-sized
-temporary; it checks each sub-block's statistics finite while they are
-in cache, so the drawn block is not scanned again. A drawn block is
-stored column-major: every column of statistics is contiguous, and a
-block pass reads a chunk's columns in place.
+K x K Cholesky factor of the outcomes' correlation (``model.factor``),
+added to a running sum that is scaled into the stage's columns of the
+block. So a draw holds three buffers of K x SUB_BLOCK_ROWS values per
+worker and no chunk-sized temporary; it checks each sub-block's
+statistics finite while they are in cache, so the drawn block is not
+scanned again. A drawn block is stored column-major: every column of
+statistics is contiguous, and a block pass reads a chunk's columns in
+place.
 
 Calibration and power evaluation share one null block: effects are added
 as mean shifts instead of resimulating, which keeps design comparisons on
@@ -27,20 +28,17 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import InvalidCorrelationError
 from .model import OutcomeModel, StageSchedule
 
 __all__ = [
     "SimConfig",
     "StatisticBlock",
-    "cholesky_factor",
     "simulate_null_block",
     "null_blocks",
     "mean_shift_vector",
     "axis_shifts",
 ]
 
-_CHOLESKY_JITTER = 1e-10
 SUB_BLOCK_ROWS = 4_096  # 320 kB of normals at K = 10
 CHECK_BYTES = 1 << 18  # rows checked for finiteness at a time: a 32 kB flag temporary
 
@@ -124,25 +122,6 @@ def _require_finite(values: np.ndarray) -> None:
     step = max(1, CHECK_BYTES // (values.shape[1] * values.itemsize))
     if not all(np.isfinite(values[a:a + step]).all() for a in range(0, len(values), step)):
         raise ValueError("statistics must be finite")
-
-
-def cholesky_factor(cov: np.ndarray, jitter: float = _CHOLESKY_JITTER) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == cov.
-
-    A single diagonal jitter pass rescues matrices that are PSD up to
-    rounding; anything still failing is rejected rather than repaired.
-    """
-    cov = np.asarray(cov, dtype=float)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-    except np.linalg.LinAlgError:
-        raise InvalidCorrelationError(
-            "covariance is not positive semidefinite; check the correlation matrix"
-        ) from None
 
 
 def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> list:
@@ -284,15 +263,15 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     (cfg.seed, c) and draws it in sub-blocks of SUB_BLOCK_ROWS rows (the
     last may be shorter), in order. Within a sub-block, stage by stage, it
     draws a (K, rows) array of normals, multiplies it by sqrt(n_j) times
-    the K x K Cholesky factor of R, adds that to a running sum, and writes
-    the sum times 1/sqrt(N_j) straight into stage j's columns. Assembly
-    order is fixed, so output does not depend on the thread count.
+    ``model.factor``, the K x K Cholesky factor of R, adds that to a
+    running sum, and writes the sum times 1/sqrt(N_j) straight into stage
+    j's columns. Assembly order is fixed, so output does not depend on
+    the thread count.
     """
     if threads < 1:  # before the draw, not after it
         raise ValueError("threads must be >= 1")
     k, stages = model.n_outcomes, schedule.n_stages
-    factors = np.sqrt(np.asarray(schedule.stage_sizes, dtype=float))[:, None, None] \
-        * cholesky_factor(model.rho)
+    factors = np.sqrt(np.asarray(schedule.stage_sizes, dtype=float))[:, None, None] * model.factor
     scales = 1.0 / np.sqrt(schedule.cumulative)
     columns = np.empty((stages * k, cfg.nsims))  # row i is the block's column i
     out = columns.T  # column-major

@@ -48,7 +48,6 @@ from multiseq.model import Boundaries, OutcomeModel, StageSchedule
 from multiseq.simulate import (
     SUB_BLOCK_ROWS,
     SimConfig,
-    cholesky_factor,
     mean_shift_vector,
     simulate_null_block,
 )
@@ -101,7 +100,7 @@ def increment_null_block(schedule: StageSchedule, model: OutcomeModel,
     1/sqrt(N_j), gives the statistics."""
     k, stages = model.n_outcomes, schedule.n_stages
     factors = np.sqrt(np.asarray(schedule.stage_sizes, dtype=float))[:, None, None] \
-        * cholesky_factor(model.rho)
+        * model.factor
     scales = 1.0 / np.sqrt(schedule.cumulative)
     out = np.empty((cfg.nsims, stages * k))
     for start in range(0, cfg.nsims, cfg.chunk_size):

@@ -159,6 +159,12 @@ def no_block(*args, **kwargs):
     raise AssertionError("a block was simulated")
 
 
+def unallocatable(*args, **kwargs):
+    # as numpy's allocation of an oversized block fails; a real one could be
+    # granted by memory overcommit, and then filled
+    raise MemoryError("Unable to allocate")
+
+
 class TestKeyValueParsing:
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = write(tmp_path, "# header\n\nK = 3  # inline\nrho = 0.2\n")
@@ -552,6 +558,26 @@ mu_values = 0.0, 0.4
         else:
             assert drawn == [stages]
 
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_a_block_that_cannot_be_allocated_fails_before_any_pass(
+            self, tmp_path, capsys, monkeypatch, name):
+        patch_simulation(monkeypatch, unallocatable)
+        monkeypatch.setattr(simulate.StatisticBlock, "each_chunk", no_block)
+        command, text, _ = COMMANDS[name]
+        out = tmp_path / "out"
+        assert run_cli(command + ["--config", str(write(tmp_path, text)),
+                                  "--out", str(out)]) == 2
+        assert "configuration error: nsims: a null block of" in capsys.readouterr().err
+        assert not out.exists()  # an oc sweep marks no point failed
+
+    def test_an_unallocatable_block_is_named_by_its_size(self, tmp_path, capsys, monkeypatch):
+        patch_simulation(monkeypatch, unallocatable)
+        assert run_cli(["design", "gs", "--config", str(write(tmp_path, GS_CONFIG)),
+                        "--set", "J=1", "--nsims", "12345"]) == 2
+        assert capsys.readouterr().err == ("configuration error: nsims: a null block of "
+                                           "12,345 x 2 statistics (0.000184 GiB) "
+                                           "cannot be allocated\n")
+
     def test_oc_sweep_draws_each_block_once_and_drops_it_before_the_next_rho(
             self, tmp_path, monkeypatch):
         drawn = []  # (model, stage count, weak reference to the block)
@@ -693,6 +719,11 @@ mu_values = 0.0, 0.4
         ("gs", "nmin", "500"),
         ("dtl", "nmin", "500"),
         ("sweep", "rho_values", "0.0, -0.9"),
+        # K = 3: smallest eigenvalues -2e-9 and -2e-10, so no Cholesky factor
+        # exists even with 1e-10 on the diagonal
+        ("gs-k3", "rho", "1,-0.500000001,-0.500000001; -0.500000001,1,-0.500000001; "
+                         "-0.500000001,-0.500000001,1"),
+        ("sweep", "rho_values", "0.3, -0.5000000001"),
         ("grid", "mu_values", ""),
         ("sweep", "rho_values", ""),
         ("sweep", "delta1", "0.4,"),  # K = 3: not 0.4 for every outcome
@@ -706,13 +737,14 @@ mu_values = 0.0, 0.4
         # without nmin/nmax, so nmax takes its default of 400
         pair = GS_CONFIG.replace("kind = gs", "kind_a = gs\nkind_b = composite")
         text = {"gs": GS_CONFIG,
+                "gs-k3": GS_CONFIG.replace("K = 2", "K = 3"),
                 "dtl": DTL_CONFIG.replace("nmin = 2\nnmax = 120\n", ""),
                 "grid": pair,
                 "grid-k10": pair.replace("K = 2", "K = 10"),
                 "sweep": pair.replace("K = 2", "K = 3")}[kind]
         cfg_path = write(tmp_path, text)
-        oc_command = kind.removesuffix("-k10")
-        command = ["oc", oc_command] if oc_command in ("grid", "sweep") else ["design", kind]
+        base = kind.split("-")[0]
+        command = ["oc", base] if base in ("grid", "sweep") else ["design", base]
         assert run_cli(command + ["--config", str(cfg_path), "--set",
                                   f"{key}={value}", "--out", str(tmp_path / "v")]) == 2
         assert f"configuration error: {key}:" in capsys.readouterr().err

@@ -41,13 +41,30 @@ class TestOutcomeModel:
     def test_rejects_non_psd_rho(self):
         # pairwise correlations of 0.9, -0.9, 0.9 cannot coexist
         rho = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-        with pytest.raises(ValueError, match="semidefinite"):
+        with pytest.raises(ValueError, match="rho must be positive semidefinite"):
             OutcomeModel(sigma=[1.0, 1.0, 1.0], rho=rho)
+
+    @pytest.mark.parametrize("k, rho", [(2, 1.0), (3, 1.0), (3, -1 / 2), (4, -1 / 3)])
+    def test_accepts_a_singular_rho(self, k, rho):
+        # PSD with a zero eigenvalue: its factor exists once 1e-10 is on the diagonal
+        model = OutcomeModel.equicorrelated(k, rho)
+        assert np.abs(model.factor @ model.factor.T - model.rho).max() < 1e-8
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rejects_a_rho_just_below_the_psd_bound(self, k):
+        # smallest eigenvalue 1 + (K - 1) * rho = -(K - 1) * 1e-9: no factor
+        # exists, with or without the jitter
+        with pytest.raises(ValueError, match="rho must be positive semidefinite"):
+            OutcomeModel.equicorrelated(k, -1 / (k - 1) - 1e-9)
 
     def test_fields_are_immutable(self):
         model = OutcomeModel.equicorrelated(2, 0.5)
         with pytest.raises(ValueError):
             model.rho[0, 1] = 0.9
+        with pytest.raises(ValueError):
+            model.factor[1, 0] = 0.9
+        with pytest.raises(TypeError):  # computed from rho, never passed
+            OutcomeModel(sigma=[1.0, 1.0], rho=0.5, factor=np.eye(2))
 
     def test_rejects_non_finite_effects_and_shape(self):
         from multiseq.dtl import DtLDesignSpec

@@ -11,12 +11,11 @@ import pytest
 import _oracles
 import multiseq.simulate as simulate_module
 from conftest import random_correlation
-from multiseq import InvalidCorrelationError, OutcomeModel, SimConfig
+from multiseq import OutcomeModel, SimConfig
 from _oracles import assemble_covariance
 from multiseq.model import StageSchedule
 from multiseq.simulate import (
     StatisticBlock,
-    cholesky_factor,
     mean_shift_vector,
     simulate_null_block,
 )
@@ -34,11 +33,14 @@ class TestSimConfig:
 
 
 class TestCholesky:
+    """The outcome model's factor, which every null block is drawn through."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(cholesky_factor(np.eye(3)), np.eye(3))
+        model = OutcomeModel(sigma=np.ones(3), rho=np.eye(3))
+        np.testing.assert_array_equal(model.factor, np.eye(3))
 
     def test_closed_form_2x2(self):
-        factor = cholesky_factor(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        factor = OutcomeModel.equicorrelated(2, 0.5).factor
         np.testing.assert_allclose(factor, [[1.0, 0.0], [0.5, 0.8660254]], atol=1e-7)
 
     def test_reconstruction_of_random_psd(self):
@@ -46,19 +48,19 @@ class TestCholesky:
         for _ in range(200):
             dim = int(rng.integers(1, 8))
             corr = random_correlation(rng, dim)
-            factor = cholesky_factor(corr)
+            factor = OutcomeModel(sigma=np.ones(dim), rho=corr).factor
             assert np.abs(factor @ factor.T - corr).max() < 1e-8
 
     def test_jitter_rescues_singular_psd(self):
         # perfectly correlated pair: PSD but singular
         corr = np.array([[1.0, 1.0], [1.0, 1.0]])
-        factor = cholesky_factor(corr)
+        factor = OutcomeModel(sigma=[1.0, 1.0], rho=corr).factor
         assert np.abs(factor @ factor.T - corr).max() < 1e-8
 
     def test_rejects_indefinite_matrix(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(InvalidCorrelationError):
-            cholesky_factor(bad)
+        # every correlation in [-1, 1], but 1 + 2 * rho = -0.2 is an eigenvalue
+        with pytest.raises(ValueError, match="rho must be positive semidefinite"):
+            OutcomeModel.equicorrelated(3, -0.6)
 
 
 class TestStatisticBlock:
@@ -113,16 +115,14 @@ class TestStatisticBlock:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_a_drawn_non_finite_value_is_rejected(self, monkeypatch, two_outcome_model,
-                                                  threads):
+    def test_a_drawn_non_finite_value_is_rejected(self, threads):
         # outcome 2's increments are infinite, and their sum over two stages
         # is infinite or nan (inf - inf)
-        monkeypatch.setattr(simulate_module, "cholesky_factor",
-                            lambda rho: np.diag([1.0, np.inf]))
+        model = OutcomeModel.equicorrelated(2, 0.0)
+        object.__setattr__(model, "factor", np.diag([1.0, np.inf]))
         cfg = SimConfig(seed=100, nsims=3 * simulate_module.SUB_BLOCK_ROWS, chunk_size=5_000)
         with pytest.raises(ValueError, match="statistics must be finite"):
-            simulate_null_block(StageSchedule.equal(1, 2), two_outcome_model, cfg,
-                                threads=threads)
+            simulate_null_block(StageSchedule.equal(1, 2), model, cfg, threads=threads)
 
     def test_wrapping_an_array_allocates_no_block_sized_temporary(self):
         values = np.zeros((1_000_000, 4))  # 32 MB
@@ -287,7 +287,7 @@ class TestSimulateNullBlock:
         block = simulate_null_block(schedule, two_outcome_model, cfg, threads=threads)
         np.testing.assert_array_equal(
             block.values, _oracles.increment_null_block(schedule, two_outcome_model, cfg))
-        factor = cholesky_factor(two_outcome_model.rho)
+        factor = two_outcome_model.factor
         for c in range(4):
             seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(c,))
             x_1, x_2 = factor @ np.random.Generator(np.random.SFC64(seq)).standard_normal(
