@@ -33,7 +33,7 @@ from . import dtl, gs
 from .errors import CalibrationError, ConfigError, InfeasibleDesignError
 from .model import OutcomeModel, lfc_effects
 from .optimize import DEFAULT_NMAX
-from .simulate import SimConfig, null_blocks
+from .simulate import STATISTIC, SimConfig, null_blocks
 
 __all__ = ["RunConfig", "parse_config", "load_key_values", "emit_results", "main"]
 
@@ -328,8 +328,9 @@ def _null_blocks(cfg: RunConfig, model: OutcomeModel, specs) -> dict:
         return null_blocks(stage_counts, model, _sim_config(cfg), threads=cfg.threads)
     except MemoryError:
         columns = max(stage_counts) * cfg.K
+        size = STATISTIC.itemsize * cfg.nsims * columns
         _fail("nsims", f"a null block of {cfg.nsims:,} x {columns} statistics "
-                       f"({8 * cfg.nsims * columns / 2**30:.3g} GiB) cannot be allocated")
+                       f"({size / 2**30:.3g} GiB) cannot be allocated")
 
 
 def _search(cfg: RunConfig, spec, model: OutcomeModel, blocks: dict):

@@ -49,12 +49,19 @@ __all__ = [
 ]
 
 N_STAGES = 2
-# bytes of statistics per row chunk of a block pass, read in place; a chunk's
-# working arrays take 0.8-1.7 times its size in a go-limit pass and 1.3-1.4 in
-# a one-point count pass (K = 3-10, tracemalloc), so a single-threaded pass
-# peaks below 2 MB whatever the block size, besides a go-limit pass's
-# nsims-long result.
-CHUNK_BYTES = 1 << 20
+# bytes of statistics per row chunk of a block pass, 4 bytes each, read in place.
+# A chunk's float64 working arrays take 2.3-3.8 times its size in a go-limit pass
+# and 2.6-2.9 in a one-point count pass (K = 3-10, tracemalloc), so a
+# single-threaded pass peaks below 2 MB whatever the block size, besides a
+# go-limit pass's nsims-long result. A count pass works in slices of twice this
+# many bytes of (point, row) cells (``ShiftGrid.width``). 1 MB chunks measure
+# faster, but overrun both bounds of test_dtl.py's TestChunkedPass. A 500k-row
+# block's go-limit pass / one-point count pass, in ms (medians of 9, OpenBLAS on
+# one thread):
+#   K = 3, 1 thread:  10.1 / 14.7 at 256 kB, 8.9 / 12.5 at 512 kB, 8.8 / 12.3 at 1 MB;
+#   K = 6, 1 thread:  28.4 / 40.1 at 256 kB, 25.1 / 30.0 at 512 kB, 23.2 / 27.7 at 1 MB;
+#   K = 6, 2 threads: 29.4 / 41.0 at 256 kB, 26.0 / 31.7 at 512 kB, 20.7 / 24.6 at 1 MB.
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -189,8 +196,9 @@ class _Rule:
 
     A pass runs a kernel on each row chunk of CHUNK_BYTES on the block's
     workers and combines the results in row order. Each kernel reads the
-    chunk's columns in place and writes the cores (and the count kernel
-    the shifted statistics) into the chunk's own workspaces, so no
+    chunk's float32 columns in place, widens them to float64 before any
+    arithmetic, and writes the cores (and the count kernel the shifted
+    statistics) into the chunk's own workspaces, so no
     block-sized copy is made and the result does not depend on the thread
     count.
     """
@@ -221,10 +229,12 @@ class _Rule:
         strictly exceeds, so tied cores keep the lower index first, as a
         stable descending sort does. The values used are then read back
         by index, and M_j keeps the top m of the first j stage-two
-        statistics by max/min insertion. Every working array is a row of
-        one workspace allocation (``carve``): the places' rows are free
-        rows, and once the places are ranked, the statistics read back by
-        index take them.
+        statistics by max/min insertion. The cores are computed in float64
+        from the widened stage-one statistics, and a stage-two statistic
+        read back by index is widened as it lands in its row. Every working
+        array is a row of one workspace allocation (``carve``): the places'
+        rows are free rows, and once the places are ranked, the statistics
+        read back by index take them.
         """
         k, m, k_max = self.k, self.m, self.k_max
         nrows, places = len(rows), max(m, k_max)
@@ -232,12 +242,14 @@ class _Rule:
         # free rows: the places and a swap row, then e, t_go, and with m <= K_max the
         # top m of M_j and, when a read may move down past them, a swap row
         reads = 2 + (m + (k_max > 1) if m <= k_max else 0)
-        core, free, outcome, swap, up, at = carve(
+        core, free, outcome, swap, up, at, gathered = carve(
             ((k, nrows), float), ((max(places + 1, reads), nrows), float),
-            ((places, nrows), index), ((nrows,), index), ((nrows,), bool), ((nrows,), np.intp))
+            ((places, nrows), index), ((nrows,), index), ((nrows,), bool), ((nrows,), np.intp),
+            ((nrows,), rows.dtype))
         free, outcome = list(free), list(outcome)
         cols = rows.T
-        np.multiply(cols[:k], self.sqrt_i1[:, None], out=core)
+        np.copyto(core, cols[:k])  # widened, then the cores in place
+        core *= self.sqrt_i1[:, None]
         core += self.drift[:, None]
         core /= self.sqrt_gap[:, None]
         top = []
@@ -275,12 +287,17 @@ class _Rule:
 
         def value(p: int, stage: int) -> np.ndarray:
             """The stage's statistic (the core at stage 0) of place p's outcome,
-            into a free row."""
+            widened into a free row."""
             flat, outcome_step, row_steps = sources[stage]
             np.multiply(outcome[p], outcome_step, out=at, dtype=np.intp)
             np.add(at, row_steps, out=at)
             # mode="raise" would gather into a buffered copy of the row
-            return np.take(flat, at, out=free.pop(), mode="clip")
+            if not stage:
+                return np.take(flat, at, out=free.pop(), mode="clip")
+            # take casts nothing: a stored statistic is gathered as it is, then widened
+            out = free.pop()
+            np.copyto(out, np.take(flat, at, out=gathered, mode="clip"))
+            return out
 
         e = value(m - 1, 0)  # e_m, used up at j = m
         limit = np.subtract(e, self.q_upper, out=free.pop())
@@ -336,20 +353,20 @@ class _Rule:
         point's go, stop and retained counts."""
         k, m, k_max = self.k, self.m, self.k_max
         grid = ShiftGrid(shifts, N_STAGES)
-        points, width = grid.points, grid.width(CHUNK_BYTES)
+        points, width = grid.points, grid.width(2 * CHUNK_BYTES)
         ranked = ("ranks", "pairs") if k_max < k else ()
         step = min(k, k_max)  # the most outcomes a row retains
 
         def counts(rows: np.ndarray) -> np.ndarray:
             cols = rows.T.reshape(N_STAGES, k, 1, len(rows))
-            cut = grid.workspace(min(width, len(rows)), "shifted", "shifted", "flags", "flags",
-                                 "counts", "marks", "marks", "marks", *ranked,
+            cut = grid.workspace(min(width, len(rows)), "shifted", "shifted", "widened", "flags",
+                                 "flags", "counts", "marks", "marks", "marks", *ranked,
                                  tallies=3, step=step)
             total = np.zeros((3, points), dtype=np.intp)  # go, stop, retained
             for a in grid.slices(len(rows), width, cut()[-1], total, step):
-                core, z, eligible, hits, count, go, stop, mark, *ranks, (gone, stopped, kept) = \
-                    cut(min(width, len(rows) - a))
-                grid.shift(cols[0, ..., a:a + width], 0, out=core)
+                (core, z, wide, eligible, hits, count, go, stop, mark, *ranks,
+                 (gone, stopped, kept)) = cut(min(width, len(rows) - a))
+                grid.shift(cols[0, ..., a:a + width], 0, core, wide)
                 core *= self.sqrt_i1[:, None, None]
                 core += self.drift[:, None, None]
                 core /= self.sqrt_gap[:, None, None]
@@ -363,7 +380,7 @@ class _Rule:
                 np.less(count, m, out=stop)
                 stop |= go
                 np.greater(z, r, out=eligible)
-                grid.shift(cols[1, ..., a:a + width], 1, out=z)
+                grid.shift(cols[1, ..., a:a + width], 1, z, wide)
                 np.greater(z, r, out=hits)
                 hits &= eligible
                 if k_max < k:  # retain the K_max top-ranked eligible outcomes

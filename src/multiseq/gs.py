@@ -50,16 +50,16 @@ __all__ = [
     "search_gs_design",
 ]
 
-# bytes of statistics per row chunk of a block pass. A kernel reads its chunk's
-# columns in place and holds only its workspaces (0.25-0.40 times the chunk in a
-# one-point count pass, which shifts the chunk in slices of a quarter of this;
-# K = 2-10, tracemalloc). Fewer rows per chunk mean more numpy calls per row,
+# bytes of statistics per row chunk of a block pass, 4 bytes each. A kernel reads
+# its chunk's columns in place and holds only its workspaces (0.25-0.40 times the
+# chunk in a one-point count pass, which shifts the chunk in slices of a quarter of
+# this; K = 2-10, tracemalloc). Fewer rows per chunk mean more numpy calls per row,
 # which two workers contend for. A 500k-row K = 10, m = 5, J = 5 block's interval
 # pass / one-point count pass, in ms (medians of 9, OpenBLAS on one thread):
-#   1 thread:  133 / 80 at 1 MB, 101 / 45 at 2 MB, 92 / 42 at 4 MB, 90 / 47 at 8 MB,
-#              100 / 57 at 16 MB;
-#   2 threads: 290 / 99 at 1 MB, 186 / 61 at 2 MB, 122 / 44 at 4 MB, 75 / 35 at 8 MB,
-#              64 / 33 at 16 MB.
+#   1 thread:  66 / 63 at 1 MB, 55 / 43 at 2 MB, 51 / 37 at 4 MB, 50 / 40 at 8 MB,
+#              52 / 42 at 16 MB;
+#   2 threads: 64 / 69 at 1 MB, 77 / 38 at 2 MB, 45 / 27 at 4 MB, 36 / 25 at 8 MB,
+#              36 / 30 at 16 MB.
 CHUNK_BYTES = 8 << 20
 
 
@@ -174,9 +174,10 @@ class _Rule:
     is summed on its own and then added to the summed block. Both sums
     follow ``_outcome_sum``: 0.0 plus the K outcomes in order. A pass runs
     a kernel on each row chunk of CHUNK_BYTES on the block's workers and
-    combines the results in row order; a kernel reads its chunk's columns
-    in place and writes only its own workspaces (a count kernel adds the
-    shift into one), so no pass copies a chunk or the block. Every
+    combines the results in row order; a kernel reads its chunk's float32
+    columns in place, widens them to float64 before any arithmetic, and
+    writes only its own workspaces (a count kernel adds the shift into
+    one), so no pass copies a chunk or the block. Every
     count pass (``oc``, and so the searches' probes, and effect grids)
     runs the one count kernel of ``grid_oc``; ``oc`` is its one-point grid.
     """
@@ -216,11 +217,12 @@ class _Rule:
         disjoint; only non-empty ones are kept.
 
         Each chunk reads its columns in place, stage by stage: W_j by
-        ``_order_statistic`` over the stage's K columns, and T_j as a
-        running max. A chunk lists its intervals stage by stage, so their
-        order depends on the chunk size, but their multiset (all that
-        calibration reads) does not, and for one chunk size neither does
-        the order depend on the thread count.
+        ``_order_statistic`` over the stage's K columns (a stored value,
+        widened before the division by a_j), and T_j as a running max. A
+        chunk lists its intervals stage by stage, so their order depends
+        on the chunk size, but their multiset (all that calibration reads)
+        does not, and for one chunk size neither does the order depend on
+        the thread count.
         """
         n_stages, k, m = self.spec.n_stages, self.k, self.m
         a = np.asarray(_final_scale_boundaries(1.0, n_stages, self.spec.wt_delta).upper)
@@ -232,7 +234,8 @@ class _Rule:
             keep = np.empty(len(rows), dtype=bool)
             starts, ends = [], []
             for j in range(n_stages):
-                np.divide(_order_statistic(cols[j], k - m, pool), a[j], out=w)
+                np.copyto(w, _order_statistic(cols[j], k - m, pool))  # widened: W_j
+                w /= a[j]
                 kept = np.flatnonzero(np.greater(w, t, out=keep))  # faster than a mask
                 starts.append(t.take(kept))
                 ends.append(w.take(kept))
@@ -267,29 +270,34 @@ class _Rule:
         lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
         slope = self._columns(slope).reshape(n_stages, k)
 
-        def crossing(edge: float, z: np.ndarray, c: np.ndarray, past, out: np.ndarray):
-            # the min (m = 1) or max (m = K) crossing of the edge over the K rows of z
-            step = np.empty_like(out)
-            for i, (zk, ck) in enumerate(zip(z, c)):
-                each = step if i else out
-                if ck > 0:
-                    np.divide(np.subtract(edge, zk, out=each), ck, out=each)
-                else:
-                    each[:] = np.where(past(zk, edge), -np.inf, np.inf)
-                if i:
-                    pick(out, each, out=out)
+        def crossing(edge: float, z: np.ndarray, c: float, past, out: np.ndarray):
+            # the crossing of the edge by the widened statistics z with slope c
+            if c > 0:
+                return np.divide(np.subtract(edge, z, out=out), c, out=out)
+            out[:] = np.where(past(z, edge), -np.inf, np.inf)
             return out
 
         def thresholds(rows: np.ndarray) -> np.ndarray:
             size = len(rows)
             cols = rows.T.reshape(n_stages, k, size)
-            # t*, the stage's go crossing, and max_{i<j} h_i
-            t, go, nogo = np.full(size, np.inf), np.empty(size), np.full(size, -np.inf)
-            for j, (z, c) in enumerate(zip(cols, slope)):
-                crossing(upper[j], z, c, np.greater, go)
+            # t*, g_j, h_j and max_{i<j} h_i; a widened column and its two crossings
+            t, go, stop, nogo = (np.full(size, np.inf), np.empty(size), np.empty(size),
+                                 np.full(size, -np.inf))
+            z, up, down = np.empty(size), np.empty(size), np.empty(size)
+            for j, (zs, cs) in enumerate(zip(cols, slope)):
+                last = j == n_stages - 1
+                for i, (zk, ck) in enumerate(zip(zs, cs)):
+                    np.copyto(z, zk)  # widened once for both edges
+                    crossing(upper[j], z, ck, np.greater, up if i else go)
+                    if not last:
+                        crossing(lower[j], z, ck, np.greater_equal, down if i else stop)
+                    if i:  # the min (m = 1) or max (m = K) over the stage's K columns
+                        pick(go, up, out=go)
+                        if not last:
+                            pick(stop, down, out=stop)
                 np.minimum(t, np.maximum(go, nogo, out=go), out=t)
-                if j < n_stages - 1:
-                    np.maximum(nogo, crossing(lower[j], z, c, np.greater_equal, go), out=nogo)
+                if not last:
+                    np.maximum(nogo, stop, out=nogo)
             return t
 
         return self.block.each_row(thresholds, CHUNK_BYTES)
@@ -334,15 +342,15 @@ class _Rule:
 
         def counts(rows: np.ndarray) -> np.ndarray:
             cols = rows.T.reshape(n_stages, k, 1, len(rows))
-            cut = grid.workspace(min(width, len(rows)), "shifted", "flags", "counts", "counts",
-                                 "marks", "marks", tallies=n_stages)
+            cut = grid.workspace(min(width, len(rows)), "shifted", "widened", "flags", "counts",
+                                 "counts", "marks", "marks", tallies=n_stages)
             # row 0: go rows; row j + 1: rows still open after stage j
             total = np.zeros((n_stages, points), dtype=np.intp)
             for a in grid.slices(len(rows), width, cut()[-1], total):
-                z, flags, over, below, went, still_open, (gone, *opened) = \
+                z, wide, flags, over, below, went, still_open, (gone, *opened) = \
                     cut(min(width, len(rows) - a))
                 for j in range(n_stages):
-                    grid.shift(cols[j, ..., a:a + width], j, out=z)
+                    grid.shift(cols[j, ..., a:a + width], j, z, wide)
                     grid.count(np.greater(z, upper[j], out=flags), out=over)
                     np.greater_equal(over, m, out=went)
                     if j:
@@ -350,8 +358,8 @@ class _Rule:
                     gone += went.view(np.uint8)  # a row goes at one stage: 1 a slice
                     if j == n_stages - 1:  # decides every open row: no lower test
                         break
-                    if j:
-                        still_open &= np.less(over, m, out=went)
+                    if j:  # went holds only open rows: drop them
+                        still_open ^= went
                     else:
                         np.less(over, m, out=still_open)
                     grid.count(np.less(z, lower[j], out=flags), out=below)
@@ -367,12 +375,11 @@ class _Rule:
         """Operating characteristics of every point from its go count and its
         column of the (J, points) stop-stage histogram: every mean is an
         exact integer sum over nsims (its terms are integers below 2^53)."""
-        stages = np.arange(1, self.spec.n_stages + 1)
-        p_reject, ess, expected_stages = (np.vstack(
-            [go, schedule.cumulative @ stops, stages @ stops]) / self.block.nsims).tolist()
+        nsims = self.block.nsims
         k = self.spec.n_outcomes  # ENM counts all K measured outcomes, composite or not
-        return [GSOperatingCharacteristics(p, e, k * e, s)
-                for p, e, s in zip(p_reject, ess, expected_stages)]
+        ess, stages = schedule.cumulative @ stops, np.arange(1, self.spec.n_stages + 1) @ stops
+        return [GSOperatingCharacteristics(g / nsims, e / nsims, k * (e / nsims), s / nsims)
+                for g, e, s in zip(go.tolist(), ess.tolist(), stages.tolist())]
 
 
 def estimate_gs_oc(block: StatisticBlock, boundaries: Boundaries,
@@ -395,18 +402,22 @@ def composite_transform(block: StatisticBlock) -> StatisticBlock:
     of the correlated sum. With K = 1 the block passes through unchanged;
     the summed block keeps the block's workers.
 
-    The sum is taken in row chunks into a column-major block, each stage
-    by ``_outcome_sum`` (0.0 plus outcomes 1 ... K in order, column by
-    column), so the summed values do not depend on the block's layout.
+    The sum is taken in row chunks, each stage by ``_outcome_sum`` (0.0
+    plus outcomes 1 ... K in order, column by column) in float64 on the
+    widened statistics, and each summed value is rounded to float32 once
+    as the chunk is stored into a column-major block. So the summed
+    values do not depend on the block's layout.
     """
     if block.n_outcomes == 1:
         return block
-    n_stages, k = block.n_stages, block.n_outcomes
-    outcomes = block.values.T.reshape(n_stages, k, block.nsims).swapaxes(0, 1)
-    summed = np.empty((n_stages, block.nsims))
-    step = max(1, CHUNK_BYTES // (n_stages * k * 8))
-    for a in range(0, block.nsims, step):
-        _outcome_sum(outcomes[..., a:a + step], summed[:, a:a + step])
+    n_stages, k, nsims = block.n_stages, block.n_outcomes, block.nsims
+    outcomes = block.values.T.reshape(n_stages, k, nsims).swapaxes(0, 1)
+    summed = np.empty((n_stages, nsims), dtype=block.values.dtype)
+    step = min(nsims, max(1, CHUNK_BYTES // (n_stages * k * 8)))
+    chunk_sum = np.empty((n_stages, step))
+    for a in range(0, nsims, step):
+        rows = min(step, nsims - a)
+        summed[:, a:a + rows] = _outcome_sum(outcomes[..., a:a + rows], chunk_sum[:, :rows])
     return replace(block, values=summed.T, n_outcomes=1)
 
 

@@ -8,12 +8,16 @@ worker draws its chunk in sub-blocks of SUB_BLOCK_ROWS rows, stage by
 stage: each stage's independent increment is K normals per row times the
 K x K Cholesky factor of the outcomes' correlation (``model.factor``),
 added to a running sum that is scaled into the stage's columns of the
-block. So a draw holds three buffers of K x SUB_BLOCK_ROWS values per
-worker and no chunk-sized temporary; it checks each sub-block's
-statistics finite while they are in cache, so the drawn block is not
-scanned again. A drawn block is stored column-major: every column of
-statistics is contiguous, and a block pass reads a chunk's columns in
-place.
+block. The draw, the products and the running sums are float64; each
+statistic is rounded to float32 once, as it is written, so a block holds
+4 bytes per statistic (a rounding changes a value by at most 2^-24 of
+it, far below the Monte Carlo error). So a draw holds three float64
+buffers of K x SUB_BLOCK_ROWS values per worker and no chunk-sized
+temporary; it checks each sub-block's statistics finite while they are
+in cache, so the drawn block is not scanned again. A drawn block is
+stored column-major: every column of statistics is contiguous, and a
+block pass reads a chunk's columns in place. Kernels widen what they
+read to float64 before any arithmetic.
 
 Calibration and power evaluation share one null block: effects are added
 as mean shifts instead of resimulating, which keeps design comparisons on
@@ -40,7 +44,8 @@ __all__ = [
 ]
 
 SUB_BLOCK_ROWS = 4_096  # 320 kB of normals at K = 10
-CHECK_BYTES = 1 << 18  # rows checked for finiteness at a time: a 32 kB flag temporary
+CHECK_BYTES = 1 << 18  # rows checked for finiteness at a time: a 64 kB flag temporary
+STATISTIC = np.dtype(np.float32)  # what a block stores; its arithmetic is float64
 
 
 @dataclass(frozen=True)
@@ -64,11 +69,15 @@ class StatisticBlock:
     """nsims x (J*K) standardized statistics, stage-major columns, immutable;
     every pass over the block runs on its ``threads`` workers.
 
+    ``values`` is float32, whatever was wrapped: any other array is
+    rounded to float32 once, and the finiteness check reads the rounded
+    values, so a float64 value beyond the float32 range is rejected.
     ``simulate_null_block`` stores ``values`` column-major (F-ordered), so
     the transpose of a chunk's rows, ``values[a:b].T``, is one contiguous
-    run per column and costs nothing. A wrapped array keeps its order when
-    it is C- or F-contiguous (no copy); any other array is copied
-    C-contiguous. Kernels work for either order, fastest on columns."""
+    run per column and costs nothing. A C- or F-contiguous float32 array
+    is kept as it is (no copy); a rounded copy keeps a C- or F-contiguous
+    array's order, and any other array is copied C-contiguous. Kernels
+    work for either order, fastest on columns."""
 
     values: np.ndarray
     n_stages: int
@@ -77,9 +86,11 @@ class StatisticBlock:
     _drawn: InitVar[bool] = False  # simulate_null_block's workers checked every row
 
     def __post_init__(self, _drawn: bool):
-        values = np.asarray(self.values, dtype=float)
-        if not values.flags.f_contiguous:
-            values = np.ascontiguousarray(values)  # a C-contiguous array passes through
+        values = np.asarray(self.values)
+        if values.dtype != STATISTIC or not (values.flags.c_contiguous
+                                             or values.flags.f_contiguous):
+            with np.errstate(over="ignore"):  # beyond the float32 range: inf, rejected below
+                values = values.astype(STATISTIC, order="F" if values.flags.f_contiguous else "C")
         if values.ndim != 2 or values.shape[1] != self.n_stages * self.n_outcomes:
             raise ValueError("values must be 2-d with n_stages * n_outcomes columns")
         if len(values) < 1:  # a pass combines the results of at least one chunk
@@ -121,7 +132,7 @@ def _require_finite(values: np.ndarray) -> None:
     """ValueError unless every value is finite, checked CHECK_BYTES of rows at a time."""
     step = max(1, CHECK_BYTES // (values.shape[1] * values.itemsize))
     if not all(np.isfinite(values[a:a + step]).all() for a in range(0, len(values), step)):
-        raise ValueError("statistics must be finite")
+        raise ValueError("statistics must be finite in float32")
 
 
 def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> list:
@@ -163,17 +174,19 @@ class ShiftGrid:
     def workspace(self, width: int, *kinds: str, tallies: int = 0, step: int = 1):
         """Arrays for the slices of a chunk, at most ``width`` rows each, one
         per kind: "shifted" statistics (columns, V, rows) and their "flags",
-        grid arrays of "counts" and boolean "marks", "ranks" (one count grid
-        array per column) and "pairs" of columns' flags (V, V, rows). With
-        ``tallies``, one more array, last: that many zeroed grid arrays of
-        the smallest unsigned type that holds ``step``, the most a slice adds
-        to one of their cells (see ``slices``). Returns cut(rows=width):
-        views of each array's first ``rows`` rows, all in one allocation
-        (``carve``)."""
+        the "widened" statistics of ``shift`` (columns, 1, rows; empty when
+        V = 1), grid arrays of "counts" and boolean "marks", "ranks" (one
+        count grid array per column) and "pairs" of columns' flags (V, V,
+        rows). With ``tallies``, one more array, last: that many zeroed grid
+        arrays of the smallest unsigned type that holds ``step``, the most a
+        slice adds to one of their cells (see ``slices``). Returns
+        cut(rows=width): views of each array's first ``rows`` rows, all in
+        one allocation (``carve``)."""
         columns, values, count = len(self.lengths), self.stacked.shape[2], \
             np.min_scalar_type(len(self.lengths))
         grid = tuple(self.lengths[a] for a in self.live)
         layout = {"shifted": ((columns, values), float), "flags": ((columns, values), bool),
+                  "widened": ((columns, int(values > 1)), float),
                   "counts": (grid, count), "marks": (grid, bool),
                   "ranks": ((columns,) + grid, count), "pairs": ((values, values), bool)}
         shapes = [(layout[kind][0] + (width,), layout[kind][1]) for kind in kinds]
@@ -184,10 +197,19 @@ class ShiftGrid:
             arrays[-1][...] = 0
         return lambda rows=width: [a[..., :rows] for a in arrays]
 
-    def shift(self, z: np.ndarray, stage: int, out: np.ndarray) -> np.ndarray:
+    def shift(self, z: np.ndarray, stage: int, out: np.ndarray,
+              widened: np.ndarray) -> np.ndarray:
         """(columns, V, rows) into ``out``: a stage's (columns, 1, rows)
-        statistics plus each of its shifts."""
-        return np.add(z, self.stacked[stage], out=out)
+        statistics, each widened to float64 once, plus each of its shifts.
+        With one value per column, the add widens as it reads. Otherwise
+        the statistics are widened first into ``widened``, a "widened"
+        array of ``workspace``: an add that broadcast float32 statistics
+        over V values would cast them again for every value (about 3 times
+        slower at V = 7 and 49)."""
+        if out.shape[1] > 1:
+            np.copyto(widened, z)
+            z = widened
+        return np.add(z, self.stacked[stage], out=out, dtype=float)
 
     def place(self, values: np.ndarray, axes: tuple) -> np.ndarray:
         """View of ``values``, one length per grid axis in ``axes``
@@ -243,11 +265,10 @@ def carve(*shapes) -> list:
     so the next pass gets the same pages back instead of faulting them in
     again; separate arrays of the same total would not."""
     shapes = [(shape, np.dtype(dtype)) for shape, dtype in shapes]
-    sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in shapes]
-    starts = list(itertools.accumulate((-(-size // 64) * 64 for size in sizes), initial=0))
-    space = np.empty(starts[-1], dtype=np.uint8)
-    return [space[a:a + size].view(dtype).reshape(shape)
-            for (shape, dtype), a, size in zip(shapes, starts, sizes)]
+    sizes = [-(-math.prod(shape) * dtype.itemsize // 64) * 64 for shape, dtype in shapes]
+    space = np.empty(sum(sizes), dtype=np.uint8)
+    return [np.ndarray(shape, dtype, space, start) for (shape, dtype), start
+            in zip(shapes, itertools.accumulate(sizes, initial=0))]
 
 
 def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
@@ -264,16 +285,16 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
     last may be shorter), in order. Within a sub-block, stage by stage, it
     draws a (K, rows) array of normals, multiplies it by sqrt(n_j) times
     ``model.factor``, the K x K Cholesky factor of R, adds that to a
-    running sum, and writes the sum times 1/sqrt(N_j) straight into stage
-    j's columns. Assembly order is fixed, so output does not depend on
-    the thread count.
+    running sum, and writes the sum times 1/sqrt(N_j), rounded once to
+    float32, straight into stage j's columns. Assembly order is fixed, so
+    output does not depend on the thread count.
     """
     if threads < 1:  # before the draw, not after it
         raise ValueError("threads must be >= 1")
     k, stages = model.n_outcomes, schedule.n_stages
     factors = np.sqrt(np.asarray(schedule.stage_sizes, dtype=float))[:, None, None] * model.factor
     scales = 1.0 / np.sqrt(schedule.cumulative)
-    columns = np.empty((stages * k, cfg.nsims))  # row i is the block's column i
+    columns = np.empty((stages * k, cfg.nsims), dtype=STATISTIC)  # row i: the block's column i
     out = columns.T  # column-major
 
     def fill(start: int, stop: int) -> None:
@@ -290,7 +311,10 @@ def simulate_null_block(schedule: StageSchedule, model: OutcomeModel,
                     total += np.matmul(factor, draw, out=step[:, :rows])
                 else:
                     np.matmul(factor, draw, out=total)
-                np.multiply(total, scales[j], out=columns[j * k:(j + 1) * k, a:a + rows])
+                # scaled in float64, then rounded once as it is stored: a cast
+                # copy, where a ufunc writing float32 would cast through a buffer
+                np.copyto(columns[j * k:(j + 1) * k, a:a + rows],
+                          np.multiply(total, scales[j], out=step[:, :rows]))
             _require_finite(out[a:a + rows])  # on this worker, while the rows are in cache
 
     run_chunks(fill, cfg.nsims, cfg.chunk_size, threads)

@@ -128,7 +128,7 @@ class TestEffectGrid:
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         # 600 rows in 100-row chunks: every pass spans 6 chunks
         for module in (gs_module, dtl_module):
-            monkeypatch.setattr(module, "CHUNK_BYTES", 100 * 4 * 8)
+            monkeypatch.setattr(module, "CHUNK_BYTES", 100 * 4 * 4)
         grids = [real.evaluate_grid(blocks[2], model, axes) for real in (real_gs, real_dtl)]
         # one pool per grid pass: one pass per design, whatever the grid size
         assert pools == [2] * 2
@@ -279,9 +279,9 @@ class TestGridPass:
         # its narrowest block `rows` rows and a wider one fewer, at least 1
         rows = int(rng.integers(1, 4))
         for module in (gs_module, dtl_module):
-            widths = [8 * (real.n_stages if real.kind == "composite" else real.n_stages * k)
+            widths = [4 * (real.n_stages if real.kind == "composite" else real.n_stages * k)
                       for real in reals if (real.kind == "dtl") == (module is dtl_module)]
-            monkeypatch.setattr(module, "CHUNK_BYTES", rows * min(widths, default=8))
+            monkeypatch.setattr(module, "CHUNK_BYTES", rows * min(widths, default=4))
         points = list(itertools.product(*axes))
         for real in reals:
             block = blocks[real.n_stages]

@@ -575,7 +575,7 @@ mu_values = 0.0, 0.4
         assert run_cli(["design", "gs", "--config", str(write(tmp_path, GS_CONFIG)),
                         "--set", "J=1", "--nsims", "12345"]) == 2
         assert capsys.readouterr().err == ("configuration error: nsims: a null block of "
-                                           "12,345 x 2 statistics (0.000184 GiB) "
+                                           "12,345 x 2 statistics (9.2e-05 GiB) "
                                            "cannot be allocated\n")
 
     def test_oc_sweep_draws_each_block_once_and_drops_it_before_the_next_rho(

@@ -27,7 +27,7 @@ GOLDEN = {
         "summary.txt": "c70fbdfe35ae8f4dafc261bee0f15e6211178ae077db4110f832ee90e9a51eea",
     },
     "design-dtl": {
-        "cp_lookup.csv": "70e275b8f545d9d192f503743b5a83748daa90fd6831629a9ef58332a282f941",
+        "cp_lookup.csv": "b018c13b682bb58bcd2f815f6d047b0f4759bb3ed43efe2d5a664a8e0f1d3f0a",
         "summary.txt": "a59c04ad11cceb68862b3ab77c142c975f5aadb3f9133283baa5c04996bde4bc",
     },
     "design-gs-k3-m2": {
@@ -35,7 +35,7 @@ GOLDEN = {
         "summary.txt": "ae9a0218d6b31a3b749b79bf05b40810a10670798a93a91e1ade5752fc9d0ae8",
     },
     "design-dtl-k4-m2": {
-        "cp_lookup.csv": "c8c29090274827d29d917d904c0f9ec99f1f48bb66505a3beefcab82ad70b6ba",
+        "cp_lookup.csv": "0cdc382eb1cb0c8e1a5a05b48019c982e99f2151a33d115812733db715919afb",
         "summary.txt": "88ff1d23d9dd1a7ff5d0badb759e52ebb7bcd182f406fbd40ff6f8624e94d6ac",
     },
     "grid-gs-composite": {

@@ -189,6 +189,8 @@ class TestCountKernel:
             m = int(rng.integers(1, k + 1))
             b = wang_tsiatis_boundaries(float(rng.uniform(0.5, 3.0)), j,
                                         float(rng.uniform(0.0, 0.5)))
+            # boundaries that a stored (float32) statistic can sit on
+            b = Boundaries(lower=np.float32(b.lower), upper=np.float32(b.upper))
             lower, upper = np.asarray(b.lower), np.asarray(b.upper)
             # a third of the statistics sit on the upper boundary, a third
             # on the lower one
@@ -196,7 +198,7 @@ class TestCountKernel:
             side = rng.integers(0, 3, size=z.shape)
             z = np.where(side == 1, upper[None, :, None], z)
             z = np.where(side == 2, lower[None, :, None], z)
-            values = z.reshape(300, j * k)
+            values = z.reshape(300, j * k).astype(np.float32)
             # a zero shift keeps a column on its boundary
             shift = np.where(rng.random(j * k) < 0.5, 0.0, rng.normal(size=j * k))
             for s in (None, shift):
@@ -506,7 +508,7 @@ class TestGoIntervals:
             return each_chunk(block, fn, chunk_bytes)
 
         monkeypatch.setattr(simulate_module.StatisticBlock, "each_chunk", counted)
-        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 1_000 * 6 * 8)
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 1_000 * 6 * 4)
         calibrate_c(block, spec_for(2, 1, 3))
         assert passes == [(20_000, 2)]
 
@@ -527,7 +529,8 @@ class TestGoIntervals:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * (starts.nbytes + ends.nbytes) < 0.2 * block.values.nbytes
+        # 0.2 of the block as it was stored in float64: 8 bytes per statistic
+        assert peak < 2.5 * (starts.nbytes + ends.nbytes) < 0.2 * 8 * block.values.size
 
 
 class TestOrderStatistic:
@@ -566,14 +569,14 @@ class TestOrderStatistic:
         assert np.array_equal(block.values, values)
 
     def test_passes_read_a_drawn_chunk_in_place(self):
-        # 40,000 rows of K = 10, J = 5 statistics (16 MB, column-major) in two
+        # 80,000 rows of K = 10, J = 5 statistics (16 MB, column-major) in two
         # chunks: the interval pass and a one-point count pass each peak below
         # one visited chunk's bytes, so neither copies a chunk transposed
         spec = GSDesignSpec(n_outcomes=10, n_promising=5, n_stages=5, alpha=0.025,
                             beta=0.2, delta0=0.2, delta1=0.4)
         model = OutcomeModel.equicorrelated(10, 0.3)
         block = simulate_null_block(StageSchedule.equal(1, 5), model,
-                                    SimConfig(seed=64, nsims=40_000))
+                                    SimConfig(seed=64, nsims=80_000))
         assert block.values.flags.f_contiguous
         row_bytes = block.values[:1].nbytes
         chunk_bytes = gs_module.CHUNK_BYTES // row_bytes * row_bytes
@@ -697,34 +700,36 @@ class TestComposite:
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         # 600 summed rows of 3 statistics in 100-row chunks: each pass spans 6
-        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 100 * 3 * 8)
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 100 * 3 * 4)
         calibrate_c(block, spec)
         estimate_gs_oc(block, boundaries, spec, StageSchedule.equal(10, 3))
         assert pools == [2, 2]  # one 2-worker pool per pass
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_sum_adds_outcomes_in_order(self, monkeypatch, order):
-        # bit for bit 0.0 plus each stage's K statistics in outcome order, for
-        # K up to 40 and 150, on either layout, across summing chunks, with
-        # signed zeros and with magnitudes far apart, so that another order
-        # rounds differently; below 8 terms numpy's row sum adds in turn too,
-        # so there the sum is also numpy's
+        # bit for bit 0.0 plus each stage's K statistics in outcome order in
+        # float64, rounded once to float32, for K up to 40 and 150, on either
+        # layout, across summing chunks, with signed zeros and with magnitudes
+        # far apart, so that another order rounds differently; below 8 terms
+        # numpy's row sum adds in turn too, so there the sum is also numpy's
         rng = np.random.default_rng(25)
         monkeypatch.setattr(gs_module, "CHUNK_BYTES", 3_000)
         for k in list(range(2, 41)) + [150]:
             values = rng.standard_normal((301, 2 * k)) * rng.choice([1e-8, 1.0, 1e8], size=2 * k)
             values[:3, :] = rng.choice([0.0, -0.0], size=(3, 2 * k))
+            values = values.astype(np.float32)
             block = StatisticBlock(values=np.array(values, order=order), n_stages=2,
                                    n_outcomes=k)
             summed = composite_transform(block).values
             assert summed.flags.f_contiguous
-            summed, stages = np.ascontiguousarray(summed).tobytes(), values.reshape(301, 2, k)
+            summed = np.ascontiguousarray(summed).tobytes()
+            stages = values.astype(float).reshape(301, 2, k)
             want = np.zeros((301, 2))
             for i in range(k):
                 want = want + stages[:, :, i]
-            assert summed == want.tobytes(), k
+            assert summed == want.astype(np.float32).tobytes(), k
             if k <= 7:
-                assert summed == stages.sum(axis=2).tobytes(), k
+                assert summed == stages.sum(axis=2).astype(np.float32).tobytes(), k
 
     def test_opposite_statistics_cancel(self):
         block = StatisticBlock(values=np.array([[1.0, -1.0]]), n_stages=1,
@@ -801,7 +806,7 @@ class TestSearch:
                                                 two_outcome_spec):
         cfg = SimConfig(seed=32, nsims=20_000, chunk_size=3_000)
         # 1,500 rows of 6 statistics per chunk: every pass spans 14 chunks
-        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 1_500 * 6 * 8)
+        monkeypatch.setattr(gs_module, "CHUNK_BYTES", 1_500 * 6 * 4)
         pools = []
 
         class RecordingPool(ThreadPoolExecutor):

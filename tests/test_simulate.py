@@ -14,6 +14,7 @@ from conftest import random_correlation
 from multiseq import OutcomeModel, SimConfig
 from _oracles import assemble_covariance
 from multiseq.model import StageSchedule
+from multiseq.gs import composite_transform
 from multiseq.simulate import (
     StatisticBlock,
     mean_shift_vector,
@@ -74,7 +75,7 @@ class TestStatisticBlock:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_value_in_any_check_slice(self, bad):
-        step = simulate_module.CHECK_BYTES // 16  # rows of one check slice of 2 columns
+        step = simulate_module.CHECK_BYTES // 8  # rows of one check slice of 2 float32 columns
         nrows = 3 * step + 5
         StatisticBlock(values=np.zeros((nrows, 2)), n_stages=1, n_outcomes=2)
         for row in (0, step - 1, step, 2 * step - 1, 2 * step, nrows - 1):
@@ -125,7 +126,7 @@ class TestStatisticBlock:
             simulate_null_block(StageSchedule.equal(1, 2), model, cfg, threads=threads)
 
     def test_wrapping_an_array_allocates_no_block_sized_temporary(self):
-        values = np.zeros((1_000_000, 4))  # 32 MB
+        values = np.zeros((1_000_000, 4), dtype=np.float32)  # 16 MB
         tracemalloc.start()
         try:
             block = StatisticBlock(values=values, n_stages=2, n_outcomes=2)
@@ -134,6 +135,47 @@ class TestStatisticBlock:
             tracemalloc.stop()
         assert block.values is values
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_float64_array_is_rounded_once_into_its_own_order(self, order):
+        values = np.asarray(np.arange(4_000_000.0).reshape(1_000_000, 4) / 3.0, order=order)
+        tracemalloc.start()
+        try:
+            block = StatisticBlock(values=values, n_stages=2, n_outcomes=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.values.dtype == np.float32 and block.values.nbytes == 4 * values.size
+        assert block.values.flags[f"{order}_CONTIGUOUS"]
+        assert np.array_equal(block.values, values.astype(np.float32))  # nearest, each once
+        assert peak < block.values.nbytes + (1 << 20)  # the rounded copy, no temporary
+        strided = StatisticBlock(values=values[::2], n_stages=2, n_outcomes=2)
+        assert strided.values.flags.c_contiguous
+        assert np.array_equal(strided.values, values[::2].astype(np.float32))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_block_stores_float32(self, threads):
+        # a drawn block, a summed composite block and a wrapped float64 array
+        model = OutcomeModel.equicorrelated(3, 0.3)
+        drawn = simulate_null_block(StageSchedule.equal(1, 2), model,
+                                    SimConfig(seed=101, nsims=5_000, chunk_size=1_500),
+                                    threads=threads)
+        summed = composite_transform(drawn)
+        wrapped = StatisticBlock(values=np.ones((7, 6)), n_stages=2, n_outcomes=3,
+                                 threads=threads)
+        for block in (drawn, summed, wrapped):
+            assert block.values.dtype == np.float32
+            assert block.values.nbytes == 4 * block.nsims * block.n_stages * block.n_outcomes
+        assert summed.n_outcomes == 1
+
+    @pytest.mark.parametrize("big", [3.5e38, -1e39, 1e300])
+    def test_a_value_beyond_the_float32_range_is_rejected(self, big):
+        top = float(np.finfo(np.float32).max)
+        values = np.full((5, 2), top)  # the largest float32 is kept as it is
+        assert StatisticBlock(values=values, n_stages=1, n_outcomes=2).values.max() == top
+        values[3, 1] = big
+        with pytest.raises(ValueError, match="statistics must be finite in float32"):
+            StatisticBlock(values=values, n_stages=1, n_outcomes=2)
 
     def test_rejects_a_block_without_rows(self):
         with pytest.raises(ValueError, match="at least one row"):
@@ -144,16 +186,16 @@ class TestStatisticBlock:
                                              SimConfig(seed=97, nsims=50), threads=2)
         assert [block.threads for block in blocks.values()] == [2, 2]
 
-    @pytest.mark.parametrize("chunk_bytes, ranges", [
+    @pytest.mark.parametrize("chunk_bytes, ranges", [  # a row is four 4-byte statistics
         (1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),  # smaller than a row: one row each
         (2 * 16, [(0, 2), (2, 4), (4, 5)]),
         (3 * 16 - 1, [(0, 2), (2, 4), (4, 5)]),  # rounds down to whole rows
         (5 * 16, [(0, 5)]),
     ])
     def test_each_chunk_sizes_chunks_in_whole_rows(self, chunk_bytes, ranges):
-        # row i holds (i, i), so a chunk's first and last values give its rows
-        values = np.repeat(np.arange(5.0)[:, None], 2, axis=1)
-        block = StatisticBlock(values=values, n_stages=2, n_outcomes=1)
+        # row i holds (i, i, i, i), so a chunk's first and last values give its rows
+        values = np.repeat(np.arange(5.0)[:, None], 4, axis=1)
+        block = StatisticBlock(values=values, n_stages=2, n_outcomes=2)
         got = block.each_chunk(lambda rows: (int(rows[0, 0]), int(rows[-1, 0]) + 1),
                                chunk_bytes)
         assert got == ranges
@@ -176,9 +218,9 @@ class TestStatisticBlock:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers interleave as often as they can
         try:
-            got = block.each_chunk(kernel, 16)  # one 16-byte row per chunk
+            got = block.each_chunk(kernel, 8)  # one 8-byte row per chunk
             with pytest.raises(ZeroDivisionError, match="row 13"):
-                block.each_chunk(failing, 16)
+                block.each_chunk(failing, 8)
         finally:
             sys.setswitchinterval(interval)
         assert [rows.tolist() for rows in got] == [[[2.0 * i, 2.0 * i + 1]] for i in range(20)]
@@ -199,7 +241,7 @@ class TestStatisticBlock:
                 time.sleep(0.002)
             return rows[:, 0]
 
-        got = block.each_row(kernel, 3 * 16)  # 3-row chunks
+        got = block.each_row(kernel, 3 * 8)  # 3-row chunks
         assert sorted(chunks) == [2] + [3] * 6
         np.testing.assert_array_equal(got, block.values[:, 0])
         assert not np.shares_memory(got, block.values)
@@ -281,20 +323,22 @@ class TestSimulateNullBlock:
     def test_each_chunk_draws_its_own_stream(self, two_outcome_model, threads):
         # 10 rows in 3-row chunks: chunk c draws rows [3c, 3c + 3) from the
         # SFC64 stream keyed by (seed, c), one (K, rows) array per stage,
-        # and Z_2 = (X_1 + X_2) / sqrt(2) for its two correlated increments
+        # and Z_2 = (X_1 + X_2) / sqrt(2) for its two correlated increments;
+        # each statistic is computed in float64 and rounded once on store
         schedule = StageSchedule.equal(1, 2)
         cfg = SimConfig(seed=45, nsims=10, chunk_size=3)
         block = simulate_null_block(schedule, two_outcome_model, cfg, threads=threads)
         np.testing.assert_array_equal(
-            block.values, _oracles.increment_null_block(schedule, two_outcome_model, cfg))
+            block.values,
+            _oracles.increment_null_block(schedule, two_outcome_model, cfg).astype(np.float32))
         factor = two_outcome_model.factor
         for c in range(4):
             seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(c,))
             x_1, x_2 = factor @ np.random.Generator(np.random.SFC64(seq)).standard_normal(
                 (2, 2, min(3, 10 - 3 * c)))
-            np.testing.assert_allclose(block.values[3 * c:3 * c + 3],
-                                       np.vstack([x_1, (x_1 + x_2) / np.sqrt(2.0)]).T,
-                                       rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(
+                block.values[3 * c:3 * c + 3],
+                np.vstack([x_1, (x_1 + x_2) / np.sqrt(2.0)]).T.astype(np.float32))
 
     @pytest.mark.parametrize("stages, outcomes", [  # J * K = 1, 2, 3, 4, 6, 9, 12, 30, 50
         (1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (3, 10), (5, 10)])
@@ -302,14 +346,15 @@ class TestSimulateNullBlock:
                                             SimConfig(seed=0).chunk_size])
     def test_sub_blocks_match_one_multiply_per_chunk(self, stages, outcomes, chunk_size):
         # the oracle multiplies all stages of a sub-block at once and sums
-        # each chunk's increments with np.cumsum
+        # each chunk's increments with np.cumsum, in float64; the block holds
+        # its statistics rounded once to float32
         sub = simulate_module.SUB_BLOCK_ROWS
         schedule = StageSchedule.equal(1, stages)
         model = OutcomeModel.equicorrelated(outcomes, 0.3)
         for nsims in (1, sub - 1, sub, sub + 1, 2 * sub - 1, 2 * sub + 1,
                       chunk_size - 1, chunk_size + 1, chunk_size + sub + 1):
             cfg = SimConfig(seed=nsims, nsims=nsims, chunk_size=chunk_size)
-            want = _oracles.increment_null_block(schedule, model, cfg)
+            want = _oracles.increment_null_block(schedule, model, cfg).astype(np.float32)
             for threads in (1, 2, 3):
                 got = simulate_null_block(schedule, model, cfg, threads=threads).values
                 assert np.array_equal(got, want), (nsims, threads)
@@ -320,7 +365,7 @@ class TestSimulateNullBlock:
         model = OutcomeModel.equicorrelated(3, -0.2)
         cfg = SimConfig(seed=47, nsims=3 * simulate_module.SUB_BLOCK_ROWS + 11,
                         chunk_size=2 * simulate_module.SUB_BLOCK_ROWS + 5)
-        want = _oracles.increment_null_block(schedule, model, cfg)
+        want = _oracles.increment_null_block(schedule, model, cfg).astype(np.float32)
         for threads in (1, 2):
             got = simulate_null_block(schedule, model, cfg, threads=threads).values
             assert np.array_equal(got, want), threads
@@ -372,6 +417,26 @@ class TestSimulateNullBlock:
         finally:
             tracemalloc.stop()
         assert peak <= block.values.nbytes + 4 * 2 * sub_block_bytes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_draw_peaks_at_the_block_and_its_sub_block_buffers(self, threads):
+        # 100,000 rows of J * K = 50: a 20 MB float32 block. Each worker's
+        # sub-block buffers are three float64 (K, SUB_BLOCK_ROWS) arrays (the
+        # normals, the running sum and the increment) and the flags of one
+        # finiteness check slice, well within CHECK_BYTES
+        schedule = StageSchedule.equal(1, 5)
+        model = OutcomeModel.equicorrelated(10, 0.3)
+        cfg = SimConfig(seed=50, nsims=100_000, chunk_size=25_000)
+        buffers = threads * (3 * 10 * simulate_module.SUB_BLOCK_ROWS * 8
+                             + simulate_module.CHECK_BYTES)
+        tracemalloc.start()
+        try:
+            block = simulate_null_block(schedule, model, cfg, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.values.nbytes == 4 * 100_000 * 50
+        assert peak <= block.values.nbytes + buffers
 
     def test_chunking_affects_stream_but_not_shape(self, two_outcome_model):
         schedule = StageSchedule.equal(1, 2)
