@@ -51,11 +51,13 @@ __all__ = [
 ]
 
 # bytes of statistics per row chunk of a block pass, 4 bytes each. A kernel reads
-# its chunk's columns in place and holds only its workspaces (0.25-0.40 times the
-# chunk in a one-point count pass, which shifts the chunk in slices of a quarter of
-# this; K = 2-10, tracemalloc). Fewer rows per chunk mean more numpy calls per row,
-# which two workers contend for. A 500k-row K = 10, m = 5, J = 5 block's interval
-# pass / one-point count pass, in ms (medians of 9, OpenBLAS on one thread):
+# its chunk's columns in place and holds only its workspaces (0.15-0.06 times the
+# chunk in a one-point count pass, which compares the chunk with float32 thresholds
+# in slices of a quarter of this; K = 2-10, tracemalloc). Fewer rows per chunk mean
+# more numpy calls per row, which two workers contend for. A 500k-row K = 10, m = 5,
+# J = 5 block's interval pass / one-point count pass, in ms (medians of 9, OpenBLAS
+# on one thread; the count pass shifted its statistics in float64 then, and at 8 MB
+# on 2 threads it now takes 11-16 ms):
 #   1 thread:  66 / 63 at 1 MB, 55 / 43 at 2 MB, 51 / 37 at 4 MB, 50 / 40 at 8 MB,
 #              52 / 42 at 16 MB;
 #   2 threads: 64 / 69 at 1 MB, 77 / 38 at 2 MB, 45 / 27 at 4 MB, 36 / 25 at 8 MB,
@@ -176,10 +178,12 @@ class _Rule:
     a kernel on each row chunk of CHUNK_BYTES on the block's workers and
     combines the results in row order; a kernel reads its chunk's float32
     columns in place, widens them to float64 before any arithmetic, and
-    writes only its own workspaces (a count kernel adds the shift into
-    one), so no pass copies a chunk or the block. Every
-    count pass (``oc``, and so the searches' probes, and effect grids)
-    runs the one count kernel of ``grid_oc``; ``oc`` is its one-point grid.
+    writes only its own workspaces, so no pass copies a chunk or the
+    block. Every count pass (``oc``, and so the searches' probes, and
+    effect grids) runs the one count kernel of ``grid_oc``; ``oc`` is its
+    one-point grid. It only compares, so it does no arithmetic: it
+    compares the float32 columns with float32 thresholds that decide
+    exactly as the shifted float64 statistics would.
     """
 
     def __init__(self, block: StatisticBlock, spec: GSDesignSpec):
@@ -327,31 +331,35 @@ class _Rule:
     def grid_oc(self, boundaries: Boundaries, schedule: StageSchedule, shifts) -> list:
         """Operating characteristics at every point of the ``ShiftGrid`` of
         ``shifts`` (one (values, J) array per column of the rule's block), in
-        row-major order, from one pass: the rule's one count kernel. Each
-        chunk reads its columns in place in slices of ``ShiftGrid.width``
-        rows; per stage a slice is shifted once for every column and value,
-        compared with each boundary and counted over the grid, all into the
-        chunk's ``ShiftGrid.workspace``. Its go rows and its rows still open
+        row-major order, from one pass: the rule's one count kernel. The
+        pass takes ``ShiftGrid.thresholds`` of the boundaries once: a
+        stage's stored statistics z shifted pass above the upper boundary
+        exactly when z > above[stage], and below the lower one exactly when
+        z < below[stage], float32 against float32. Each chunk reads its
+        columns in place in slices of ``ShiftGrid.width`` rows; per stage a
+        slice is compared with both thresholds of every column and value
+        and counted over the grid, all into the chunk's
+        ``ShiftGrid.workspace``. Its go rows and its rows still open
         after each stage but the last add into one tally per (point, row)
         cell, which ``ShiftGrid.slices`` reduces once per chunk into each
         point's go count and stop-stage histogram."""
         n_stages, k, m, nsims = self.spec.n_stages, self.k, self.m, self.block.nsims
-        lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
         grid = ShiftGrid(shifts, n_stages)
         points, width = grid.points, grid.width(CHUNK_BYTES // 4)
+        above, below = grid.thresholds(boundaries.upper, boundaries.lower)
 
         def counts(rows: np.ndarray) -> np.ndarray:
             cols = rows.T.reshape(n_stages, k, 1, len(rows))
-            cut = grid.workspace(min(width, len(rows)), "shifted", "widened", "flags", "counts",
-                                 "counts", "marks", "marks", tallies=n_stages)
+            cut = grid.workspace(min(width, len(rows)), "flags", "counts", "counts", "marks",
+                                 "marks", tallies=n_stages)
             # row 0: go rows; row j + 1: rows still open after stage j
             total = np.zeros((n_stages, points), dtype=np.intp)
             for a in grid.slices(len(rows), width, cut()[-1], total):
-                z, wide, flags, over, below, went, still_open, (gone, *opened) = \
+                flags, over, under, went, still_open, (gone, *opened) = \
                     cut(min(width, len(rows) - a))
                 for j in range(n_stages):
-                    grid.shift(cols[j, ..., a:a + width], j, z, wide)
-                    grid.count(np.greater(z, upper[j], out=flags), out=over)
+                    z = cols[j, ..., a:a + width]
+                    grid.count(np.greater(z, above[j], out=flags), out=over)
                     np.greater_equal(over, m, out=went)
                     if j:
                         went &= still_open
@@ -362,8 +370,8 @@ class _Rule:
                         still_open ^= went
                     else:
                         np.less(over, m, out=still_open)
-                    grid.count(np.less(z, lower[j], out=flags), out=below)
-                    still_open &= np.less_equal(below, k - m, out=went)
+                    grid.count(np.less(z, below[j], out=flags), out=under)
+                    still_open &= np.less_equal(under, k - m, out=went)
                     opened[j] += still_open.view(np.uint8)
             return total
 

@@ -17,7 +17,10 @@ temporary; it checks each sub-block's statistics finite while they are
 in cache, so the drawn block is not scanned again. A drawn block is
 stored column-major: every column of statistics is contiguous, and a
 block pass reads a chunk's columns in place. Kernels widen what they
-read to float64 before any arithmetic.
+read to float64 before any arithmetic; the gs count kernel, which only
+compares shifted statistics with the boundaries, compares the stored
+values with float32 thresholds instead, which decide exactly as the
+float64 sums would (``float32_thresholds``).
 
 Calibration and power evaluation share one null block: effects are added
 as mean shifts instead of resimulating, which keeps design comparisons on
@@ -152,11 +155,78 @@ def run_chunks(fn, nrows: int, chunk_rows: int, threads: int = 1) -> list:
     return [fn(a, b) for a, b in ranges]
 
 
+def float32_thresholds(edges, shifts) -> np.ndarray:
+    """float32 t of each (edge, shift) pair (broadcast together) such that,
+    for every finite float32 z, float64(z) + shift > edge exactly when
+    z > t. So a count kernel compares stored statistics with t and never
+    adds the shift; the comparison is exact, not approximate. As rounding
+    to nearest is odd, float64(z) + shift < edge exactly when z < -t' for
+    t' = float32_thresholds(-edge, -shift).
+
+    Such a t exists because float rounding is monotone: the statistics
+    that pass form an upper set of the float32 ordering, and t is the
+    largest float32 below it (-inf when every finite statistic passes,
+    the largest finite float32 when none does). t starts as float32(edge
+    - shift); it or its lower neighbour is the answer unless the
+    subtraction lost more than a step, as when a large shift absorbs a
+    small edge - shift (edge = 1 + 2^-52, shift = 1), which
+    ``_bisect_thresholds`` then settles."""
+    edges, shifts = np.asarray(edges, dtype=float), np.asarray(shifts, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond the float32 range: inf
+        t = np.subtract(edges, shifts).astype(STATISTIC)
+        passing = _passes(t, edges, shifts)
+        # t passes: it is one step high unless its lower neighbour passes too;
+        # t does not: it is the answer if its upper neighbour passes
+        step = np.where(passing, np.nextafter(t, -np.inf), np.nextafter(t, np.inf))
+        unsettled = _passes(step, edges, shifts) == passing
+    t = np.where(passing, step, t)
+    if unsettled.any():
+        t[unsettled] = _bisect_thresholds(np.broadcast_to(edges, t.shape)[unsettled],
+                                          np.broadcast_to(shifts, t.shape)[unsettled])
+    return t
+
+
+def _passes(z: np.ndarray, edges: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """float64(z) + shift > edge for float32 z: the add and compare that a
+    threshold stands for. -inf never passes; +inf fails at an edge of
+    +inf, and then settles no threshold, so ``_bisect_thresholds`` (whose
+    upper bound +inf is taken to pass) finds it."""
+    return np.greater(z.astype(float) + shifts, edges)
+
+
+def _bisect_thresholds(edges: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``float32_thresholds`` of 1-d pairs by bisection over the float32
+    ordering (about 32 steps on the integer keys of ``_order_keys``). The
+    bounds start at -inf, taken not to pass, and +inf, taken to pass, and
+    only finite values between them are tried."""
+    lo = np.full(edges.shape, _order_keys(np.array(-np.inf, STATISTIC)))
+    hi = np.full(edges.shape, _order_keys(np.array(np.inf, STATISTIC)))
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        with np.errstate(invalid="ignore"):  # an infinite shift or edge: nan, which fails
+            passing = _passes(_order_keys(mid, inverse=True), edges, shifts)
+        hi, lo = np.where(passing, mid, hi), np.where(passing, lo, mid)
+    return _order_keys(lo, inverse=True)
+
+
+def _order_keys(values: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """int64 keys of float32 values that increase with them, -0 just below
+    +0, neighbours one apart; or with ``inverse``, the float32 values of
+    such keys. A negative float's bits, as int32, grow with its magnitude,
+    so they are reflected; the reflection is its own inverse."""
+    bits = values.astype(np.int64) if inverse else values.view(np.int32).astype(np.int64)
+    keys = np.where(bits < 0, -(1 << 31) - 1 - bits, bits)
+    return keys.astype(np.int32).view(STATISTIC) if inverse else keys
+
+
 class ShiftGrid:
     """The Cartesian grid of a count pass: shifts[i] is a (values, stages)
     array of column i's shifts, stacked into one (stages, columns, V, 1)
     array zero-padded to the longest axis V. Grid arrays are (V_1, ..., V_A,
-    rows) without the axes of one value, so a one-point grid is (rows,)."""
+    rows) without the axes of one value, so a one-point grid is (rows,).
+    The gs count kernel compares statistics with ``thresholds`` of the
+    shifts; the drop-the-loser one, which computes with the shifted
+    statistics, adds the shifts (``shift``)."""
 
     def __init__(self, shifts, n_stages: int):
         self.lengths = [len(s) for s in shifts]
@@ -165,6 +235,19 @@ class ShiftGrid:
         for i, s in enumerate(shifts):
             self.stacked[:, i, :len(s), 0] = s.T
         self.live = [a for a, v in enumerate(self.lengths) if v != 1]
+
+    def thresholds(self, upper, lower) -> tuple:
+        """(above, below): ``float32_thresholds`` of every shift, each
+        (stages, columns, V, 1) like ``stacked``, at each stage's upper and
+        lower edge, from one call. A stage's stored (columns, 1, rows)
+        statistics z shifted pass above the upper edge exactly when
+        ``z > above[stage]``, and below the lower edge exactly when
+        ``z < below[stage]``. A pass takes them once, before its chunks
+        run."""
+        edges = np.concatenate([np.ravel(upper), np.negative(lower)])
+        t = float32_thresholds(edges.reshape(-1, 1, 1, 1),
+                               np.concatenate([self.stacked, np.negative(self.stacked)]))
+        return t[:len(self.stacked)], np.negative(t[len(self.stacked):])
 
     def width(self, chunk_bytes: int) -> int:
         """Rows of a slice holding at most chunk_bytes / 8 (point, row) cells

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 import warnings
@@ -220,6 +221,123 @@ class TestCountKernel:
         assert go == 2
 
 
+def crossing(edge: float, shift: float, above: bool) -> tuple:
+    """(the float32 z nearest the edge whose float64 z + shift does not pass
+    it, its neighbour that does), walked to from float32(edge - shift):
+    above, z + shift > edge passes; below, z + shift < edge does."""
+    passes = (lambda z: float(z) + shift > edge) if above else (lambda z: float(z) + shift < edge)
+    away, toward = (np.float32(-np.inf), np.float32(np.inf))[::1 if above else -1]
+    z = np.float32(edge - shift)
+    while passes(z):
+        z = np.nextafter(z, away)
+    while not passes(np.nextafter(z, toward)):
+        z = np.nextafter(z, toward)
+    return z, np.nextafter(z, toward)
+
+
+def stage_edges(boundaries, j: int) -> list:
+    """(edge, above) of the edges a row is tested at, at stage j: the
+    upper, and the lower at every stage but the last."""
+    lower, upper = np.asarray(boundaries.lower), np.asarray(boundaries.upper)
+    return [(upper[j], True)] + ([(lower[j], False)] if j < len(upper) - 1 else [])
+
+
+def off_step_shifts(rng, boundaries, count: int) -> np.ndarray:
+    """(count, J) shifts, 0.01 to 10^6 in size, at which float32(edge -
+    shift) is not the float32 side of the crossing that does not pass, at
+    every edge of every stage."""
+    out = np.empty((count, boundaries.n_stages))
+    for v, j in np.ndindex(out.shape):
+        while True:
+            s = rng.normal() * 10.0 ** rng.uniform(-2, 6)
+            if all(crossing(e, s, above)[0] != np.float32(e - s)
+                   for e, above in stage_edges(boundaries, j)):
+                break
+        out[v, j] = s
+    return out
+
+
+def planted_rows(rng, boundaries, shifts) -> np.ndarray:
+    """float32 statistics of a rule block with one column per (V, J) array
+    of ``shifts``: for each stage, column, value and edge, a row on each
+    side of the crossing; rows with every column of a stage on a random
+    side of its crossing; random rows. Before its planted stage a row is
+    open (z + shift near 0)."""
+    k, n_stages = len(shifts), boundaries.n_stages
+    rows = []
+
+    def plant(j: int, at: list, values: list) -> None:
+        z = rng.normal(size=(n_stages, k)) * 2.0
+        for c in range(k):
+            z[:j, c] = -shifts[c][at[c], :j]
+        z[j] = values
+        rows.append(z.ravel())
+
+    for j in range(n_stages):
+        for c, column in enumerate(shifts):
+            for v in range(len(column)):
+                for edge, above in stage_edges(boundaries, j):
+                    for z in crossing(edge, column[v, j], above):
+                        at = [int(rng.integers(len(other))) for other in shifts]
+                        at[c] = v
+                        values = [rng.normal() * 2.0 - shifts[i][at[i], j] for i in range(k)]
+                        values[c] = z
+                        plant(j, at, values)
+        for _ in range(30):
+            at = [int(rng.integers(len(column))) for column in shifts]
+            edges = stage_edges(boundaries, j)
+            edge, above = edges[int(rng.integers(len(edges)))]
+            plant(j, at, [crossing(edge, shifts[c][at[c], j], above)[int(rng.integers(2))]
+                          for c in range(k)])
+    rows.extend(rng.normal(size=(100, n_stages * k)) * 2.0)
+    return np.array(rows, dtype=np.float32)
+
+
+class TestExactThresholds:
+    """A count pass compares stored statistics with float32 thresholds;
+    ``decide_rows`` adds each shift in float64 and compares with the
+    edges. Statistics on both float32 sides of every crossing, at shifts
+    where float32(edge - shift) is off it, decide the same in both."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("composite, m", [(False, 1), (False, 2), (True, 1)])
+    def test_passes_match_float64_decisions_at_off_step_shifts(self, monkeypatch, threads,
+                                                               composite, m):
+        rng = np.random.default_rng(25 + m + 2 * composite)
+        n_stages, k = 3, 2
+        b = wang_tsiatis_boundaries(2.0, n_stages, 0.25)
+        columns = 1 if composite else k
+        one_point = [off_step_shifts(rng, b, 1) for _ in range(columns)]
+        grid = [off_step_shifts(rng, b, 49 if composite else 7) for _ in range(columns)]
+        spec = replace(spec_for(k, m, n_stages), composite=composite)
+        for shifts in (one_point, grid):
+            values = planted_rows(rng, b, shifts)
+            if composite:  # outcome 2 is 0.0, so each stage's sum is outcome 1
+                raw = np.stack([values, np.zeros_like(values)], axis=-1).reshape(len(values), -1)
+            else:
+                raw = values
+            rule = gs_module._Rule(StatisticBlock(raw, n_stages, k, threads=threads), spec)
+            np.testing.assert_array_equal(rule.block.values, values)
+            row_budget(monkeypatch, rule, 16)
+            points = list(itertools.product(*(range(len(c)) for c in shifts)))
+            seen = []
+            aggregate = rule._oc
+            rule._oc = lambda go, stops, schedule: \
+                seen.append((go.tolist(), stops.T.tolist())) or aggregate(go, stops, schedule)
+            rule.grid_oc(b, StageSchedule.equal(1, n_stages), shifts)
+            del rule._oc
+            (go, stops), = seen
+            for p, at in enumerate(points):
+                moved = np.array([[c[v, j] for c, v in zip(shifts, at)]
+                                  for j in range(n_stages)]).ravel()
+                want = row_counts(values + moved, b, columns, rule.m)
+                assert (go[p], tuple(stops[p])) == want
+            if len(points) == 1:  # the one-point pass of a per-outcome shift
+                shift = np.stack([moved, np.zeros_like(moved)], axis=-1).ravel() \
+                    if composite else moved
+                assert pass_counts(rule, b, shift) == want
+
+
 class TestEstimateOC:
     def test_degenerate_boundaries_always_go_at_stage_one(self, two_outcome_model):
         schedule = StageSchedule.equal(5, 2)
@@ -322,7 +440,7 @@ class TestChunkedPass:
             assert min(stops) > 0 and 0 < go < nsims
 
     def test_shifted_pass_peaks_below_half_the_block(self):
-        # 40,000 rows of K = 10, J = 5 statistics: a 16 MB block
+        # 40,000 rows of K = 10, J = 5 statistics: an 8 MB block
         spec = GSDesignSpec(n_outcomes=10, n_promising=5, n_stages=5, alpha=0.025,
                             beta=0.2, delta0=0.2, delta1=0.4)
         model = OutcomeModel.equicorrelated(10, 0.3)
@@ -337,6 +455,24 @@ class TestChunkedPass:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * block.values.nbytes
+
+    def test_one_point_pass_holds_no_float64_statistics(self):
+        # the block above: a pass compares the stored statistics with float32
+        # thresholds, so a slice holds flags and counts, not shifted statistics
+        model = OutcomeModel.equicorrelated(10, 0.3)
+        block = simulate_null_block(StageSchedule.equal(1, 5), model,
+                                    SimConfig(seed=62, nsims=40_000))
+        spec = GSDesignSpec(n_outcomes=10, n_promising=5, n_stages=5, alpha=0.025,
+                            beta=0.2, delta0=0.2, delta1=0.4)
+        schedule = StageSchedule.equal(10, 5)
+        shift = mean_shift_vector(np.full(10, 0.3), schedule, model)
+        tracemalloc.start()
+        try:
+            estimate_gs_oc(block, wang_tsiatis_boundaries(2.0, 5, 0.0), spec, schedule, shift)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * block.values.nbytes
 
     def test_fixed_boundary_pass_holds_no_per_row_arrays(self):
         # 1,000,000 rows of K = 2, J = 1 statistics: a 16 MB block. Each
@@ -513,7 +649,7 @@ class TestGoIntervals:
         assert passes == [(20_000, 2)]
 
     def test_calibration_memory_is_bounded_by_the_intervals(self, monkeypatch):
-        # 40,000 rows of K = 10, J = 5 statistics: a 16 MB block. With
+        # 40,000 rows of K = 10, J = 5 statistics: an 8 MB block. With
         # 64 kB chunks the peak is the intervals, kept in pieces and then
         # joined: no block-sized or all-events temporary.
         spec = GSDesignSpec(n_outcomes=10, n_promising=5, n_stages=5, alpha=0.025,

@@ -548,3 +548,89 @@ class TestParticipantLevelAgreement:
         emp_cov = np.cov(stats.T)
         analytic = assemble_covariance(schedule, model)
         assert np.abs(emp_cov - analytic).max() < 5.0 * np.sqrt(2.0 / n_trials)
+
+
+def float32_steps(t: np.ndarray, count: int) -> np.ndarray:
+    """(2 * count + 1, n): t and its count float32 neighbours on each side
+    (non-finite neighbours included)."""
+    steps = [t]
+    for toward in (-np.inf, np.inf):
+        z = t
+        for _ in range(count):
+            with np.errstate(over="ignore"):  # a step past the largest float32
+                z = np.nextafter(z, np.float32(toward))
+            steps.append(z)
+    return np.stack(steps)
+
+
+class TestFloat32Thresholds:
+    """``ShiftGrid.thresholds`` against the float64 add and compare it
+    replaces, by ==: on the 64 float32 neighbours of each threshold and on
+    random float32 statistics, at every (edge, shift) pair."""
+
+    @staticmethod
+    def check(edges, shifts, rng):
+        edges, shifts = np.broadcast_arrays(np.atleast_1d(np.asarray(edges, float)),
+                                            np.asarray(shifts, float))
+        # one stage per pair, one column of one value
+        grid = simulate_module.ShiftGrid([shifts.reshape(1, -1)], len(shifts))
+        above, below = (t.ravel() for t in grid.thresholds(edges, edges))
+        assert above.dtype == below.dtype == np.float32
+        bits = rng.integers(-2**31, 2**31, size=(64, len(edges))).astype(np.int32)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(64, len(edges)))
+        for side, t in (("above", above), ("below", below)):
+            with np.errstate(over="ignore"):  # edge - shift beyond the float32 range
+                near = np.float32(edges - shifts)
+            z = np.concatenate([float32_steps(t, 32), bits.view(np.float32),
+                                (rng.normal(size=scale.shape) * scale).astype(np.float32),
+                                near[None]])
+            z = np.where(np.isfinite(z), z, np.float32(0.0))  # every finite z, and only those
+            with np.errstate(invalid="ignore"):  # an infinite shift or edge
+                moved = z.astype(float) + shifts
+            if side == "above":
+                np.testing.assert_array_equal(z > above, moved > edges)
+            else:
+                np.testing.assert_array_equal(z < below, moved < edges)
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(70)
+        n = 10_000
+        edges = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2, size=n)
+        shifts = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 4, size=n)
+        self.check(edges, shifts, rng)
+
+    def test_adversarial_pairs_and_the_exact_fallback(self, monkeypatch):
+        calls = []
+        bisect = simulate_module._bisect_thresholds
+        monkeypatch.setattr(simulate_module, "_bisect_thresholds",
+                            lambda edges, shifts: calls.append(len(edges)) or bisect(edges, shifts))
+        rng = np.random.default_rng(71)
+        tiny = np.float32(2.0 ** -149)  # the least float32 subnormal
+        wide = np.float32(rng.normal(size=50) * 3.0).astype(float)  # float32 values
+        cases = [
+            (rng.normal(size=50), 0.0),  # no shift
+            (wide, 0.0), (wide, rng.normal(size=50)),  # edges that are float32 values
+            # a shift that dwarfs edge - shift, down to one float64 step
+            (1.0 + 2.0 ** -52, 1.0), (1.0 - 2.0 ** -53, 1.0), (-1.0 - 2.0 ** -52, -1.0),
+            (1e8 + np.array([1e-8, -3e-8, 2.0 ** -26]), 1e8),
+            (np.nextafter(1e15, np.inf), 1e15), (3.5 + 2.0 ** -51, 3.5),
+            # edge - shift beyond the float32 range: every or no finite z passes
+            (np.array([1e39, -1e39, 1e300, -1e300]), 0.0), (0.0, np.array([4e38, -4e38])),
+            (np.array([np.inf, -np.inf]), 0.0), (np.array([np.inf, -np.inf]), 1.5),
+            # subnormal differences
+            (np.array([1e-40, -1e-40, tiny, -tiny, tiny / 2, 3 * tiny]), 0.0),
+            (1e-310 + np.array([1e-40, 2e-45, -3e-45]), 1e-310),
+            (-1e-39 + np.array([tiny, -tiny, 1e-44]), -1e-39),
+            (np.array([0.0, -0.0]), np.array([0.0, -0.0])),
+        ]
+        for edges, shifts in cases:
+            self.check(edges, shifts, rng)
+        assert calls  # at least one pair needed more than a step
+
+    def test_the_exact_fallback_finds_a_far_threshold(self):
+        # 1 + z rounds to 1 + 2^-52 for every z up to 1.5 * 2^-52: the
+        # threshold is millions of float32 steps above float32(edge - shift)
+        t = simulate_module.float32_thresholds(1.0 + 2.0 ** -52, 1.0)
+        assert float(t) + 1.0 <= 1.0 + 2.0 ** -52 < float(np.nextafter(t, np.float32(1))) + 1.0
+        steps = t.view(np.int32) - np.float32(2.0 ** -52).view(np.int32)
+        assert steps > 4_000_000
