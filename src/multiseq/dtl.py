@@ -349,21 +349,22 @@ class _Rule:
         for l < i, into a (values, values, rows) array that adds to the rank
         of i; its complement adds to the rank of l. A slice's go and stop
         flags and retained outcomes add into one tally per (point, row)
-        cell, which ``ShiftGrid.slices`` reduces once per chunk into each
-        point's go, stop and retained counts."""
+        cell, of a type that holds min(K, K_max) per slice of the chunk,
+        which ``ShiftGrid.total`` reduces once per chunk into each point's
+        go, stop and retained counts."""
         k, m, k_max = self.k, self.m, self.k_max
         grid = ShiftGrid(shifts, N_STAGES)
-        points, width = grid.points, grid.width(2 * CHUNK_BYTES)
+        width = grid.width(2 * CHUNK_BYTES)
         ranked = ("ranks", "pairs") if k_max < k else ()
-        step = min(k, k_max)  # the most outcomes a row retains
 
         def counts(rows: np.ndarray) -> np.ndarray:
             cols = rows.T.reshape(N_STAGES, k, 1, len(rows))
+            # each slice adds at most the outcomes a row retains to a cell
+            most = min(k, k_max) * -(-len(rows) // width)
             cut = grid.workspace(min(width, len(rows)), "shifted", "shifted", "widened", "flags",
                                  "flags", "counts", "marks", "marks", "marks", *ranked,
-                                 tallies=3, step=step)
-            total = np.zeros((3, points), dtype=np.intp)  # go, stop, retained
-            for a in grid.slices(len(rows), width, cut()[-1], total, step):
+                                 tallies=3, most=most)
+            for a in range(0, len(rows), width):
                 (core, z, wide, eligible, hits, count, go, stop, mark, *ranks,
                  (gone, stopped, kept)) = cut(min(width, len(rows) - a))
                 grid.shift(cols[0, ..., a:a + width], 0, core, wide)
@@ -407,7 +408,7 @@ class _Rule:
                 gone += go.view(np.uint8)
                 stopped += stop.view(np.uint8)
                 kept += retained
-            return total
+            return grid.total(cut()[-1], most)  # go, stop, retained
 
         total = sum(self.block.each_chunk(counts, CHUNK_BYTES))
         return self._oc(*total)

@@ -220,26 +220,24 @@ class _Rule:
         the largest |W_i| / a_i over i < j and T_1 = 0. The intervals are
         disjoint; only non-empty ones are kept.
 
-        Each chunk reads its columns in place, stage by stage: W_j by
-        ``_order_statistic`` over the stage's K columns (a stored value,
-        widened before the division by a_j), and T_j as a running max. A
-        chunk lists its intervals stage by stage, so their order depends
-        on the chunk size, but their multiset (all that calibration reads)
-        does not, and for one chunk size neither does the order depend on
-        the thread count.
+        Each chunk reads its columns in place, stage by stage, and writes
+        only row-length arrays: W_j by ``_order_statistic`` over the stage's
+        K columns (a stored value, widened as it is divided by a_j), and T_j
+        as a running max. A chunk lists its intervals stage by stage, so
+        their order depends on the chunk size, but their multiset (all that
+        calibration reads) does not, and for one chunk size neither does the
+        order depend on the thread count.
         """
         n_stages, k, m = self.spec.n_stages, self.k, self.m
         a = np.asarray(_final_scale_boundaries(1.0, n_stages, self.spec.wt_delta).upper)
 
         def intervals(rows: np.ndarray) -> tuple:
             cols = rows.T.reshape(n_stages, k, len(rows))
-            pool = []  # the chunk's row-length workspaces
             t, w = np.zeros(len(rows)), np.empty(len(rows))
             keep = np.empty(len(rows), dtype=bool)
             starts, ends = [], []
             for j in range(n_stages):
-                np.copyto(w, _order_statistic(cols[j], k - m, pool))  # widened: W_j
-                w /= a[j]
+                np.divide(_order_statistic(cols[j], k - m), a[j], out=w)  # widened: W_j / a_j
                 kept = np.flatnonzero(np.greater(w, t, out=keep))  # faster than a mask
                 starts.append(t.take(kept))
                 ends.append(w.take(kept))
@@ -341,8 +339,9 @@ class _Rule:
         and counted over the grid, all into the chunk's
         ``ShiftGrid.workspace``. Its go rows and its rows still open
         after each stage but the last add into one tally per (point, row)
-        cell, which ``ShiftGrid.slices`` reduces once per chunk into each
-        point's go count and stop-stage histogram."""
+        cell, of a type that holds one per slice of the chunk, which
+        ``ShiftGrid.total`` reduces once per chunk into each point's go
+        count and stop-stage histogram."""
         n_stages, k, m, nsims = self.spec.n_stages, self.k, self.m, self.block.nsims
         grid = ShiftGrid(shifts, n_stages)
         points, width = grid.points, grid.width(CHUNK_BYTES // 4)
@@ -350,11 +349,11 @@ class _Rule:
 
         def counts(rows: np.ndarray) -> np.ndarray:
             cols = rows.T.reshape(n_stages, k, 1, len(rows))
+            most = -(-len(rows) // width)  # the slices: each adds at most 1 to a cell
             cut = grid.workspace(min(width, len(rows)), "flags", "counts", "counts", "marks",
-                                 "marks", tallies=n_stages)
+                                 "marks", tallies=n_stages, most=most)
             # row 0: go rows; row j + 1: rows still open after stage j
-            total = np.zeros((n_stages, points), dtype=np.intp)
-            for a in grid.slices(len(rows), width, cut()[-1], total):
+            for a in range(0, len(rows), width):
                 flags, over, under, went, still_open, (gone, *opened) = \
                     cut(min(width, len(rows) - a))
                 for j in range(n_stages):
@@ -373,7 +372,7 @@ class _Rule:
                     grid.count(np.less(z, below[j], out=flags), out=under)
                     still_open &= np.less_equal(under, k - m, out=went)
                     opened[j] += still_open.view(np.uint8)
-            return total
+            return grid.total(cut()[-1], most)
 
         total = sum(self.block.each_chunk(counts, CHUNK_BYTES))
         opened = np.vstack([np.full(points, nsims), total[1:], np.zeros(points, np.intp)])
@@ -468,42 +467,19 @@ def _selection_network(k: int, rank: int) -> tuple:
     return tuple(reversed(network))
 
 
-def _order_statistic(cols, rank: int, pool: list) -> np.ndarray:
+def _order_statistic(cols, rank: int) -> np.ndarray:
     """The rank-th smallest (from 0) of the columns, element by element,
     by ``_selection_network``: exactly the value ``np.partition`` puts at
-    ``rank`` along each row. Reads the columns and writes only row-length
-    workspaces taken from ``pool``, which gets back every one but the
-    result's (with one column, the result is that column)."""
-    wires, owned = list(cols), [False] * len(cols)
-
-    def spare(*candidates: int) -> np.ndarray:
-        # the first owned buffer among the wires, else a pooled or new one
-        for w in candidates:
-            if owned[w]:
-                owned[w] = False
-                return wires[w]
-        return pool.pop() if pool else np.empty_like(cols[0])
-
-    def release(w: int) -> None:
-        if owned[w]:
-            pool.append(wires[w])
-            owned[w] = False
-
+    ``rank`` along each row. Reads the columns in place; each comparator
+    writes the outputs read later into new row-length arrays (with one
+    column, the result is that column)."""
+    wires = list(cols)
     for i, j, low, high in _selection_network(len(wires), rank):
         a, b = wires[i], wires[j]
-        if low and high:
-            lo = np.minimum(a, b, out=spare())
-            wires[j] = np.maximum(a, b, out=spare(j, i))
-            release(i)
-            wires[i], owned[i], owned[j] = lo, True, True
-        else:  # one output is read later; the other wire is dead
-            kept, dead = (i, j) if low else (j, i)
-            wires[kept] = (np.minimum if low else np.maximum)(a, b, out=spare(kept, dead))
-            release(dead)
-            owned[kept] = True
-    owned[rank] = False
-    for w in range(len(wires)):
-        release(w)
+        if low:
+            wires[i] = np.minimum(a, b)
+        if high:
+            wires[j] = np.maximum(a, b)
     return wires[rank]
 
 

@@ -254,17 +254,18 @@ class ShiftGrid:
         and shifted statistics of one stage."""
         return max(1, chunk_bytes // (8 * max(self.points, self.stacked[0].size, 1)))
 
-    def workspace(self, width: int, *kinds: str, tallies: int = 0, step: int = 1):
+    def workspace(self, width: int, *kinds: str, tallies: int = 0, most: int = 1):
         """Arrays for the slices of a chunk, at most ``width`` rows each, one
         per kind: "shifted" statistics (columns, V, rows) and their "flags",
         the "widened" statistics of ``shift`` (columns, 1, rows; empty when
         V = 1), grid arrays of "counts" and boolean "marks", "ranks" (one
         count grid array per column) and "pairs" of columns' flags (V, V,
         rows). With ``tallies``, one more array, last: that many zeroed grid
-        arrays of the smallest unsigned type that holds ``step``, the most a
-        slice adds to one of their cells (see ``slices``). Returns
-        cut(rows=width): views of each array's first ``rows`` rows, all in
-        one allocation (``carve``)."""
+        arrays of the smallest unsigned type that holds ``most``, the most
+        the chunk's slices add to one of their cells, so a slice adds in
+        place and no cell overflows (see ``total``). Returns cut(rows=width):
+        views of each array's first ``rows`` rows, all in one allocation
+        (``carve``)."""
         columns, values, count = len(self.lengths), self.stacked.shape[2], \
             np.min_scalar_type(len(self.lengths))
         grid = tuple(self.lengths[a] for a in self.live)
@@ -274,7 +275,7 @@ class ShiftGrid:
                   "ranks": ((columns,) + grid, count), "pairs": ((values, values), bool)}
         shapes = [(layout[kind][0] + (width,), layout[kind][1]) for kind in kinds]
         if tallies:
-            shapes.append(((tallies,) + grid + (width,), np.min_scalar_type(step)))
+            shapes.append(((tallies,) + grid + (width,), np.min_scalar_type(most)))
         arrays = carve(*shapes)
         if tallies:
             arrays[-1][...] = 0
@@ -316,30 +317,15 @@ class ShiftGrid:
             out += self.place(flags[axis, :self.lengths[axis]], (axis,))
         return out
 
-    def slices(self, nrows: int, width: int, tallies: np.ndarray, total: np.ndarray,
-               step: int = 1):
-        """Start of each ``width``-row slice of a chunk of nrows rows. Each
-        slice adds at most ``step`` to a cell of ``tallies``, the (tallies,
-        *grid, width) array of ``workspace``. Their counts are added into
-        ``total`` (tallies, points) after the last slice, and also every
-        max // step slices, before a cell could overflow. So a slice adds in
-        place, and a chunk reduces over its rows once."""
-        every, added = np.iinfo(tallies.dtype).max // step, 0
-        for a in range(0, nrows, width):
-            if added == every:
-                self._flush(tallies, total, added * step)
-                tallies[...] = 0
-                added = 0
-            added += 1
-            yield a
-        self._flush(tallies, total, added * step)
-
-    def _flush(self, tallies: np.ndarray, total: np.ndarray, most: int) -> None:
-        """Adds the tallies' counts over their rows to total. No cell exceeds
-        ``most``, so the sum takes the smallest type that holds a row of
-        them: the narrower, the faster the cast from uint8."""
+    def total(self, tallies: np.ndarray, most: int) -> np.ndarray:
+        """The (tallies, points) intp counts of a chunk's tallies, the
+        (tallies, *grid, width) array of ``workspace``, summed over their
+        rows once. No cell exceeds ``most``, so the sum takes the smallest
+        type that holds a row of them: the narrower, the faster the cast
+        from uint8."""
         cells = tallies.reshape(len(tallies), self.points, tallies.shape[-1])
-        total += np.add.reduce(cells, axis=-1, dtype=np.min_scalar_type(most * cells.shape[-1]))
+        counts = np.add.reduce(cells, axis=-1, dtype=np.min_scalar_type(most * cells.shape[-1]))
+        return counts.astype(np.intp)
 
 
 def carve(*shapes) -> list:
@@ -416,18 +402,18 @@ def null_blocks(stage_counts, model: OutcomeModel, cfg: SimConfig,
 
 
 def mean_shift_vector(mu, schedule: StageSchedule, model: OutcomeModel) -> np.ndarray:
-    """Per-column mean mu_k * sqrt(N_j) / sigma_k as a length J*K vector."""
+    """Per-column mean mu_k * sqrt(N_j) / sigma_k as a length J*K vector:
+    ``axis_shifts`` at one value per outcome, in stage-major order."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if mu.size != model.n_outcomes:
         raise ValueError(f"mu must have length {model.n_outcomes}, got {mu.size}")
-    shift = mu[None, :] * np.sqrt(schedule.cumulative)[:, None] / model.sigma[None, :]
-    return shift.ravel()
+    return np.concatenate(axis_shifts(mu[:, None], schedule, model)).T.ravel()
 
 
 def axis_shifts(axes, schedule: StageSchedule, model: OutcomeModel) -> list:
     """Per outcome k, a (len(axes[k]), J) array whose row v holds the shifts
-    that ``mean_shift_vector`` gives outcome k's J columns at mu_k =
-    axes[k][v], as the same float expression."""
+    mu_k * sqrt(N_j) / sigma_k of outcome k's J columns at mu_k =
+    axes[k][v]: the one float expression of every mean shift."""
     if len(axes) != model.n_outcomes:
         raise ValueError(f"need {model.n_outcomes} effect axes, got {len(axes)}")
     root = np.sqrt(schedule.cumulative)

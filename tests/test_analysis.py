@@ -330,18 +330,23 @@ class TestGridPass:
                                  wang_tsiatis_boundaries(2.0 * 2 ** 0.5, 2), 0.0, 0.0)
         assert real.evaluate_grid(blocks[2], model, [(0.1, 0.2), ()]) == []
 
-    @pytest.mark.parametrize("kind", ["gs", "composite", "dtl-drop", "dtl-keep"])
-    def test_a_chunk_of_more_slices_than_a_tally_holds(self, monkeypatch, kind):
-        # K = 4 and 8 values: 4,096 points in 2-row slices, so the 1,000-row
-        # block is one chunk of 500 slices: more than a uint8 tally cell takes
-        # (255, or 255 // K_max for drop-the-loser's retained outcomes). The
-        # grid must equal its 512-point sub-grids with the first axis fixed,
-        # whose 16-row slices fit one chunk's tallies.
+    @pytest.mark.parametrize("kind, slices, tally", [
+        pytest.param(kind, slices, tally, id=kind if slices == 500 else f"{kind}-{slices}")
+        for kind, limit in [("gs", 255), ("composite", 255), ("dtl-drop", 127), ("dtl-keep", 63)]
+        for slices, tally in [(limit, np.uint8), (limit + 1, np.uint16), (500, np.uint16)]])
+    def test_a_chunk_of_more_slices_than_a_tally_holds(self, monkeypatch, kind, slices, tally):
+        # K = 4 and 8 values: 4,096 points in 2-row slices, and the block is one
+        # chunk of that many slices: just at and just past what a uint8 tally
+        # cell takes (255, or 255 // K_max for drop-the-loser's retained
+        # outcomes: 127 for dtl-drop, 63 for dtl-keep), and 500. The chunk's
+        # tallies take the type that holds all its slices, and the grid must
+        # equal its 512-point sub-grids with the first axis fixed, whose 16-row
+        # slices fit uint8 tallies.
         model = OutcomeModel.equicorrelated(4, 0.3)
         monkeypatch.setattr(gs_module, "CHUNK_BYTES", 262_144)
-        monkeypatch.setattr(dtl_module, "CHUNK_BYTES", 65_536)
+        monkeypatch.setattr(dtl_module, "CHUNK_BYTES", 32_768)
         axes = [(-0.2, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.5)] * 4
-        block = null_block(2, model, SimConfig(seed=76, nsims=1_000))
+        block = null_block(2, model, SimConfig(seed=76, nsims=2 * slices))
         if kind.startswith("dtl"):
             spec = DtLDesignSpec(4, 1, 2, 0.3, 0.95, 0.025, 0.2, 0.2, 0.4)
             schedule = StageSchedule.equal(60, 2)
@@ -357,12 +362,13 @@ class TestGridPass:
             def evaluate(axes):
                 return real.evaluate_grid(block, model, axes)
 
-        flushes = []
-        flush = simulate_module.ShiftGrid._flush
-        monkeypatch.setattr(simulate_module.ShiftGrid, "_flush",
-                            lambda grid, *args: flushes.append(1) or flush(grid, *args))
+        tallies = []
+        total = simulate_module.ShiftGrid.total
+        monkeypatch.setattr(simulate_module.ShiftGrid, "total",
+                            lambda grid, cells, most: tallies.append(cells.dtype)
+                            or total(grid, cells, most))
         grid = evaluate(axes)
-        assert len(flushes) > 1  # the one chunk's tallies were reduced before its end
+        assert tallies == [tally]  # one chunk
         assert grid == [oc for value in axes[0] for oc in evaluate([(value,)] + axes[1:])]
         assert max(oc.p_reject for oc in grid) == 1.0  # cells that count every slice
 

@@ -21,7 +21,6 @@ from conftest import null_block
 from multiseq import CalibrationError, InfeasibleDesignError, OutcomeModel, SimConfig
 from multiseq.dtl import (
     DtLDesignSpec,
-    DtLOperatingCharacteristics,
     calibrate_r,
     conditional_power,
     cp_lookup,
