@@ -395,16 +395,28 @@ def _write_text(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# the "%" format of each cell type for which it writes what ``_fmt`` does
+_CELL_FORMATS = {int: "%d", float: "%.6g"}
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    """A header and rows of cells in ``_fmt`` form. A row of Python floats,
-    as every grid.csv row is, is formatted whole: "%.6g" writes what
-    ``_fmt`` does, and no such cell needs quoting."""
+    """A header and rows of cells in ``_fmt`` form. A row of Python ints
+    and floats only, as every grid.csv and cp_lookup.csv row is, is
+    formatted whole: "%d" and "%.6g" write what ``_fmt`` does, and no such
+    cell needs quoting. A row holding any other type (a bool, a numpy
+    scalar) goes cell by cell through ``_fmt`` and the csv writer."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        lines = {}  # a row's cell types -> its line format, "" when a cell has none
         for row in rows:
-            if set(map(type, row)) == {float}:
-                fh.write(",".join(["%.6g"] * len(row)) % tuple(row) + writer.dialect.lineterminator)
+            types = tuple(map(type, row))
+            if types not in lines:
+                cells = [_CELL_FORMATS.get(t) for t in types]
+                lines[types] = ("" if None in cells
+                                else ",".join(cells) + writer.dialect.lineterminator)
+            if lines[types]:
+                fh.write(lines[types] % tuple(row))
             else:
                 writer.writerow([_fmt(cell) for cell in row])
 

@@ -3,7 +3,9 @@
 One block pass gives the boundaries at which each simulated trial goes,
 a union of disjoint intervals [start, end). The rejection rate is then a
 step function of the boundary, and ``exceedance_boundary`` reads the
-calibrated boundary off the sorted starts and ends, with no bisection.
+calibrated boundary off the sorted starts and ends, with no bisection:
+after the two sorts it scans only the events near the crossing, in
+windows of ``_HEAD`` events that grow to at most ``_SLICE``.
 ``smallest_passing`` searches the per-stage sample size by probing, for
 every design family: it probes the caller's opening sizes, then nmax, up
 to the first pass, and then interpolates the probit of power linearly in
@@ -29,8 +31,11 @@ __all__ = ["DEFAULT_NMAX", "exceedance_boundary", "row_count", "smallest_passing
 # largest per-stage size a sample-size search probes unless told otherwise
 DEFAULT_NMAX = 400
 
-# event values per vectorised step: the scans below allocate about 64 kB
-# at a time, never one temporary per event
+# The scans read only the events near the crossing. The rise scan's window
+# starts at _HEAD starts and doubles up to _SLICE, so no temporary exceeds
+# about 64 kB; the dip scan reads one head every _HEAD ends, and that
+# spacing sets how closely it prunes.
+_HEAD = 1 << 8
 _SLICE = 1 << 13
 
 
@@ -61,7 +66,9 @@ def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
     The boundary lies midway between the step's neighbouring event values
     (clipped to 0 below, one past the largest value above). A warning
     names two boundaries when alpha falls to the target below c* and
-    climbs back above it. Sorts float64 ``ends`` and ``starts`` in place.
+    climbs back above it. Sorts float64 ``ends`` and ``starts`` in place;
+    a call costs those two sorts and a scan of the events near the
+    crossing.
     Returns (boundary, achieved alpha); raises CalibrationError when
     alpha(0+) <= target. ``symbol`` names the boundary in messages.
     """
@@ -97,25 +104,28 @@ def exceedance_boundary(ends, target: float, strict: bool = False, starts=None,
         # A row count taken at the i-th sorted start (i + 1 - #{ends <= it})
         # or end is exact at the last of its ties. Find the last start after
         # which more than k rows go (a start at 0 does); from there only ends
-        # pass, and c* is where rise + 1 - k of them have.
-        for top in range(starts.size, 0, -_SLICE):
-            low = max(top - _SLICE, 0)
+        # pass, and c* is where rise + 1 - k of them have. It lies near the
+        # top, so the window down from there starts small.
+        top, width = starts.size, _HEAD
+        while True:
+            low = max(top - width, 0)
             over = np.flatnonzero(np.arange(low + 1, top + 1)
                                   - np.searchsorted(ends, starts[low:top], "right") > k)
             if over.size:
                 break
+            top, width = low, min(2 * width, _SLICE)
         rise = low + int(over[-1])
         cross = ends[rise - k]
 
         # alpha first falls to the target at an end; one below starts[rise]
-        # means it climbs back. A slice's counts are at least its first end's
-        # count less the slice length, so only slices near k are scanned.
+        # means it climbs back. A run's counts are at least its first end's
+        # count less the run length, so only runs near k are scanned.
         first, last = np.searchsorted(ends, 0.0, "right"), np.searchsorted(ends, starts[rise])
-        heads = np.arange(first, last, _SLICE)
+        heads = np.arange(first, last, _HEAD)
         near = (np.searchsorted(starts, ends[heads], "right")
-                - np.minimum(heads + _SLICE, last) <= k)
+                - np.minimum(heads + _HEAD, last) <= k)
         for low in heads[near]:
-            top = min(low + _SLICE, last)
+            top = min(low + _HEAD, last)
             dip = np.flatnonzero(np.searchsorted(starts, ends[low:top], "right")
                                  - np.arange(low + 1, top + 1) <= k)
             if dip.size:

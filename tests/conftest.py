@@ -16,6 +16,20 @@ def two_outcome_spec():
                         beta=0.2, delta0=0.2, delta1=0.4)
 
 
+@pytest.fixture
+def searchsorted_keys(monkeypatch):
+    """The key count of each ``np.searchsorted`` call the test makes."""
+    keys = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        keys.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    return keys
+
+
 def quick_cfg(seed=1, nsims=20_000):
     return SimConfig(seed=seed, nsims=nsims)
 

@@ -142,6 +142,22 @@ def test_csv_rows_of_floats_are_written_as_fmt_writes_them(tmp_path):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
+def test_csv_rows_of_ints_and_floats_are_written_as_fmt_writes_them(tmp_path):
+    # rows of Python ints and floats, as cp_lookup.csv's (n, value, power)
+    # are, take one format; a bool or a numpy scalar sends a row through
+    # _fmt and csv quoting
+    nan, inf = float("nan"), float("inf")
+    rows = [(12, 0.5, 1 / 3), (0, nan, inf), (-3, -inf, -0.0), (123456789, 1e-05, 123456789.0),
+            (7,), (2.0, -1, 0.1), (3, True, 0.5), (4, np.float64(0.1234567891), 1e-05),
+            (np.int64(5), 2.5), (False, nan), (10 ** 20, -0.0, 1e-7)]
+    cli._write_csv(tmp_path / "fast.csv", ("n", "value", "power"), rows)
+    with open(tmp_path / "cells.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("n", "value", "power"))
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)

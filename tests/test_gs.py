@@ -668,6 +668,20 @@ class TestGoIntervals:
         # 0.2 of the block as it was stored in float64: 8 bytes per statistic
         assert peak < 2.5 * (starts.nbytes + ends.nbytes) < 0.2 * 8 * block.values.size
 
+    @pytest.mark.parametrize("k, m, j, nsims", [(2, 1, 3, 10_000), (10, 5, 5, 40_000)])
+    def test_calibration_reads_the_events_near_the_crossing(self, searchsorted_keys, k, m,
+                                                           j, nsims):
+        # the readout searches a few hundred event values near the crossing
+        # in the sorted starts and ends, not every end below it
+        spec = GSDesignSpec(n_outcomes=k, n_promising=m, n_stages=j, alpha=0.025,
+                            beta=0.2, delta0=0.2, delta1=0.4)
+        block = simulate_null_block(StageSchedule.equal(1, j),
+                                    OutcomeModel.equicorrelated(k, 0.3),
+                                    SimConfig(seed=62, nsims=nsims), threads=2)
+        events = gs_module._Rule(block, spec).go_intervals()[0].size
+        calibrate_c(block, spec)
+        assert 0 < sum(searchsorted_keys) < events / 16
+
 
 class TestOrderStatistic:
     @pytest.mark.parametrize("k", range(1, 13))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from statistics import NormalDist
@@ -9,7 +10,7 @@ from scipy.special import ndtri
 
 from _oracles import bisection_n, rows_at_least, rows_at_most, step_boundary
 from multiseq import CalibrationError, InfeasibleDesignError
-from multiseq.optimize import exceedance_boundary, row_count, smallest_passing
+from multiseq.optimize import _HEAD, exceedance_boundary, row_count, smallest_passing
 
 
 # limits on a fine normal quantile grid: alpha(r) is the normal tail to
@@ -92,6 +93,26 @@ def random_intervals(rng, nrows):
     return np.array(starts), np.array(ends)
 
 
+def trough_intervals(rng, nrows, step):
+    """Intervals on a grid of ``step``, so events tie. A random share of
+    the rows go from 0 to a limit at or below a trough, a share go from
+    the trough or up to 0.5 above it, and the rest hold up to three random
+    intervals, a third of them from 0: the rate falls into the trough and
+    climbs back out of it."""
+    grid = np.arange(step, 5.0, step)
+    trough = grid[rng.integers(grid.size // 5, 3 * grid.size // 4)]
+    kind = rng.choice(3, size=nrows, p=rng.dirichlet([2.0, 2.0, 2.0]))
+    early, late, rest = (int(np.count_nonzero(kind == i)) for i in range(3))
+    climb = rng.choice(grid[(trough <= grid) & (grid <= trough + 0.5)], late)
+    points = grid[np.sort(rng.integers(0, grid.size - 5, (rest, 6)), axis=1) + np.arange(6)]
+    points[rng.random(rest) < 0.35, 0] = 0.0
+    held = np.arange(3) < rng.integers(0, 4, rest)[:, None]
+    starts = np.concatenate([np.zeros(early), climb, points[:, 0::2][held]])
+    ends = np.concatenate([rng.choice(grid[grid <= trough], early),
+                           climb + step * rng.integers(1, 40, late), points[:, 1::2][held]])
+    return starts, ends
+
+
 class TestStepIntervals:
     def test_agrees_with_brute_force_on_random_intervals(self):
         rng = np.random.default_rng(15)
@@ -115,6 +136,65 @@ class TestStepIntervals:
                 assert len(caught) == expected.warns
                 outcomes["warns" if expected.warns else "monotone"] += 1
         assert min(outcomes.values()) >= 20, outcomes
+
+    def test_agrees_with_brute_force_beyond_one_head(self):
+        # hundreds to thousands of rows, so that k, the rows that may go at
+        # the boundary, lies below and above one head of events, and the
+        # scans prune; the rate falls to a trough and climbs back, so a
+        # target can dip far below the crossing or right next to it
+        rng = np.random.default_rng(18)
+        outcomes = {"monotone": 0, "warns": 0, "unreachable": 0}
+        spans = {(outcome, big): 0 for outcome in ("monotone", "warns") for big in (False, True)}
+        dips = []
+        for case in range(150):
+            nrows = int(rng.integers(200, 4_001))
+            starts, ends = trough_intervals(rng, nrows, (0.25, 1 / 64)[case % 2])
+            reach = np.count_nonzero((starts == 0.0) & (ends > 0.0)) / nrows
+            target = float(rng.uniform(0.005, min(1.3 * reach, 0.99)))
+            big = row_count(target, nrows, "right") > _HEAD
+            for strict in (False, True):
+                expected = step_boundary(starts, ends, nrows, target, strict)
+                if expected is None:
+                    outcomes["unreachable"] += 1
+                    with pytest.raises(CalibrationError, match="out of reach"):
+                        exceedance_boundary(ends.copy(), target, strict, starts.copy(), nrows)
+                    continue
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    c, achieved = exceedance_boundary(ends.copy(), target, strict,
+                                                      starts.copy(), nrows)
+                assert (c, achieved) == (expected.boundary, expected.alpha), case
+                assert len(caught) == expected.warns, case
+                outcome = "warns" if expected.warns else "monotone"
+                outcomes[outcome] += 1
+                spans[outcome, big] += 1
+                if caught:
+                    # ends between where alpha first falls to the target and
+                    # where it climbs back
+                    fall, climb = (float(v) for v in
+                                   re.findall(r"=(\S+) gives", str(caught[0].message)))
+                    dips.append(np.count_nonzero((fall < ends) & (ends < climb)))
+        assert min(outcomes.values()) >= 20, outcomes
+        assert min(spans.values()) >= 10, spans
+        assert sum(d < _HEAD for d in dips) >= 5 and sum(d > 4 * _HEAD for d in dips) >= 5
+
+    @pytest.mark.parametrize("k", [254, 255, 256, 257, 511, 512])
+    def test_a_dip_at_a_run_edge_is_found(self, searchsorted_keys, k):
+        # 1,024 rows go from 0 to 1/1024, 2/1024, ..., 1 and 600 from 2 to
+        # 3: k rows go from the (1024 - k)-th end on, just at, inside or
+        # past the end of a run of _HEAD ends, and alpha climbs back at 2
+        ends = np.concatenate([np.arange(1, 1_025) / 1_024, np.full(600, 3.0)])
+        starts = np.concatenate([np.zeros(1_024), np.full(600, 2.0)])
+        nrows, fall = 1_624, (1_024 - k) / 1_024
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = exceedance_boundary(ends, (k + 0.5) / nrows, True, starts, nrows)
+        assert got == (4.0, 0.0)
+        assert [str(w.message) for w in caught] == [
+            f"alpha is not monotone in the boundary: r={fall:.6g} gives {k / nrows:.6g} "
+            f"but r=2 gives {600 / nrows:.6g}"]
+        # one window of starts, the heads and the one run holding the dip
+        assert sum(searchsorted_keys) < 3 * _HEAD
 
     def test_alpha_climbing_back_warns_and_keeps_the_last_crossing(self):
         # alpha(C): 0.5 on (0, 1), 0 on [1, 2), 0.3 on [2, 3), 0 from 3 on
@@ -165,6 +245,22 @@ class TestStepIntervals:
         tracemalloc.start()
         try:
             exceedance_boundary(limits, 0.025)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_intervals_need_no_row_length_arrays(self):
+        # 1,000,000 intervals (8 MB of starts, 8 MB of ends), a third of
+        # them from 0, are sorted in place: the scans' windows and heads
+        # stay small
+        rng = np.random.default_rng(19)
+        starts = rng.exponential(size=1_000_000)
+        starts[::3] = 0.0
+        ends = starts + rng.exponential(size=1_000_000)
+        tracemalloc.start()
+        try:
+            exceedance_boundary(ends, 0.025, starts=starts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
